@@ -279,10 +279,13 @@ def _darboux_normalize(doc, opts):
 
 def _darboux_slice(doc, opts):
     p = load_poisson(doc, opts.get("order"))
+    pairs = doc.get("pairs", ())
+    if not all(isinstance(pair, list) for pair in pairs):
+        raise InputError('pairs is a list of name lists, like [["z1", "z2"]]')
     report = extract_slice(
         p,
         doc.get("t", "t"),
-        tuple(tuple(pair) for pair in doc.get("pairs", ())),
+        tuple(name for pair in pairs for name in pair),
         degree_cap=opts.get("degree_cap") or doc.get("degree_cap"),
         weight=doc.get("weight", 0),
     )

@@ -269,10 +269,6 @@ def _standard_tu_exponent(pres: PoissonPresentation, t_name: str, u_name: str, s
     return 1 - e
 
 
-def _tables_equal(p1: PoissonPresentation, p2: PoissonPresentation) -> bool:
-    return all(p1.entry(a, b) == p2.entry(a, b) for a, b in p1.pairs())
-
-
 def certification_horizon(ctx: GradedContext) -> int:
     """The J-order below which normalization results are certified.
 
@@ -540,35 +536,24 @@ def extract_slice(
 
 def _greedy_generators(pres: PoissonPresentation, basis: list) -> list:
     """Basis elements not in the linear span of pairwise products of
-    earlier ones (constants never count as generators)."""
+    earlier ones (constants never count as generators).
+
+    The span grows by the products of each element with those before
+    it, formed once, as the next element is tested."""
     ctx = pres.ctx
-    kept: list[TruncatedElement] = []
-    earlier: list[TruncatedElement] = [ctx.one()]
+    earlier: list[TruncatedElement] = []
+    products = linalg.Echelon()
+    last = ctx.one()
     generators = []
     for elem in basis:
-        if not elem - ctx.const(elem.constant_coefficient()):
-            earlier.append(elem)
-            continue
-        products = []
-        mono_index: dict = {}
-        for i, x in enumerate(earlier):
-            for y in earlier[i:]:
-                p = pres.reduce(x * y)
-                vec: dict = {}
-                for e, c in p.terms.items():
-                    vec[mono_index.setdefault(e, len(mono_index))] = c
-                products.append(vec)
-        for e in elem.terms:
-            mono_index.setdefault(e, len(mono_index))
-        rows = [
-            [vec.get(j, Q(0)) for j in range(len(mono_index))] for vec in products
-        ]
-        target = [Q(0)] * len(mono_index)
-        for e, c in elem.terms.items():
-            target[mono_index[e]] = c
-        if not linalg.in_span(rows, target):
+        earlier.append(last)
+        for x in earlier:
+            products.insert(pres.reduce(x * last).terms)
+        if elem - ctx.const(elem.constant_coefficient()) and not products.contains(
+            elem.terms
+        ):
             generators.append(elem)
-        earlier.append(elem)
+        last = elem
     return generators
 
 
@@ -1187,7 +1172,7 @@ def normalize_full(pres: PoissonPresentation, budget: int | None = None) -> Deco
     failures = cert.verify()
     if failures:
         raise StageError("certify", "the certificate failed re-verification", failures)
-    log.append(f"certify: form {cert.form}")
+    cert.stage_log.append(f"certify: form {cert.form}")
     return cert
 
 

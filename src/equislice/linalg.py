@@ -90,3 +90,55 @@ def in_span(vectors, target) -> bool:
     cols = [list(v) for v in vectors]
     mat = [[cols[j][i] for j in range(len(cols))] for i in range(len(target))]
     return solve(mat, list(target)) is not None
+
+
+def _subtract_multiple(vec: dict, f, row: dict) -> None:
+    """vec -= f * row in place, dropping the entries that cancel."""
+    for key, c in row.items():
+        s = vec[key] - f * c if key in vec else -(f * c)
+        if s:
+            vec[key] = s
+        else:
+            del vec[key]
+
+
+class Echelon:
+    """A reduced echelon basis of sparse vectors, grown one vector at a
+    time.
+
+    Vectors are dicts from hashable keys to field elements.  Every stored
+    row has a pivot key with coefficient 1 that no other row contains,
+    so reducing a vector subtracts one row per pivot key it carries and
+    never revisits a pivot; a membership test is one reduction, and an
+    insertion adds one row and clears its pivot from the others."""
+
+    def __init__(self):
+        self._rows: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def reduce(self, vec: dict) -> dict:
+        """vec minus its projection onto the span, as a sparse dict whose
+        keys avoid every pivot; empty exactly when vec lies in the span."""
+        out = {key: _promote(c) for key, c in vec.items() if c}
+        for p in [key for key in out if key in self._rows]:
+            _subtract_multiple(out, out[p], self._rows[p])
+        return out
+
+    def contains(self, vec: dict) -> bool:
+        return not self.reduce(vec)
+
+    def insert(self, vec: dict) -> bool:
+        """Add vec to the span; whether it was new (the rank grew)."""
+        rest = self.reduce(vec)
+        if not rest:
+            return False
+        pivot = next(iter(rest))
+        inv = 1 / rest[pivot]
+        row = {key: c * inv for key, c in rest.items()}
+        for other in self._rows.values():
+            if pivot in other:
+                _subtract_multiple(other, other[pivot], row)
+        self._rows[pivot] = row
+        return True

@@ -502,21 +502,6 @@ class VectorFieldRep:
     def is_zero(self) -> bool:
         return all(not v for v in self.images.values())
 
-    def weight_offset(self):
-        """Common weight shift of all images, or None if mixed or zero."""
-        offs = set()
-        ctx = self.presentation.ctx
-        for name, img in self.images.items():
-            if not img:
-                continue
-            w = img.weight()
-            if w is None:
-                return None
-            offs.add(w - ctx.weight_of_name(name))
-        if len(offs) == 1:
-            return offs.pop()
-        return None
-
 
 def standard_presentation(n: int, k: int, ell: int = 1, order: int = 6) -> PoissonPresentation:
     """The standard structure of degree -k*ell on an invertible conic

@@ -33,7 +33,8 @@ from __future__ import annotations
 
 from itertools import product as iter_product
 
-from .linalg import in_span, kernel_basis
+# in_span is unused here but stays importable as the dense span test
+from .linalg import Echelon, in_span, kernel_basis
 from .poisson import PoissonPresentation, max_steps
 from .scalars import Q
 
@@ -844,43 +845,43 @@ def _generator_candidates(a, basis, truncation):
     the window or the enumerated monomial sets are ignored, so the
     listing is a within-window certificate, not a global generating
     claim."""
-    index: dict[int, dict] = {}
-    spans: dict[int, list] = {}
+    keys: dict[int, set] = {}
+    spans: dict[int, Echelon] = {}
     for w, vs in basis.items():
-        keys = sorted({key for v in vs for key in v})
-        index[w] = {key: i for i, key in enumerate(keys)}
-        spans[w] = []
+        keys[w] = {key for v in vs for key in v}
+        spans[w] = Echelon()
 
     def vectorize(w, elem):
         visible = {
             key: c for key, c in elem.items() if key[0] < truncation
         }
-        if any(key not in index.get(w, {}) for key in visible):
+        if any(key not in keys[w] for key in visible):
             return None
-        vec = [Q(0)] * len(index[w])
-        for key, c in visible.items():
-            vec[index[w][key]] = c
-        return vec
+        return visible
 
     pool: list[tuple[int, dict]] = []
 
     def absorb(w, elem) -> bool:
         vec = vectorize(w, elem)
-        if vec is None or in_span(spans[w], vec):
+        if vec is None or not spans[w].insert(vec):
             return False
-        spans[w].append(vec)
         pool.append((w, elem))
         return True
+
+    # spans only grow, so a product once rejected stays rejected and
+    # each ordered pool pair needs multiplying once
+    multiplied: set[tuple[int, int]] = set()
 
     def close_products():
         grew = True
         while grew:
             grew = False
-            for w1, e1 in list(pool):
-                for w2, e2 in list(pool):
+            for i, (w1, e1) in enumerate(list(pool)):
+                for j, (w2, e2) in enumerate(list(pool)):
                     w = w1 + w2
-                    if w not in index:
+                    if w not in keys or (i, j) in multiplied:
                         continue
+                    multiplied.add((i, j))
                     if absorb(w, a.multiply(e1, e2)):
                         grew = True
 
@@ -901,7 +902,7 @@ def _generator_candidates(a, basis, truncation):
     candidates = []
     for _deg, _depth, w, _pos, v in ordered:
         vec = vectorize(w, v)
-        if vec is not None and in_span(spans[w], vec):
+        if vec is not None and spans[w].contains(vec):
             continue
         candidates.append((w, v))
         absorb(w, v)

@@ -276,7 +276,3 @@ def as_scalar(x, field: CycloField | None = None):
     if field is not None:
         return field.element([x])
     return Q(x)
-
-
-def scalar_is_zero(x) -> bool:
-    return not x

@@ -86,13 +86,6 @@ class GradedContext:
             and self.filtration == other.filtration
         )
 
-    def with_order(self, order: int) -> "GradedContext":
-        if order == self.order:
-            return self
-        return GradedContext(
-            self.variables, self.weights, self.invertible, self.filtration, order
-        )
-
     # -- element constructors ------------------------------------------
 
     def zero(self) -> "TruncatedElement":

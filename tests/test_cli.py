@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 from equislice.cli import JobSpec, main, render_report, run
+from equislice.darboux import extract_slice
+from equislice.poisson import standard_presentation
 
 CYCLIC_TABLE = {
     "variables": ["x", "y", "z"],
@@ -93,6 +95,29 @@ def test_quantize_slice_and_bad_lifts():
     status, report = invoke("quantize slice", bad)
     assert status == 1
     assert "conic relations" in report["error"]
+
+
+def test_darboux_slice_takes_pairs_as_variable_names():
+    p = standard_presentation(3, 2)
+    expected = extract_slice(p, "t", ("z1", "z2"), degree_cap=2, weight=0)
+    status, report = invoke(
+        "darboux slice",
+        {"builder": "standard", "n": 3, "k": 2, "pairs": [["z1", "z2"]],
+         "weight": 0, "degree_cap": 2},
+    )
+    assert status == 0
+    assert report == {
+        "weight": 0,
+        "generators": [str(g) for g in expected["generators"]],
+        "basis": [str(e) for e in expected["basis"]],
+    }
+    # the pair's variables are constraints, so z1 and z2 leave the kernel
+    assert not any("z1" in e or "z2" in e for e in report["basis"])
+    assert len(report["basis"]) == 6
+    status, report = invoke(
+        "darboux slice", {"builder": "standard", "n": 3, "k": 2, "pairs": ["z1", "z2"]}
+    )
+    assert status == 2 and "name lists" in report["error"]
 
 
 def test_input_errors_exit_two():

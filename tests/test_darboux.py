@@ -7,6 +7,7 @@ import pytest
 from equislice.darboux import (
     CoordinateChange,
     StageError,
+    _greedy_generators,
     certification_horizon,
     decouple_u,
     enforce_tu,
@@ -282,7 +283,34 @@ def test_extract_slice_finds_the_transverse_generators():
     assert sorted(str(g) for g in at_two["generators"]) == ["1*x", "1*y", "1*z"]
 
 
+def test_generator_search_forms_each_basis_product_once(monkeypatch):
+    p = kleinian_product(1, 2, order=4)
+    report = extract_slice(p, "t", weight=2)
+    n = len(report["basis"])
+    calls = []
+    reduce = PoissonPresentation.reduce
+
+    def counting(self, f):
+        calls.append(f)
+        return reduce(self, f)
+
+    monkeypatch.setattr(PoissonPresentation, "reduce", counting)
+    generators = _greedy_generators(p, report["basis"])
+    assert [str(g) for g in generators] == [str(g) for g in report["generators"]]
+    assert n == 20 and len(generators) == n
+    assert len(calls) <= n * (n + 1) // 2
+
+
 # -- certificates ------------------------------------------------------------
+
+
+def test_certificate_stages_end_with_the_certify_line():
+    cert = normalize_full(standard_presentation(2, 2))
+    stages = cert.as_json()["stages"]
+    assert stages[-1].startswith("certify: form ")
+    assert stages[-1] == f"certify: form {cert.form}"
+    assert stages[-2] == "extract-slice: done"
+
 
 
 def test_certificate_serializes_deterministically():

@@ -9,6 +9,7 @@ from equislice.linalg import in_span
 from equislice.poisson import PoissonPresentation, standard_presentation
 from equislice.quantize import (
     HbarPresentation,
+    _generator_candidates,
     RewriteLimitError,
     centrality_check,
     differential_family,
@@ -338,6 +339,25 @@ def test_conjugated_lifts_give_the_conjugated_kernel():
         span = [[v.get(k, Q(0)) for k in keys] for v in tvs]
         for img in images:
             assert in_span(span, [img.get(k, Q(0)) for k in keys])
+
+
+def test_generator_search_multiplies_each_pool_pair_once(monkeypatch):
+    a = differential_family(2, 2, order=3)
+    res = quantized_slice(
+        a, "t", [], truncation=2, weight_window=(0, 1), degree_cap=2
+    )
+    operands: dict = {}
+    multiply = HbarPresentation.multiply
+
+    def counting(self, x, y, **kwargs):
+        key = (id(x), id(y))
+        operands[key] = operands.get(key, 0) + 1
+        return multiply(self, x, y, **kwargs)
+
+    monkeypatch.setattr(HbarPresentation, "multiply", counting)
+    again = _generator_candidates(a, res.basis, res.truncation)
+    assert again == res.generator_candidates
+    assert operands and max(operands.values()) == 1
 
 
 def test_exp_ad_is_an_algebra_map():
