@@ -4,9 +4,11 @@ One job per invocation.  The exit status is the verdict: 0 when the
 requested computation succeeds (or the property holds), 1 when the
 computation ran and the property verifiably fails (a Jacobi violation,
 a non-unimodular matrix, a non-central element), 2 when the input
-cannot be used at all.  Reports are JSON on stdout, sorted keys, so
-identical jobs produce byte-identical output; the pretty form is a
-rendering of the same data, never a different source of truth.
+cannot be used at all, 3 when a step budget ran out before an answer
+(the report names EQUISLICE_MAX_STEPS, which sets the budget).  Reports
+are JSON on stdout, sorted keys, so identical jobs produce
+byte-identical output; the pretty form is a rendering of the same data,
+never a different source of truth.
 """
 
 from __future__ import annotations
@@ -400,11 +402,7 @@ def _quantize_build(doc, opts):
 def _quantize_normalform(doc, opts):
     algebra = load_quantum(_need(doc, "presentation"), opts.get("order"))
     word = [(name, int(exp)) for name, exp in _need(doc, "word")]
-    try:
-        result = algebra.normal_form(word)
-    except RewriteLimitError as exc:
-        return 1, {"ok": False, "error": str(exc)}
-    return 0, {"normal_form": algebra.render(result)}
+    return 0, {"normal_form": algebra.render(algebra.normal_form(word))}
 
 
 def _quantize_central(doc, opts):
@@ -575,8 +573,15 @@ def run(job: JobSpec) -> tuple[int, dict]:
     handler = HANDLERS.get(job.command)
     if handler is None:
         return 2, {"error": f"unknown command {job.command!r}"}
+    order = job.options.get("order")
+    if order is not None and order < 1:
+        return 2, {"error": f"--order must be at least 1, got {order}",
+                   "command": job.command}
     try:
         return handler(job.document, job.options)
+    except RewriteLimitError as exc:
+        return 3, {"error": str(exc), "command": job.command,
+                   "budget": "EQUISLICE_MAX_STEPS"}
     except (InputError, KeyError, TypeError, ValueError) as exc:
         return 2, {"error": str(exc), "command": job.command}
 

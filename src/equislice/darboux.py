@@ -490,46 +490,7 @@ def extract_slice(
     variables in one weight, as an echelonized basis plus a greedy set
     of generators (elements not spanned by pairwise products of earlier
     ones)."""
-    ctx = pres.ctx
-    constraints = [t_name, *pair_names]
-    cutoffs = {name: pres.certified_bracket_order(name) for name in constraints}
-    cands = pres.weight_monomials(weight, degree_cap)
-    basis = []
-    if cands:
-        rows_index: dict = {}
-        columns = []
-        for exps in cands:
-            col: dict = {}
-            mono = ctx.monomial(exps)
-            for name in constraints:
-                br = pres.bracket(mono, ctx.var(name))
-                for oe, oc in br.terms.items():
-                    if ctx.jorder_of_exps(oe) >= cutoffs[name]:
-                        continue
-                    row = rows_index.setdefault((name, oe), len(rows_index))
-                    col[row] = oc
-            columns.append(col)
-        if rows_index:
-            mat = [[Q(0)] * len(cands) for _ in range(len(rows_index))]
-            for c_idx, col in enumerate(columns):
-                for r_idx, val in col.items():
-                    mat[r_idx][c_idx] = val
-            kernel = linalg.kernel_basis(mat)
-        else:
-            kernel = [
-                [Q(1) if i == j else Q(0) for j in range(len(cands))]
-                for i in range(len(cands))
-            ]
-        reduced, _ = linalg.rref(kernel) if kernel else ([], [])
-        for vec in reduced:
-            if any(vec):
-                basis.append(
-                    TruncatedElement(
-                        ctx,
-                        {cands[i]: v for i, v in enumerate(vec) if v},
-                        validate=False,
-                    )
-                )
+    basis = pres.centralizer_basis([t_name, *pair_names], weight, degree_cap)
     generators = _greedy_generators(pres, basis)
     return {"weight": weight, "basis": basis, "generators": generators}
 
@@ -753,13 +714,42 @@ def _coupling_move_system(cur, t_name, u_name, slice_names, leaf, horizon):
     return targets, cands, columns
 
 
+def _reachable_coupling(columns, target: dict, tag_row: int) -> tuple[dict, dict]:
+    """One elimination of a move system: (killable, moves), where
+    killable is the part of the target in the span of the columns (the
+    target minus its echelon residual) and moves[j] the coefficient of
+    column j in the combination that cancels it, nonzero only on columns
+    independent of the earlier ones.
+
+    Keys are (row, exponents) with row < tag_row.  Column j enters the
+    engine with the extra key (tag_row, -j), which sorts after every
+    coupling key and puts earlier columns' tags last; the reduced target
+    is the residual on the coupling keys and the moves on the tags."""
+    echelon = linalg.Echelon()
+    for j, col in enumerate(columns):
+        echelon.insert({**col, (tag_row, -j): 1})
+    killable = dict(target)
+    moves = {}
+    for key, v in echelon.reduce(target).items():
+        if key[0] == tag_row:
+            moves[-key[1]] = v
+            continue
+        s = killable.get(key, 0) - v
+        if s:
+            killable[key] = s
+        else:
+            del killable[key]
+    return killable, moves
+
+
 def _decouple_slice(cur, t_name, u_name, slice_names, pairs, budget):
     """Sweeps reducing the conjugate coupling to its canonical residual.
 
-    Each pass assembles the linear system of _coupling_move_system,
-    splits the trusted coupling into the part reachable by the move
-    span and the echelon residual against it, and applies one composite
-    change absorbing the reachable part.  Nonlinear transport effects
+    Each pass assembles the linear system of _coupling_move_system and
+    eliminates it once: reducing the trusted coupling against the move
+    span splits it into the reachable part, with the move combination
+    that reaches it, and the echelon residual.  One composite change
+    then absorbs the reachable part.  Nonlinear transport effects
     reappear at strictly higher J-order, so the sweep terminates; what
     survives is the obstruction to product form.  Returns (change or
     None, presentation)."""
@@ -774,40 +764,15 @@ def _decouple_slice(cur, t_name, u_name, slice_names, pairs, budget):
         )
         if not any(targets.values()):
             break
-        row_keys: set = set()
-        for col in columns:
-            row_keys.update(col)
-        target = {}
-        for si, s in enumerate(slice_names):
-            for oe, oc in targets[s].terms.items():
-                target[(si, oe)] = oc
-        row_keys.update(target)
-        rows = sorted(row_keys)
-        row_index = {key: i for i, key in enumerate(rows)}
-        amat = [[Q(0)] * len(cands) for _ in rows]
-        for j, col in enumerate(columns):
-            for key, v in col.items():
-                amat[row_index[key]][j] = v
-        tvec = [Q(0)] * len(rows)
-        for key, v in target.items():
-            tvec[row_index[key]] = v
-        if cands:
-            basis, pivot_cols = linalg.rref([list(r) for r in zip(*amat)])
-        else:
-            basis, pivot_cols = [], []
-        residual = list(tvec)
-        for brow, p in zip(basis, pivot_cols):
-            f = residual[p]
-            if f:
-                residual = [x - f * y for x, y in zip(residual, brow)]
-        killable = [x - r for x, r in zip(tvec, residual)]
-        if not any(killable):
+        target = {
+            (si, oe): oc
+            for si, s in enumerate(slice_names)
+            for oe, oc in targets[s].terms.items()
+        }
+        killable, moves = _reachable_coupling(columns, target, len(slice_names))
+        if not killable:
             break
-        m = min(
-            ctx.jorder_of_exps(rows[i][1])
-            for i, v in enumerate(killable)
-            if v
-        )
+        m = min(ctx.jorder_of_exps(oe) for _, oe in killable)
         if m <= prev_order:
             raise StageError(
                 "decouple-slice",
@@ -815,15 +780,9 @@ def _decouple_slice(cur, t_name, u_name, slice_names, pairs, budget):
                 "a Jacobi failure upstream",
             )
         prev_order = m
-        x = linalg.solve(amat, [-v for v in killable])
-        if x is None:
-            raise StageError(
-                "decouple-slice",
-                "the reachable coupling part fell out of the move span; "
-                "this signals a Jacobi failure upstream",
-            )
         forward = {}
-        for (kind, name, mono), c in zip(cands, x):
+        for j, (kind, name, mono) in enumerate(cands):
+            c = moves.get(j)
             if not c:
                 continue
             piece = mono.scale(Q(c))

@@ -200,9 +200,23 @@ def _fixed_coordinates(b: TorusActionMatrix, lattice: IntMatrix) -> tuple:
     )
 
 
+def _is_cyclic(b: TorusActionMatrix, fixed) -> bool:
+    """Whether every fixed weight row lies in the span of the other
+    fixed rows, so the fixed coordinates form a cyclic flat (a union of
+    circuits of the row matroid).  This is the primal form of the
+    coloop-free flats of the Gale dual, and only these flats carry
+    leaves."""
+    rows = [b.row(i) for i in fixed]
+    full = IntMatrix(rows).rank()
+    return all(
+        IntMatrix(rows[:k] + rows[k + 1 :]).rank() == full for k in range(len(rows))
+    )
+
+
 def enumerate_leaves(b) -> list[LeafDescriptor]:
     """All symplectic leaves of the hypertoric cone, one per maximal
-    parabolic subtorus, sorted by decreasing dimension.
+    parabolic subtorus whose fixed coordinates form a cyclic flat,
+    sorted by decreasing dimension.
 
     Subtori are found by intersecting character kernels over every
     coordinate subset and deduplicating by Hermite basis; each flat then
@@ -223,6 +237,8 @@ def enumerate_leaves(b) -> list[LeafDescriptor]:
         # the kernel over the full fixed locus reproduces the lattice, so
         # each recorded subtorus is the maximal one for its flat
         assert _stabilizer_lattice(b, fixed).rows == lat.rows
+        if not _is_cyclic(b, fixed):
+            continue
         flat = [i + 1 for i in range(b.n) if i not in fixed]
         leaves.append(LeafDescriptor(flat, lat, b.m, b.n))
     leaves.sort(key=lambda leaf: (-leaf.leaf_dim, leaf.flat))
@@ -238,7 +254,7 @@ def slice_matrix(b, flat) -> IntMatrix:
         raise ValueError("flat indices must lie in 1..n")
     fixed = tuple(i for i in range(b.n) if i + 1 not in flat)
     lattice = _stabilizer_lattice(b, fixed)
-    if _fixed_coordinates(b, lattice) != fixed:
+    if _fixed_coordinates(b, lattice) != fixed or not _is_cyclic(b, fixed):
         raise ValueError(f"{list(flat)} is not the flat of a leaf")
     rows = [
         [sum(c * w for c, w in zip(vec, b.row(i - 1))) for vec in lattice.rows]

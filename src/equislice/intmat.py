@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import linalg
+
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Extended gcd: returns (g, s, t) with g = s*a + t*b and g >= 0."""
@@ -105,24 +107,7 @@ class IntMatrix:
         return sign * a[n - 1][n - 1]
 
     def rank(self) -> int:
-        a = [[Fraction(x) for x in r] for r in self.rows]
-        n, m = self.nrows, self.ncols
-        r = 0
-        for c in range(m):
-            pivot = next((i for i in range(r, n) if a[i][c]), None)
-            if pivot is None:
-                continue
-            a[r], a[pivot] = a[pivot], a[r]
-            inv = 1 / a[r][c]
-            a[r] = [x * inv for x in a[r]]
-            for i in range(n):
-                if i != r and a[i][c]:
-                    f = a[i][c]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-            r += 1
-            if r == n:
-                break
-        return r
+        return linalg.rank(self.rows)
 
     def maximal_minors(self) -> list[int]:
         """All maximal square minors (choosing rows if tall, columns if wide)."""
@@ -260,32 +245,7 @@ class IntMatrix:
     def solve_rational(self, b) -> list[Fraction] | None:
         """One rational solution x of self @ x == b, or None if inconsistent.
         Free variables are set to zero."""
-        n, m = self.nrows, self.ncols
         b = [Fraction(x) for x in b]
-        if len(b) != n:
+        if len(b) != self.nrows:
             raise ValueError("length mismatch")
-        a = [[Fraction(x) for x in row] + [b[i]] for i, row in enumerate(self.rows)]
-        pivots = []
-        r = 0
-        for c in range(m):
-            pivot = next((i for i in range(r, n) if a[i][c]), None)
-            if pivot is None:
-                continue
-            a[r], a[pivot] = a[pivot], a[r]
-            inv = 1 / a[r][c]
-            a[r] = [x * inv for x in a[r]]
-            for i in range(n):
-                if i != r and a[i][c]:
-                    f = a[i][c]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-            pivots.append(c)
-            r += 1
-            if r == n:
-                break
-        for i in range(r, n):
-            if a[i][m]:
-                return None
-        x = [Fraction(0)] * m
-        for i, c in enumerate(pivots):
-            x[c] = a[i][m]
-        return x
+        return linalg.solve(self.rows, b)

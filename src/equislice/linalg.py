@@ -1,8 +1,18 @@
-"""Generic exact linear algebra over any field whose elements support
-+, -, *, /, and truth testing (Fraction, CycloNumber).
+"""Exact linear algebra over any field whose elements support +, -, *,
+/, and truth testing (Fraction, CycloNumber), on one sparse elimination
+engine.
 
-Matrices are plain lists of row lists; integer entries are promoted to
-Fraction so division stays exact.
+`Echelon` keeps the reduced row echelon form of a span of sparse
+vectors, dicts from keys to field elements, grown one vector at a time.
+Each row pivots on its least key, so the keys fed to one Echelon must be
+mutually orderable, and the stored rows are exactly the canonical RREF of
+the span in key order.  Integer entries are promoted to Fraction so
+division stays exact.
+
+`rref`, `rank`, `kernel_basis`, `solve` and `in_span` are thin wrappers
+for dense matrices, plain lists of row lists keyed by column index.
+`relations` hands sparse columns straight to the engine and returns the
+echelon basis of their linear relations.
 """
 
 from __future__ import annotations
@@ -12,84 +22,6 @@ from fractions import Fraction
 
 def _promote(x):
     return Fraction(x) if isinstance(x, int) else x
-
-
-def rref(rows) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    a = [[_promote(x) for x in r] for r in rows]
-    n = len(a)
-    m = len(a[0]) if a else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(m):
-        p = next((i for i in range(r, n) if a[i][c]), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(n):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    return a, pivots
-
-
-def rank(rows) -> int:
-    return len(rref(rows)[1])
-
-
-def kernel_basis(rows) -> list[list]:
-    """Basis of the right kernel {x : rows @ x == 0}, one vector per free
-    column, each normalized with a 1 in its free position."""
-    if not rows:
-        return []
-    m = len(rows[0])
-    a, pivots = rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(m):
-        if f in pivot_set:
-            continue
-        v = [Fraction(0)] * m
-        v[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            v[c] = -a[i][f]
-        basis.append(v)
-    return basis
-
-
-def solve(rows, b) -> list | None:
-    """One solution of rows @ x == b, or None if inconsistent.  Free
-    variables are set to zero."""
-    n = len(rows)
-    if n == 0:
-        return []
-    m = len(rows[0])
-    aug = [list(r) + [b[i]] for i, r in enumerate(rows)]
-    a, pivots = rref(aug)
-    for i in range(len(pivots), n):
-        if a[i][m]:
-            return None
-    if pivots and pivots[-1] == m:
-        return None
-    x = [Fraction(0)] * m
-    for i, c in enumerate(pivots):
-        x[c] = a[i][m]
-    return x
-
-
-def in_span(vectors, target) -> bool:
-    """Whether target lies in the span of the given vectors."""
-    if not vectors:
-        return not any(target)
-    cols = [list(v) for v in vectors]
-    mat = [[cols[j][i] for j in range(len(cols))] for i in range(len(target))]
-    return solve(mat, list(target)) is not None
 
 
 def _subtract_multiple(vec: dict, f, row: dict) -> None:
@@ -106,17 +38,23 @@ class Echelon:
     """A reduced echelon basis of sparse vectors, grown one vector at a
     time.
 
-    Vectors are dicts from hashable keys to field elements.  Every stored
-    row has a pivot key with coefficient 1 that no other row contains,
-    so reducing a vector subtracts one row per pivot key it carries and
-    never revisits a pivot; a membership test is one reduction, and an
-    insertion adds one row and clears its pivot from the others."""
+    Vectors are dicts from hashable, mutually orderable keys to field
+    elements.  Every stored row has a pivot, its least key, with
+    coefficient 1 that no other row contains, so the rows are the
+    canonical RREF of the span in key order.  Reducing a vector
+    subtracts one row per pivot key it carries and never revisits a
+    pivot; a membership test is one reduction, and an insertion adds one
+    row and clears its pivot from the others."""
 
     def __init__(self):
         self._rows: dict = {}
 
     def __len__(self) -> int:
         return len(self._rows)
+
+    def items(self) -> list[tuple]:
+        """(pivot, row) pairs in pivot order: the RREF of the span."""
+        return sorted(self._rows.items())
 
     def reduce(self, vec: dict) -> dict:
         """vec minus its projection onto the span, as a sparse dict whose
@@ -134,7 +72,7 @@ class Echelon:
         rest = self.reduce(vec)
         if not rest:
             return False
-        pivot = next(iter(rest))
+        pivot = min(rest)
         inv = 1 / rest[pivot]
         row = {key: c * inv for key, c in rest.items()}
         for other in self._rows.values():
@@ -142,3 +80,93 @@ class Echelon:
                 _subtract_multiple(other, other[pivot], row)
         self._rows[pivot] = row
         return True
+
+
+def _row_echelon(rows) -> Echelon:
+    """The echelon of a dense matrix's row span, keyed by column."""
+    echelon = Echelon()
+    width = len(rows[0]) if rows else 0
+    for r in rows:
+        if len(echelon) == width:
+            break
+        echelon.insert(dict(enumerate(r)))
+    return echelon
+
+
+def rref(rows) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form, zero rows last; returns (matrix, pivot
+    column indices)."""
+    width = len(rows[0]) if rows else 0
+    items = _row_echelon(rows).items()
+    zero = Fraction(0)
+    mat = [[row.get(j, zero) for j in range(width)] for _, row in items]
+    mat += [[zero] * width for _ in range(len(rows) - len(items))]
+    return mat, [p for p, _ in items]
+
+
+def rank(rows) -> int:
+    return len(_row_echelon(rows))
+
+
+def kernel_basis(rows) -> list[list]:
+    """Basis of the right kernel {x : rows @ x == 0}, one vector per free
+    column, each normalized with a 1 in its free position."""
+    if not rows:
+        return []
+    width = len(rows[0])
+    items = _row_echelon(rows).items()
+    pivots = {p for p, _ in items}
+    basis = []
+    for f in range(width):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * width
+        v[f] = Fraction(1)
+        for p, row in items:
+            if f in row:
+                v[p] = -row[f]
+        basis.append(v)
+    return basis
+
+
+def solve(rows, b) -> list | None:
+    """One solution of rows @ x == b, or None if inconsistent.  Free
+    variables are set to zero."""
+    if not rows:
+        return []
+    width = len(rows[0])
+    items = _row_echelon([[*r, b[i]] for i, r in enumerate(rows)]).items()
+    if items and items[-1][0] == width:
+        return None
+    x = [Fraction(0)] * width
+    for p, row in items:
+        if width in row:
+            x[p] = row[width]
+    return x
+
+
+def in_span(vectors, target) -> bool:
+    """Whether target lies in the span of the given vectors."""
+    if not vectors:
+        return not any(target)
+    cols = [list(v) for v in vectors]
+    mat = [[cols[j][i] for j in range(len(cols))] for i in range(len(target))]
+    return solve(mat, list(target)) is not None
+
+
+def relations(columns, tags) -> list[dict]:
+    """The linear relations {c : sum_j c_j * columns[j] == 0} among
+    sparse columns, as the RREF of sparse dicts keyed by tags[j], in
+    pivot order.
+
+    Column j goes into the engine with the extra key tags[j] at
+    coefficient 1.  Every tag must sort after every column key, so the
+    rows that pivot on a tag have no column part and span exactly the
+    relations, in the order of the tags."""
+    tagged = set(tags)
+    echelon = Echelon()
+    for col, tag in zip(columns, tags):
+        vec = dict(col)
+        vec[tag] = 1
+        echelon.insert(vec)
+    return [row for p, row in echelon.items() if p in tagged]

@@ -393,51 +393,40 @@ class PoissonPresentation:
         """Per-weight bases of elements whose bracket with every generator
         vanishes to certified J-order (modulo relations), in reduced
         echelon form."""
-        out = {}
-        names = self.ctx.variables
+        return {
+            w: self.centralizer_basis(self.ctx.variables, w, degree_cap)
+            for w in weight_window
+        }
+
+    def centralizer_basis(self, names, weight: int, degree_cap=None) -> list:
+        """Elements of one weight whose bracket with each named generator
+        vanishes below its certified J-order (modulo relations), as the
+        reduced echelon basis over the weight's monomials.
+
+        Each candidate monomial's brackets form one sparse column; the
+        kernel is the span of the linear relations among the columns."""
+        ctx = self.ctx
         cutoffs = [self.certified_bracket_order(name) for name in names]
-        for w in weight_window:
-            cands = self.weight_monomials(w, degree_cap)
-            if not cands:
-                out[w] = []
-                continue
-            rows_index: dict = {}
-            columns = []
-            for exps in cands:
-                col: dict = {}
-                mono = self.ctx.monomial(exps)
-                for g_idx, name in enumerate(names):
-                    br = self.bracket(mono, self.ctx.var(name))
-                    for oe, oc in br.terms.items():
-                        if self.ctx.jorder_of_exps(oe) >= cutoffs[g_idx]:
-                            continue
-                        key = (g_idx, oe)
-                        row = rows_index.setdefault(key, len(rows_index))
-                        col[row] = oc
-                columns.append(col)
-            nrows = len(rows_index)
-            mat = [[Q(0)] * len(cands) for _ in range(nrows)]
-            for c_idx, col in enumerate(columns):
-                for r_idx, val in col.items():
-                    mat[r_idx][c_idx] = val
-            kernel = linalg.kernel_basis(mat) if nrows else [
-                [Q(1) if i == j else Q(0) for j in range(len(cands))]
-                for i in range(len(cands))
-            ]
-            reduced, _ = linalg.rref(kernel) if kernel else ([], [])
-            basis = []
-            for vec in reduced:
-                if not any(vec):
-                    continue
-                basis.append(
-                    TruncatedElement(
-                        self.ctx,
-                        {cands[i]: v for i, v in enumerate(vec) if v},
-                        validate=False,
-                    )
-                )
-            out[w] = basis
-        return out
+        cands = self.weight_monomials(weight, degree_cap)
+        columns = []
+        for exps in cands:
+            mono = ctx.monomial(exps)
+            col = {}
+            for g_idx, name in enumerate(names):
+                br = self.bracket(mono, ctx.var(name))
+                for oe, oc in br.terms.items():
+                    if ctx.jorder_of_exps(oe) < cutoffs[g_idx]:
+                        col[(g_idx, oe)] = oc
+            columns.append(col)
+        tags = [(len(names), j) for j in range(len(cands))]
+        return [
+            TruncatedElement(
+                ctx,
+                {cands[j]: v for (_, j), v in sorted(row.items())},
+                validate=False,
+            )
+            for row in linalg.relations(columns, tags)
+        ]
 
     def hp0_graded(self, degree_cap: int) -> dict[int, int]:
         """Graded dimensions of the functions modulo the span of all
@@ -459,9 +448,8 @@ class PoissonPresentation:
             if not basis:
                 dims[d] = 0
                 continue
-            col_of = {e: i for i, e in enumerate(basis)}
             total = d - degree
-            vectors = []
+            brackets = linalg.Echelon()
             for w1 in range(total + 1):
                 w2 = total - w1
                 if w2 < w1:
@@ -471,13 +459,8 @@ class PoissonPresentation:
                         if w1 == w2 and m2 <= m1:
                             continue
                         br = self.bracket(self.ctx.monomial(m1), self.ctx.monomial(m2))
-                        if not br:
-                            continue
-                        vec = [Q(0)] * len(basis)
-                        for oe, oc in br.terms.items():
-                            vec[col_of[oe]] = oc
-                        vectors.append(vec)
-            dims[d] = len(basis) - (linalg.rank(vectors) if vectors else 0)
+                        brackets.insert(br.terms)
+            dims[d] = len(basis) - len(brackets)
         return dims
 
 

@@ -33,8 +33,9 @@ from __future__ import annotations
 
 from itertools import product as iter_product
 
-# in_span is unused here but stays importable as the dense span test
-from .linalg import Echelon, in_span, kernel_basis
+# in_span is unused here but stays importable: the benchmark's tracer
+# test (perfbench/test_quick.py) checks that it is rebound in this module
+from .linalg import Echelon, in_span, relations
 from .poisson import PoissonPresentation, max_steps
 from .scalars import Q
 
@@ -756,32 +757,22 @@ def quantized_slice(a: HbarPresentation, t_lift, z_lifts, truncation: int,
         monos = _slice_monomials(a, w, truncation - 1, degree_cap)
         if not monos:
             continue
-        rows: dict[tuple, list] = {}
-        for col, (hpow, mono) in enumerate(monos):
+        columns = []
+        for hpow, mono in monos:
             cand = {(hpow, mono): Q(1)}
+            col = {}
             for li, lift in enumerate(lifts):
-                comm = a.commutator(lift, cand)
-                for (p, m), c in comm.items():
-                    if p > truncation:
-                        continue
-                    row = rows.setdefault(
-                        (li, p, m), [Q(0)] * len(monos)
-                    )
-                    row[col] = c
-        if rows:
-            vectors = kernel_basis([rows[key] for key in sorted(rows)])
-        else:
-            vectors = [
-                [Q(1) if i == j else Q(0) for j in range(len(monos))]
-                for i in range(len(monos))
-            ]
-        elems = []
-        for vec in vectors:
-            elem = {
-                monos[i]: c for i, c in enumerate(vec) if c
-            }
-            if elem:
-                elems.append(elem)
+                for (p, m), c in a.commutator(lift, cand).items():
+                    if p <= truncation:
+                        col[(li, p, m)] = c
+            columns.append(col)
+        # descending tags make the relations the kernel basis with a 1 in
+        # each free position, one per free column; list them by column
+        tags = [(len(lifts), -j) for j in range(len(monos))]
+        elems = [
+            {monos[-neg]: c for (_, neg), c in sorted(row.items(), reverse=True)}
+            for row in reversed(relations(columns, tags))
+        ]
         if elems:
             basis[w] = elems
 

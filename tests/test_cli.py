@@ -129,6 +129,36 @@ def test_input_errors_exit_two():
     assert status == 2
 
 
+def test_exhausted_step_budget_exits_three(monkeypatch):
+    monkeypatch.setenv("EQUISLICE_MAX_STEPS", "3")
+    documents = {
+        "quantize central": {
+            "presentation": {"family": "sl2"}, "element": {"casimir": True},
+        },
+        "quantize normalform": {
+            "presentation": {"family": "sl2"}, "word": [["f", 2], ["e", 2]],
+        },
+    }
+    for command, document in documents.items():
+        status, report = invoke(command, document)
+        assert status == 3
+        assert report["budget"] == "EQUISLICE_MAX_STEPS"
+        assert "step budget" in report["error"] and report["command"] == command
+    monkeypatch.delenv("EQUISLICE_MAX_STEPS")
+    status, report = invoke("quantize normalform", documents["quantize normalform"])
+    assert status == 0 and report["normal_form"].startswith("1*e^2*f^2")
+
+
+def test_order_below_one_is_rejected():
+    for order in (0, -1):
+        status, report = invoke("poisson jacobi", {"builder": "sl2"}, order=order)
+        assert status == 2 and "--order" in report["error"]
+    status, _ = invoke("poisson jacobi", {"builder": "sl2"}, order=1)
+    assert status == 0
+    code, out = cli_bytes(["poisson", "jacobi", "-", "--order", "0"], b'{"builder": "sl2"}')
+    assert code == 2 and b"--order" in out
+
+
 def test_selftest_matrix_is_order_stable():
     status, base = invoke("selftest", {})
     assert status == 0 and base["ok"]

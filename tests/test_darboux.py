@@ -3,11 +3,14 @@
 import json
 
 import pytest
+from test_linalg import _reference_rref, _reference_solve
 
+from equislice import darboux
 from equislice.darboux import (
     CoordinateChange,
     StageError,
     _greedy_generators,
+    _reachable_coupling,
     certification_horizon,
     decouple_u,
     enforce_tu,
@@ -216,6 +219,47 @@ def test_roundtrip_scrambled_product_with_pair():
         assert cert.form == "product"
         assert cert.pairs == [("z1", "z2")]
         assert cert.verify() == []
+
+
+def test_decouple_step_matches_the_dense_reference(monkeypatch):
+    """The one-elimination split of each move system equals the residual
+    and the solution of two dense reference eliminations."""
+    systems = []
+    original = darboux._coupling_move_system
+
+    def record(cur, t_name, u_name, slice_names, leaf, horizon):
+        out = original(cur, t_name, u_name, slice_names, leaf, horizon)
+        systems.append((list(slice_names), out))
+        return out
+
+    monkeypatch.setattr(darboux, "_coupling_move_system", record)
+    _, scrambled = scramble_presentation(kleinian_product(1, 2, order=6), [], 0)
+    assert normalize_full(scrambled).form == "product"
+    checked = 0
+    for slice_names, (targets, _, columns) in systems:
+        target = {
+            (si, oe): oc
+            for si, s in enumerate(slice_names)
+            for oe, oc in targets[s].terms.items()
+        }
+        if not target:
+            continue
+        keys = sorted(set(target).union(*columns))
+        amat = [[col.get(key, 0) for col in columns] for key in keys]
+        tvec = [target.get(key, 0) for key in keys]
+        basis, pivots = _reference_rref([list(c) for c in zip(*amat)])
+        residual = list(tvec)
+        for row, p in zip(basis, pivots):
+            f = residual[p]
+            residual = [x - f * y for x, y in zip(residual, row)]
+        reachable = [t - r for t, r in zip(tvec, residual)]
+        killable, moves = _reachable_coupling(columns, target, len(slice_names))
+        assert killable == {key: v for key, v in zip(keys, reachable) if v}
+        if killable:
+            x = _reference_solve(amat, [-v for v in reachable])
+            assert x == [moves.get(j, 0) for j in range(len(columns))]
+            checked += 1
+    assert checked
 
 
 def test_scrambling_cannot_untwist():

@@ -20,6 +20,8 @@ from equislice.intmat import IntMatrix
 A1 = [[1], [1]]
 A1xA1 = [[1, 0], [1, 0], [0, 1], [0, 1]]
 TRIPLE = [[1], [1], [1]]
+# C^2/Z_3: its row matroid has flats that are not cyclic
+A2 = [[1, 0], [0, 1], [1, 1]]
 
 
 def _fraction_det(rows):
@@ -116,6 +118,24 @@ def test_leaves_invariant_under_row_permutation():
     for perm in permutations(range(4)):
         mat = [A1xA1[i] for i in perm]
         assert sorted(l.leaf_dim for l in enumerate_leaves(mat)) == base
+
+
+def test_only_cyclic_flats_carry_leaves():
+    for perm in permutations(range(3)):
+        mat = [A2[i] for i in perm]
+        leaves = enumerate_leaves(mat)
+        assert {leaf.flat: leaf.leaf_dim for leaf in leaves} == {(): 2, (1, 2, 3): 0}
+        assert sum(leaf.is_vertex for leaf in leaves) == 1
+    # the product with A_1 has the product leaves
+    a2xa1 = [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [0, 0, 1]]
+    assert {leaf.flat: leaf.leaf_dim for leaf in enumerate_leaves(a2xa1)} == {
+        (): 4, (1, 2, 3): 2, (4, 5): 2, (1, 2, 3, 4, 5): 0,
+    }
+    for leaf in enumerate_leaves(A2):
+        assert verify_decomposition(A2, decompose_at(A2, leaf), order=5)["ok"]
+    for flat in [(2, 3), (1, 3), (1, 2)]:
+        with pytest.raises(ValueError, match="not the flat of a leaf"):
+            slice_matrix(A2, flat)
 
 
 def test_nonunimodular_enumeration_is_refused():

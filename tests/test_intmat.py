@@ -1,8 +1,10 @@
 """Integer matrix normal forms and lattice computations."""
 
 import random
-
 from fractions import Fraction
+from itertools import combinations
+
+import pytest
 
 from equislice.intmat import IntMatrix, xgcd
 
@@ -94,6 +96,44 @@ def test_solve_rational():
     # underdetermined: free variable pinned to zero
     sol = IntMatrix([[1, 1]]).solve_rational([5])
     assert sol == [Fraction(5), Fraction(0)]
+
+
+def _rank_by_minors(mat: IntMatrix) -> int:
+    """The largest k with a nonzero k x k minor (Bareiss determinants)."""
+    for k in range(min(mat.nrows, mat.ncols), 0, -1):
+        for rows in combinations(range(mat.nrows), k):
+            for cols in combinations(range(mat.ncols), k):
+                if mat.submatrix(rows, cols).det():
+                    return k
+    return 0
+
+
+def test_rank_agrees_with_minors():
+    rng = random.Random(5)
+    for _ in range(150):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        mat = _random_matrix(rng, n, m, -2, 2)
+        assert mat.rank() == _rank_by_minors(mat)
+    assert IntMatrix([]).rank() == 0
+    assert IntMatrix([[0, 0], [0, 0]]).rank() == 0
+
+
+def test_solve_rational_against_the_product():
+    rng = random.Random(6)
+    for _ in range(150):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        mat = _random_matrix(rng, n, m, -2, 2)
+        x0 = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m)]
+        b = [sum(a * x for a, x in zip(row, x0)) for row in mat.rows]
+        sol = mat.solve_rational(b)
+        assert [sum(a * x for a, x in zip(row, sol)) for row in mat.rows] == b
+        other = [rng.randint(-3, 3) for _ in range(n)]
+        augmented = IntMatrix([list(row) + [y] for row, y in zip(mat.rows, other)])
+        consistent = _rank_by_minors(augmented) == _rank_by_minors(mat)
+        assert (mat.solve_rational(other) is not None) == consistent
+    assert IntMatrix([]).solve_rational([]) == []
+    with pytest.raises(ValueError, match="length"):
+        IntMatrix([[1, 2]]).solve_rational([1, 2])
 
 
 def test_maximal_minors():

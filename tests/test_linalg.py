@@ -5,8 +5,68 @@ from fractions import Fraction
 
 import pytest
 
-from equislice.linalg import Echelon, in_span, kernel_basis, rank, rref, solve
+from equislice.linalg import (
+    Echelon,
+    in_span,
+    kernel_basis,
+    rank,
+    relations,
+    rref,
+    solve,
+)
 from equislice.scalars import CycloField
+
+
+# -- an independent dense reference -------------------------------------------
+
+
+def _reference_rref(rows):
+    """Textbook dense Gauss-Jordan: (RREF with zero rows last, pivots)."""
+    a = [[Fraction(x) if isinstance(x, int) else x for x in r] for r in rows]
+    pivots = []
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def _reference_rank(rows):
+    return len(_reference_rref(rows)[1])
+
+
+def _reference_kernel(rows):
+    a, pivots = _reference_rref(rows)
+    width = len(rows[0]) if rows else 0
+    basis = []
+    for f in (f for f in range(width) if f not in pivots):
+        v = [Fraction(int(j == f)) for j in range(width)]
+        for i, c in enumerate(pivots):
+            v[c] = -a[i][f]
+        basis.append(v)
+    return basis
+
+
+def _reference_solve(rows, b):
+    if not rows:
+        return []
+    width = len(rows[0])
+    a, pivots = _reference_rref([list(r) + [y] for r, y in zip(rows, b)])
+    if width in pivots:
+        return None
+    x = [Fraction(0)] * width
+    for i, c in enumerate(pivots):
+        x[c] = a[i][width]
+    return x
 
 
 def test_rref_and_rank():
@@ -86,16 +146,21 @@ def test_echelon_agrees_with_dense_elimination(field, seed):
                 for j, x in enumerate(row):
                     vec[j] = vec.get(j, 0) + c * x
         dense = _dense(vec, width)
-        spanned = in_span(inserted, dense)
+        before = _reference_rank(inserted)
+        spanned = _reference_rank(inserted + [dense]) == before
         assert echelon.contains(vec) == spanned
-        rest = echelon.reduce(vec)
-        removed = [x - y for x, y in zip(dense, _dense(rest, width))]
-        assert in_span(inserted, removed) and in_span(inserted + [dense], _dense(rest, width))
-        before = rank(inserted) if inserted else 0
+        rest = _dense(echelon.reduce(vec), width)
+        removed = [x - y for x, y in zip(dense, rest)]
+        assert _reference_rank(inserted + [removed]) == before
+        assert _reference_rank(inserted + [rest]) == _reference_rank(inserted + [dense])
         new = echelon.insert(vec)
         inserted.append(dense)
-        assert new == (rank(inserted) == before + 1) == (not spanned)
-        assert len(echelon) == rank(inserted)
+        assert new == (_reference_rank(inserted) == before + 1) == (not spanned)
+        assert len(echelon) == _reference_rank(inserted)
+        # least-key pivots: the stored rows are the canonical RREF
+        reduced, pivots = _reference_rref(inserted)
+        assert [p for p, _ in echelon.items()] == pivots
+        assert [_dense(row, width) for _, row in echelon.items()] == reduced[: len(pivots)]
     # with full row rank every coordinate vector is in the span
     if len(echelon) == width:
         assert all(echelon.contains({j: 1}) for j in range(width))
@@ -112,3 +177,94 @@ def test_echelon_zero_vector_and_empty_basis():
     assert echelon.insert({"a": 1, "b": 2})
     assert not echelon.insert({"a": Fraction(-1, 2), "b": -1})
     assert echelon.contains({"a": 3, "b": 6}) and not echelon.contains({"b": 1})
+
+
+def test_echelon_pivots_on_the_least_key():
+    echelon = Echelon()
+    echelon.insert({"b": 2, "a": 4, "c": 1})
+    echelon.insert({"b": 1, "c": 1})
+    assert echelon.items() == [
+        ("a", {"a": 1, "c": Fraction(-1, 4)}),
+        ("b", {"b": 1, "c": 1}),
+    ]
+
+
+# -- the dense wrappers against the reference ---------------------------------
+
+
+def _random_matrix(rng, field):
+    n, m = rng.randint(0, 5), rng.randint(0, 5)
+    density = rng.choice((0.3, 0.7))
+    rows = [
+        [_random_scalar(rng, field) if rng.random() < density else 0 for _ in range(m)]
+        for _ in range(n)
+    ]
+    if rows and rng.random() < 0.3:
+        rows[rng.randrange(n)] = [0] * m
+    if m and rng.random() < 0.3:
+        c = rng.randrange(m)
+        for r in rows:
+            r[c] = 0
+    if rows and rng.random() < 0.3:
+        # a dependent row: a combination of the others
+        i = rng.randrange(n)
+        rows[i] = [
+            sum((_random_scalar(rng, field) * r[j] for r in rows if r is not rows[i]), 0)
+            for j in range(m)
+        ]
+    return rows
+
+
+@pytest.mark.parametrize("field", [None, CycloField(4)], ids=["Q", "Q(i)"])
+@pytest.mark.parametrize("seed", range(8))
+def test_wrappers_agree_with_the_reference(field, seed):
+    rng = random.Random(100 + seed)
+    for _ in range(25):
+        rows = _random_matrix(rng, field)
+        assert rref(rows) == _reference_rref(rows)
+        assert rank(rows) == _reference_rank(rows)
+        assert kernel_basis(rows) == _reference_kernel(rows)
+        width = len(rows[0]) if rows else 0
+        x = [_random_scalar(rng, field) for _ in range(width)]
+        consistent = [sum((a * y for a, y in zip(r, x)), 0) for r in rows]
+        arbitrary = [_random_scalar(rng, field) for _ in rows]
+        for b in (consistent, arbitrary):
+            got = solve(rows, b)
+            assert got == _reference_solve(rows, b)
+            if got is not None:
+                assert all(sum((a * y for a, y in zip(r, got)), 0) == v for r, v in zip(rows, b))
+
+
+def test_wrappers_on_empty_and_zero_inputs():
+    assert rref([]) == ([], []) and rank([]) == 0
+    assert kernel_basis([]) == [] and solve([], []) == []
+    assert rref([[], []]) == ([[], []], []) and kernel_basis([[], []]) == []
+    assert solve([[], []], [0, 0]) == [] and solve([[], []], [0, 1]) is None
+    zero = [[0, 0, 0], [0, 0, 0]]
+    assert rref(zero) == (zero, []) and rank(zero) == 0
+    assert kernel_basis(zero) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert solve(zero, [0, 0]) == [0, 0, 0] and solve(zero, [0, 2]) is None
+
+
+@pytest.mark.parametrize("field", [None, CycloField(4)], ids=["Q", "Q(i)"])
+@pytest.mark.parametrize("seed", range(4))
+def test_relations_of_sparse_columns(field, seed):
+    rng = random.Random(200 + seed)
+    for _ in range(10):
+        rows = _random_matrix(rng, field)
+        if not rows or not rows[0]:
+            continue
+        width = len(rows[0])
+        columns = [{("row", i): r[j] for i, r in enumerate(rows) if r[j]} for j in range(width)]
+        # ascending tags: the RREF of the kernel
+        ascending = relations(columns, [("tag", j) for j in range(width)])
+        kernel = _reference_kernel(rows)
+        reduced, pivots = _reference_rref(kernel) if kernel else ([], [])
+        assert [[row.get(("tag", j), 0) for j in range(width)] for row in ascending] == (
+            reduced[: len(pivots)]
+        )
+        # descending tags: the kernel basis with a 1 in each free position
+        descending = relations(columns, [("tag", -j) for j in range(width)])
+        assert [
+            [row.get(("tag", -j), 0) for j in range(width)] for row in reversed(descending)
+        ] == kernel
