@@ -26,9 +26,8 @@ from .hypertoric import (
     enumerate_leaves,
     verify_decomposition,
 )
-from .poisson import PoissonPresentation, standard_presentation
+from .poisson import PoissonPresentation, RewriteLimitError, standard_presentation
 from .quantize import (
-    RewriteLimitError,
     centrality_check,
     differential_family,
     enveloping_family,
@@ -227,8 +226,10 @@ def _poisson_degree(doc, opts):
 def _poisson_center(doc, opts):
     p = load_poisson(doc, opts.get("order"))
     lo, hi = _need(doc, "weight_window")
+    if lo > hi:
+        raise InputError(f"the weight window [{lo}, {hi}] is empty")
     cap = opts.get("degree_cap") or doc.get("degree_cap")
-    basis = p.poisson_center_basis((lo, hi), degree_cap=cap)
+    basis = p.poisson_center_basis(range(lo, hi + 1), degree_cap=cap)
     return 0, {
         "basis": {
             str(w): [str(e) for e in elems]

@@ -31,6 +31,12 @@ from .series import GradedContext, TruncatedElement
 DEFAULT_MAX_STEPS = 100000
 
 
+class RewriteLimitError(RuntimeError):
+    """A rewriting or relation-reduction loop exceeded its step budget
+    (EQUISLICE_MAX_STEPS); for hbar rewriting, the non-confluence
+    signal."""
+
+
 def max_steps() -> int:
     raw = os.environ.get("EQUISLICE_MAX_STEPS", "")
     try:
@@ -130,7 +136,7 @@ class PoissonPresentation:
                 return TruncatedElement(self.ctx, work, validate=False)
             budget -= 1
             if budget < 0:
-                raise RuntimeError(
+                raise RewriteLimitError(
                     "relation reduction exceeded step budget "
                     "(set EQUISLICE_MAX_STEPS to raise it)"
                 )

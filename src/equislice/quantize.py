@@ -36,12 +36,8 @@ from itertools import product as iter_product
 # in_span is unused here but stays importable: the benchmark's tracer
 # test (perfbench/test_quick.py) checks that it is rebound in this module
 from .linalg import Echelon, in_span, relations
-from .poisson import PoissonPresentation, max_steps
+from .poisson import PoissonPresentation, RewriteLimitError, max_steps
 from .scalars import Q
-
-
-class RewriteLimitError(RuntimeError):
-    """Rewriting exceeded its step budget, the non-confluence signal."""
 
 
 def element_add(a: dict, b: dict) -> dict:

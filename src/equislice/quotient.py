@@ -24,6 +24,8 @@ conjugate.
 
 from __future__ import annotations
 
+from array import array
+
 from .linalg import kernel_basis, rank, solve
 from .scalars import CycloField, CycloNumber, Q, as_scalar
 
@@ -77,9 +79,11 @@ def _matrix_json(a: Matrix) -> list[list[str]]:
 class GroupData:
     """A finite matrix group preserving an exact symplectic form.
 
-    Elements are stored as hashable tuples of field entries, closed
-    under multiplication, with the identity present.  The element order
-    is the closure order from the generators, so it is deterministic;
+    Elements are stored as hashable tuples of field entries, with the
+    identity present; the generators are element indices and must
+    generate exactly the listed elements.  The element order is the
+    closure order from the generators, so it is deterministic; products
+    and inverses are read from a Cayley table of element indices, and
     conjugacy classes are sorted index tuples."""
 
     def __init__(self, field: CycloField, omega, elements, generators):
@@ -101,6 +105,11 @@ class GroupData:
         self._index = {g: i for i, g in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise ValueError("duplicate group elements")
+        if any(not isinstance(k, int) or not 0 <= k < self.order
+               for k in self.generators):
+            raise ValueError(
+                "the generators must be indices of listed elements"
+            )
         ident = _identity_matrix(field, self.dim)
         if ident not in self._index:
             raise ValueError("the identity is missing from the element list")
@@ -108,23 +117,51 @@ class GroupData:
         for i, g in enumerate(self.elements):
             if not self._preserves_form(g):
                 raise ValueError(f"element {i} does not preserve the form")
-        self._inverse = self._inverse_table()
+        self._table = self._cayley_table()
+        self._inverse = tuple(row.index(self.identity) for row in self._table)
         self.classes = self._conjugacy_classes()
         self._fixed: dict[int, tuple[Vector, ...]] = {}
 
     def _preserves_form(self, g: Matrix) -> bool:
         return _mat_mul(_mat_mul(_transpose(g), self.omega), g) == self.omega
 
-    def _inverse_table(self) -> tuple[int, ...]:
-        inv = [-1] * len(self.elements)
+    def _cayley_table(self) -> tuple[array, ...]:
+        """Rows of the multiplication table, row i listing i*j by j.
+
+        Only right multiplication by the generators forms matrix
+        products, |G| times s of them.  A breadth-first search from the
+        identity writes every element j as parent(j) times a generator
+        k, so i*j = (i*parent(j))*k is one lookup in that product table
+        once row i holds i*parent(j)."""
+        n = self.order
+        gens = [self.elements[k] for k in self.generators]
+        right = []
         for i, g in enumerate(self.elements):
-            for j, h in enumerate(self.elements):
-                if _mat_mul(g, h) == self.elements[self.identity]:
-                    inv[i] = j
-                    break
-            if inv[i] < 0:
-                raise ValueError(f"element {i} has no inverse in the list")
-        return tuple(inv)
+            products = [self._index.get(_mat_mul(g, h)) for h in gens]
+            if None in products:
+                raise ValueError(
+                    f"element {i} times a generator is not in the list"
+                )
+            right.append(products)
+        word = {self.identity: None}
+        queue = [self.identity]
+        for j in queue:
+            for k, p in enumerate(right[j]):
+                if p not in word:
+                    word[p] = (j, k)
+                    queue.append(p)
+        if len(queue) != n:
+            raise ValueError(
+                "the generators do not reach every listed element"
+            )
+        steps = [(j, *word[j]) for j in queue[1:]]
+        rows = []
+        for i in range(n):
+            row = [i] * n
+            for j, parent, k in steps:
+                row[j] = right[row[parent]][k]
+            rows.append(array("I", row))
+        return tuple(rows)
 
     def _conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         seen: set[int] = set()
@@ -153,7 +190,7 @@ class GroupData:
         return self._index[g]
 
     def multiply(self, i: int, j: int) -> int:
-        return self.index(_mat_mul(self.elements[i], self.elements[j]))
+        return self._table[i][j]
 
     def inverse(self, i: int) -> int:
         return self._inverse[i]
@@ -215,28 +252,24 @@ def close_group(generators, omega, field: CycloField | None = None,
         if _mat_mul(_mat_mul(_transpose(g), omega_m), g) != omega_m:
             raise ValueError(f"generator {i} does not preserve the form")
     ident = _identity_matrix(field, dim)
-    elements = [ident]
-    seen = {ident}
+    position = {ident: 0}
     frontier = [ident]
     while frontier:
         nxt = []
         for h in frontier:
             for g in gens:
                 p = _mat_mul(h, g)
-                if p not in seen:
-                    seen.add(p)
-                    elements.append(p)
+                if p not in position:
+                    position[p] = len(position)
                     nxt.append(p)
-                    if len(elements) > cap:
+                    if len(position) > cap:
                         raise ValueError(
                             f"group closure exceeded {cap} elements; the "
                             "generators may not generate a finite group"
                         )
         frontier = nxt
-    data = GroupData(field, omega_m, elements, range(1, 1 + len(gens)))
-    gen_idx = tuple(data.index(g) for g in gens)
-    data.generators = gen_idx
-    return data
+    return GroupData(field, omega_m, tuple(position),
+                     [position[g] for g in gens])
 
 
 def _reduced_basis(field: CycloField, vectors) -> tuple[Vector, ...]:

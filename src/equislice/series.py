@@ -392,7 +392,7 @@ class TruncatedElement:
         return self.ctx.same_variables(other.ctx) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset((e, repr(c)) for e, c in self.terms.items()))
+        return hash(frozenset(self.terms.items()))
 
     def __str__(self):
         if not self.terms:

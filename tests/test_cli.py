@@ -4,7 +4,7 @@ import json
 import subprocess
 import sys
 
-from equislice.cli import JobSpec, main, render_report, run
+from equislice.cli import JobSpec, load_poisson, main, render_report, run
 from equislice.darboux import extract_slice
 from equislice.poisson import standard_presentation
 
@@ -147,6 +147,33 @@ def test_exhausted_step_budget_exits_three(monkeypatch):
     monkeypatch.delenv("EQUISLICE_MAX_STEPS")
     status, report = invoke("quantize normalform", documents["quantize normalform"])
     assert status == 0 and report["normal_form"].startswith("1*e^2*f^2")
+
+
+def test_exhausted_reduction_budget_exits_three(monkeypatch):
+    monkeypatch.setenv("EQUISLICE_MAX_STEPS", "1")
+    document = {"builder": "kleinian", "n": 2, "weight_window": [0, 8]}
+    proc = subprocess.run(
+        [sys.executable, "-m", "equislice", "poisson", "center", "-", "--json"],
+        capture_output=True, input=json.dumps(document).encode(),
+    )
+    assert proc.returncode == 3 and b"Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["budget"] == "EQUISLICE_MAX_STEPS"
+    assert "step budget" in report["error"]
+    assert report["command"] == "poisson center"
+
+
+def test_poisson_center_covers_the_whole_weight_window():
+    document = {"builder": "kleinian", "n": 2, "weight_window": [0, 4]}
+    status, report = invoke("poisson center", document)
+    assert status == 0
+    assert sorted(report["basis"], key=int) == ["0", "1", "2", "3", "4"]
+    pres = load_poisson(document)
+    for w in range(5):
+        expected = pres.centralizer_basis(pres.ctx.variables, w)
+        assert report["basis"][str(w)] == [str(e) for e in expected]
+    status, report = invoke("poisson center", dict(document, weight_window=[3, 2]))
+    assert status == 2 and "empty" in report["error"]
 
 
 def test_order_below_one_is_rejected():

@@ -14,6 +14,7 @@ from equislice.fixtures import (
 )
 from equislice.linalg import rank
 from equislice.quotient import (
+    GroupData,
     close_group,
     leaf_slice_data,
     parabolic_subgroups,
@@ -28,11 +29,47 @@ BLOCK_GENERATORS = (
 )
 
 
-def _mat_mul4(a, b):
+G_M12_FORM = ((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0))
+
+
+def _mat_mul(a, b):
+    n = len(b)
     return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4))
-        for i in range(4)
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
     )
+
+
+def _g_m12(m, field=None):
+    """G(m,1,2) on C^2 plus its dual: a diagonal m-th root of unity and
+    the coordinate swap."""
+    field = field or CycloField(m)
+    z, one, zero = field.zeta() ** (field.order // m), field.one(), field.zero()
+    diag = ((z, zero, zero, zero), (zero, one, zero, zero),
+            (zero, zero, z ** (m - 1), zero), (zero, zero, zero, one))
+    swap = ((zero, one, zero, zero), (one, zero, zero, zero),
+            (zero, zero, zero, one), (zero, zero, one, zero))
+    return close_group([diag, swap], G_M12_FORM, field=field, cap=64)
+
+
+def _binary_dihedral(order):
+    n = order // 4
+    field = CycloField(2 * n)
+    z, one, zero = field.zeta(), field.one(), field.zero()
+    rotation = ((z, zero), (zero, z ** (2 * n - 1)))
+    swap = ((zero, one), (-one, zero))
+    return close_group([rotation, swap], PLANE_FORM, field=field, cap=order)
+
+
+@pytest.fixture(scope="module")
+def all_groups():
+    """The fixture groups, G(m,1,2) for m = 2, 3, 4 and the binary
+    dihedral groups of order 12 and 24."""
+    return [cyclic_plane_action(n) for n in (1, 2, 3, 4)] + [
+        pairwise_sign_action(), binary_dihedral_action(),
+        _g_m12(2), _g_m12(3), _g_m12(4),
+        _binary_dihedral(12), _binary_dihedral(24),
+    ]
 
 
 def _record_by_dim(group, dim):
@@ -91,6 +128,90 @@ def test_conjugacy_classes():
     assert sizes == [1, 1, 2, 2, 2]
 
 
+def test_cayley_table_matches_matrix_products(all_groups):
+    for group in all_groups:
+        n = group.order
+        for i in range(n):
+            for j in range(n):
+                product = _mat_mul(group.element(i), group.element(j))
+                assert group.multiply(i, j) == group.index(product)
+            assert group.multiply(i, group.inverse(i)) == group.identity
+
+
+def test_conjugacy_classes_match_conjugation_by_matrices(all_groups):
+    for group in all_groups:
+        one = group.element(group.identity)
+        gens = [group.element(k) for k in group.generators]
+        inverses = []
+        for s in gens:
+            power = s
+            while _mat_mul(power, s) != one:
+                power = _mat_mul(power, s)
+            inverses.append(power)
+        classes = set()
+        for i in range(group.order):
+            orbit = {group.element(i)}
+            frontier = list(orbit)
+            while frontier:
+                g = frontier.pop()
+                for s, s_inv in zip(gens, inverses):
+                    h = _mat_mul(_mat_mul(s, g), s_inv)
+                    if h not in orbit:
+                        orbit.add(h)
+                        frontier.append(h)
+            classes.add(tuple(sorted(group.index(h) for h in orbit)))
+        assert group.classes == tuple(sorted(classes))
+
+
+def test_group_data_refuses_elements_its_generators_miss():
+    group = pairwise_sign_action()
+    for gens in ((1,), ()):
+        with pytest.raises(ValueError, match="do not reach"):
+            GroupData(group.field, DOUBLE_PLANE_FORM, group.elements, gens)
+    four = cyclic_plane_action(4)
+    without_one = [g for i, g in enumerate(four.elements) if i != 2]
+    with pytest.raises(ValueError, match="not in the list"):
+        GroupData(four.field, PLANE_FORM, without_one, (1,))
+    with pytest.raises(ValueError, match="indices"):
+        GroupData(four.field, PLANE_FORM, four.elements, (4,))
+    rebuilt = GroupData(four.field, PLANE_FORM, four.elements, four.generators)
+    assert rebuilt.as_json() == four.as_json()
+
+
+def test_groups_agree_over_a_larger_field():
+    """The same matrices closed over a field and over an extension give
+    the same element order, classes, parabolics and reflections."""
+    g212 = [
+        ((-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, -1, 0), (0, 0, 0, 1)),
+        ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)),
+    ]
+
+    def summary(group):
+        return (
+            group.classes,
+            [(r.subgroup, r.leaf_dim, len(r.normalizer))
+             for r in parabolic_subgroups(group)],
+            symplectic_reflections(group).reflections,
+        )
+
+    for gens, omega in ((BLOCK_GENERATORS, DOUBLE_PLANE_FORM),
+                        (g212, G_M12_FORM)):
+        small = close_group(gens, omega, field=CycloField(1))
+        large = close_group(gens, omega, field=CycloField(4))
+        assert small.as_json()["elements"] == large.as_json()["elements"]
+        assert summary(small) == summary(large)
+    assert summary(_g_m12(4)) == summary(_g_m12(4, CycloField(8)))
+
+
+def test_g412_order_reflections_and_parabolics():
+    group = _g_m12(4)
+    assert group.order == 32
+    assert len(symplectic_reflections(group).reflections) == 10
+    records = parabolic_subgroups(group)
+    assert len(records) == 8
+    assert sorted(r.leaf_dim for r in records) == [0] + [2] * 6 + [4]
+
+
 # -- parabolic subgroups -------------------------------------------------------
 
 
@@ -145,11 +266,11 @@ def test_parabolic_count_invariant_under_symplectic_conjugation():
     # transvection along e1+e3 mixes the two planes
     shear = ((1, -1, 0, -1), (0, 1, 0, 0), (0, -1, 1, -1), (0, 0, 0, 1))
     unshear = ((1, 1, 0, 1), (0, 1, 0, 0), (0, 1, 1, 1), (0, 0, 0, 1))
-    assert _mat_mul4(shear, unshear) == tuple(
+    assert _mat_mul(shear, unshear) == tuple(
         tuple(1 if i == j else 0 for j in range(4)) for i in range(4)
     )
     conjugated = [
-        _mat_mul4(_mat_mul4(shear, g), unshear) for g in BLOCK_GENERATORS
+        _mat_mul(_mat_mul(shear, g), unshear) for g in BLOCK_GENERATORS
     ]
     assert conjugated[0] != BLOCK_GENERATORS[0]
     base = parabolic_subgroups(pairwise_sign_action())

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from equislice.scalars import Q
+from equislice.scalars import CycloField, Q
 from equislice.series import GradedContext, TruncatedElement
 
 
@@ -167,3 +167,18 @@ def test_context_validation():
         GradedContext(("t",), (1,), invertible=("t",), filtration=("t",))
     with pytest.raises(ValueError):
         GradedContext(("t",), (1, 2))
+
+
+def test_equal_elements_hash_equal_across_scalar_types():
+    ctx = make_ctx()
+    gauss = CycloField(4)
+    u = ctx.var("u")
+    pairs = [
+        (ctx.const(Q(2)), ctx.const(gauss.element([2]))),
+        (ctx.const(Q(0)), ctx.const(gauss.zero())),
+        (u.scale(Q(-1, 3)) + 1, u.scale(gauss.element([Q(-1, 3)])) + gauss.one()),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+    assert ctx.const(Q(2)) != ctx.const(gauss.element([0, 2]))
