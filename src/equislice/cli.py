@@ -4,7 +4,9 @@ One job per invocation.  The exit status is the verdict: 0 when the
 requested computation succeeds (or the property holds), 1 when the
 computation ran and the property verifiably fails (a Jacobi violation,
 a non-unimodular matrix, a non-central element), 2 when the input
-cannot be used at all, 3 when a step budget ran out before an answer
+cannot be used at all (among others: --order below 1, a negative
+--degree-cap, a hypertoric matrix entry that is not an integer, an
+empty weight window), 3 when a step budget ran out before an answer
 (the report names EQUISLICE_MAX_STEPS, which sets the budget).  Reports
 are JSON on stdout, sorted keys, so identical jobs produce
 byte-identical output; the pretty form is a rendering of the same data,
@@ -67,6 +69,33 @@ def _need(doc: dict, key: str):
     if key not in doc:
         raise InputError(f"the document is missing the {key!r} field")
     return doc[key]
+
+
+def _degree_cap(opts: dict, fallback):
+    """The --degree-cap option when it was given (0 is a cap too), else
+    the fallback."""
+    cap = opts.get("degree_cap")
+    return fallback if cap is None else cap
+
+
+def _window(doc: dict, key: str) -> tuple:
+    lo, hi = _need(doc, key)
+    if lo > hi:
+        raise InputError(f"the weight window [{lo}, {hi}] is empty")
+    return lo, hi
+
+
+def _int_matrix(doc: dict) -> list:
+    """The 'matrix' field, refused unless it is a list of rows whose
+    entries are all integers (not bools, floats or strings)."""
+    matrix = _need(doc, "matrix")
+    if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
+        raise InputError("the 'matrix' field must be a list of rows")
+    for row in matrix:
+        for x in row:
+            if type(x) is not int:
+                raise InputError(f"the 'matrix' field holds integers only, got {x!r}")
+    return matrix
 
 
 def _rational(value) -> Q:
@@ -225,10 +254,8 @@ def _poisson_degree(doc, opts):
 
 def _poisson_center(doc, opts):
     p = load_poisson(doc, opts.get("order"))
-    lo, hi = _need(doc, "weight_window")
-    if lo > hi:
-        raise InputError(f"the weight window [{lo}, {hi}] is empty")
-    cap = opts.get("degree_cap") or doc.get("degree_cap")
+    lo, hi = _window(doc, "weight_window")
+    cap = _degree_cap(opts, doc.get("degree_cap"))
     basis = p.poisson_center_basis(range(lo, hi + 1), degree_cap=cap)
     return 0, {
         "basis": {
@@ -240,7 +267,7 @@ def _poisson_center(doc, opts):
 
 def _poisson_hp0(doc, opts):
     p = load_poisson(doc, opts.get("order"))
-    cap = opts.get("degree_cap") or doc.get("degree_cap")
+    cap = _degree_cap(opts, doc.get("degree_cap"))
     if cap is None:
         raise InputError("hp0 needs a degree cap (--degree-cap or document)")
     dims = p.hp0_graded(cap)
@@ -264,7 +291,7 @@ def _poisson_gradings(doc, opts):
         "degree": degree,
     }
     if degree is not None:
-        bound = opts.get("degree_cap") or 2
+        bound = _degree_cap(opts, 2)
         report["search"] = [
             list(w) for w in p.grading_search(degree, bound)
         ]
@@ -289,7 +316,7 @@ def _darboux_slice(doc, opts):
         p,
         doc.get("t", "t"),
         tuple(name for pair in pairs for name in pair),
-        degree_cap=opts.get("degree_cap") or doc.get("degree_cap"),
+        degree_cap=_degree_cap(opts, doc.get("degree_cap")),
         weight=doc.get("weight", 0),
     )
     return 0, {
@@ -300,12 +327,12 @@ def _darboux_slice(doc, opts):
 
 
 def _hypertoric_unimodular(doc, opts):
-    ok, witness = check_unimodular(_need(doc, "matrix"))
+    ok, witness = check_unimodular(_int_matrix(doc))
     return (0 if ok else 1), {"unimodular": ok, "witness": witness}
 
 
 def _hypertoric_leaves(doc, opts):
-    leaves = enumerate_leaves(_need(doc, "matrix"))
+    leaves = enumerate_leaves(_int_matrix(doc))
     return 0, {
         "leaves": [leaf.as_json() for leaf in leaves],
         "dimensions": sorted({leaf.leaf_dim for leaf in leaves}, reverse=True),
@@ -325,14 +352,14 @@ def _pick_leaf(matrix, doc):
 
 
 def _hypertoric_decompose(doc, opts):
-    matrix = _need(doc, "matrix")
+    matrix = _int_matrix(doc)
     leaf = _pick_leaf(matrix, doc)
     report = decompose_at(matrix, leaf)
     return 0, report.as_json()
 
 
 def _hypertoric_verify(doc, opts):
-    matrix = _need(doc, "matrix")
+    matrix = _int_matrix(doc)
     leaf = _pick_leaf(matrix, doc)
     report = decompose_at(matrix, leaf)
     verdict = verify_decomposition(
@@ -421,7 +448,7 @@ def _quantize_slice(doc, opts):
     z_lifts = [
         load_quantum_element(algebra, z) for z in doc.get("z_lifts", ())
     ]
-    lo, hi = _need(doc, "window")
+    lo, hi = _window(doc, "window")
     try:
         result = quantized_slice(
             algebra,
@@ -429,7 +456,7 @@ def _quantize_slice(doc, opts):
             z_lifts,
             truncation=_need(doc, "truncation"),
             weight_window=(lo, hi),
-            degree_cap=opts.get("degree_cap") or doc.get("degree_cap", 4),
+            degree_cap=_degree_cap(opts, doc.get("degree_cap", 4)),
         )
     except ValueError as exc:
         if "conic relations" in str(exc):
@@ -577,6 +604,10 @@ def run(job: JobSpec) -> tuple[int, dict]:
     order = job.options.get("order")
     if order is not None and order < 1:
         return 2, {"error": f"--order must be at least 1, got {order}",
+                   "command": job.command}
+    cap = job.options.get("degree_cap")
+    if cap is not None and cap < 0:
+        return 2, {"error": f"--degree-cap must be at least 0, got {cap}",
                    "command": job.command}
     try:
         return handler(job.document, job.options)

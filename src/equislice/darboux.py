@@ -11,25 +11,39 @@ and a residual vector field xi on the slice.  The structure is a product
 of the standard block and the slice exactly when xi vanishes; a nonzero
 xi is the obstruction and is reported, never hidden.
 
-The pipeline is staged, and every stage is a certified move:
+The pipeline is a chain of stages, each a certified move; every stage
+logs one line under its name and fails with a StageError of that name:
 
-  0. validate grading, the bracket degree -k*ell, and the Jacobi identity;
-  1. locate and rescale a conjugate coordinate u with {t, u} = t^(1-k)
-     modulo the filtration;
-  2. flatten {t, g} = 0 exactly for every other generator by sweeps of
-     u-antiderivative corrections (the minimal defect order must rise on
-     every sweep, which the Jacobi identity guarantees);
-  3. normalize {t, u} = t^(1-k) exactly by iterated conjugate corrections
-     (each pass squares the defect);
-  4. kill constant u-couplings where a t-power correction exists, then
-     split off Darboux pairs by symplectic Gram-Schmidt on the constant
-     pairing matrix;
-  5. flatten each Darboux pair against all later generators by two-phase
-     antiderivative sweeps;
-  6. decouple u from every Darboux pair by exact antiderivative shifts;
-  7. read off the slice table and the residual field in the weight-zero
-     chart s -> t^(-w/ell) * s;
-  8. assemble and re-verify a certificate carrying the composite change.
+  validate             the grading, the bracket degree -k*ell, and the
+                       Jacobi identity;
+  locate-conjugate     locate and rescale a conjugate coordinate u with
+                       {t, u} = t^(1-k) modulo the filtration;
+  flatten-conic        flatten {t, g} = 0 exactly for every other
+                       generator by sweeps of u-antiderivative
+                       corrections (the minimal defect order must rise on
+                       every sweep, which the Jacobi identity guarantees);
+  conjugate-normalize  normalize {t, u} = t^(1-k) exactly by iterated
+                       conjugate corrections (each pass squares the
+                       defect);
+  pair-split           kill constant u-couplings where a t-power
+                       correction exists, then split off Darboux pairs by
+                       symplectic Gram-Schmidt on the constant pairing
+                       matrix;
+  straighten-pairs     flatten each Darboux pair against all later
+                       generators by two-phase antiderivative sweeps;
+  decouple-conjugate   decouple u from every Darboux pair by exact
+                       antiderivative shifts (logged only when there are
+                       pairs);
+  decouple-slice       absorb the part of the couplings {u, s} to the
+                       slice that admissible moves reach, leaving its
+                       canonical residual;
+  extract-slice        read off the slice table and the residual field in
+                       the weight-zero chart s -> t^(-w/ell) * s;
+  certify              assemble and re-verify a certificate carrying the
+                       composite change.
+
+Every stage works on one run state, which records each step it takes;
+the certificate's change is the composite of those steps.
 
 All corrections are either antiderivatives of table entries or built
 from J-order-zero data, so the computed pipeline agrees with the exact
@@ -257,18 +271,6 @@ def _single_t_monomial(ctx: GradedContext, elem: TruncatedElement, t_name: str, 
     return coeff, exps[ti]
 
 
-def _standard_tu_exponent(pres: PoissonPresentation, t_name: str, u_name: str, stage: str) -> int:
-    """Read k off an entry {t, u} whose J-order-zero part is t^(1-k)."""
-    entry = pres.entry(t_name, u_name)
-    lead = entry.jpart(0)
-    if not lead:
-        raise StageError(stage, "the conic pairing {t, u} has no constant-order part")
-    coeff, e = _single_t_monomial(pres.ctx, lead, t_name, stage)
-    if coeff != 1:
-        raise StageError(stage, f"the conic pairing must lead with coefficient 1, got {coeff}")
-    return 1 - e
-
-
 def certification_horizon(ctx: GradedContext) -> int:
     """The J-order below which normalization results are certified.
 
@@ -282,201 +284,6 @@ def certification_horizon(ctx: GradedContext) -> int:
 def _trusted(elem: TruncatedElement, horizon: int) -> TruncatedElement:
     """The part of an element below the certification horizon."""
     return elem - elem.jtail(horizon)
-
-
-def _tables_match(p1: PoissonPresentation, p2: PoissonPresentation, horizon: int) -> bool:
-    return all(
-        not _trusted(p1.entry(a, b) - p2.entry(a, b), horizon) for a, b in p1.pairs()
-    )
-
-
-# -- standalone operations ---------------------------------------------------
-
-
-def straighten_t(
-    pres: PoissonPresentation,
-    tau: TruncatedElement,
-    t_name: str = "t",
-    u_name: str = "u",
-    budget: int | None = None,
-) -> CoordinateChange:
-    """A composite of bracket flows pulling a unit multiple of the conic
-    coordinate back to the coordinate itself.
-
-    Requires the exact standard pairing {t, u} = t^(1-k) and tau = t * f
-    with f = 1 + (filtration terms).  The returned change satisfies
-    to_new(tau) = t below the certification horizon, and transporting
-    through it leaves the table unchanged because every flow is a
-    bracket automorphism."""
-    ctx = pres.ctx
-    horizon = certification_horizon(ctx)
-    k = _standard_tu_exponent(pres, t_name, u_name, "straighten-conic")
-    if pres.entry(t_name, u_name) != ctx.var(t_name, 1 - k):
-        raise StageError("straighten-conic", "the conic pairing {t, u} must be exactly standard")
-    f = tau * ctx.var(t_name, -1)
-    if f.constant_coefficient() != 1:
-        raise StageError("straighten-conic", "tau must be t times a unit with constant term 1")
-    composite = CoordinateChange.identity(ctx)
-    current = tau
-    prev_order = 0
-    for _ in range(ctx.order + 2):
-        delta = current * ctx.var(t_name, -1) - 1
-        if not delta or delta.min_jorder() >= horizon:
-            break
-        m = delta.min_jorder()
-        if m <= prev_order:
-            raise StageError(
-                "straighten-conic",
-                "the defect order did not rise; this signals a Jacobi "
-                "failure upstream",
-            )
-        prev_order = m
-        hamiltonian = ctx.var(t_name, k) * delta.antiderivative(u_name)
-        step = hamiltonian_flow_change(pres, hamiltonian, budget)
-        current = step.to_new(current)
-        composite = composite.then(step)
-    else:
-        raise StageError("straighten-conic", "the flow iteration did not converge")
-    if _trusted(composite.to_new(tau) - ctx.var(t_name), horizon):
-        raise StageError("straighten-conic", "the composed flow does not straighten tau")
-    if not _tables_match(composite.transport(pres), pres, horizon):
-        raise StageError(
-            "straighten-conic",
-            "transport through the flow changed the table; this signals a "
-            "Jacobi failure upstream",
-        )
-    return composite
-
-
-def enforce_tu(
-    pres: PoissonPresentation,
-    t_name: str = "t",
-    u_name: str = "u",
-    budget: int | None = None,
-):
-    """Corrections to u making {t, u} = t^(1-k) below the horizon.
-
-    Requires {t, g} = 0 below the horizon for every generator g other
-    than u.  Returns (change, presentation, passes); each pass squares
-    the J-order of the defect."""
-    ctx = pres.ctx
-    horizon = certification_horizon(ctx)
-    offenders = [
-        g
-        for g in ctx.variables
-        if g not in (t_name, u_name) and _trusted(pres.entry(t_name, g), horizon)
-    ]
-    if offenders:
-        raise StageError(
-            "conjugate-normalize",
-            f"the conic couplings {offenders} must be flattened first",
-        )
-    k = _standard_tu_exponent(pres, t_name, u_name, "conjugate-normalize")
-    if budget is None:
-        budget = 2 * ctx.order + 2
-    composite = CoordinateChange.identity(ctx)
-    cur = pres
-    passes = 0
-    prev_order = 0
-    for _ in range(budget):
-        eps = _trusted(cur.entry(t_name, u_name) * ctx.var(t_name, k - 1) - 1, horizon)
-        if not eps:
-            break
-        m = eps.min_jorder()
-        if m <= prev_order:
-            raise StageError(
-                "conjugate-normalize",
-                "the pairing defect order did not rise; this signals a "
-                "Jacobi failure upstream",
-            )
-        prev_order = m
-        correction = ctx.zero()
-        for exp, coeff_elem in eps.coefficients_in(u_name).items():
-            if coeff_elem.involves(u_name) or _trusted(
-                cur.bracket(ctx.var(t_name), coeff_elem), horizon
-            ):
-                raise StageError(
-                    "conjugate-normalize",
-                    f"the defect coefficient at conjugate power {exp} does "
-                    "not commute with the conic coordinate",
-                )
-            correction = correction + (
-                ctx.var(u_name, exp + 1) * coeff_elem
-            ).scale(Q(1, exp + 1))
-        step = CoordinateChange.from_forward(
-            ctx, {u_name: ctx.var(u_name) - correction}
-        )
-        composite = composite.then(step)
-        cur = step.transport(cur)
-        passes += 1
-    else:
-        raise StageError("conjugate-normalize", "the correction iteration did not converge")
-    return composite, cur, passes
-
-
-def decouple_u(
-    pres: PoissonPresentation,
-    pairs: list,
-    t_name: str = "t",
-    u_name: str = "u",
-):
-    """Shifts of u killing its couplings to every Darboux pair.
-
-    Requires standard pair brackets and flat conic and cross couplings,
-    all below the certification horizon.  Returns (change,
-    presentation, passes)."""
-    ctx = pres.ctx
-    horizon = certification_horizon(ctx)
-    pair_vars = [v for ab in pairs for v in ab]
-    problems = []
-    for a, b in pairs:
-        if _trusted(pres.entry(a, b) - 1, horizon):
-            problems.append(f"{{{a},{b}}} != 1")
-    for v in pair_vars:
-        if _trusted(pres.entry(t_name, v), horizon):
-            problems.append(f"{{{t_name},{v}}} != 0")
-        for w in pair_vars:
-            if w != v and not any({v, w} == {a, b} for a, b in pairs):
-                if _trusted(pres.entry(v, w), horizon):
-                    problems.append(f"{{{v},{w}}} != 0")
-    if problems:
-        raise StageError(
-            "decouple-conjugate",
-            "the pair block must be exactly standard first: " + "; ".join(sorted(set(problems))),
-        )
-    composite = CoordinateChange.identity(ctx)
-    cur = pres
-    passes = 0
-    for a, b in pairs:
-        coupling = _trusted(cur.entry(u_name, a), horizon)
-        if coupling:
-            step = CoordinateChange.from_forward(
-                ctx, {u_name: ctx.var(u_name) + coupling.antiderivative(b)}
-            )
-            composite = composite.then(step)
-            cur = step.transport(cur)
-            passes += 1
-        if _trusted(cur.entry(u_name, a), horizon):
-            raise StageError(
-                "decouple-conjugate",
-                f"the coupling {{u,{a}}} survived an exact kill; this "
-                "signals a Jacobi failure upstream",
-            )
-        coupling = _trusted(cur.entry(u_name, b), horizon)
-        if coupling:
-            step = CoordinateChange.from_forward(
-                ctx, {u_name: ctx.var(u_name) - coupling.antiderivative(a)}
-            )
-            composite = composite.then(step)
-            cur = step.transport(cur)
-            passes += 1
-        if _trusted(cur.entry(u_name, b), horizon) or _trusted(cur.entry(u_name, a), horizon):
-            raise StageError(
-                "decouple-conjugate",
-                f"the couplings of u to the pair ({a},{b}) survived an "
-                "exact kill; this signals a Jacobi failure upstream",
-            )
-    return composite, cur, passes
 
 
 def extract_slice(
@@ -742,62 +549,6 @@ def _reachable_coupling(columns, target: dict, tag_row: int) -> tuple[dict, dict
     return killable, moves
 
 
-def _decouple_slice(cur, t_name, u_name, slice_names, pairs, budget):
-    """Sweeps reducing the conjugate coupling to its canonical residual.
-
-    Each pass assembles the linear system of _coupling_move_system and
-    eliminates it once: reducing the trusted coupling against the move
-    span splits it into the reachable part, with the move combination
-    that reaches it, and the echelon residual.  One composite change
-    then absorbs the reachable part.  Nonlinear transport effects
-    reappear at strictly higher J-order, so the sweep terminates; what
-    survives is the obstruction to product form.  Returns (change or
-    None, presentation)."""
-    ctx = cur.ctx
-    horizon = certification_horizon(ctx)
-    leaf = [v for ab in pairs for v in ab] + [u_name]
-    composite = None
-    prev_order = 0
-    for _ in range(budget):
-        targets, cands, columns = _coupling_move_system(
-            cur, t_name, u_name, slice_names, leaf, horizon
-        )
-        if not any(targets.values()):
-            break
-        target = {
-            (si, oe): oc
-            for si, s in enumerate(slice_names)
-            for oe, oc in targets[s].terms.items()
-        }
-        killable, moves = _reachable_coupling(columns, target, len(slice_names))
-        if not killable:
-            break
-        m = min(ctx.jorder_of_exps(oe) for _, oe in killable)
-        if m <= prev_order:
-            raise StageError(
-                "decouple-slice",
-                "the reachable coupling order did not rise; this signals "
-                "a Jacobi failure upstream",
-            )
-        prev_order = m
-        forward = {}
-        for j, (kind, name, mono) in enumerate(cands):
-            c = moves.get(j)
-            if not c:
-                continue
-            piece = mono.scale(Q(c))
-            if kind == "conjugate":
-                forward[u_name] = forward.get(u_name, ctx.var(u_name)) - piece
-            else:
-                forward[name] = forward.get(name, ctx.var(name)) + piece
-        step = CoordinateChange.from_forward(ctx, forward)
-        cur = step.transport(cur)
-        composite = step if composite is None else composite.then(step)
-    else:
-        raise StageError("decouple-slice", "the sweep budget was exhausted")
-    return composite, cur
-
-
 def _read_slice_data(final, t_name, u_name, slice_names, k, ell, slice_ctx):
     """Slice table and residual field in the weight-zero chart
     s -> t^(-w/ell) * s, re-expressed over the slice context.
@@ -852,15 +603,73 @@ def _to_slice_polynomial(ctx, elem, t_name, slice_names, weights, ell, slice_ctx
     return TruncatedElement(slice_ctx, out, validate=False)
 
 
-def normalize_full(pres: PoissonPresentation, budget: int | None = None) -> DecompositionCertificate:
-    """Run the full staged normalization and return a verified certificate."""
-    ctx = pres.ctx
-    if budget is None:
-        budget = 2 * ctx.order + 2
-    horizon = certification_horizon(ctx)
-    log = []
+# -- the stages ---------------------------------------------------------------
 
-    # stage 0: validate
+
+class _Run:
+    """One normalization in progress: the current presentation, the
+    steps that reached it from the source, and the facts the stages
+    share (the conic coordinate t and its weight ell, the conjugate u,
+    the exponent k, the pairs and slice names once split off, the
+    certification horizon and the sweep budget).  apply is the only
+    place a step transports the presentation."""
+
+    def __init__(self, pres: PoissonPresentation, budget: int | None = None):
+        self.ctx = pres.ctx
+        self.cur = pres
+        self.steps: list[CoordinateChange] = []
+        self.horizon = certification_horizon(self.ctx)
+        self.budget = 2 * self.ctx.order + 2 if budget is None else budget
+        self.t = self.u = self.k = self.ell = None
+        self.pairs: list[tuple[str, str]] = []
+        self.slice_names: list[str] = []
+
+    @property
+    def others(self) -> list[str]:
+        """The generators other than t and u, in context order."""
+        return [g for g in self.ctx.variables if g not in (self.t, self.u)]
+
+    def trusted(self, a: str, b: str) -> TruncatedElement:
+        """The entry {a, b} below the certification horizon."""
+        return _trusted(self.cur.entry(a, b), self.horizon)
+
+    def apply(self, step: CoordinateChange) -> None:
+        self.cur = step.transport(self.cur)
+        self.steps.append(step)
+
+    def apply_forward(self, forward: dict) -> None:
+        """Apply the near-identity change with these forward images, if any."""
+        if forward:
+            self.apply(CoordinateChange.from_forward(self.ctx, forward))
+
+    def change(self) -> CoordinateChange:
+        """The composite of every step taken, from the source presentation."""
+        composite = CoordinateChange.identity(self.ctx)
+        for step in self.steps:
+            composite = composite.then(step)
+        return composite
+
+
+def _rescale(run: _Run, name: str, lead: TruncatedElement, target: int, stage: str) -> None:
+    """Rescale a generator by a conic monomial so that the lead c * t^a
+    of its pairing becomes t^target."""
+    ctx = run.ctx
+    coeff, a = _single_t_monomial(ctx, lead, run.t, stage)
+    if (coeff, a) == (1, target):
+        return
+    exps = [0] * len(ctx.variables)
+    exps[ctx.index(run.t)] = target - a
+    exps[ctx.index(name)] = 1
+    fwd = ctx.monomial(tuple(exps), coeff ** -1)
+    exps[ctx.index(run.t)] = a - target
+    inv = ctx.monomial(tuple(exps), coeff)
+    run.apply(CoordinateChange(ctx, {name: fwd}, {name: inv}))
+
+
+def _validate(run: _Run) -> int:
+    """Stage validate: the grading, the bracket degree -k*ell and the
+    Jacobi identity.  Sets t, ell and k; returns the bracket degree."""
+    ctx = run.ctx
     if ctx.order < 2:
         raise StageError(
             "validate", "normalization needs a truncation order of at least 2"
@@ -870,18 +679,17 @@ def normalize_full(pres: PoissonPresentation, budget: int | None = None) -> Deco
         raise StageError(
             "validate", f"need exactly one invertible generator, found {inv_vars}"
         )
-    t_name = inv_vars[0]
-    ell = ctx.weight_of_name(t_name)
+    run.t = inv_vars[0]
+    run.ell = ell = ctx.weight_of_name(run.t)
     if ell <= 0:
         raise StageError("validate", "the conic coordinate must have positive weight")
-    rest = [v for v in ctx.variables if v != t_name]
-    outside = [v for v in rest if v not in ctx.filtration]
+    outside = [v for v in ctx.variables if v != run.t and v not in ctx.filtration]
     if outside:
         raise StageError(
             "validate", f"generators {outside} lie outside the filtration"
         )
     try:
-        degree = pres.homogeneity_degree()
+        degree = run.cur.homogeneity_degree()
     except ValueError as err:
         raise StageError("validate", f"inhomogeneous table: {err}") from err
     if degree % ell:
@@ -889,58 +697,53 @@ def normalize_full(pres: PoissonPresentation, budget: int | None = None) -> Deco
             "validate",
             f"the bracket degree {degree} is not a multiple of the conic weight {ell}",
         )
-    k = -(degree // ell)
+    run.k = -(degree // ell)
     bad_weights = [v for v in ctx.variables if ctx.weight_of_name(v) % ell]
     if bad_weights:
         raise StageError(
             "validate",
             f"weights of {bad_weights} are not multiples of the conic weight {ell}",
         )
-    violations = pres.check_jacobi(certified_only=True)
+    violations = run.cur.check_jacobi(certified_only=True)
     if violations:
         raise StageError("validate", "the table fails the Jacobi identity", violations)
-    log.append(f"validate: degree {degree}, k={k}, conic weight {ell}")
+    return degree
 
-    composite = CoordinateChange.identity(ctx)
-    cur = pres
 
-    # stage 1: locate and rescale the conjugate coordinate
-    u_name = None
-    for g in rest:
-        lead = cur.entry(t_name, g).jpart(0)
+def _locate_conjugate(run: _Run) -> None:
+    """Stage locate-conjugate: the first generator pairing with t at
+    J-order zero becomes u, rescaled so that {t, u} leads with t^(1-k)."""
+    for g in run.ctx.variables:
+        if g == run.t:
+            continue
+        lead = run.cur.entry(run.t, g).jpart(0)
         if lead:
-            coeff, a = _single_t_monomial(ctx, lead, t_name, "locate-conjugate")
-            u_name = g
-            break
-    if u_name is None:
-        raise StageError(
-            "locate-conjugate",
-            "no generator pairs with the conic coordinate at constant order; "
-            "the structure has no conic symplectic direction",
-        )
-    if (coeff, a) != (1, 1 - k):
-        exps = [0] * len(ctx.variables)
-        exps[ctx.index(t_name)] = 1 - k - a
-        exps[ctx.index(u_name)] = 1
-        fwd = ctx.monomial(tuple(exps), coeff ** -1)
-        exps[ctx.index(t_name)] = a + k - 1
-        inv = ctx.monomial(tuple(exps), coeff)
-        step = CoordinateChange(ctx, {u_name: fwd}, {u_name: inv})
-        composite = composite.then(step)
-        cur = step.transport(cur)
-    log.append(f"locate-conjugate: {u_name}")
-    others = [g for g in rest if g != u_name]
+            run.u = g
+            _rescale(run, g, lead, 1 - run.k, "locate-conjugate")
+            return
+    raise StageError(
+        "locate-conjugate",
+        "no generator pairs with the conic coordinate at constant order; "
+        "the structure has no conic symplectic direction",
+    )
 
-    # stage 2: flatten the conic couplings
+
+def _flatten_conic(run: _Run) -> None:
+    """Stage flatten-conic: sweeps of u-antiderivative corrections until
+    {t, g} = 0 below the horizon for every generator g other than u.
+    The minimal defect order must rise on every sweep, which the Jacobi
+    identity guarantees."""
+    ctx, t = run.ctx, run.t
+    others = run.others
     prev_order = -1
-    for _ in range(budget):
+    for _ in range(run.budget):
         defects = {}
         for g in others:
-            d = _trusted(cur.entry(t_name, g), horizon)
+            d = run.trusted(t, g)
             if d:
                 defects[g] = d
         if not defects:
-            break
+            return
         m = min(d.min_jorder() for d in defects.values())
         if m <= prev_order:
             raise StageError(
@@ -948,48 +751,86 @@ def normalize_full(pres: PoissonPresentation, budget: int | None = None) -> Deco
                 "the defect order did not rise; this signals a Jacobi failure upstream",
             )
         prev_order = m
-        t_power = ctx.var(t_name, k - 1)
-        fwd = {
-            g: ctx.var(g) - (t_power * d).antiderivative(u_name)
+        t_power = ctx.var(t, run.k - 1)
+        run.apply_forward({
+            g: ctx.var(g) - (t_power * d).antiderivative(run.u)
             for g, d in defects.items()
-        }
-        step = CoordinateChange.from_forward(ctx, fwd)
-        composite = composite.then(step)
-        cur = step.transport(cur)
-    else:
-        raise StageError("flatten-conic", "the sweep budget was exhausted")
-    log.append("flatten-conic: flat below the horizon")
+        })
+    raise StageError("flatten-conic", "the sweep budget was exhausted")
 
-    # stage 3: normalize the conic pairing
-    step, cur, passes = enforce_tu(cur, t_name=t_name, u_name=u_name, budget=budget)
-    composite = composite.then(step)
-    log.append(f"conjugate-normalize: {passes} passes")
 
-    # stage 4: kill correctable constant u-couplings, then split off pairs
+def enforce_tu(run: _Run) -> int:
+    """Stage conjugate-normalize: corrections to u making {t, u} =
+    t^(1-k) below the horizon.
+
+    Requires {t, g} = 0 below the horizon for every generator g other
+    than u.  Returns the number of passes; each pass squares the
+    J-order of the defect."""
+    ctx, t, u = run.ctx, run.t, run.u
+    offenders = [g for g in run.others if run.trusted(t, g)]
+    if offenders:
+        raise StageError(
+            "conjugate-normalize",
+            f"the conic couplings {offenders} must be flattened first",
+        )
+    passes = 0
+    prev_order = 0
+    for _ in range(run.budget):
+        eps = _trusted(run.cur.entry(t, u) * ctx.var(t, run.k - 1) - 1, run.horizon)
+        if not eps:
+            return passes
+        m = eps.min_jorder()
+        if m <= prev_order:
+            raise StageError(
+                "conjugate-normalize",
+                "the pairing defect order did not rise; this signals a "
+                "Jacobi failure upstream",
+            )
+        prev_order = m
+        correction = ctx.zero()
+        for exp, coeff_elem in eps.coefficients_in(u).items():
+            if coeff_elem.involves(u) or _trusted(
+                run.cur.bracket(ctx.var(t), coeff_elem), run.horizon
+            ):
+                raise StageError(
+                    "conjugate-normalize",
+                    f"the defect coefficient at conjugate power {exp} does "
+                    "not commute with the conic coordinate",
+                )
+            correction = correction + (
+                ctx.var(u, exp + 1) * coeff_elem
+            ).scale(Q(1, exp + 1))
+        run.apply_forward({u: ctx.var(u) - correction})
+        passes += 1
+    raise StageError("conjugate-normalize", "the correction iteration did not converge")
+
+
+def _split_pairs(run: _Run) -> None:
+    """Stage pair-split: kill the constant u-couplings a t-power shift
+    absorbs, then split off Darboux pairs by symplectic Gram-Schmidt on
+    the constant pairing matrix.  Sets pairs and slice_names."""
+    ctx, t, u = run.ctx, run.t, run.u
     shifts_fwd = {}
     shifts_inv = {}
-    for g in others:
-        lead = cur.entry(u_name, g).jpart(0)
+    for g in run.others:
+        lead = run.cur.entry(u, g).jpart(0)
         if not lead:
             continue
-        coeff, a = _single_t_monomial(ctx, lead, t_name, "pair-split")
-        b = a + k
+        coeff, a = _single_t_monomial(ctx, lead, t, "pair-split")
+        b = a + run.k
         if b == 0:
             continue
-        shift = ctx.var(t_name, b).scale(coeff / b)
+        shift = ctx.var(t, b).scale(coeff / b)
         shifts_fwd[g] = ctx.var(g) + shift
         shifts_inv[g] = ctx.var(g) - shift
     if shifts_fwd:
-        step = CoordinateChange(ctx, shifts_fwd, shifts_inv)
-        composite = composite.then(step)
-        cur = step.transport(cur)
-    remaining = list(others)
-    pairs = []
+        run.apply(CoordinateChange(ctx, shifts_fwd, shifts_inv))
+    remaining = run.others
     while True:
         hit = None
         for i, gi in enumerate(remaining):
             for gj in remaining[i + 1 :]:
-                lead = cur.entry(gi, gj).jpart(0)
+                lead = run.cur.entry(gi, gj).jpart(0)
                 if lead:
                     hit = (gi, gj, lead)
                     break
@@ -998,55 +839,45 @@ def normalize_full(pres: PoissonPresentation, budget: int | None = None) -> Deco
         if hit is None:
             break
         a_name, b_name, lead = hit
-        coeff, a_exp = _single_t_monomial(ctx, lead, t_name, "pair-split")
-        if (coeff, a_exp) != (1, 0):
-            exps = [0] * len(ctx.variables)
-            exps[ctx.index(t_name)] = -a_exp
-            exps[ctx.index(b_name)] = 1
-            fwd = ctx.monomial(tuple(exps), coeff ** -1)
-            exps[ctx.index(t_name)] = a_exp
-            inv = ctx.monomial(tuple(exps), coeff)
-            step = CoordinateChange(ctx, {b_name: fwd}, {b_name: inv})
-            composite = composite.then(step)
-            cur = step.transport(cur)
+        _rescale(run, b_name, lead, 0, "pair-split")
         corrections = {}
         for g in remaining:
             if g in (a_name, b_name):
                 continue
-            alpha = cur.entry(g, a_name).jpart(0)
-            beta = cur.entry(g, b_name).jpart(0)
+            alpha = run.cur.entry(g, a_name).jpart(0)
+            beta = run.cur.entry(g, b_name).jpart(0)
             if alpha or beta:
                 corrections[g] = (
                     ctx.var(g) + alpha * ctx.var(b_name) - beta * ctx.var(a_name)
                 )
-        if corrections:
-            step = CoordinateChange.from_forward(ctx, corrections)
-            composite = composite.then(step)
-            cur = step.transport(cur)
-        pairs.append((a_name, b_name))
+        run.apply_forward(corrections)
+        run.pairs.append((a_name, b_name))
         remaining.remove(a_name)
         remaining.remove(b_name)
-    slice_names = remaining
-    for i, gi in enumerate(slice_names):
-        for gj in slice_names[i + 1 :]:
-            if cur.entry(gi, gj).jpart(0):
+    run.slice_names = remaining
+    for i, gi in enumerate(remaining):
+        for gj in remaining[i + 1 :]:
+            if run.cur.entry(gi, gj).jpart(0):
                 raise StageError(
                     "pair-split", f"constant pairing of ({gi},{gj}) survived the split"
                 )
-    log.append(f"pair-split: {len(pairs)} pairs, {len(slice_names)} slice candidates")
 
-    # stage 5: flatten each pair against all later generators
-    for q, (a_name, b_name) in enumerate(pairs):
-        later = [v for ab in pairs[q + 1 :] for v in ab] + slice_names
+
+def _straighten_pairs(run: _Run) -> None:
+    """Stage straighten-pairs: flatten each Darboux pair against all
+    later generators by two-phase antiderivative sweeps."""
+    ctx = run.ctx
+    for q, (a_name, b_name) in enumerate(run.pairs):
+        later = [v for ab in run.pairs[q + 1 :] for v in ab] + run.slice_names
         prev_order = 0
-        for _ in range(budget):
+        for _ in range(run.budget):
             defects = []
-            d_pair = _trusted(cur.entry(a_name, b_name) - 1, horizon)
+            d_pair = _trusted(run.cur.entry(a_name, b_name) - 1, run.horizon)
             if d_pair:
                 defects.append(d_pair)
             for g in later:
                 for v in (a_name, b_name):
-                    d = _trusted(cur.entry(v, g), horizon)
+                    d = run.trusted(v, g)
                     if d:
                         defects.append(d)
             if not defects:
@@ -1063,66 +894,169 @@ def normalize_full(pres: PoissonPresentation, budget: int | None = None) -> Deco
             if d_pair:
                 fwd[b_name] = ctx.var(b_name) - d_pair.antiderivative(b_name)
             for g in later:
-                d = _trusted(cur.entry(a_name, g), horizon)
+                d = run.trusted(a_name, g)
                 if d:
                     fwd[g] = ctx.var(g) - d.antiderivative(b_name)
-            if fwd:
-                step = CoordinateChange.from_forward(ctx, fwd)
-                composite = composite.then(step)
-                cur = step.transport(cur)
+            run.apply_forward(fwd)
             fwd = {}
             for g in later:
-                d = _trusted(cur.entry(b_name, g), horizon)
+                d = run.trusted(b_name, g)
                 if d:
                     fwd[g] = ctx.var(g) + d.antiderivative(a_name)
-            if fwd:
-                step = CoordinateChange.from_forward(ctx, fwd)
-                composite = composite.then(step)
-                cur = step.transport(cur)
+            run.apply_forward(fwd)
         else:
             raise StageError(
                 "straighten-pairs", f"the sweep budget for ({a_name},{b_name}) was exhausted"
             )
+
+
+def decouple_u(run: _Run) -> int:
+    """Stage decouple-conjugate: shifts of u killing its couplings to
+    every Darboux pair.
+
+    Requires standard pair brackets and flat conic and cross couplings,
+    all below the certification horizon.  Returns the number of shifts."""
+    ctx, t, u, pairs = run.ctx, run.t, run.u, run.pairs
+    pair_vars = [v for ab in pairs for v in ab]
+    problems = []
+    for a, b in pairs:
+        if _trusted(run.cur.entry(a, b) - 1, run.horizon):
+            problems.append(f"{{{a},{b}}} != 1")
+    for v in pair_vars:
+        if run.trusted(t, v):
+            problems.append(f"{{{t},{v}}} != 0")
+        for w in pair_vars:
+            if w != v and not any({v, w} == {a, b} for a, b in pairs):
+                if run.trusted(v, w):
+                    problems.append(f"{{{v},{w}}} != 0")
+    if problems:
+        raise StageError(
+            "decouple-conjugate",
+            "the pair block must be exactly standard first: " + "; ".join(sorted(set(problems))),
+        )
+    passes = 0
+    for a, b in pairs:
+        coupling = run.trusted(u, a)
+        if coupling:
+            run.apply_forward({u: ctx.var(u) + coupling.antiderivative(b)})
+            passes += 1
+        if run.trusted(u, a):
+            raise StageError(
+                "decouple-conjugate",
+                f"the coupling {{u,{a}}} survived an exact kill; this "
+                "signals a Jacobi failure upstream",
+            )
+        coupling = run.trusted(u, b)
+        if coupling:
+            run.apply_forward({u: ctx.var(u) - coupling.antiderivative(a)})
+            passes += 1
+        if run.trusted(u, b) or run.trusted(u, a):
+            raise StageError(
+                "decouple-conjugate",
+                f"the couplings of u to the pair ({a},{b}) survived an "
+                "exact kill; this signals a Jacobi failure upstream",
+            )
+    return passes
+
+
+def _decouple_slice(run: _Run) -> bool:
+    """Stage decouple-slice: sweeps reducing the conjugate coupling to
+    its canonical residual.
+
+    Each pass assembles the linear system of _coupling_move_system and
+    eliminates it once: reducing the trusted coupling against the move
+    span splits it into the reachable part, with the move combination
+    that reaches it, and the echelon residual.  One change then absorbs
+    the reachable part.  Nonlinear transport effects reappear at
+    strictly higher J-order, so the sweep terminates; what survives is
+    the obstruction to product form.  Returns whether anything was
+    absorbed."""
+    ctx, u, slice_names = run.ctx, run.u, run.slice_names
+    leaf = [v for ab in run.pairs for v in ab] + [u]
+    absorbed = False
+    prev_order = 0
+    for _ in range(run.budget):
+        targets, cands, columns = _coupling_move_system(
+            run.cur, run.t, u, slice_names, leaf, run.horizon
+        )
+        if not any(targets.values()):
+            return absorbed
+        target = {
+            (si, oe): oc
+            for si, s in enumerate(slice_names)
+            for oe, oc in targets[s].terms.items()
+        }
+        killable, moves = _reachable_coupling(columns, target, len(slice_names))
+        if not killable:
+            return absorbed
+        m = min(ctx.jorder_of_exps(oe) for _, oe in killable)
+        if m <= prev_order:
+            raise StageError(
+                "decouple-slice",
+                "the reachable coupling order did not rise; this signals "
+                "a Jacobi failure upstream",
+            )
+        prev_order = m
+        forward = {}
+        for j, (kind, name, mono) in enumerate(cands):
+            c = moves.get(j)
+            if not c:
+                continue
+            piece = mono.scale(Q(c))
+            if kind == "conjugate":
+                forward[u] = forward.get(u, ctx.var(u)) - piece
+            else:
+                forward[name] = forward.get(name, ctx.var(name)) + piece
+        run.apply_forward(forward)
+        absorbed = True
+    raise StageError("decouple-slice", "the sweep budget was exhausted")
+
+
+def normalize_full(pres: PoissonPresentation, budget: int | None = None) -> DecompositionCertificate:
+    """Run the full staged normalization and return a verified certificate."""
+    run = _Run(pres, budget)
+    degree = _validate(run)
+    log = [f"validate: degree {degree}, k={run.k}, conic weight {run.ell}"]
+    _locate_conjugate(run)
+    log.append(f"locate-conjugate: {run.u}")
+    _flatten_conic(run)
+    log.append("flatten-conic: flat below the horizon")
+    log.append(f"conjugate-normalize: {enforce_tu(run)} passes")
+    _split_pairs(run)
+    log.append(f"pair-split: {len(run.pairs)} pairs, {len(run.slice_names)} slice candidates")
+    _straighten_pairs(run)
     log.append("straighten-pairs: flat below the horizon")
-
-    # stage 6: decouple the conjugate coordinate from every pair
-    if pairs:
-        step, cur, passes = decouple_u(cur, pairs, t_name=t_name, u_name=u_name)
-        composite = composite.then(step)
-        log.append(f"decouple-conjugate: {passes} shifts")
-
-    # stage 6b: reduce the conjugate coupling to its canonical residual
-    step, cur = _decouple_slice(cur, t_name, u_name, slice_names, pairs, budget)
-    if step is not None:
-        composite = composite.then(step)
+    if run.pairs:
+        log.append(f"decouple-conjugate: {decouple_u(run)} shifts")
+    if _decouple_slice(run):
         log.append("decouple-slice: reachable part absorbed")
     else:
         log.append("decouple-slice: nothing to absorb")
 
-    # stage 7: read off the slice, certified below the horizon
+    # extract-slice: read off the slice, certified below the horizon
+    slice_names = run.slice_names
     slice_ctx = GradedContext(
         tuple(slice_names),
         (0,) * len(slice_names),
         filtration=tuple(slice_names),
-        order=horizon,
+        order=run.horizon,
     )
     sigma, xi = _read_slice_data(
-        cur, t_name=t_name, u_name=u_name, slice_names=slice_names,
-        k=k, ell=ell, slice_ctx=slice_ctx,
+        run.cur, t_name=run.t, u_name=run.u, slice_names=slice_names,
+        k=run.k, ell=run.ell, slice_ctx=slice_ctx,
     )
     log.append("extract-slice: done")
 
-    # stage 8: certificate
     cert = DecompositionCertificate(
         source=pres,
-        final=cur,
-        change=composite,
-        t_name=t_name,
-        u_name=u_name,
-        pairs=pairs,
+        final=run.cur,
+        change=run.change(),
+        t_name=run.t,
+        u_name=run.u,
+        pairs=run.pairs,
         slice_names=slice_names,
-        k=k,
-        ell=ell,
+        k=run.k,
+        ell=run.ell,
         residual_field=xi,
         slice_table=sigma,
         slice_ctx=slice_ctx,

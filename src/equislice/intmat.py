@@ -109,21 +109,6 @@ class IntMatrix:
     def rank(self) -> int:
         return linalg.rank(self.rows)
 
-    def maximal_minors(self) -> list[int]:
-        """All maximal square minors (choosing rows if tall, columns if wide)."""
-        from itertools import combinations
-
-        n, m = self.nrows, self.ncols
-        k = min(n, m)
-        out = []
-        if n >= m:
-            for sel in combinations(range(n), k):
-                out.append(self.submatrix(sel, range(m)).det())
-        else:
-            for sel in combinations(range(m), k):
-                out.append(self.submatrix(range(n), sel).det())
-        return out
-
     # -- normal forms ------------------------------------------------------
 
     def smith_normal_form(self) -> tuple["IntMatrix", "IntMatrix", "IntMatrix"]:

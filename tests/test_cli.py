@@ -230,3 +230,49 @@ def test_output_file_and_formats(tmp_path):
     pretty = render_report(json.loads(compact), compact=False)
     assert pretty.startswith("{\n  ")
     assert json.loads(pretty) == json.loads(compact)
+
+
+def test_degree_cap_zero_is_a_cap():
+    status, report = invoke(
+        "poisson gradings", {"builder": "standard", "n": 1, "k": 2}, degree_cap=0
+    )
+    assert status == 0 and report["search"] == []
+    center = {"builder": "sl2", "weight_window": [2, 2], "degree_cap": 2}
+    status, report = invoke("poisson center", center)
+    assert status == 0 and report["basis"] == {"2": ["1*h^2 + 4*e*f"]}
+    status, report = invoke("poisson center", center, degree_cap=0)
+    assert status == 0 and report["basis"] == {"2": []}
+    status, report = invoke("poisson hp0", {"builder": "kleinian", "n": 2}, degree_cap=0)
+    assert status == 0 and report["dimensions"] == {"0": 1}
+    status, report = invoke(
+        "darboux slice",
+        {"builder": "kleinian-product", "n": 1, "slice_n": 2, "weight": 2, "degree_cap": 2},
+        degree_cap=0,
+    )
+    assert status == 0 and report["basis"] == ["1*t^2"]
+
+
+def test_negative_degree_cap_is_rejected():
+    document = {"builder": "kleinian", "n": 2, "weight_window": [0, 0]}
+    status, report = invoke("poisson center", document, degree_cap=-1)
+    assert status == 2 and "--degree-cap" in report["error"]
+    code, out = cli_bytes(
+        ["poisson", "center", "-", "--degree-cap", "-1"], json.dumps(document).encode()
+    )
+    assert code == 2 and b"--degree-cap" in out
+
+
+def test_hypertoric_matrix_entries_must_be_integers():
+    for command in ("unimodular", "leaves", "decompose", "verify"):
+        for bad in ([[1.5], [1]], [[True], [1]], [["1"], [1]], [[1], 1]):
+            status, report = invoke(f"hypertoric {command}", {"matrix": bad, "flat": []})
+            assert status == 2 and "'matrix'" in report["error"], (command, bad)
+
+
+def test_quantize_slice_refuses_an_empty_window():
+    doc = {
+        "presentation": {"family": "differential", "n": 2, "k": 2},
+        "t_lift": "t", "truncation": 2, "window": [1, 0], "degree_cap": 2,
+    }
+    status, report = invoke("quantize slice", doc)
+    assert status == 2 and "empty" in report["error"]

@@ -18,7 +18,6 @@ from equislice.darboux import (
     hamiltonian_flow_change,
     normalize_full,
     scramble_presentation,
-    straighten_t,
 )
 from equislice.fixtures import (
     coupled_line_example,
@@ -89,16 +88,11 @@ def test_hamiltonian_flow_is_automorphism():
 # -- single-stage operations -------------------------------------------------
 
 
-def test_straighten_t_pulls_back_unit_multiples():
-    p = standard_presentation(2, 1, order=6)
-    ctx = p.ctx
-    horizon = certification_horizon(ctx)
-    t = ctx.var("t")
-    for factor in (ctx.var("u"), ctx.var("z1") * ctx.var("z2") * ctx.var("t", -1)):
-        tau = t * (1 + factor)
-        change = straighten_t(p, tau)
-        assert _vanishes_below(change.to_new(tau) - t, horizon)
-        assert _tables_agree(change.transport(p), p, horizon)
+def _run_state(pres, k, pairs=()):
+    """A run state on pres with conic t, conjugate u and the given pairs."""
+    run = darboux._Run(pres)
+    run.t, run.u, run.k, run.pairs = "t", "u", k, list(pairs)
+    return run
 
 
 def test_enforce_tu_restores_standard_pairing():
@@ -109,9 +103,10 @@ def test_enforce_tu_restores_standard_pairing():
         ctx, {"u": ctx.var("u") * (1 + ctx.var("z1") * ctx.var("z2"))}
     ).transport(p)
     assert not _vanishes_below(mangled.entry("t", "u") - 1, horizon)
-    change, fixed, passes = enforce_tu(mangled)
-    assert passes >= 1
-    assert change.verify() == []
+    run = _run_state(mangled, 1)
+    assert enforce_tu(run) >= 1
+    assert run.change().verify() == []
+    fixed = run.cur
     assert _vanishes_below(fixed.entry("t", "u") - 1, horizon)
     for g in ("z1", "z2"):
         assert _vanishes_below(fixed.entry("t", g), horizon)
@@ -125,9 +120,10 @@ def test_decouple_u_kills_pair_couplings():
         ctx, {"u": ctx.var("u") + ctx.var("z1") * ctx.var("z2") ** 2}
     ).transport(p)
     assert not _vanishes_below(mangled.entry("u", "z1"), horizon)
-    change, fixed, passes = decouple_u(mangled, [("z1", "z2")])
-    assert passes >= 1
-    assert change.verify() == []
+    run = _run_state(mangled, 1, [("z1", "z2")])
+    assert decouple_u(run) >= 1
+    assert run.change().verify() == []
+    fixed = run.cur
     for g in ("z1", "z2"):
         assert _vanishes_below(fixed.entry("u", g), horizon)
     assert _vanishes_below(fixed.entry("t", "u") - 1, horizon)
@@ -260,6 +256,42 @@ def test_decouple_step_matches_the_dense_reference(monkeypatch):
             assert x == [moves.get(j, 0) for j in range(len(columns))]
             checked += 1
     assert checked
+
+
+ORDER_LIFT_SOURCES = [
+    ("kleinian_product(1,2)", lambda order: kleinian_product(1, 2, order=order), []),
+    ("kleinian_product(2,2)", lambda order: kleinian_product(2, 2, order=order), [("z1", "z2")]),
+    ("coupled_line", lambda order: coupled_line_example(order=order), []),
+]
+
+
+def _invariants(cert):
+    return cert.form, cert.as_json()["roles"], cert.k, cert.slice_weights
+
+
+@pytest.mark.parametrize("label,make,pairs", ORDER_LIFT_SOURCES, ids=[s[0] for s in ORDER_LIFT_SOURCES])
+def test_invariants_survive_order_lifting(label, make, pairs):
+    """Raising the truncation order adds terms but changes no certified
+    invariant: form, roles, k and slice weights agree at orders N and
+    N + 1, unscrambled and for scramble seeds 0 and 1."""
+    for seed in (None, 0, 1):
+        seen = []
+        for order in (4, 5, 6):
+            pres = make(order)
+            if seed is not None:
+                pres = scramble_presentation(pres, pairs, seed)[1]
+            seen.append(_invariants(normalize_full(pres)))
+        assert seen[0] == seen[1] == seen[2], (label, seed)
+
+
+@pytest.mark.parametrize("label,make,pairs", ORDER_LIFT_SOURCES, ids=[s[0] for s in ORDER_LIFT_SOURCES])
+def test_budget_of_one_sweep_stops_at_flatten_conic(label, make, pairs):
+    for seed in (0, 1):
+        _, scrambled = scramble_presentation(make(5), pairs, seed)
+        with pytest.raises(StageError) as err:
+            normalize_full(scrambled, budget=1)
+        assert err.value.stage == "flatten-conic"
+        assert str(err.value) == "[flatten-conic] the sweep budget was exhausted"
 
 
 def test_scrambling_cannot_untwist():

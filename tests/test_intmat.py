@@ -134,8 +134,3 @@ def test_solve_rational_against_the_product():
     assert IntMatrix([]).solve_rational([]) == []
     with pytest.raises(ValueError, match="length"):
         IntMatrix([[1, 2]]).solve_rational([1, 2])
-
-
-def test_maximal_minors():
-    mat = IntMatrix([[1, 0], [0, 1], [1, 1]])
-    assert sorted(mat.maximal_minors()) == [-1, 1, 1]
