@@ -45,6 +45,7 @@ from .quotient import (
     symplectic_reflections,
 )
 from .quantize import (
+    ConicRelationError,
     HbarPresentation,
     QuantSliceResult,
     RewriteLimitError,
@@ -97,6 +98,7 @@ __all__ = [
     "parabolic_subgroups",
     "sra_relation",
     "symplectic_reflections",
+    "ConicRelationError",
     "HbarPresentation",
     "QuantSliceResult",
     "RewriteLimitError",

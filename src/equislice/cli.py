@@ -5,12 +5,12 @@ requested computation succeeds (or the property holds), 1 when the
 computation ran and the property verifiably fails (a Jacobi violation,
 a non-unimodular matrix, a non-central element), 2 when the input
 cannot be used at all (among others: --order below 1, a negative
---degree-cap, a hypertoric matrix entry that is not an integer, an
-empty weight window), 3 when a step budget ran out before an answer
-(the report names EQUISLICE_MAX_STEPS, which sets the budget).  Reports
-are JSON on stdout, sorted keys, so identical jobs produce
-byte-identical output; the pretty form is a rendering of the same data,
-never a different source of truth.
+degree cap from --degree-cap or the document, an integer field that
+holds a float, bool or string, an empty weight window), 3 when a step
+budget ran out before an answer (the report names EQUISLICE_MAX_STEPS,
+which sets the budget).  Reports are JSON on stdout, sorted keys, so
+identical jobs produce byte-identical output; the pretty form is a
+rendering of the same data, never a different source of truth.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .hypertoric import (
 )
 from .poisson import PoissonPresentation, RewriteLimitError, standard_presentation
 from .quantize import (
+    ConicRelationError,
     centrality_check,
     differential_family,
     enveloping_family,
@@ -73,9 +74,13 @@ def _need(doc: dict, key: str):
 
 def _degree_cap(opts: dict, fallback):
     """The --degree-cap option when it was given (0 is a cap too), else
-    the fallback."""
+    the fallback, which is usually the document's 'degree_cap'; refused
+    when negative, whichever source it came from."""
     cap = opts.get("degree_cap")
-    return fallback if cap is None else cap
+    cap = fallback if cap is None else cap
+    if cap is not None and cap < 0:
+        raise InputError(f"the 'degree_cap' must be at least 0, got {cap}")
+    return cap
 
 
 def _window(doc: dict, key: str) -> tuple:
@@ -85,16 +90,23 @@ def _window(doc: dict, key: str) -> tuple:
     return lo, hi
 
 
+def _int(value, what: str) -> int:
+    """value when it is an int (not a bool, float or string), so that no
+    input is silently truncated; else an InputError naming the field."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _int_matrix(doc: dict) -> list:
     """The 'matrix' field, refused unless it is a list of rows whose
-    entries are all integers (not bools, floats or strings)."""
+    entries are all integers."""
     matrix = _need(doc, "matrix")
     if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
         raise InputError("the 'matrix' field must be a list of rows")
     for row in matrix:
         for x in row:
-            if type(x) is not int:
-                raise InputError(f"the 'matrix' field holds integers only, got {x!r}")
+            _int(x, "a 'matrix' entry")
     return matrix
 
 
@@ -217,19 +229,24 @@ def load_quantum(doc: dict, order=None):
     raise InputError(f"unknown family {family!r}")
 
 
+def _word(word) -> list:
+    return [(name, _int(exp, "a 'word' exponent")) for name, exp in word]
+
+
 def load_quantum_element(algebra, spec):
     if isinstance(spec, str):
         return algebra.var(spec)
     if isinstance(spec, dict) and "word" in spec:
-        return algebra.normal_form(
-            [(name, int(exp)) for name, exp in spec["word"]]
-        )
+        return algebra.normal_form(_word(spec["word"]))
     if isinstance(spec, dict) and spec.get("casimir"):
         return sl2_casimir_element(algebra)
     if isinstance(spec, list):
-        return algebra.from_terms(
-            [(_rational(c), int(h), exps) for c, h, exps in spec]
-        )
+        return algebra.from_terms([
+            (_rational(c), _int(h, "an element term's hbar power"),
+             {name: _int(exps[name], "an element term's exponent")
+              for name in exps})
+            for c, h, exps in spec
+        ])
     raise InputError(
         "an element is a generator name, {'word': [...]}, "
         "{'casimir': true}, or a list of [coeff, hbar_power, exponents]"
@@ -429,7 +446,7 @@ def _quantize_build(doc, opts):
 
 def _quantize_normalform(doc, opts):
     algebra = load_quantum(_need(doc, "presentation"), opts.get("order"))
-    word = [(name, int(exp)) for name, exp in _need(doc, "word")]
+    word = _word(_need(doc, "word"))
     return 0, {"normal_form": algebra.render(algebra.normal_form(word))}
 
 
@@ -458,10 +475,8 @@ def _quantize_slice(doc, opts):
             weight_window=(lo, hi),
             degree_cap=_degree_cap(opts, doc.get("degree_cap", 4)),
         )
-    except ValueError as exc:
-        if "conic relations" in str(exc):
-            return 1, {"ok": False, "error": str(exc)}
-        raise
+    except ConicRelationError as exc:
+        return 1, {"ok": False, "error": str(exc)}
     status = 0 if result.closure["ok"] else 1
     return status, result.as_json()
 

@@ -9,10 +9,10 @@ mutually orderable, and the stored rows are exactly the canonical RREF of
 the span in key order.  Integer entries are promoted to Fraction so
 division stays exact.
 
-`rref`, `rank`, `kernel_basis`, `solve` and `in_span` are thin wrappers
-for dense matrices, plain lists of row lists keyed by column index.
-`relations` hands sparse columns straight to the engine and returns the
-echelon basis of their linear relations.
+`rank`, `solve` and `in_span` are thin wrappers for dense matrices,
+plain lists of row lists keyed by column index.  `relations` hands
+sparse columns straight to the engine and returns the echelon basis of
+their linear relations.
 """
 
 from __future__ import annotations
@@ -93,40 +93,8 @@ def _row_echelon(rows) -> Echelon:
     return echelon
 
 
-def rref(rows) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form, zero rows last; returns (matrix, pivot
-    column indices)."""
-    width = len(rows[0]) if rows else 0
-    items = _row_echelon(rows).items()
-    zero = Fraction(0)
-    mat = [[row.get(j, zero) for j in range(width)] for _, row in items]
-    mat += [[zero] * width for _ in range(len(rows) - len(items))]
-    return mat, [p for p, _ in items]
-
-
 def rank(rows) -> int:
     return len(_row_echelon(rows))
-
-
-def kernel_basis(rows) -> list[list]:
-    """Basis of the right kernel {x : rows @ x == 0}, one vector per free
-    column, each normalized with a 1 in its free position."""
-    if not rows:
-        return []
-    width = len(rows[0])
-    items = _row_echelon(rows).items()
-    pivots = {p for p, _ in items}
-    basis = []
-    for f in range(width):
-        if f in pivots:
-            continue
-        v = [Fraction(0)] * width
-        v[f] = Fraction(1)
-        for p, row in items:
-            if f in row:
-                v[p] = -row[f]
-        basis.append(v)
-    return basis
 
 
 def solve(rows, b) -> list | None:

@@ -40,6 +40,10 @@ from .poisson import PoissonPresentation, RewriteLimitError, max_steps
 from .scalars import Q
 
 
+class ConicRelationError(ValueError):
+    """Lifts of a quantized slice that fail the conic relations."""
+
+
 def element_add(a: dict, b: dict) -> dict:
     out = dict(a)
     for key, c in b.items():
@@ -743,8 +747,8 @@ def quantized_slice(a: HbarPresentation, t_lift, z_lifts, truncation: int,
                     f"[z{idx + 1}, z{jdx + 1}] residue {a.render(r)}"
                 )
     if problems:
-        raise ValueError("lifts fail the conic relations: " +
-                         "; ".join(problems))
+        raise ConicRelationError("lifts fail the conic relations: " +
+                                 "; ".join(problems))
 
     lifts = [t_elem] + z_elems
     lo, hi = weight_window

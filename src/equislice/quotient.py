@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from array import array
 
-from .linalg import kernel_basis, rank, solve
-from .scalars import CycloField, CycloNumber, Q, as_scalar
+from .linalg import Echelon, rank, relations
+from .scalars import CycloField, CycloNumber, as_scalar
 
 Matrix = tuple[tuple[CycloNumber, ...], ...]
 Vector = tuple[CycloNumber, ...]
@@ -195,17 +195,19 @@ class GroupData:
     def inverse(self, i: int) -> int:
         return self._inverse[i]
 
+    def _moved_rows(self, i: int) -> list[list]:
+        """Rows of g - 1 for one element g: its fixed space is their
+        kernel and its moved space their column span."""
+        g = self.elements[i]
+        return [
+            [g[r][c] - (1 if r == c else 0) for c in range(self.dim)]
+            for r in range(self.dim)
+        ]
+
     def fixed_space(self, i: int) -> tuple[Vector, ...]:
         """Reduced basis of the fixed space of one element."""
         if i not in self._fixed:
-            g = self.elements[i]
-            rows = [
-                [g[r][c] - (1 if r == c else 0) for c in range(self.dim)]
-                for r in range(self.dim)
-            ]
-            self._fixed[i] = tuple(
-                _vector(self.field, v) for v in kernel_basis(rows)
-            )
+            self._fixed[i] = _kernel(self.field, self._moved_rows(i), self.dim)
         return self._fixed[i]
 
     def as_json(self) -> dict:
@@ -272,46 +274,78 @@ def close_group(generators, omega, field: CycloField | None = None,
                      [position[g] for g in gens])
 
 
+def _basis(field: CycloField, rows, keys) -> tuple[Vector, ...]:
+    """Dense vectors of sparse echelon rows, read at the given keys."""
+    return tuple(_vector(field, [row.get(k, 0) for k in keys]) for row in rows)
+
+
 def _reduced_basis(field: CycloField, vectors) -> tuple[Vector, ...]:
     """Canonical (reduced echelon) basis of a span, empty for the zero
     space."""
-    if not vectors:
-        return ()
-    from .linalg import rref
+    echelon = Echelon()
+    for v in vectors:
+        echelon.insert(dict(enumerate(v)))
+    dim = len(vectors[0]) if vectors else 0
+    return _basis(field, (row for _, row in echelon.items()), range(dim))
 
-    reduced, pivots = rref([list(v) for v in vectors])
-    return tuple(_vector(field, reduced[i]) for i in range(len(pivots)))
+
+def _kernel(field: CycloField, rows, dim: int) -> tuple[Vector, ...]:
+    """Reduced basis of {x : rows @ x == 0}, the whole space when there
+    are no rows: the relations among the columns, tagged in ascending
+    column order after every row index."""
+    columns = [
+        {r: row[j] for r, row in enumerate(rows) if row[j]}
+        for j in range(dim)
+    ]
+    tags = range(len(rows), len(rows) + dim)
+    return _basis(field, relations(columns, tags), tags)
 
 
 def _intersect(field: CycloField, a, b, dim: int) -> tuple[Vector, ...]:
-    """Intersection of two spans, each given by a basis (empty = zero)."""
-    if not a or not b:
-        return ()
-    constraints = kernel_basis([list(v) for v in a]) + kernel_basis(
-        [list(v) for v in b]
-    )
-    if not constraints:
-        return _reduced_basis(field, _identity_matrix(field, dim))
-    return _reduced_basis(field, kernel_basis(constraints))
+    """Reduced basis of the intersection of two spans (Zassenhaus).
+
+    The rows (v|v) for v in a and (w|0) for w in b combine to (x+y|x)
+    with x in a and y in b, so the combinations with zero left half are
+    (0|x) for x in both spans; those are exactly the echelon rows that
+    pivot in the right half."""
+    echelon = Echelon()
+    for v in a:
+        echelon.insert({**dict(enumerate(v)), **dict(enumerate(v, dim))})
+    for w in b:
+        echelon.insert(dict(enumerate(w)))
+    meet = (row for p, row in echelon.items() if p >= dim)
+    return _basis(field, meet, range(dim, 2 * dim))
+
+
+def _coordinates(basis, vectors) -> list:
+    """Coordinates of each vector in an independent basis, or None for a
+    vector off its span.
+
+    Basis vector t goes into one echelon with an extra tag key at
+    coefficient 1, and the tags sort after every coordinate key, so every
+    pivot is a coordinate.  Reducing a vector of the span then leaves
+    only tags, carrying minus its coordinates."""
+    dim = len(basis[0]) if basis else 0
+    tags = range(dim, dim + len(basis))
+    echelon = Echelon()
+    for tag, v in zip(tags, basis):
+        echelon.insert({**dict(enumerate(v)), tag: 1})
+    out = []
+    for w in vectors:
+        rest = echelon.reduce(dict(enumerate(w)))
+        off_span = any(k not in tags for k in rest)
+        out.append(None if off_span else [-rest.get(t, 0) for t in tags])
+    return out
 
 
 def _contains(space, vectors) -> bool:
-    if not vectors:
-        return True
-    if not space:
-        return False
-    cols = [[v[i] for v in space] for i in range(len(space[0]))]
-    return all(solve(cols, list(w)) is not None for w in vectors)
+    return None not in _coordinates(space, vectors)
 
 
 def _omega_perp(field: CycloField, omega: Matrix,
                 space) -> tuple[Vector, ...]:
     """Symplectic orthogonal complement of a span."""
-    dim = len(omega)
-    if not space:
-        return _reduced_basis(field, _identity_matrix(field, dim))
-    rows = [list(_mat_vec(omega, w)) for w in space]
-    return _reduced_basis(field, kernel_basis(rows))
+    return _kernel(field, [_mat_vec(omega, w) for w in space], len(omega))
 
 
 class ParabolicRecord:
@@ -328,9 +362,13 @@ class ParabolicRecord:
         self.group = group
         self.subgroup = tuple(sorted(subgroup))
         field, dim = group.field, group.dim
-        fixed = _reduced_basis(field, _identity_matrix(field, dim))
-        for i in self.subgroup:
-            fixed = _intersect(field, fixed, group.fixed_space(i), dim)
+        # ker(g - 1) depends only on the fixed space of g, so one element
+        # per distinct fixed space gives all the rows the kernel needs
+        shared = {group.fixed_space(i): i for i in self.subgroup}
+        fixed = _kernel(
+            field, [r for i in shared.values() for r in group._moved_rows(i)],
+            dim,
+        )
         self.fixed_basis = fixed
         self.perp_basis = _omega_perp(field, group.omega, fixed)
         together = [list(v) for v in fixed + self.perp_basis]
@@ -372,35 +410,28 @@ def parabolic_subgroups(group: GroupData) -> tuple[ParabolicRecord, ...]:
     lattice of the fixed spaces enumerates the parabolics without
     touching the full subgroup lattice."""
     field, dim = group.field, group.dim
-    spaces: dict[tuple, tuple[Vector, ...]] = {}
-
-    def record(basis) -> bool:
-        key = tuple(basis)
-        if key in spaces:
-            return False
-        spaces[key] = basis
-        return True
-
-    generators = [
-        _reduced_basis(field, group.fixed_space(i))
-        for i in range(group.order)
-    ]
-    frontier = [b for b in generators if record(b)]
+    # elements sharing a fixed space, in first-element order
+    members: dict[tuple, list[int]] = {}
+    for i in range(group.order):
+        members.setdefault(group.fixed_space(i), []).append(i)
+    spaces = dict.fromkeys(members)
+    frontier = list(members)
     while frontier:
         nxt = []
         for space in frontier:
-            for gen in generators:
+            for gen in members:
                 meet = _intersect(field, space, gen, dim)
-                if record(meet):
+                if meet not in spaces:
+                    spaces[meet] = None
                     nxt.append(meet)
         frontier = nxt
 
     by_subgroup: dict[tuple[int, ...], ParabolicRecord] = {}
-    for basis in spaces.values():
+    for basis in spaces:
         stab = tuple(
             sorted(
-                i for i in range(group.order)
-                if _contains(group.fixed_space(i), basis)
+                i for space, elements in members.items()
+                if _contains(space, basis) for i in elements
             )
         )
         if stab not in by_subgroup:
@@ -446,38 +477,20 @@ class SRAData:
     def _compressed_form(self, s: int) -> Matrix:
         group = self.group
         field, dim = group.field, group.dim
-        g = group.element(s)
         kernel = group.fixed_space(s)
-        moved_cols = [
-            [g[r][c] - (1 if r == c else 0) for c in range(dim)]
-            for r in range(dim)
-        ]
-        moved = _reduced_basis(
-            field, [tuple(col) for col in zip(*moved_cols)]
-        )
+        moved = _reduced_basis(field, _transpose(group._moved_rows(s)))
         basis = list(kernel) + list(moved)
         assert len(basis) == dim and rank([list(v) for v in basis]) == dim, (
             "a reflection must split the space into fixed plus moved"
         )
-        cols = [[v[i] for v in basis] for i in range(dim)]
-        proj_cols = []
-        for j in range(dim):
-            e = [field.one() if i == j else field.zero() for i in range(dim)]
-            c = solve(cols, e)
-            image_part = [
-                sum(
-                    (c[len(kernel) + t] * moved[t][i]
-                     for t in range(len(moved))),
-                    start=field.zero(),
-                )
-                for i in range(dim)
-            ]
-            proj_cols.append(image_part)
-        proj = tuple(
-            tuple(as_scalar(proj_cols[j][i], field) for j in range(dim))
-            for i in range(dim)
-        )
-        out = _mat_mul(_mat_mul(_transpose(proj), group.omega), proj)
+        # row j: the image of e_j under the projection onto the moved
+        # plane along the fixed space
+        moved_t = _transpose(moved)
+        proj_t = [
+            _mat_vec(moved_t, c[len(kernel):])
+            for c in _coordinates(basis, _identity_matrix(field, dim))
+        ]
+        out = _mat_mul(_mat_mul(proj_t, group.omega), _transpose(proj_t))
         assert _transpose(out) == tuple(
             tuple(-x for x in row) for row in out
         ), "a compressed symplectic form must stay skew"
@@ -544,21 +557,11 @@ def _line_stabilizer_order(group: GroupData, v: Vector) -> int:
 
 def _restrict(group: GroupData, i: int, basis) -> Matrix:
     """Matrix of one element in the coordinates of an invariant basis."""
-    field = group.field
     g = group.element(i)
-    if not basis:
-        return ()
-    cols = [[v[r] for v in basis] for r in range(group.dim)]
-    out_cols = []
-    for b in basis:
-        c = solve(cols, list(_mat_vec(g, b)))
-        if c is None:
-            raise ValueError("the subspace is not invariant under the group")
-        out_cols.append([as_scalar(x, field) for x in c])
-    return tuple(
-        tuple(out_cols[j][i] for j in range(len(basis)))
-        for i in range(len(basis))
-    )
+    cols = _coordinates(basis, [_mat_vec(g, b) for b in basis])
+    if None in cols:
+        raise ValueError("the subspace is not invariant under the group")
+    return _matrix(group.field, _transpose(cols))
 
 
 def leaf_slice_data(group: GroupData, record: ParabolicRecord, v,

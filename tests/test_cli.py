@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from equislice.cli import JobSpec, load_poisson, main, render_report, run
 from equislice.darboux import extract_slice
 from equislice.poisson import standard_presentation
@@ -276,3 +278,70 @@ def test_quantize_slice_refuses_an_empty_window():
     }
     status, report = invoke("quantize slice", doc)
     assert status == 2 and "empty" in report["error"]
+
+
+NEGATIVE_CAP_JOBS = {
+    "poisson center": {"builder": "kleinian", "n": 2, "weight_window": [0, 0]},
+    "poisson hp0": {"builder": "kleinian", "n": 2},
+    "darboux slice": {"builder": "kleinian-product", "n": 1, "slice_n": 2, "weight": 2},
+    "quantize slice": {
+        "presentation": {"family": "differential", "n": 2, "k": 1},
+        "t_lift": "t", "z_lifts": ["z1", "z2"], "window": [0, 0], "truncation": 2,
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(NEGATIVE_CAP_JOBS))
+def test_negative_document_degree_cap_is_rejected(command):
+    document = dict(NEGATIVE_CAP_JOBS[command], degree_cap=-1)
+    status, report = invoke(command, document)
+    assert status == 2 and "'degree_cap'" in report["error"]
+    status, _report = invoke(command, dict(document, degree_cap=1))
+    assert status == 0
+
+
+SL2 = {"family": "sl2"}
+
+
+def test_float_word_exponents_are_rejected():
+    status, report = invoke(
+        "quantize normalform", {"presentation": SL2, "word": [["e", 1.5], ["f", 1]]}
+    )
+    assert status == 2 and "'word' exponent" in report["error"]
+    status, report = invoke(
+        "quantize central", {"presentation": SL2, "element": {"word": [["e", True]]}}
+    )
+    assert status == 2 and "'word' exponent" in report["error"]
+    status, report = invoke(
+        "quantize normalform", {"presentation": SL2, "word": [["e", 1], ["f", 1]]}
+    )
+    assert status == 0 and report["normal_form"] == "1*e*f"
+
+
+def test_float_hbar_powers_are_rejected():
+    status, report = invoke(
+        "quantize central", {"presentation": SL2, "element": [[1, 0.7, {"e": 1}]]}
+    )
+    assert status == 2 and "hbar power" in report["error"]
+
+
+def test_float_exponents_in_an_element_term_are_rejected():
+    status, report = invoke(
+        "quantize central", {"presentation": SL2, "element": [[1, 0, {"e": 1.5}]]}
+    )
+    assert status == 2 and "exponent" in report["error"]
+    status, report = invoke(
+        "quantize central", {"presentation": SL2, "element": [[1, 0, {"h": 2}]]}
+    )
+    assert status in (0, 1) and "error" not in report
+
+
+def test_only_failed_conic_relations_exit_one():
+    doc = {
+        "presentation": {"family": "differential", "n": 2, "k": 1},
+        "t_lift": "t", "window": [0, 0], "degree_cap": 2,
+    }
+    status, report = invoke("quantize slice", dict(doc, z_lifts=["u"], truncation=2))
+    assert status == 1 and report["ok"] is False
+    status, report = invoke("quantize slice", dict(doc, truncation=0))
+    assert status == 2 and "positive" in report["error"]

@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from test_linalg import _reference_rref, _reference_solve
+from reference import _reference_rref, _reference_solve
 
 from equislice import darboux
 from equislice.darboux import (

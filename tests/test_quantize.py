@@ -8,6 +8,7 @@ from equislice.fixtures import sl2_presentation
 from equislice.linalg import in_span
 from equislice.poisson import PoissonPresentation, standard_presentation
 from equislice.quantize import (
+    ConicRelationError,
     HbarPresentation,
     _generator_candidates,
     RewriteLimitError,
@@ -315,6 +316,16 @@ def test_slice_rejects_bad_lifts_before_kernel_work():
         quantized_slice(a, "t", [], truncation=4, weight_window=(0, 0))
     with pytest.raises(ValueError, match="must be positive"):
         quantized_slice(a, "t", [], truncation=0, weight_window=(0, 0))
+
+
+def test_only_failed_conic_relations_are_a_conic_relation_error():
+    a = differential_family(2, 1, order=4)
+    with pytest.raises(ConicRelationError, match=r"\[t, z1\]"):
+        quantized_slice(a, "t", ["u"], truncation=2, weight_window=(0, 0))
+    for bad in ({"truncation": 4}, {"truncation": 0}):
+        with pytest.raises(ValueError) as info:
+            quantized_slice(a, "t", [], weight_window=(0, 0), **bad)
+        assert not isinstance(info.value, ConicRelationError)
 
 
 def test_conjugated_lifts_give_the_conjugated_kernel():

@@ -1,10 +1,13 @@
 """Finite quotients: group closure, parabolics, reflections, slices."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
+from reference import _reference_kernel, _reference_rref, _reference_solve
 
+from equislice import quotient
 from equislice.fixtures import (
     DOUBLE_PLANE_FORM,
     PLANE_FORM,
@@ -15,6 +18,11 @@ from equislice.fixtures import (
 from equislice.linalg import rank
 from equislice.quotient import (
     GroupData,
+    _contains,
+    _coordinates,
+    _intersect,
+    _kernel,
+    _reduced_basis,
     close_group,
     leaf_slice_data,
     parabolic_subgroups,
@@ -210,6 +218,157 @@ def test_g412_order_reflections_and_parabolics():
     records = parabolic_subgroups(group)
     assert len(records) == 8
     assert sorted(r.leaf_dim for r in records) == [0] + [2] * 6 + [4]
+
+
+# -- subspace helpers against the dense reference ------------------------------
+
+
+FIELDS = [CycloField(1), CycloField(4), CycloField(8)]
+FIELD_IDS = ["Q", "Q(i)", "Q(z8)"]
+
+
+def _random_scalar(rng, field):
+    if rng.random() < 0.4:
+        return field.zero()
+    return field.element([
+        Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        for _ in range(rng.randint(1, field.degree))
+    ])
+
+
+def _random_span(rng, field, dim):
+    """A spanning set: empty (the zero space), the coordinate basis (the
+    whole space), or random vectors with dependent combinations mixed in."""
+    kind = rng.random()
+    if kind < 0.15:
+        return []
+    if kind < 0.3:
+        return [
+            tuple(field.one() if i == j else field.zero() for j in range(dim))
+            for i in range(dim)
+        ]
+    vectors = [
+        tuple(_random_scalar(rng, field) for _ in range(dim))
+        for _ in range(rng.randint(1, dim))
+    ]
+    if rng.random() < 0.5:
+        a, b = _random_scalar(rng, field), _random_scalar(rng, field)
+        vectors.append(
+            tuple(a * x + b * y for x, y in zip(vectors[0], vectors[-1]))
+        )
+    rng.shuffle(vectors)
+    return vectors
+
+
+def _reference_basis(vectors):
+    """The nonzero rows of the reference RREF."""
+    reduced, pivots = _reference_rref([list(v) for v in vectors])
+    return reduced[: len(pivots)]
+
+
+def _whole(dim):
+    return [[int(i == j) for j in range(dim)] for i in range(dim)]
+
+
+def _rows(basis):
+    return [list(v) for v in basis]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("seed", range(5))
+def test_intersect_and_reduced_basis_agree_with_the_reference(field, seed):
+    rng = random.Random(300 + seed)
+    for _ in range(12):
+        dim = rng.randint(1, 5)
+        a, b = _random_span(rng, field, dim), _random_span(rng, field, dim)
+        assert _rows(_reduced_basis(field, a)) == _reference_basis(a)
+        # the intersection is the kernel of both spans' annihilators
+        constraints = [
+            row for span in (a, b)
+            for row in (_reference_kernel(span) if span else _whole(dim))
+        ]
+        meet = _reference_kernel(constraints) if constraints else _whole(dim)
+        got = _intersect(
+            field, _reduced_basis(field, a), _reduced_basis(field, b), dim
+        )
+        assert _rows(got) == _reference_basis(meet)
+        assert _rows(_intersect(field, a, b, dim)) == _rows(got)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("seed", range(5))
+def test_kernel_agrees_with_the_reference(field, seed):
+    rng = random.Random(400 + seed)
+    for _ in range(12):
+        dim = rng.randint(1, 5)
+        rows = _random_span(rng, field, dim)
+        expected = _reference_basis(_reference_kernel(rows)) if rows else _whole(dim)
+        assert _rows(_kernel(field, rows, dim)) == expected
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("seed", range(5))
+def test_coordinates_agree_with_the_reference(field, seed):
+    rng = random.Random(500 + seed)
+    for _ in range(12):
+        dim = rng.randint(1, 5)
+        basis = []
+        for v in _random_span(rng, field, dim):
+            if len(_reference_basis(basis + [v])) > len(basis):
+                basis.append(v)
+        inside = []
+        for _ in range(3):
+            coeffs = [_random_scalar(rng, field) for _ in basis]
+            inside.append(tuple(
+                sum((c * v[i] for c, v in zip(coeffs, basis)),
+                    start=field.zero())
+                for i in range(dim)
+            ))
+        anywhere = [
+            tuple(_random_scalar(rng, field) for _ in range(dim))
+            for _ in range(3)
+        ]
+        targets = inside + anywhere + [(field.zero(),) * dim]
+        columns = [[v[i] for v in basis] for i in range(dim)]
+        got = _coordinates(basis, targets)
+        assert len(got) == len(targets)
+        for w, coords in zip(targets, got):
+            expected = _reference_solve(columns, list(w))
+            assert coords == expected
+        assert _contains(basis, targets) == (None not in got)
+        assert None not in got[: len(inside)]
+
+
+def test_fixed_spaces_agree_with_the_reference(all_groups):
+    for group in all_groups:
+        for i in range(group.order):
+            g = group.element(i)
+            moved = [
+                [g[r][c] - (1 if r == c else 0) for c in range(group.dim)]
+                for r in range(group.dim)
+            ]
+            assert _rows(group.fixed_space(i)) == _reference_basis(
+                _reference_kernel(moved)
+            )
+
+
+def test_g412_lattice_walk_meets_only_distinct_fixed_spaces(monkeypatch):
+    group = _g_m12(4)
+    distinct = {group.fixed_space(i) for i in range(group.order)}
+    assert len(distinct) == 8
+    meets = []
+
+    def counted(field, a, b, dim):
+        meets.append(_intersect(field, a, b, dim))
+        return meets[-1]
+
+    monkeypatch.setattr(quotient, "_intersect", counted)
+    records = parabolic_subgroups(group)
+    lattice = distinct | set(meets)
+    assert len(records) == 8
+    # each lattice space is met with each distinct fixed space at most
+    # once; meeting every element's fixed space made 256 calls
+    assert len(meets) <= len(distinct) * len(lattice) == 64
 
 
 # -- parabolic subgroups -------------------------------------------------------
