@@ -86,7 +86,10 @@ class CoordinateChange:
     generators; inverse maps each old name to its expression in the new
     ones.  Missing names are identities.  to_old rewrites an element
     given in new coordinates as an element in old coordinates, to_new
-    the other way around.
+    the other way around.  Both take an optional dict of image powers
+    that one operation (transport, one direction of then, verify) shares
+    across its substitutions; it is never stored on the change, which a
+    certificate keeps alive.
     """
 
     def __init__(self, ctx: GradedContext, forward: dict, inverse: dict):
@@ -116,8 +119,9 @@ class CoordinateChange:
                 deltas[name] = delta
         inverse = {name: ctx.var(name) for name in deltas}
         for _ in range(2 * ctx.order + 2):
+            powers = {}
             refined = {
-                name: ctx.var(name) - delta.subs(inverse, ctx)
+                name: ctx.var(name) - delta.subs(inverse, ctx, powers)
                 for name, delta in deltas.items()
             }
             if refined == inverse:
@@ -142,24 +146,25 @@ class CoordinateChange:
         got = self.inverse.get(name)
         return got if got is not None else self.ctx.var(name)
 
-    def to_old(self, f: TruncatedElement) -> TruncatedElement:
-        return f.subs(self.forward, self.ctx)
+    def to_old(self, f: TruncatedElement, powers: dict | None = None) -> TruncatedElement:
+        return f.subs(self.forward, self.ctx, powers)
 
-    def to_new(self, f: TruncatedElement) -> TruncatedElement:
-        return f.subs(self.inverse, self.ctx)
+    def to_new(self, f: TruncatedElement, powers: dict | None = None) -> TruncatedElement:
+        return f.subs(self.inverse, self.ctx, powers)
 
     def verify(self) -> list[dict]:
         """Both compositions must fix every generator at the truncation
         order; returns a list of defect records, empty when invertible."""
         out = []
+        new_powers, old_powers = {}, {}
         for name in sorted(self.changed_names()):
             v = self.ctx.var(name)
-            back = self.to_new(self.image_forward(name))
+            back = self.to_new(self.image_forward(name), new_powers)
             if back != v:
                 out.append(
                     {"direction": "new-old-new", "variable": name, "residue": str(back - v)}
                 )
-            forth = self.to_old(self.image_inverse(name))
+            forth = self.to_old(self.image_inverse(name), old_powers)
             if forth != v:
                 out.append(
                     {"direction": "old-new-old", "variable": name, "residue": str(forth - v)}
@@ -171,8 +176,9 @@ class CoordinateChange:
         if other.ctx is not self.ctx and not other.ctx.same_variables(self.ctx):
             raise ValueError("cannot compose changes over different contexts")
         names = self.changed_names() | other.changed_names()
-        forward = {n: self.to_old(other.image_forward(n)) for n in names}
-        inverse = {n: other.to_new(self.image_inverse(n)) for n in names}
+        old_powers, new_powers = {}, {}
+        forward = {n: self.to_old(other.image_forward(n), old_powers) for n in names}
+        inverse = {n: other.to_new(self.image_inverse(n), new_powers) for n in names}
         return CoordinateChange(self.ctx, forward, inverse)
 
     def is_identity(self) -> bool:
@@ -192,6 +198,7 @@ class CoordinateChange:
         if not pres.ctx.same_variables(ctx):
             raise ValueError("presentation lives in a different context")
         changed = self.changed_names()
+        powers = {}
         table = {}
         for a, b in pres.pairs():
             cur = pres.entry(a, b)
@@ -203,11 +210,11 @@ class CoordinateChange:
                 entry = cur
             else:
                 entry = self.to_new(
-                    pres.bracket(self.image_forward(a), self.image_forward(b))
+                    pres.bracket(self.image_forward(a), self.image_forward(b)), powers
                 )
             if entry:
                 table[(a, b)] = entry
-        relations = tuple(self.to_new(r) for r in pres.relations)
+        relations = tuple(self.to_new(r, powers) for r in pres.relations)
         return PoissonPresentation(ctx, table, relations=relations, degree=pres.degree)
 
     def as_strings(self) -> dict:

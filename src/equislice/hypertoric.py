@@ -499,8 +499,9 @@ def _verify_elimination(b, report, ctx, mu) -> list[dict]:
                 product = product - inv.rows[s][t] * rests[t]
         solved_name = f"y{j}" if report.designated[j] == "x" else f"x{j}"
         subs[solved_name] = product * ctx.var(report.hyperplanes[s], -1)
+    powers = {}
     for vec in comp_rows.rows:
-        res = _combine(mu, vec, ctx).subs(subs)
+        res = _combine(mu, vec, ctx).subs(subs, powers=powers)
         if res:
             failures.append(
                 {"check": "elimination", "detail": f"moment residue {res} after elimination"}

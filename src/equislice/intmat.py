@@ -9,8 +9,10 @@ with U * M * V == D and det(U), det(V) in {1, -1}).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from . import linalg
+from .scalars import exact_int
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -34,7 +36,12 @@ class IntMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(map(tuple, rows))
+        if not set(map(type, chain.from_iterable(rows))) <= {int}:
+            rows = tuple(
+                tuple(exact_int(x, "a matrix entry") for x in row) for row in rows
+            )
+        self.rows = rows
         if self.rows:
             widths = {len(r) for r in self.rows}
             if len(widths) != 1:

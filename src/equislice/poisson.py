@@ -26,7 +26,7 @@ from itertools import product as iter_product
 
 from . import linalg
 from .scalars import Q
-from .series import GradedContext, TruncatedElement
+from .series import GradedContext, TruncatedElement, sum_of_products
 
 DEFAULT_MAX_STEPS = 100000
 
@@ -160,23 +160,22 @@ class PoissonPresentation:
     def bracket(self, f: TruncatedElement, g: TruncatedElement) -> TruncatedElement:
         if not f.ctx.same_variables(self.ctx) or not g.ctx.same_variables(self.ctx):
             raise ValueError("elements live in a different context")
-        names = self.ctx.variables
-        out = self.ctx.zero()
-        df = {}
-        dg = {}
+        df = f.gradient()
+        dg = g.gradient()
+        products = []
         for (i, j), t_ij in self._table.items():
-            if i not in df:
-                df[i] = f.partial(names[i])
-            if j not in df:
-                df[j] = f.partial(names[j])
-            if i not in dg:
-                dg[i] = g.partial(names[i])
-            if j not in dg:
-                dg[j] = g.partial(names[j])
-            term = df[i] * dg[j] - df[j] * dg[i]
-            if term:
-                out = out + t_ij * term
-        return self.reduce(out)
+            fi, fj, gi, gj = df.get(i), df.get(j), dg.get(i), dg.get(j)
+            # a missing partial is zero, and so is its product
+            pairs = []
+            if fi is not None and gj is not None:
+                pairs.append((fi, gj))
+            if fj is not None and gi is not None:
+                pairs.append((-fj, gi))
+            if pairs:
+                term = sum_of_products(f.ctx, pairs)
+                if term:
+                    products.append((t_ij, term))
+        return self.reduce(sum_of_products(self.ctx, products))
 
     # -- certification ------------------------------------------------------
 
@@ -481,12 +480,14 @@ class VectorFieldRep:
         return self.images.get(name, self.presentation.ctx.zero())
 
     def apply(self, f: TruncatedElement) -> TruncatedElement:
-        out = self.presentation.ctx.zero()
-        for name in self.presentation.ctx.variables:
+        ctx = self.presentation.ctx
+        df = f.gradient()
+        products = []
+        for i, name in enumerate(ctx.variables):
             img = self.images.get(name)
-            if img:
-                out = out + img * f.partial(name)
-        return self.presentation.reduce(out)
+            if img and i in df:
+                products.append((img, df[i]))
+        return self.presentation.reduce(sum_of_products(ctx, products))
 
     def is_zero(self) -> bool:
         return all(not v for v in self.images.values())

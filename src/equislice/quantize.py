@@ -37,7 +37,7 @@ from itertools import product as iter_product
 # test (perfbench/test_quick.py) checks that it is rebound in this module
 from .linalg import Echelon, in_span, relations
 from .poisson import PoissonPresentation, RewriteLimitError, max_steps
-from .scalars import Q
+from .scalars import Q, exact_int
 
 
 class ConicRelationError(ValueError):
@@ -141,13 +141,14 @@ class HbarPresentation:
         """Element from (coefficient, hbar power, {name: exponent}) rows."""
         out: dict = {}
         for coeff, hpow, exps in terms:
+            hpow = exact_int(hpow, "an hbar power")
             if hpow < 0:
                 raise ValueError("hbar powers must be nonnegative")
             if hpow >= self.order:
                 continue
             mono = []
             for name in sorted(exps, key=self._index.__getitem__):
-                e = int(exps[name])
+                e = exact_int(exps[name], f"the exponent of {name}")
                 if e == 0:
                     continue
                 if e < 0 and name not in self.invertible:

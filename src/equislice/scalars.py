@@ -51,6 +51,17 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+def exact_int(value, what: str = "value") -> int:
+    """value as an int when it is one exactly: an int (not a bool) or a
+    Fraction with denominator 1.  A float, a bool or a non-integral value
+    raises ValueError, so that no input is silently truncated."""
+    if type(value) is int:
+        return value
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return value.numerator
+    raise ValueError(f"{what} must be an exact integer, got {value!r}")
+
+
 class CycloField:
     """The field Q(zeta_n) with its reduction data."""
 
@@ -173,6 +184,8 @@ class CycloNumber:
         # Extended Euclid in Q[x] against the (irreducible) modulus.
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
+        if self.is_rational():
+            return self.field.element([Q(1) / self.coeffs[0]])
         r0 = [Q(c) for c in self.field.modulus]
         r1 = list(self.coeffs)
         while r1 and not r1[-1]:

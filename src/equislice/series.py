@@ -9,14 +9,41 @@ variables.  All coefficients are exact (Fraction or CycloNumber).
 
 Multiplication example at order 4 with J = (u):
 (1 + u) * (1 - u + u^2 - u^3) = 1 - u^4 -> 1.
+
+Invariant.  The terms of every element have no zero coefficient, no term
+of J-order >= order and no negative exponent outside the invertible
+variables.  The public constructor enforces it by filtering and checking.
+Results that hold it by construction (products, sums, negation, scale by
+a nonzero scalar, partials and the gradient, J-order parts, substitution)
+go through the private _trusted constructor, which skips that pass;
+antiderivative and the parser keep the checked path.
+
+Power caches.  subs raises each image to each exponent once per call,
+and a caller may hand one dict of powers to several calls that
+substitute the same images into the same target (one transport, one
+direction of one composition, one inversion check, one fixpoint pass).
+Such a dict lives only as long as that operation: it is never stored on
+a long-lived object, since certificates keep their coordinate changes
+(and so anything stored on them) alive.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add, itemgetter
 
 from .scalars import CycloNumber, Q
+
+
+def _jorder_function(idx):
+    """exps -> total exponent at the positions idx, built once per context."""
+    if not idx:
+        return lambda exps: 0
+    if len(idx) == 1:
+        return itemgetter(idx[0])
+    pick = itemgetter(*idx)
+    return lambda exps: sum(pick(exps))
 
 
 class GradedContext:
@@ -31,6 +58,7 @@ class GradedContext:
         "_index",
         "_inv_flags",
         "_filt_flags",
+        "jorder_of_exps",
     )
 
     def __init__(
@@ -60,6 +88,10 @@ class GradedContext:
         self._index = {v: i for i, v in enumerate(self.variables)}
         self._inv_flags = tuple(v in self.invertible for v in self.variables)
         self._filt_flags = tuple(v in self.filtration for v in self.variables)
+        # exps -> J-order, over the filtration positions found once here
+        self.jorder_of_exps = _jorder_function(
+            [i for i, f in enumerate(self._filt_flags) if f]
+        )
 
     # -- basic queries -------------------------------------------------
 
@@ -71,9 +103,6 @@ class GradedContext:
 
     def weight_of_name(self, name: str) -> int:
         return self.weights[self.index(name)]
-
-    def jorder_of_exps(self, exps) -> int:
-        return sum(e for e, f in zip(exps, self._filt_flags) if f)
 
     def weight_of_exps(self, exps) -> int:
         return sum(e * w for e, w in zip(exps, self.weights))
@@ -166,19 +195,13 @@ class TruncatedElement:
 
     def jpart(self, m: int) -> "TruncatedElement":
         """The terms of J-order exactly m."""
-        return TruncatedElement(
-            self.ctx,
-            {e: c for e, c in self.terms.items() if self.ctx.jorder_of_exps(e) == m},
-            validate=False,
-        )
+        jo = self.ctx.jorder_of_exps
+        return _trusted(self.ctx, {e: c for e, c in self.terms.items() if jo(e) == m})
 
     def jtail(self, m: int) -> "TruncatedElement":
         """The terms of J-order >= m."""
-        return TruncatedElement(
-            self.ctx,
-            {e: c for e, c in self.terms.items() if self.ctx.jorder_of_exps(e) >= m},
-            validate=False,
-        )
+        jo = self.ctx.jorder_of_exps
+        return _trusted(self.ctx, {e: c for e, c in self.terms.items() if jo(e) >= m})
 
     def constant_coefficient(self):
         return self.terms.get((0,) * len(self.ctx.variables), Q(0))
@@ -193,7 +216,9 @@ class TruncatedElement:
 
     def _coerce(self, other):
         if isinstance(other, TruncatedElement):
-            if other.ctx.same_variables(self.ctx) and other.ctx.order == self.ctx.order:
+            if other.ctx is self.ctx or (
+                other.ctx.same_variables(self.ctx) and other.ctx.order == self.ctx.order
+            ):
                 return other
             raise ValueError("elements live in different contexts")
         if isinstance(other, (int, Fraction)):
@@ -206,21 +231,12 @@ class TruncatedElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in o.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return TruncatedElement(self.ctx, out, validate=False)
+        return _trusted(self.ctx, _add_into(dict(self.terms), o.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedElement(
-            self.ctx, {e: -c for e, c in self.terms.items()}, validate=False
-        )
+        return _trusted(self.ctx, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -238,43 +254,31 @@ class TruncatedElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ctx = self.ctx
-        order = ctx.order
-        out: dict = {}
-        jo = ctx.jorder_of_exps
-        for e1, c1 in self.terms.items():
-            j1 = jo(e1)
-            for e2, c2 in o.terms.items():
-                if j1 + jo(e2) >= order:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return TruncatedElement(ctx, out, validate=False)
+        return _trusted(self.ctx, _mul_into({}, self, o))
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "TruncatedElement":
         if not c:
             return self.ctx.zero()
-        return TruncatedElement(
-            self.ctx, {e: c * v for e, v in self.terms.items()}, validate=False
-        )
+        return _trusted(self.ctx, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, e: int):
+        """Binary powering: e = 1 is the element itself, e = 0 is one, and a
+        negative e is a power of invert_unit()."""
         if e < 0:
             return self.invert_unit() ** (-e)
-        out = self.ctx.one()
+        if e == 0:
+            return self.ctx.one()
+        out = None
         base = self
-        while e:
+        while True:
             if e & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             e >>= 1
-        return out
+            if not e:
+                return out
+            base = base * base
 
     def invert_unit(self) -> "TruncatedElement":
         """Inverse of a unit: J-order-0 part must be a single monomial in
@@ -292,30 +296,40 @@ class TruncatedElement:
                 )
         lead_inv = ctx.monomial(tuple(-e for e in exps), c ** (-1))
         g = self * lead_inv - 1
-        # sum_{j} (-g)^j by Horner; g has positive J-order so this stabilizes
+        # sum_{j} (-g)^j by Horner; a term of (-g)^j has J-order at least
+        # j * min_jorder(g) >= j, so the powers past (order - 1) // m vanish
         acc = ctx.one()
-        for _ in range(ctx.order):
-            acc = ctx.one() - g * acc
+        m = g.min_jorder()
+        if m is not None:
+            for _ in range((ctx.order - 1) // m):
+                acc = ctx.one() - g * acc
         return lead_inv * acc
 
     # -- calculus ------------------------------------------------------
 
     def partial(self, name: str) -> "TruncatedElement":
+        # lowering one exponent is injective on monomials: no terms collide
         i = self.ctx.index(name)
         out = {}
         for exps, c in self.terms.items():
             e = exps[i]
-            if e == 0:
-                continue
-            ne = list(exps)
-            ne[i] = e - 1
-            key = tuple(ne)
-            s = out.get(key, 0) + c * e
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return TruncatedElement(self.ctx, out, validate=False)
+            if e:
+                out[exps[:i] + (e - 1,) + exps[i + 1 :]] = c * e
+        return _trusted(self.ctx, out)
+
+    def gradient(self) -> dict:
+        """Every nonzero partial derivative, in one pass over the terms:
+        variable index (position in ctx.variables) -> partial in that
+        variable.  A missing index means the partial is zero."""
+        parts: dict[int, dict] = {}
+        for exps, c in self.terms.items():
+            for i, e in enumerate(exps):
+                if e:
+                    d = parts.get(i)
+                    if d is None:
+                        d = parts[i] = {}
+                    d[exps[:i] + (e - 1,) + exps[i + 1 :]] = c * e
+        return {i: _trusted(self.ctx, d) for i, d in parts.items()}
 
     def antiderivative(self, name: str) -> "TruncatedElement":
         """The primitive in the given variable with no constant term,
@@ -352,35 +366,60 @@ class TruncatedElement:
 
     # -- substitution ----------------------------------------------------
 
-    def subs(self, images: dict, target: GradedContext | None = None) -> "TruncatedElement":
+    def subs(
+        self,
+        images: dict,
+        target: GradedContext | None = None,
+        powers: dict | None = None,
+    ) -> "TruncatedElement":
         """Substitute an element for every variable.  Missing variables map
-        to the same-named variable of the target context."""
+        to the same-named variable of the target context.
+
+        powers caches the image powers, keyed (name, exponent).  A caller
+        that substitutes the same images into the same target several
+        times passes one dict to all of those calls; it must not outlive
+        them (see the module docstring).  A negative power is a power of
+        the cached inverse, so each image is inverted at most once."""
         if target is None:
             some = next(iter(images.values()), None)
             target = some.ctx if some is not None else self.ctx
-        cache: dict[tuple[str, int], TruncatedElement] = {}
+        if powers is None:
+            powers = {}
 
         def image_power(name: str, e: int) -> TruncatedElement:
             key = (name, e)
-            got = cache.get(key)
-            if got is not None:
-                return got
-            base = images.get(name)
-            if base is None:
-                base = target.var(name)
-            val = base ** e
-            cache[key] = val
-            return val
+            got = powers.get(key)
+            if got is None:
+                if e == -1:
+                    got = image_power(name, 1).invert_unit()
+                elif e < 0:
+                    got = image_power(name, -1) ** -e
+                else:
+                    base = images.get(name)
+                    if base is None:
+                        base = target.var(name)
+                    elif base.ctx is not target and not (
+                        base.ctx.same_variables(target) and base.ctx.order == target.order
+                    ):
+                        raise ValueError("an image lives outside the target context")
+                    got = base ** e
+                powers[key] = got
+            return got
 
-        out = target.zero()
+        out: dict = {}
         names = self.ctx.variables
+        const_key = (0,) * len(target.variables)
         for exps, c in sorted(self.terms.items()):
-            term = target.const(c)
+            term = None
             for name, e in zip(names, exps):
-                if e != 0:
-                    term = term * image_power(name, e)
-            out = out + term
-        return out
+                if e:
+                    p = image_power(name, e)
+                    term = p if term is None else term * p
+            if term is None:
+                _add_into(out, [(const_key, c)])
+            else:
+                _add_into(out, [(k, c * v) for k, v in term.terms.items()])
+        return _trusted(target, out)
 
     # -- comparison and formatting ---------------------------------------
 
@@ -410,6 +449,71 @@ class TruncatedElement:
 
     def __repr__(self):
         return f"<{self}>"
+
+
+_first = itemgetter(0)
+
+
+def _trusted(ctx: GradedContext, terms: dict) -> TruncatedElement:
+    """Wrap terms that already hold the element invariant: no zero
+    coefficient, no term of J-order >= ctx.order and no negative exponent
+    outside the invertible variables.  Skips the filter of __init__."""
+    el = object.__new__(TruncatedElement)
+    el.ctx = ctx
+    el.terms = terms
+    return el
+
+
+def _add_into(acc: dict, items) -> dict:
+    """Add the (exps, coefficient) items into the terms dict acc, in
+    place, dropping terms that cancel; returns acc."""
+    for e, c in items:
+        got = acc.get(e)
+        if got is None:
+            acc[e] = c
+        else:
+            s = got + c
+            if s:
+                acc[e] = s
+            else:
+                del acc[e]
+    return acc
+
+
+def sum_of_products(ctx: GradedContext, pairs) -> TruncatedElement:
+    """The sum of a * b over the (a, b) pairs of elements of ctx, added
+    into one terms dict in place instead of through an element per
+    partial sum."""
+    acc: dict = {}
+    for a, b in pairs:
+        _mul_into(acc, a, a._coerce(b))
+    return _trusted(ctx, acc)
+
+
+def _mul_into(acc: dict, a: TruncatedElement, b: TruncatedElement) -> dict:
+    """Add the truncated product a * b into the terms dict acc, in place,
+    and return acc.  The J-orders of b are computed once and its terms
+    sorted by them, so the inner loop stops at the truncation."""
+    ctx = a.ctx
+    jo = ctx.jorder_of_exps
+    right = sorted([(jo(e), e, c) for e, c in b.terms.items()], key=_first)
+    order = ctx.order
+    for e1, c1 in a.terms.items():
+        room = order - jo(e1)
+        for j2, e2, c2 in right:
+            if j2 >= room:
+                break
+            e = tuple(map(add, e1, e2))
+            got = acc.get(e)
+            if got is None:
+                acc[e] = c1 * c2
+            else:
+                s = got + c1 * c2
+                if s:
+                    acc[e] = s
+                else:
+                    del acc[e]
+    return acc
 
 
 def _coeff_str(c) -> str:

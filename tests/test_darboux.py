@@ -1,6 +1,7 @@
 """Darboux normalizer: coordinate changes, staged normal forms, certificates."""
 
 import json
+from collections import Counter
 
 import pytest
 from reference import _reference_rref, _reference_solve
@@ -26,6 +27,7 @@ from equislice.fixtures import (
 )
 from equislice.poisson import PoissonPresentation, standard_presentation
 from equislice.scalars import Q
+from equislice.series import TruncatedElement
 
 
 def _vanishes_below(elem, horizon):
@@ -61,6 +63,22 @@ def test_from_forward_inverts_and_composes():
     assert both.verify() == []
     sample = t * u + z1**2
     assert both.to_new(sample) == c2.to_new(c1.to_new(sample))
+
+
+def test_transport_raises_each_image_to_each_power_once(monkeypatch):
+    pres = standard_presentation(2, 2, order=6)
+    change, scrambled = scramble_presentation(pres, [("z1", "z2")], 3)
+    raised = []
+    power = TruncatedElement.__pow__
+
+    def counted(self, e):
+        raised.append((self, e))
+        return power(self, e)
+
+    monkeypatch.setattr(TruncatedElement, "__pow__", counted)
+    assert change.transport(pres).table_as_strings() == scrambled.table_as_strings()
+    assert raised
+    assert max(Counter(raised).values()) == 1
 
 
 def test_transport_preserves_jacobi():

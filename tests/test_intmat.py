@@ -134,3 +134,13 @@ def test_solve_rational_against_the_product():
     assert IntMatrix([]).solve_rational([]) == []
     with pytest.raises(ValueError, match="length"):
         IntMatrix([[1, 2]]).solve_rational([1, 2])
+
+
+def test_entries_must_be_exact_integers():
+    for bad in (1.0, 2.5, True, False, Fraction(3, 2), "3", None):
+        with pytest.raises(ValueError):
+            IntMatrix([[1, bad]])
+    m = IntMatrix([[Fraction(4, 2), -3], (0, Fraction(-7))])
+    assert m.rows == ((2, -3), (0, -7))
+    assert all(type(x) is int for row in m.rows for x in row)
+    assert IntMatrix([]).rows == () and IntMatrix([[]]).rows == ((),)

@@ -146,6 +146,16 @@ def test_from_terms_merges_and_truncates():
     assert a.render(a.zero()) == "0"
 
 
+def test_from_terms_refuses_inexact_exponents():
+    a = differential_family(1, 1, order=3)
+    for bad in (1.5, 2.0, True, Q(1, 2)):
+        with pytest.raises(ValueError, match="exact integer"):
+            a.from_terms([(Q(1), 0, {"t": bad})])
+        with pytest.raises(ValueError, match="exact integer"):
+            a.from_terms([(Q(1), bad, {"t": 1})])
+    assert a.from_terms([(Q(1), Q(1), {"t": Q(2)})]) == a.from_terms([(Q(1), 1, {"t": 2})])
+
+
 # -- the enveloping families -------------------------------------------------
 
 

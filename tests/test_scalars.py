@@ -72,3 +72,24 @@ def test_as_scalar_passthrough():
     assert as_scalar(Fraction(2, 5)) == Fraction(2, 5)
     f = CycloField(5)
     assert as_scalar(f.zeta(), f) == f.zeta()
+
+
+@pytest.mark.parametrize("order", [4, 8])
+def test_inverse_of_rational_and_irrational_elements(order):
+    import random
+
+    rng = random.Random(order)
+    field = CycloField(order)
+    for k in range(40):
+        rational = k % 2 == 0
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(field.degree)]
+        if rational:
+            coeffs[1:] = [0] * (field.degree - 1)
+        if not any(coeffs):
+            coeffs[0] = Fraction(1)
+        x = field.element(coeffs)
+        assert x.is_rational() == (not any(coeffs[1:]))
+        inv = x.inverse()
+        assert x * inv == 1
+        assert inv.is_rational() == x.is_rational()
+        assert inv.field is field

@@ -119,6 +119,14 @@ def test_substitution_composes():
     assert g == expected
 
 
+def test_substitution_refuses_images_from_another_context():
+    ctx = make_ctx()
+    f = ctx.parse("t*u + z1^2")
+    for other in (make_ctx(order=5), diff_ctx()):
+        with pytest.raises(ValueError):
+            f.subs({"u": other.var("u")}, ctx)
+
+
 def test_substitution_with_laurent_target():
     ctx = make_ctx()
     f = ctx.parse("t^-1*u")
@@ -182,3 +190,192 @@ def test_equal_elements_hash_equal_across_scalar_types():
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
     assert ctx.const(Q(2)) != ctx.const(gauss.element([0, 2]))
+
+
+# -- differential tests of the series core ----------------------------------
+#
+# Random elements over Q and Q(i), with Laurent variables (t, w) and
+# filtration variables (u, z), at a low order so that many products reach
+# the truncation boundary.  The references multiply all pairs of terms and
+# filter afterwards; they share no code with the series core.
+
+GAUSS = CycloField(4)
+
+
+def diff_ctx(order=3):
+    return GradedContext(
+        variables=("t", "u", "z", "w"),
+        weights=(1, 0, 1, 2),
+        invertible=("t", "w"),
+        filtration=("u", "z"),
+        order=order,
+    )
+
+
+def _jorder(exps):
+    return exps[1] + exps[2]
+
+
+def _random_coeff(rng, field):
+    if field is None:
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return field.element([Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(2)])
+
+
+def random_element(ctx, rng, field=None, terms=6, min_jorder=0):
+    out = {}
+    for _ in range(rng.randrange(terms + 1)):
+        j = rng.randint(min_jorder, ctx.order)  # J-order == order is dropped
+        u = rng.randint(0, j)
+        exps = (rng.randint(-2, 2), u, j - u, rng.randint(-1, 1))
+        out[exps] = _random_coeff(rng, field)  # zero coefficients are dropped
+    return TruncatedElement(ctx, out)
+
+
+def random_unit(ctx, rng, field=None):
+    lead = ctx.monomial((rng.choice((-2, -1, 1, 2)), 0, 0, rng.randint(-1, 1)), Q(rng.choice((1, -2, 3))))
+    if field is not None:
+        lead = lead.scale(field.element([1, rng.choice((0, 1))]))
+    return lead + random_element(ctx, rng, field, terms=3, min_jorder=1)
+
+
+def assert_clean(elem):
+    """The element invariant: no zero coefficient, no term at or above the
+    order, negative exponents only on invertible variables."""
+    ctx = elem.ctx
+    for exps, c in elem.terms.items():
+        assert c
+        assert _jorder(exps) < ctx.order
+        assert all(e >= 0 or inv for e, inv in zip(exps, (True, False, False, True)))
+
+
+def naive_product(a, b):
+    acc = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+    return TruncatedElement(
+        a.ctx, {e: c for e, c in acc.items() if c and _jorder(e) < a.ctx.order}
+    )
+
+
+def naive_power(f, e):
+    base = f if e >= 0 else f.invert_unit()
+    out = f.ctx.one()
+    for _ in range(abs(e)):
+        out = naive_product(out, base)
+    return out
+
+
+def naive_subs(f, images):
+    ctx = f.ctx
+    acc = {}
+    for exps, c in f.terms.items():
+        term = ctx.const(c)
+        for name, e in zip(ctx.variables, exps):
+            term = naive_product(term, naive_power(images.get(name, ctx.var(name)), e))
+        for k, v in term.terms.items():
+            acc[k] = acc.get(k, 0) + v
+    return TruncatedElement(ctx, acc)
+
+
+FIELDS = [None, GAUSS]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "Q(i)"])
+def test_product_matches_all_pairs_reference(field):
+    rng = random.Random(81)
+    for order in (1, 2, 3, 4):
+        ctx = diff_ctx(order)
+        for _ in range(40):
+            a, b = random_element(ctx, rng, field), random_element(ctx, rng, field)
+            prod = a * b
+            assert prod.terms == naive_product(a, b).terms
+            assert_clean(prod)
+            for other in (a + b, a - b, -a, a.scale(_random_coeff(rng, field) or Q(1))):
+                assert_clean(other)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "Q(i)"])
+def test_gradient_matches_partials(field):
+    rng = random.Random(82)
+    ctx = diff_ctx(3)
+    for _ in range(40):
+        f = random_element(ctx, rng, field, terms=8)
+        grad = f.gradient()
+        for i, name in enumerate(ctx.variables):
+            assert grad.get(i, ctx.zero()) == f.partial(name)
+        for d in grad.values():
+            assert d
+            assert_clean(d)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "Q(i)"])
+def test_powers_match_repeated_products(field):
+    rng = random.Random(83)
+    ctx = diff_ctx(3)
+    for _ in range(12):
+        f = random_unit(ctx, rng, field)
+        assert naive_product(f, f.invert_unit()) == ctx.one()
+        for e in range(-3, 6):
+            got = f ** e
+            assert got == naive_power(f, e)
+            assert_clean(got)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "Q(i)"])
+def test_subs_with_shared_powers_matches_fresh_calls(field):
+    rng = random.Random(84)
+    ctx = diff_ctx(3)
+    for _ in range(6):
+        images = {
+            "t": random_unit(ctx, rng, field),
+            "u": random_element(ctx, rng, field, terms=3, min_jorder=1),
+            "w": random_unit(ctx, rng, field),
+        }
+        powers = {}
+        for _ in range(4):
+            f = random_element(ctx, rng, field)
+            shared = f.subs(images, ctx, powers)
+            assert shared == f.subs(images, ctx) == naive_subs(f, images)
+            assert_clean(shared)
+        assert powers
+
+
+# -- call counts ----------------------------------------------------------------
+
+
+def count_calls(monkeypatch, cls, name):
+    """Record (self, *args) of every call of cls.name."""
+    calls = []
+    original = getattr(cls, name)
+
+    def counted(self, *args):
+        calls.append((self, *args))
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_low_powers_make_no_spare_products(monkeypatch):
+    ctx = make_ctx()
+    x = ctx.parse("t + u + z1")
+    products = count_calls(monkeypatch, TruncatedElement, "__mul__")
+    assert x ** 1 == x and x ** 0 == ctx.one()
+    assert products == []
+    x ** 2
+    assert len(products) == 1
+    x ** 5  # x * x^4, with x^2 and x^4 by squaring
+    assert len(products) == 1 + 3
+
+
+def test_subs_inverts_each_image_once(monkeypatch):
+    ctx = make_ctx()
+    f = ctx.parse("t^-1*u + t^-2 + 3*t^-3*z1 + t^2*z2")
+    images = {"t": ctx.parse("t + t*u"), "u": ctx.parse("u + z1")}
+    inversions = count_calls(monkeypatch, TruncatedElement, "invert_unit")
+    g = f.subs(images)
+    assert len(inversions) == 1
+    assert g == naive_subs(f, images)
