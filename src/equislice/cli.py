@@ -75,16 +75,16 @@ def _need(doc: dict, key: str):
 def _degree_cap(opts: dict, fallback):
     """The --degree-cap option when it was given (0 is a cap too), else
     the fallback, which is usually the document's 'degree_cap'; refused
-    when negative, whichever source it came from."""
+    unless an integer at least 0, whichever source it came from."""
     cap = opts.get("degree_cap")
     cap = fallback if cap is None else cap
-    if cap is not None and cap < 0:
+    if cap is not None and _int(cap, "the 'degree_cap' field") < 0:
         raise InputError(f"the 'degree_cap' must be at least 0, got {cap}")
     return cap
 
 
 def _window(doc: dict, key: str) -> tuple:
-    lo, hi = _need(doc, key)
+    lo, hi = (_int(x, f"a {key!r} entry") for x in _need(doc, key))
     if lo > hi:
         raise InputError(f"the weight window [{lo}, {hi}] is empty")
     return lo, hi
@@ -96,6 +96,12 @@ def _int(value, what: str) -> int:
     if type(value) is not int:
         raise InputError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _int_field(doc: dict, key: str, default=None) -> int:
+    """The document's integer field, required when there is no default."""
+    value = _need(doc, key) if default is None else doc.get(key, default)
+    return _int(value, f"the {key!r} field")
 
 
 def _int_matrix(doc: dict) -> list:
@@ -122,18 +128,18 @@ def load_poisson(doc: dict, order=None) -> PoissonPresentation:
         raise InputError("a presentation document must be a JSON object")
     builder = doc.get("builder")
     if builder is not None:
-        pick = order or doc.get("order", 6)
+        pick = order or _int_field(doc, "order", 6)
         table = {
             "standard": lambda: standard_presentation(
-                _need(doc, "n"), _need(doc, "k"), ell=doc.get("ell", 1),
-                order=pick,
+                _int_field(doc, "n"), _int_field(doc, "k"),
+                ell=_int_field(doc, "ell", 1), order=pick,
             ),
             "sl2": lambda: fixtures.sl2_presentation(order=pick),
             "kleinian": lambda: fixtures.kleinian_presentation(
-                _need(doc, "n"), order=pick
+                _int_field(doc, "n"), order=pick
             ),
             "kleinian-product": lambda: fixtures.kleinian_product(
-                _need(doc, "n"), _need(doc, "slice_n"), order=pick
+                _int_field(doc, "n"), _int_field(doc, "slice_n"), order=pick
             ),
             "cyclic-nonjacobi": lambda: fixtures.cyclic_nonjacobi(order=pick),
             "coupled-line": lambda: fixtures.coupled_line_example(order=pick),
@@ -150,7 +156,7 @@ def load_poisson(doc: dict, order=None) -> PoissonPresentation:
         weights,
         invertible=doc.get("invertible", ()),
         filtration=doc.get("filtration", ()),
-        order=order or doc.get("order", 6),
+        order=order or _int_field(doc, "order", 6),
     )
     table = {}
     for key, text in _need(doc, "table").items():
@@ -179,14 +185,14 @@ def load_group(doc: dict):
         raise InputError("a group document must be a JSON object")
     builder = doc.get("builder")
     if builder == "cyclic":
-        return fixtures.cyclic_plane_action(_need(doc, "n"))
+        return fixtures.cyclic_plane_action(_int_field(doc, "n"))
     if builder == "pairwise-sign":
         return fixtures.pairwise_sign_action()
     if builder == "binary-dihedral":
         return fixtures.binary_dihedral_action()
     if builder is not None:
         raise InputError(f"unknown builder {builder!r}")
-    fld = CycloField(doc.get("cyclotomic_order", 1))
+    fld = CycloField(_int_field(doc, "cyclotomic_order", 1))
     omega = tuple(
         tuple(_cyclo_entry(fld, v) for v in row)
         for row in _need(doc, "omega")
@@ -196,7 +202,7 @@ def load_group(doc: dict):
         for mat in _need(doc, "generators")
     ]
     return close_group(
-        generators, omega, field=fld, cap=doc.get("cap", 512)
+        generators, omega, field=fld, cap=_int_field(doc, "cap", 512)
     )
 
 
@@ -204,11 +210,15 @@ def load_quantum(doc: dict, order=None):
     if not isinstance(doc, dict):
         raise InputError("a quantum document must be a JSON object")
     family = _need(doc, "family")
-    pick = order or doc.get("order", 3)
+    pick = order or _int_field(doc, "order", 3)
     if family == "differential":
-        return differential_family(_need(doc, "n"), _need(doc, "k"), order=pick)
+        return differential_family(
+            _int_field(doc, "n"), _int_field(doc, "k"), order=pick
+        )
     if family == "weyl":
-        return weyl_family(_need(doc, "pairs"), _need(doc, "k"), order=pick)
+        return weyl_family(
+            _int_field(doc, "pairs"), _int_field(doc, "k"), order=pick
+        )
     if family == "sl2":
         return sl2_enveloping(order=pick, localized=doc.get("localized", False))
     if family == "enveloping":
@@ -222,7 +232,7 @@ def load_quantum(doc: dict, order=None):
             _need(doc, "names"),
             constants,
             weights=doc.get("weights"),
-            k=doc.get("k", 1),
+            k=_int_field(doc, "k", 1),
             invertible=doc.get("invertible", ()),
             order=pick,
         )
@@ -334,7 +344,7 @@ def _darboux_slice(doc, opts):
         doc.get("t", "t"),
         tuple(name for pair in pairs for name in pair),
         degree_cap=_degree_cap(opts, doc.get("degree_cap")),
-        weight=doc.get("weight", 0),
+        weight=_int_field(doc, "weight", 0),
     )
     return 0, {
         "weight": report["weight"],
@@ -471,7 +481,7 @@ def _quantize_slice(doc, opts):
             algebra,
             t_lift,
             z_lifts,
-            truncation=_need(doc, "truncation"),
+            truncation=_int_field(doc, "truncation"),
             weight_window=(lo, hi),
             degree_cap=_degree_cap(opts, doc.get("degree_cap", 4)),
         )

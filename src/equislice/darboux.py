@@ -102,8 +102,13 @@ class CoordinateChange:
         }
 
     @classmethod
-    def identity(cls, ctx: GradedContext) -> "CoordinateChange":
-        return cls(ctx, {}, {})
+    def compose(cls, ctx: GradedContext, steps) -> "CoordinateChange":
+        """The composite of the steps applied in order, the identity when
+        there are none."""
+        composite = cls(ctx, {}, {})
+        for step in steps:
+            composite = composite.then(step)
+        return composite
 
     @classmethod
     def from_forward(cls, ctx: GradedContext, forward: dict) -> "CoordinateChange":
@@ -651,10 +656,7 @@ class _Run:
 
     def change(self) -> CoordinateChange:
         """The composite of every step taken, from the source presentation."""
-        composite = CoordinateChange.identity(self.ctx)
-        for step in self.steps:
-            composite = composite.then(step)
-        return composite
+        return CoordinateChange.compose(self.ctx, self.steps)
 
 
 def _rescale(run: _Run, name: str, lead: TruncatedElement, target: int, stage: str) -> None:
@@ -1160,7 +1162,5 @@ def scramble_presentation(
                     ctx, {a: ctx.var(a) + ctx.var(b).scale(coeff)}
                 )
             )
-    composite = CoordinateChange.identity(ctx)
-    for ch in changes:
-        composite = composite.then(ch)
+    composite = CoordinateChange.compose(ctx, changes)
     return composite, composite.transport(pres)

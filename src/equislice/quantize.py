@@ -74,15 +74,15 @@ class HbarPresentation:
     def __init__(self, names, weights, k: int, commutators: dict,
                  invertible=(), order: int = 3):
         self.names = tuple(names)
-        self.weights = tuple(int(w) for w in weights)
+        self.weights = tuple(exact_int(w, "a weight") for w in weights)
         if len(self.weights) != len(self.names):
             raise ValueError("one weight per generator is required")
         if len(set(self.names)) != len(self.names):
             raise ValueError("generator names must be distinct")
-        self.k = int(k)
-        if order < 1:
+        self.k = exact_int(k, "k")
+        self.order = exact_int(order, "the hbar truncation order")
+        if self.order < 1:
             raise ValueError("the hbar truncation order must be positive")
-        self.order = int(order)
         self.invertible = frozenset(invertible)
         unknown = self.invertible - set(self.names)
         if unknown:

@@ -76,17 +76,60 @@ def _matrix_json(a: Matrix) -> list[list[str]]:
     return [[repr(x) for x in row] for row in a]
 
 
-class GroupData:
-    """A finite matrix group preserving an exact symplectic form.
+def _close(ident: Matrix, gens, cap: int) -> tuple[dict, tuple[array, ...]]:
+    """The breadth-first closure of the generators from the identity:
+    the index of each element, in closure order, and the rows of the
+    multiplication table, row i listing i*j by j.
 
-    Elements are stored as hashable tuples of field entries, with the
-    identity present; the generators are element indices and must
-    generate exactly the listed elements.  The element order is the
-    closure order from the generators, so it is deterministic; products
-    and inverses are read from a Cayley table of element indices, and
+    Each product h*g_k of an element and a generator is formed once.  It
+    fills row h of right multiplication by the generators and, when it
+    is new, writes the new element j as h times g_k; then i*j is
+    (i*h)*g_k, one lookup once row i holds i*h."""
+    index = {ident: 0}
+    elements = [ident]
+    right = []
+    steps = []
+    for h, a in enumerate(elements):  # the list grows as it is walked
+        row = []
+        for k, g in enumerate(gens):
+            p = _mat_mul(a, g)
+            j = index.setdefault(p, len(elements))
+            if j == len(elements):
+                elements.append(p)
+                steps.append((j, h, k))
+                if len(elements) > cap:
+                    raise ValueError(
+                        f"group closure exceeded {cap} elements; the "
+                        "generators may not generate a finite group"
+                    )
+            row.append(j)
+        right.append(row)
+    n = len(elements)
+    rows = []
+    for i in range(n):
+        row = [i] * n
+        for j, h, k in steps:
+            row[j] = right[row[h]][k]
+        rows.append(array("I", row))
+    return index, tuple(rows)
+
+
+class GroupData:
+    """A finite matrix group preserving an exact symplectic form, closed
+    from its generating matrices.
+
+    One breadth-first pass from the identity forms each product of an
+    element and a generator once; it fixes the element order (the
+    closure order, so it is deterministic) and yields the Cayley table
+    of element indices, from which products and inverses are read.  The
+    generators are checked to preserve the form, which makes every
+    element preserve it, since the arithmetic is exact.  The closure
+    aborts once it exceeds `cap` elements, the sign that the generators
+    do not generate a finite group.  `generators` holds the element
+    indices of the generating matrices, the identity is element 0, and
     conjugacy classes are sorted index tuples."""
 
-    def __init__(self, field: CycloField, omega, elements, generators):
+    def __init__(self, field: CycloField, omega, generators, cap: int = 512):
         self.field = field
         self.omega = _matrix(field, omega)
         self.dim = len(self.omega)
@@ -100,68 +143,20 @@ class GroupData:
             raise ValueError("the symplectic form must be skew")
         if rank([list(r) for r in self.omega]) != self.dim:
             raise ValueError("the symplectic form must be nondegenerate")
-        self.elements: tuple[Matrix, ...] = tuple(elements)
-        self.generators = tuple(generators)
-        self._index = {g: i for i, g in enumerate(self.elements)}
-        if len(self._index) != len(self.elements):
-            raise ValueError("duplicate group elements")
-        if any(not isinstance(k, int) or not 0 <= k < self.order
-               for k in self.generators):
-            raise ValueError(
-                "the generators must be indices of listed elements"
-            )
+        gens = [_matrix(field, g) for g in generators]
+        for i, g in enumerate(gens):
+            if len(g) != self.dim or any(len(r) != self.dim for r in g):
+                raise ValueError(f"generator {i} does not match the form size")
+            if _mat_mul(_mat_mul(_transpose(g), self.omega), g) != self.omega:
+                raise ValueError(f"generator {i} does not preserve the form")
         ident = _identity_matrix(field, self.dim)
-        if ident not in self._index:
-            raise ValueError("the identity is missing from the element list")
-        self.identity = self._index[ident]
-        for i, g in enumerate(self.elements):
-            if not self._preserves_form(g):
-                raise ValueError(f"element {i} does not preserve the form")
-        self._table = self._cayley_table()
+        self._index, self._table = _close(ident, gens, cap)
+        self.elements: tuple[Matrix, ...] = tuple(self._index)
+        self.identity = 0
+        self.generators = tuple(self._index[g] for g in gens)
         self._inverse = tuple(row.index(self.identity) for row in self._table)
         self.classes = self._conjugacy_classes()
         self._fixed: dict[int, tuple[Vector, ...]] = {}
-
-    def _preserves_form(self, g: Matrix) -> bool:
-        return _mat_mul(_mat_mul(_transpose(g), self.omega), g) == self.omega
-
-    def _cayley_table(self) -> tuple[array, ...]:
-        """Rows of the multiplication table, row i listing i*j by j.
-
-        Only right multiplication by the generators forms matrix
-        products, |G| times s of them.  A breadth-first search from the
-        identity writes every element j as parent(j) times a generator
-        k, so i*j = (i*parent(j))*k is one lookup in that product table
-        once row i holds i*parent(j)."""
-        n = self.order
-        gens = [self.elements[k] for k in self.generators]
-        right = []
-        for i, g in enumerate(self.elements):
-            products = [self._index.get(_mat_mul(g, h)) for h in gens]
-            if None in products:
-                raise ValueError(
-                    f"element {i} times a generator is not in the list"
-                )
-            right.append(products)
-        word = {self.identity: None}
-        queue = [self.identity]
-        for j in queue:
-            for k, p in enumerate(right[j]):
-                if p not in word:
-                    word[p] = (j, k)
-                    queue.append(p)
-        if len(queue) != n:
-            raise ValueError(
-                "the generators do not reach every listed element"
-            )
-        steps = [(j, *word[j]) for j in queue[1:]]
-        rows = []
-        for i in range(n):
-            row = [i] * n
-            for j, parent, k in steps:
-                row[j] = right[row[parent]][k]
-            rows.append(array("I", row))
-        return tuple(rows)
 
     def _conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         seen: set[int] = set()
@@ -233,9 +228,8 @@ def close_group(generators, omega, field: CycloField | None = None,
     """Close a generating set of exact symplectic matrices into a group.
 
     The field defaults to the common field of any cyclotomic entry, or
-    to the rationals when every entry is an integer or Fraction.  The
-    closure aborts once it exceeds `cap` elements, the sign that the
-    generators do not generate a finite group."""
+    to the rationals when every entry is an integer or Fraction; the
+    closure and its `cap` are those of `GroupData`."""
     if field is None:
         for g in generators:
             for row in g:
@@ -245,33 +239,7 @@ def close_group(generators, omega, field: CycloField | None = None,
                         break
     if field is None:
         field = CycloField(1)
-    omega_m = _matrix(field, omega)
-    dim = len(omega_m)
-    gens = [_matrix(field, g) for g in generators]
-    for i, g in enumerate(gens):
-        if len(g) != dim or any(len(r) != dim for r in g):
-            raise ValueError(f"generator {i} does not match the form size")
-        if _mat_mul(_mat_mul(_transpose(g), omega_m), g) != omega_m:
-            raise ValueError(f"generator {i} does not preserve the form")
-    ident = _identity_matrix(field, dim)
-    position = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for g in gens:
-                p = _mat_mul(h, g)
-                if p not in position:
-                    position[p] = len(position)
-                    nxt.append(p)
-                    if len(position) > cap:
-                        raise ValueError(
-                            f"group closure exceeded {cap} elements; the "
-                            "generators may not generate a finite group"
-                        )
-        frontier = nxt
-    return GroupData(field, omega_m, tuple(position),
-                     [position[g] for g in gens])
+    return GroupData(field, omega, generators, cap)
 
 
 def _basis(field: CycloField, rows, keys) -> tuple[Vector, ...]:

@@ -33,7 +33,7 @@ import re
 from fractions import Fraction
 from operator import add, itemgetter
 
-from .scalars import CycloNumber, Q
+from .scalars import CycloNumber, Q, exact_int
 
 
 def _jorder_function(idx):
@@ -70,10 +70,10 @@ class GradedContext:
         order: int = 6,
     ):
         self.variables = tuple(variables)
-        self.weights = tuple(int(w) for w in weights)
+        self.weights = tuple(exact_int(w, "a weight") for w in weights)
         self.invertible = frozenset(invertible)
         self.filtration = frozenset(filtration)
-        self.order = int(order)
+        self.order = exact_int(order, "the truncation order")
         if len(self.variables) != len(set(self.variables)):
             raise ValueError("duplicate variable names")
         if len(self.weights) != len(self.variables):

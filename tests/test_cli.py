@@ -345,3 +345,69 @@ def test_only_failed_conic_relations_exit_one():
     assert status == 1 and report["ok"] is False
     status, report = invoke("quantize slice", dict(doc, truncation=0))
     assert status == 2 and "positive" in report["error"]
+
+
+def test_inexact_weights_and_orders_are_refused():
+    document = {"variables": ["x", "y"], "weights": [1.5, 1], "table": {"x,y": "1"}}
+    status, report = invoke("poisson gradings", document)
+    assert status == 2 and "weight" in report["error"]
+    status, report = invoke("poisson gradings", dict(document, weights=[1, 1]))
+    assert status == 0 and report["weights"] == [1, 1]
+    status, report = invoke(
+        "quantize build", {"family": "weyl", "pairs": 1, "k": 1, "order": 2.5}
+    )
+    assert status == 2 and "'order'" in report["error"]
+    status, report = invoke(
+        "quantize build",
+        {"family": "enveloping", "names": ["x"], "constants": {}, "weights": [0.5]},
+    )
+    assert status == 2 and "weight" in report["error"]
+
+
+GROUP = {"omega": [[0, 1], [-1, 0]], "generators": [[[-1, 0], [0, -1]]],
+         "cyclotomic_order": 1, "cap": 4}
+CENTER = {"builder": "kleinian", "n": 2, "weight_window": [0, 0], "degree_cap": 2}
+QUANTUM_SLICE = {
+    "presentation": {"family": "differential", "n": 2, "k": 1},
+    "t_lift": "t", "z_lifts": ["z1", "z2"], "window": [0, 0], "truncation": 2,
+    "degree_cap": 1,
+}
+INTEGER_FIELDS = [
+    ("poisson degree", {"builder": "kleinian", "n": 2}, "n"),
+    ("poisson degree", {"builder": "standard", "n": 1, "k": 1}, "k"),
+    ("poisson degree", {"builder": "standard", "n": 1, "k": 1, "ell": 1}, "ell"),
+    ("poisson degree", {"builder": "kleinian-product", "n": 1, "slice_n": 2}, "slice_n"),
+    ("poisson degree", {"builder": "kleinian", "n": 2, "order": 4}, "order"),
+    ("poisson degree", dict(CYCLIC_TABLE, order=4), "order"),
+    ("quantize build", {"family": "weyl", "pairs": 1, "k": 1}, "pairs"),
+    ("quantize build", {"family": "differential", "n": 1, "k": 1, "order": 2}, "order"),
+    ("quantize build", {"family": "enveloping", "names": ["x"], "constants": {}, "k": 1}, "k"),
+    ("quotient reflections", {"builder": "cyclic", "n": 2}, "n"),
+    ("quotient reflections", GROUP, "cap"),
+    ("quotient reflections", GROUP, "cyclotomic_order"),
+    ("darboux slice", {"builder": "kleinian-product", "n": 1, "slice_n": 2,
+                       "weight": 2, "degree_cap": 1}, "weight"),
+    ("quantize slice", QUANTUM_SLICE, "truncation"),
+    ("quantize slice", QUANTUM_SLICE, "degree_cap"),
+    ("quantize slice", QUANTUM_SLICE, ("window", 0)),
+    ("poisson center", CENTER, "degree_cap"),
+    ("poisson center", CENTER, ("weight_window", 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "command, document, key", INTEGER_FIELDS,
+    ids=[f"{command}-{key}" for command, _doc, key in INTEGER_FIELDS],
+)
+def test_integer_document_fields_are_refused_unless_integers(command, document, key):
+    status, report = invoke(command, document)
+    assert status in (0, 1) and "error" not in report
+    for bad in ("2", 2.0, True):
+        if isinstance(key, tuple):
+            name, position = key
+            value = list(document[name])
+            value[position] = bad
+        else:
+            name, value = key, bad
+        status, report = invoke(command, dict(document, **{name: value}))
+        assert status == 2 and repr(name) in report["error"], (bad, report)

@@ -63,6 +63,11 @@ def test_from_forward_inverts_and_composes():
     assert both.verify() == []
     sample = t * u + z1**2
     assert both.to_new(sample) == c2.to_new(c1.to_new(sample))
+    composed = CoordinateChange.compose(ctx, [c1, c2])
+    assert (composed.forward, composed.inverse) == (both.forward, both.inverse)
+    assert CoordinateChange.compose(ctx, []).is_identity()
+    three = CoordinateChange.compose(ctx, [c1, c2, c1])
+    assert three.to_new(sample) == c1.to_new(both.to_new(sample))
 
 
 def test_transport_raises_each_image_to_each_power_once(monkeypatch):

@@ -40,6 +40,19 @@ def non_jacobi_rules() -> HbarPresentation:
 # -- construction guards ---------------------------------------------------
 
 
+def test_presentation_integers_must_be_exact():
+    rules = {("x", "y"): [(Q(1), 1, {})]}
+    for weights, k, order, what in (((1.5, 1), 1, 3, "weight"),
+                                    ((1, 1), 0.5, 3, "k"),
+                                    ((1, 1), 1, 2.5, "order"),
+                                    ((1, 1), 1, "3", "order")):
+        with pytest.raises(ValueError, match=what):
+            HbarPresentation(("x", "y"), weights, k, rules, order=order)
+    algebra = HbarPresentation(("x", "y"), (Q(1), 1), Q(2), rules, order=Q(3))
+    assert (algebra.weights, algebra.k, algebra.order) == ((1, 1), 2, 3)
+    assert type(algebra.order) is int
+
+
 def test_invertible_generators_must_come_first():
     with pytest.raises(ValueError, match="come first"):
         HbarPresentation(("u", "t"), (0, 1), 1, {}, invertible=("t",))

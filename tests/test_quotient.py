@@ -48,16 +48,21 @@ def _mat_mul(a, b):
     )
 
 
-def _g_m12(m, field=None):
-    """G(m,1,2) on C^2 plus its dual: a diagonal m-th root of unity and
-    the coordinate swap."""
-    field = field or CycloField(m)
+def _g_m12_generators(m, field):
+    """Generators of G(m,1,2) on C^2 plus its dual: a diagonal m-th root
+    of unity and the coordinate swap."""
     z, one, zero = field.zeta() ** (field.order // m), field.one(), field.zero()
     diag = ((z, zero, zero, zero), (zero, one, zero, zero),
             (zero, zero, z ** (m - 1), zero), (zero, zero, zero, one))
     swap = ((zero, one, zero, zero), (one, zero, zero, zero),
             (zero, zero, zero, one), (zero, zero, one, zero))
-    return close_group([diag, swap], G_M12_FORM, field=field, cap=64)
+    return [diag, swap]
+
+
+def _g_m12(m, field=None):
+    field = field or CycloField(m)
+    return close_group(_g_m12_generators(m, field), G_M12_FORM, field=field,
+                       cap=64)
 
 
 def _binary_dihedral(order):
@@ -171,19 +176,57 @@ def test_conjugacy_classes_match_conjugation_by_matrices(all_groups):
         assert group.classes == tuple(sorted(classes))
 
 
-def test_group_data_refuses_elements_its_generators_miss():
-    group = pairwise_sign_action()
-    for gens in ((1,), ()):
-        with pytest.raises(ValueError, match="do not reach"):
-            GroupData(group.field, DOUBLE_PLANE_FORM, group.elements, gens)
+def test_group_data_closes_its_generators():
     four = cyclic_plane_action(4)
-    without_one = [g for i, g in enumerate(four.elements) if i != 2]
-    with pytest.raises(ValueError, match="not in the list"):
-        GroupData(four.field, PLANE_FORM, without_one, (1,))
-    with pytest.raises(ValueError, match="indices"):
-        GroupData(four.field, PLANE_FORM, four.elements, (4,))
-    rebuilt = GroupData(four.field, PLANE_FORM, four.elements, four.generators)
-    assert rebuilt.as_json() == four.as_json()
+    gens = [four.element(k) for k in four.generators]
+    assert GroupData(four.field, PLANE_FORM, gens).as_json() == four.as_json()
+
+
+def test_closure_forms_each_product_once(monkeypatch):
+    """One product per element and generator, plus the two products of
+    each generator's form check: |G|*s + 2s matrix products in all."""
+    field = CycloField(3)
+    gens = _g_m12_generators(3, field)
+    calls = []
+    product = quotient._mat_mul
+
+    def counted(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(quotient, "_mat_mul", counted)
+    group = close_group(gens, G_M12_FORM, field=field, cap=64)
+    assert group.order == 18
+    assert len(calls) == 18 * 2 + 2 * 2 == 40
+
+
+def test_closure_edge_cases():
+    rot = cyclic_plane_action(3)
+    field, gen = rot.field, rot.element(rot.generators[0])
+    one = rot.element(rot.identity)
+
+    def table(group):
+        return [[group.multiply(i, j) for j in range(group.order)]
+                for i in range(group.order)]
+
+    with_one = close_group([one, gen], PLANE_FORM, field=field)
+    assert with_one.elements == rot.elements
+    assert with_one.generators == (0, rot.generators[0])
+    assert table(with_one) == table(rot)
+    twice = close_group([gen, gen], PLANE_FORM, field=field)
+    assert twice.elements == rot.elements
+    assert twice.generators == rot.generators * 2
+    assert table(twice) == table(rot)
+    trivial = close_group([], PLANE_FORM, field=field)
+    assert trivial.order == 1 and trivial.generators == ()
+    assert trivial.classes == ((0,),)
+    assert trivial.multiply(0, 0) == trivial.inverse(0) == trivial.identity
+    group = _binary_dihedral(12)
+    gens = [group.element(k) for k in group.generators]
+    exact = close_group(gens, PLANE_FORM, field=group.field, cap=12)
+    assert exact.as_json() == group.as_json()
+    with pytest.raises(ValueError, match="exceeded 11 elements"):
+        close_group(gens, PLANE_FORM, field=group.field, cap=11)
 
 
 def test_groups_agree_over_a_larger_field():

@@ -19,6 +19,16 @@ def make_ctx(order=6):
     )
 
 
+def test_context_integers_must_be_exact():
+    for weights, order, what in (((1.5, 1), 6, "weight"), ((True, 1), 6, "weight"),
+                                 ((1, 1), 2.5, "order"), ((1, 1), "6", "order")):
+        with pytest.raises(ValueError, match=what):
+            GradedContext(("x", "y"), weights, order=order)
+    ctx = GradedContext(("x", "y"), (Fraction(2), 1), order=Fraction(4))
+    assert ctx.weights == (2, 1) and type(ctx.weights[0]) is int
+    assert ctx.order == 4 and type(ctx.order) is int
+
+
 def test_truncation_drops_high_jorder():
     ctx = make_ctx(order=4)
     u = ctx.var("u")
