@@ -165,9 +165,9 @@ def load_poisson(doc: dict, order=None) -> PoissonPresentation:
             raise InputError(f"table keys look like 'a,b', got {key!r}")
         table[pair] = ctx.parse(text)
     relations = tuple(ctx.parse(r) for r in doc.get("relations", ()))
-    return PoissonPresentation(
-        ctx, table, relations=relations, degree=doc.get("degree")
-    )
+    # an absent degree is undeclared, a present one an integer
+    degree = _int_field(doc, "degree") if "degree" in doc else None
+    return PoissonPresentation(ctx, table, relations=relations, degree=degree)
 
 
 def _cyclo_entry(fld: CycloField, value):
@@ -220,7 +220,12 @@ def load_quantum(doc: dict, order=None):
             _int_field(doc, "pairs"), _int_field(doc, "k"), order=pick
         )
     if family == "sl2":
-        return sl2_enveloping(order=pick, localized=doc.get("localized", False))
+        localized = doc.get("localized", False)
+        if type(localized) is not bool:
+            raise InputError(
+                f"the 'localized' field must be true or false, got {localized!r}"
+            )
+        return sl2_enveloping(order=pick, localized=localized)
     if family == "enveloping":
         constants = {}
         for key, row in _need(doc, "constants").items():

@@ -13,6 +13,15 @@ Inverse letters of invertible generators rewrite through the push-down
 identity [a, b^-1] = -b^-1 [a,b] b^-1, expanded to the truncation
 order; the corrections' hbar factors make the expansion finite.
 
+Products are formed term pair by term pair.  A pair none of whose
+crossing letters has a rule is the merged monomial; any other pair is
+straightened letter by letter once and its normal form kept in a memo
+that the caller scopes to one computation (quantized_slice shares one
+across its whole call).  The rules are fixed and confluent, so a pair's
+normal form never changes, and a cached pair costs the rewrite steps it
+cost when it was first straightened: whether a step budget runs out
+never depends on what the memo holds.
+
 The built-in families quantize the standard conic symplectic
 structures: the dilation-invariant differential operators on a torus
 times affine space, with the relation [t,u] = hbar*t^(1-k) and one
@@ -42,6 +51,15 @@ from .scalars import Q, exact_int
 
 class ConicRelationError(ValueError):
     """Lifts of a quantized slice that fail the conic relations."""
+
+
+def _charge(budget: list, steps: int) -> None:
+    budget[0] -= steps
+    if budget[0] < 0:
+        raise RewriteLimitError(
+            "rewriting exceeded the step budget; raise "
+            "EQUISLICE_MAX_STEPS if the input is this large"
+        )
 
 
 def element_add(a: dict, b: dict) -> dict:
@@ -113,7 +131,10 @@ class HbarPresentation:
                     )
             if elem:
                 self.commutators[(i, j)] = elem
-        self._corr_cache: dict[tuple[int, int, int, int], dict] = {}
+        # (i, ei, j, ej) -> the signed correction rows of swapping the
+        # letters g_j^ej and g_i^ei (see _swap_rows); the rules are fixed,
+        # so the rows stay valid for the presentation's life
+        self._corr_cache: dict[tuple[int, int, int, int], tuple] = {}
         self._corr_building: set[tuple[int, int, int, int]] = set()
 
     # -- element construction ------------------------------------------------
@@ -212,42 +233,42 @@ class HbarPresentation:
         stack = [(tuple(letters), hpow, coeff)]
         while stack:
             word, p, c = stack.pop()
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise RewriteLimitError(
-                    "rewriting exceeded the step budget; raise "
-                    "EQUISLICE_MAX_STEPS if the input is this large"
-                )
-            spots = [
-                m for m in range(len(word) - 1) if word[m][0] > word[m + 1][0]
-            ]
-            if not spots:
+            _charge(budget, 1)
+            spots = range(len(word) - 1)
+            if strategy != "first":
+                spots = reversed(spots)
+            m = next(
+                (m for m in spots if word[m][0] > word[m + 1][0]), None
+            )
+            if m is None:
                 self._collect(word, p, c, out)
                 continue
-            m = spots[0] if strategy == "first" else spots[-1]
             (j, ej), (i, ei) = word[m], word[m + 1]
-            stack.append(
-                (word[:m] + ((i, ei), (j, ej)) + word[m + 2:], p, c)
-            )
-            for (p2, mono2), c2 in self._signed_commutator(j, ej, i, ei).items():
-                if p + p2 >= self.order:
-                    continue
-                stack.append(
-                    (word[:m] + self._letters(mono2) + word[m + 2:],
-                     p + p2, c * c2)
-                )
+            head, tail = word[:m], word[m + 2:]
+            stack.append((head + ((i, ei), (j, ej)) + tail, p, c))
+            for p2, letters2, c2 in self._swap_rows(j, ej, i, ei):
+                if p + p2 < self.order:
+                    stack.append((head + letters2 + tail, p + p2, c * c2))
 
-    def _signed_commutator(self, j: int, ej: int, i: int, ei: int) -> dict:
-        # [g_j^ej, g_i^ei] for j > i, the correction when they swap
-        return element_scale(self._pair_commutator(i, ei, j, ej), -1)
+    def _swap_rows(self, j: int, ej: int, i: int, ei: int) -> tuple:
+        # [g_j^ej, g_i^ei] for j > i, the correction when they swap, as
+        # (hbar power, letters, coefficient) rows
+        key = (i, ei, j, ej)
+        rows = self._corr_cache.get(key)
+        if rows is None:
+            rows = tuple(
+                (p, self._letters(mono), -c)
+                for (p, mono), c in self._pair_commutator(i, ei, j, ej).items()
+            )
+            self._corr_cache[key] = rows
+        return rows
 
     def _pair_commutator(self, i: int, ei: int, j: int, ej: int) -> dict:
-        base = self.commutators.get((i, j))
-        if not base:
-            return {}
+        # [g_i^ei, g_j^ej] for i < j, pushed down through inverse letters
+        out = self.commutators.get((i, j), {})
+        if not out or (ei > 0 and ej > 0):
+            return out
         key = (i, ei, j, ej)
-        if key in self._corr_cache:
-            return self._corr_cache[key]
         if key in self._corr_building:
             raise RewriteLimitError(
                 "inverse rule expansion is cyclic for "
@@ -255,7 +276,6 @@ class HbarPresentation:
             )
         self._corr_building.add(key)
         try:
-            out = base
             if ei < 0:
                 ai = self.var(self.names[i], -1)
                 out = element_scale(
@@ -268,26 +288,86 @@ class HbarPresentation:
                 )
         finally:
             self._corr_building.discard(key)
-        self._corr_cache[key] = out
         return out
 
-    def multiply(self, a: dict, b: dict, budget=None) -> dict:
+    def _term_product(self, m1, m2, p: int, budget, memo: dict) -> tuple:
+        """The normal form of the term pair hbar^p*m1*m2, charged to the
+        budget, as one flat tuple (steps, key, coeff, key, coeff, ...)
+        with unit input coefficient.
+
+        steps is what the letter-by-letter straighten spends on the pair.
+        When no crossing letter pair (a letter of m1 above one of m2) has
+        a rule, that is one step per crossing plus the final collect, and
+        the form is the merged monomial.  Otherwise the pair is looked up
+        in the memo under (m1, m2, p), and straightened and stored there
+        on a miss.  The memo also maps each (hbar power, monomial) key it
+        stores to itself, so that equal keys share one tuple; term-pair
+        keys are triples and never collide with them."""
+        steps = 1
+        for j, ej in m1:
+            for i, ei in m2:
+                if i < j:
+                    if (i, j) in self.commutators:
+                        return self._memo_product(m1, m2, p, budget, memo)
+                    steps += abs(ej * ei)
+        _charge(budget, steps)
+        exps = dict(m1)
+        for i, e in m2:
+            exps[i] = exps.get(i, 0) + e
+        mono = tuple(sorted((i, e) for i, e in exps.items() if e))
+        return (steps, (p, mono), 1)
+
+    def _memo_product(self, m1, m2, p: int, budget, memo: dict) -> tuple:
+        entry = memo.get((m1, m2, p))
+        if entry is not None:
+            _charge(budget, entry[0])
+            return entry
+        # straightened against the caller's budget, so that a runaway pair
+        # still stops where the budget runs out
+        before = budget[0]
+        form: dict = {}
+        self._straighten(
+            self._letters(m1) + self._letters(m2), p, Q(1), form, budget
+        )
+        entry = [before - budget[0]]
+        for key, c in form.items():
+            entry.append(memo.setdefault(key, key))
+            entry.append(c.numerator if c.denominator == 1 else c)
+        entry = memo[(m1, m2, p)] = tuple(entry)
+        return entry
+
+    def multiply(self, a: dict, b: dict, budget=None, memo=None) -> dict:
+        """The normal form of a*b.
+
+        memo, when given, is a dict shared by the calls of one computation
+        on this presentation: the term pairs of every call are looked up
+        and stored there (see _term_product).  A term pair costs the steps
+        it cost when it was first straightened, so whether the budget
+        runs out depends on the call alone, not on what the memo holds."""
         out: dict = {}
         state = [max_steps() if budget is None else budget]
+        memo = {} if memo is None else memo
+        zero = Q(0)
         for (p1, m1), c1 in a.items():
             for (p2, m2), c2 in b.items():
-                if p1 + p2 >= self.order:
+                p = p1 + p2
+                if p >= self.order:
                     continue
-                self._straighten(
-                    self._letters(m1) + self._letters(m2),
-                    p1 + p2, c1 * c2, out, state,
-                )
+                c = c1 * c2
+                entry = self._term_product(m1, m2, p, state, memo)
+                for n in range(1, len(entry), 2):
+                    key, v = entry[n], entry[n + 1]
+                    s = out.get(key, zero) + (c if v == 1 else c * v)
+                    if s:
+                        out[key] = s
+                    else:
+                        out.pop(key, None)
         return out
 
-    def commutator(self, a: dict, b: dict, budget=None) -> dict:
+    def commutator(self, a: dict, b: dict, budget=None, memo=None) -> dict:
         return element_add(
-            self.multiply(a, b, budget=budget),
-            element_scale(self.multiply(b, a, budget=budget), -1),
+            self.multiply(a, b, budget=budget, memo=memo),
+            element_scale(self.multiply(b, a, budget=budget, memo=memo), -1),
         )
 
     def normal_form(self, word, budget=None) -> dict:
@@ -692,9 +772,9 @@ def _slice_monomials(a: HbarPresentation, weight: int, hmax: int,
 
 
 def _vanishes_as_derivation(a: HbarPresentation, lifts, element,
-                            truncation: int) -> bool:
+                            truncation: int, memo: dict) -> bool:
     for lift in lifts:
-        comm = a.commutator(lift, element)
+        comm = a.commutator(lift, element, memo=memo)
         if any(hpow <= truncation for (hpow, _m) in comm):
             return False
     return True
@@ -723,6 +803,8 @@ def quantized_slice(a: HbarPresentation, t_lift, z_lifts, truncation: int,
         a.var(z) if isinstance(z, str) else z for z in z_lifts
     ]
     hbar = a.hbar()
+    # one memo of term-pair normal forms for every product of this call
+    memo: dict = {}
 
     def residue_visible(elem):
         return {
@@ -731,7 +813,7 @@ def quantized_slice(a: HbarPresentation, t_lift, z_lifts, truncation: int,
 
     problems = []
     for idx, z in enumerate(z_elems):
-        r = residue_visible(a.commutator(t_elem, z))
+        r = residue_visible(a.commutator(t_elem, z, memo=memo))
         if r:
             problems.append(f"[t, z{idx + 1}] = {a.render(r)}")
     for idx in range(len(z_elems)):
@@ -739,7 +821,7 @@ def quantized_slice(a: HbarPresentation, t_lift, z_lifts, truncation: int,
             expect = hbar if (idx % 2 == 0 and jdx == idx + 1) else {}
             r = residue_visible(
                 element_add(
-                    a.commutator(z_elems[idx], z_elems[jdx]),
+                    a.commutator(z_elems[idx], z_elems[jdx], memo=memo),
                     element_scale(expect, -1),
                 )
             )
@@ -763,7 +845,7 @@ def quantized_slice(a: HbarPresentation, t_lift, z_lifts, truncation: int,
             cand = {(hpow, mono): Q(1)}
             col = {}
             for li, lift in enumerate(lifts):
-                for (p, m), c in a.commutator(lift, cand).items():
+                for (p, m), c in a.commutator(lift, cand, memo=memo).items():
                     if p <= truncation:
                         col[(li, p, m)] = c
             columns.append(col)
@@ -784,8 +866,10 @@ def quantized_slice(a: HbarPresentation, t_lift, z_lifts, truncation: int,
             for v1 in vs1:
                 for v2 in vs2:
                     pairs_checked += 1
-                    prod = a.multiply(v1, v2)
-                    if not _vanishes_as_derivation(a, lifts, prod, truncation):
+                    prod = a.multiply(v1, v2, memo=memo)
+                    if not _vanishes_as_derivation(
+                        a, lifts, prod, truncation, memo
+                    ):
                         closure_failures.append({
                             "weights": [w1, w2],
                             "product": a.render(prod),
@@ -796,7 +880,7 @@ def quantized_slice(a: HbarPresentation, t_lift, z_lifts, truncation: int,
         "failures": closure_failures,
     }
 
-    candidates = _generator_candidates(a, basis, truncation)
+    candidates = _generator_candidates(a, basis, truncation, memo)
     return QuantSliceResult(
         a, truncation, tuple(weight_window), degree_cap, basis, candidates,
         closure,
@@ -826,7 +910,7 @@ def _is_laurent_seed(a: HbarPresentation, elem: dict) -> bool:
     )
 
 
-def _generator_candidates(a, basis, truncation):
+def _generator_candidates(a, basis, truncation, memo):
     """Basis elements not spanned by products of earlier ones.
 
     The pure Laurent kernel vectors (monomials in the invertible
@@ -874,7 +958,7 @@ def _generator_candidates(a, basis, truncation):
                     if w not in keys or (i, j) in multiplied:
                         continue
                     multiplied.add((i, j))
-                    if absorb(w, a.multiply(e1, e2)):
+                    if absorb(w, a.multiply(e1, e2, memo=memo)):
                         grew = True
 
     for w, vs in basis.items():

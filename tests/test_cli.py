@@ -364,6 +364,27 @@ def test_inexact_weights_and_orders_are_refused():
     assert status == 2 and "weight" in report["error"]
 
 
+def test_localized_must_be_a_json_boolean():
+    for flag, generators in ((False, ["e", "f", "h"]), (True, ["f", "e", "h"])):
+        status, report = invoke("quantize build", {"family": "sl2", "localized": flag})
+        assert status == 0 and report["presentation"]["generators"] == generators
+    for bad in ("false", "true", 0, 1, None):
+        status, report = invoke("quantize build", {"family": "sl2", "localized": bad})
+        assert status == 2 and "'localized'" in report["error"], (bad, report)
+
+
+def test_declared_degree_must_be_an_integer():
+    status, report = invoke("poisson gradings", CYCLIC_TABLE)
+    assert status == 0 and report["declared_degree"] is None
+    status, report = invoke("poisson gradings", dict(CYCLIC_TABLE, degree=-1))
+    assert status == 0 and report["declared_degree"] == -1
+    for bad in (1.5, "2", True, None):
+        status, report = invoke("poisson gradings", dict(CYCLIC_TABLE, degree=bad))
+        assert status == 2 and "'degree'" in report["error"], (bad, report)
+    status, report = invoke("poisson degree", dict(CYCLIC_TABLE, degree="2"))
+    assert status == 2 and "'degree'" in report["error"]
+
+
 GROUP = {"omega": [[0, 1], [-1, 0]], "generators": [[[-1, 0], [0, -1]]],
          "cyclotomic_order": 1, "cap": 4}
 CENTER = {"builder": "kleinian", "n": 2, "weight_window": [0, 0], "degree_cap": 2}

@@ -1,6 +1,7 @@
 """Rewriting normal forms, confluence, and quantized slice kernels."""
 
 import json
+import random
 
 import pytest
 
@@ -139,6 +140,104 @@ def test_step_budget_exhaustion_raises():
     a = differential_family(1, 2, order=3)
     with pytest.raises(RewriteLimitError, match="step budget"):
         a.normal_form([("u", 3), ("t", 3)], budget=4)
+
+
+# -- the term-pair memo of multiply -------------------------------------------
+
+
+def straightened_product(a, x, y, budget):
+    """x*y pushed letter by letter through _straighten, one term pair at a
+    time with no memo and no shortcut, and the steps that took."""
+    out: dict = {}
+    state = [budget]
+    for (p1, m1), c1 in x.items():
+        for (p2, m2), c2 in y.items():
+            if p1 + p2 < a.order:
+                a._straighten(
+                    a._letters(m1) + a._letters(m2), p1 + p2, c1 * c2, out,
+                    state,
+                )
+    return out, budget - state[0]
+
+
+def so3_enveloping(order):
+    return enveloping_family(
+        ("x", "y", "z"),
+        {("x", "y"): {"z": 1}, ("y", "z"): {"x": 1}, ("x", "z"): {"y": -1}},
+        order=order,
+    )
+
+
+MEMO_ALGEBRAS = {
+    "differential(2,2)": lambda: differential_family(2, 2, order=3),
+    "differential(1,3)": lambda: differential_family(1, 3, order=4),
+    "weyl(2,1)": lambda: weyl_family(2, 1, order=3),
+    "sl2": lambda: sl2_enveloping(order=3),
+    "localized sl2": lambda: sl2_enveloping(order=4, localized=True),
+    "so3": lambda: so3_enveloping(order=3),
+}
+
+
+def random_element(a, rng, monomials):
+    """A few terms over a small monomial pool, so that one monomial comes
+    back at several hbar powers, with powers weighted towards the order."""
+    elem: dict = {}
+    for _ in range(rng.randint(1, 3)):
+        hpow = rng.choice([0, 0, a.order - 2, a.order - 1, a.order - 1])
+        coeff = Q(rng.choice([1, -1, 2, -3]), rng.choice([1, 1, 2]))
+        elem[(hpow, rng.choice(monomials))] = coeff
+    return elem
+
+
+def monomial_pool(a, rng):
+    pool = []
+    for _ in range(4):
+        mono = {}
+        for i in rng.sample(range(len(a.names)), rng.randint(1, 2)):
+            inverse = a.names[i] in a.invertible and rng.random() < 0.5
+            mono[i] = rng.choice([-2, -1]) if inverse else rng.choice([1, 2])
+        pool.append(tuple(sorted(mono.items())))
+    return pool
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_ALGEBRAS))
+def test_memo_multiply_matches_letter_by_letter_straightening(name):
+    a = MEMO_ALGEBRAS[name]()
+    rng = random.Random(f"memo {name}")
+    pool = monomial_pool(a, rng)
+    shared: dict = {}
+    for _ in range(12):
+        x, y = random_element(a, rng, pool), random_element(a, rng, pool)
+        want, steps = straightened_product(a, x, y, 10 ** 9)
+        # the smallest budget that does not raise is the same, on a fresh
+        # memo and on one shared with every earlier product
+        for memo in ({}, shared):
+            assert a.multiply(x, y, budget=steps, memo=memo) == want
+            if steps:
+                with pytest.raises(RewriteLimitError, match="step budget"):
+                    a.multiply(x, y, budget=steps - 1, memo=memo)
+        assert a.multiply(x, y) == want
+
+
+def test_cached_term_pairs_cost_their_first_steps():
+    a = sl2_enveloping(order=4, localized=True)
+    casimir = sl2_casimir_element(a)
+    shifted = a.multiply(casimir, a.var("f", -2))
+    want, steps = straightened_product(a, shifted, shifted, 10 ** 9)
+    for budget in (steps - 1, steps):
+        statuses = []
+        warm: dict = {}
+        a.multiply(shifted, shifted, memo=warm)
+        for memo in ({}, warm):
+            try:
+                statuses.append(
+                    a.multiply(shifted, shifted, budget=budget, memo=memo)
+                    == want
+                )
+            except RewriteLimitError:
+                statuses.append("exhausted")
+        expect = True if budget >= steps else "exhausted"
+        assert statuses == [expect, expect], budget
 
 
 def test_weight_bookkeeping():
@@ -389,7 +488,7 @@ def test_generator_search_multiplies_each_pool_pair_once(monkeypatch):
         return multiply(self, x, y, **kwargs)
 
     monkeypatch.setattr(HbarPresentation, "multiply", counting)
-    again = _generator_candidates(a, res.basis, res.truncation)
+    again = _generator_candidates(a, res.basis, res.truncation, {})
     assert again == res.generator_candidates
     assert operands and max(operands.values()) == 1
 
