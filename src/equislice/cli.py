@@ -48,7 +48,7 @@ from .quotient import (
     sra_relation,
     symplectic_reflections,
 )
-from .scalars import CycloField, Q
+from .scalars import CycloField, Q, exact
 from .series import GradedContext
 
 
@@ -116,11 +116,21 @@ def _int_matrix(doc: dict) -> list:
     return matrix
 
 
-def _rational(value) -> Q:
-    try:
-        return Q(value)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise InputError(f"not a rational number: {value!r}") from exc
+def _rational(value, what: str):
+    """value as an exact rational when it is an int (not a bool) or a
+    string such as "3/4"; a JSON float would bring its binary rounding
+    in (0.1 is 3602879701896397/36028797018963968) and a bool is not a
+    number, so both are refused, naming the field."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        try:
+            return exact(Q(value))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"{what} is not a rational number: {value!r}") from exc
+    raise InputError(
+        f"{what} must be an integer or a string such as \"3/4\", got {value!r}"
+    )
 
 
 def load_poisson(doc: dict, order=None) -> PoissonPresentation:
@@ -158,26 +168,40 @@ def load_poisson(doc: dict, order=None) -> PoissonPresentation:
         filtration=doc.get("filtration", ()),
         order=order or _int_field(doc, "order", 6),
     )
+    entries = _need(doc, "table")
+    if not isinstance(entries, dict):
+        raise InputError("the 'table' field must be an object of 'a,b': text entries")
     table = {}
-    for key, text in _need(doc, "table").items():
+    for key, text in entries.items():
         pair = tuple(key.split(","))
         if len(pair) != 2:
             raise InputError(f"table keys look like 'a,b', got {key!r}")
-        table[pair] = ctx.parse(text)
-    relations = tuple(ctx.parse(r) for r in doc.get("relations", ()))
+        table[pair] = ctx.parse(_text(text, f"the table entry {key!r}"))
+    relations = doc.get("relations", [])
+    if not isinstance(relations, list):
+        raise InputError("the 'relations' field must be a list of texts")
+    relations = tuple(ctx.parse(_text(r, "a 'relations' entry")) for r in relations)
     # an absent degree is undeclared, a present one an integer
     degree = _int_field(doc, "degree") if "degree" in doc else None
     return PoissonPresentation(ctx, table, relations=relations, degree=degree)
 
 
-def _cyclo_entry(fld: CycloField, value):
+def _text(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise InputError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _cyclo_entry(fld: CycloField, value, what: str):
+    """A field element: a rational, or a list of rational coefficients of
+    the powers of zeta."""
     if isinstance(value, list):
         z = fld.zeta()
         total = fld.zero()
         for i, c in enumerate(value):
-            total = total + z ** i * _rational(c)
+            total = total + z ** i * _rational(c, what)
         return total
-    return _rational(value)
+    return _rational(value, what)
 
 
 def load_group(doc: dict):
@@ -194,11 +218,14 @@ def load_group(doc: dict):
         raise InputError(f"unknown builder {builder!r}")
     fld = CycloField(_int_field(doc, "cyclotomic_order", 1))
     omega = tuple(
-        tuple(_cyclo_entry(fld, v) for v in row)
+        tuple(_cyclo_entry(fld, v, "an 'omega' entry") for v in row)
         for row in _need(doc, "omega")
     )
     generators = [
-        tuple(tuple(_cyclo_entry(fld, v) for v in row) for row in mat)
+        tuple(
+            tuple(_cyclo_entry(fld, v, "a 'generators' entry") for v in row)
+            for row in mat
+        )
         for mat in _need(doc, "generators")
     ]
     return close_group(
@@ -232,7 +259,9 @@ def load_quantum(doc: dict, order=None):
             pair = tuple(key.split(","))
             if len(pair) != 2:
                 raise InputError(f"constant keys look like 'a,b', got {key!r}")
-            constants[pair] = {g: _rational(c) for g, c in row.items()}
+            constants[pair] = {
+                g: _rational(c, "a 'constants' value") for g, c in row.items()
+            }
         return enveloping_family(
             _need(doc, "names"),
             constants,
@@ -257,7 +286,8 @@ def load_quantum_element(algebra, spec):
         return sl2_casimir_element(algebra)
     if isinstance(spec, list):
         return algebra.from_terms([
-            (_rational(c), _int(h, "an element term's hbar power"),
+            (_rational(c, "an element term's coefficient"),
+             _int(h, "an element term's hbar power"),
              {name: _int(exps[name], "an element term's exponent")
               for name in exps})
             for c, h, exps in spec
@@ -417,11 +447,15 @@ def _quotient_reflections(doc, opts):
 def _quotient_slice(doc, opts):
     group = load_group(doc)
     fld = group.field
-    point = tuple(_cyclo_entry(fld, v) for v in _need(doc, "base_point"))
+    point = tuple(
+        _cyclo_entry(fld, v, "a 'base_point' entry")
+        for v in _need(doc, "base_point")
+    )
     lagrangian = doc.get("lagrangian")
     if lagrangian is not None:
         lagrangian = [
-            tuple(_cyclo_entry(fld, v) for v in vec) for vec in lagrangian
+            tuple(_cyclo_entry(fld, v, "a 'lagrangian' entry") for v in vec)
+            for vec in lagrangian
         ]
     last = None
     for record in parabolic_subgroups(group):
@@ -438,8 +472,8 @@ def _quotient_sra(doc, opts):
     group = load_group(doc)
     fld = group.field
     sra = symplectic_reflections(group)
-    x = tuple(_cyclo_entry(fld, v) for v in _need(doc, "x"))
-    y = tuple(_cyclo_entry(fld, v) for v in _need(doc, "y"))
+    x = tuple(_cyclo_entry(fld, v, "an 'x' entry") for v in _need(doc, "x"))
+    y = tuple(_cyclo_entry(fld, v, "a 'y' entry") for v in _need(doc, "y"))
     relation = sra_relation(group, sra, x, y)
     return 0, {
         "relation": {

@@ -63,7 +63,7 @@ import random
 
 from . import linalg
 from .poisson import PoissonPresentation, VectorFieldRep
-from .scalars import Q
+from .scalars import quo
 from .series import GradedContext, TruncatedElement
 
 
@@ -234,7 +234,7 @@ def apply_exponential(field: VectorFieldRep, f: TruncatedElement, budget: int) -
     acc = f
     term = f
     for i in range(1, budget + 1):
-        term = field.apply(term).scale(Q(1, i))
+        term = field.apply(term).scale(quo(1, i))
         if not term:
             return acc
         acc = acc + term
@@ -525,7 +525,7 @@ def _coupling_move_system(cur, t_name, u_name, slice_names, leaf, horizon):
                 conj = _trusted(-targets[s_other].partial(s) * mono, horizon)
                 for oe, oc in conj.terms.items():
                     key = (sj, oe)
-                    col[key] = col.get(key, Q(0)) + oc
+                    col[key] = col.get(key, 0) + oc
             col = {key: v for key, v in col.items() if v}
             if col:
                 cands.append(("translate", s, mono))
@@ -669,7 +669,7 @@ def _rescale(run: _Run, name: str, lead: TruncatedElement, target: int, stage: s
     exps = [0] * len(ctx.variables)
     exps[ctx.index(run.t)] = target - a
     exps[ctx.index(name)] = 1
-    fwd = ctx.monomial(tuple(exps), coeff ** -1)
+    fwd = ctx.monomial(tuple(exps), quo(1, coeff))
     exps[ctx.index(run.t)] = a - target
     inv = ctx.monomial(tuple(exps), coeff)
     run.apply(CoordinateChange(ctx, {name: fwd}, {name: inv}))
@@ -808,7 +808,7 @@ def enforce_tu(run: _Run) -> int:
                 )
             correction = correction + (
                 ctx.var(u, exp + 1) * coeff_elem
-            ).scale(Q(1, exp + 1))
+            ).scale(quo(1, exp + 1))
         run.apply_forward({u: ctx.var(u) - correction})
         passes += 1
     raise StageError("conjugate-normalize", "the correction iteration did not converge")
@@ -829,7 +829,7 @@ def _split_pairs(run: _Run) -> None:
         b = a + run.k
         if b == 0:
             continue
-        shift = ctx.var(t, b).scale(coeff / b)
+        shift = ctx.var(t, b).scale(quo(coeff, b))
         shifts_fwd[g] = ctx.var(g) + shift
         shifts_inv[g] = ctx.var(g) - shift
     if shifts_fwd:
@@ -1011,7 +1011,7 @@ def _decouple_slice(run: _Run) -> bool:
             c = moves.get(j)
             if not c:
                 continue
-            piece = mono.scale(Q(c))
+            piece = mono.scale(c)
             if kind == "conjugate":
                 forward[u] = forward.get(u, ctx.var(u)) - piece
             else:
@@ -1122,7 +1122,7 @@ def scramble_presentation(
         ]
         if not cands:
             return None
-        coeff = Q(rng.choice([-2, -1, 1, 2]), rng.choice([1, 2]))
+        coeff = quo(rng.choice([-2, -1, 1, 2]), rng.choice([1, 2]))
         return ctx.monomial(rng.choice(cands), coeff)
 
     changes = []
@@ -1156,7 +1156,7 @@ def scramble_presentation(
         ]
         if mixable:
             a, b = mixable[rng.randrange(len(mixable))]
-            coeff = Q(rng.choice([-2, -1, 1, 2]))
+            coeff = rng.choice([-2, -1, 1, 2])
             changes.append(
                 CoordinateChange.from_forward(
                     ctx, {a: ctx.var(a) + ctx.var(b).scale(coeff)}

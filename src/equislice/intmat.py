@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import chain
 
 from . import linalg
-from .scalars import exact_int
+from .scalars import exact, exact_int
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -237,7 +237,7 @@ class IntMatrix:
     def solve_rational(self, b) -> list[Fraction] | None:
         """One rational solution x of self @ x == b, or None if inconsistent.
         Free variables are set to zero."""
-        b = [Fraction(x) for x in b]
+        b = [exact(Fraction(x)) for x in b]
         if len(b) != self.nrows:
             raise ValueError("length mismatch")
         return linalg.solve(self.rows, b)

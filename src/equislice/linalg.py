@@ -1,13 +1,14 @@
 """Exact linear algebra over any field whose elements support +, -, *,
-/, and truth testing (Fraction, CycloNumber), on one sparse elimination
-engine.
+/, and truth testing (int and Fraction, CycloNumber), on one sparse
+elimination engine.
 
 `Echelon` keeps the reduced row echelon form of a span of sparse
 vectors, dicts from keys to field elements, grown one vector at a time.
 Each row pivots on its least key, so the keys fed to one Echelon must be
 mutually orderable, and the stored rows are exactly the canonical RREF of
-the span in key order.  Integer entries are promoted to Fraction so
-division stays exact.
+the span in key order.  Entries follow the int-first rule of
+``scalars``: the one division, by a pivot, is ``scalars.quo``, so an
+integral entry stays an int and no division makes a float.
 
 `rank`, `solve` and `in_span` are thin wrappers for dense matrices,
 plain lists of row lists keyed by column index.  `relations` hands
@@ -17,11 +18,7 @@ their linear relations.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-
-def _promote(x):
-    return Fraction(x) if isinstance(x, int) else x
+from .scalars import quo
 
 
 def _subtract_multiple(vec: dict, f, row: dict) -> None:
@@ -59,7 +56,7 @@ class Echelon:
     def reduce(self, vec: dict) -> dict:
         """vec minus its projection onto the span, as a sparse dict whose
         keys avoid every pivot; empty exactly when vec lies in the span."""
-        out = {key: _promote(c) for key, c in vec.items() if c}
+        out = {key: c for key, c in vec.items() if c}
         for p in [key for key in out if key in self._rows]:
             _subtract_multiple(out, out[p], self._rows[p])
         return out
@@ -73,7 +70,7 @@ class Echelon:
         if not rest:
             return False
         pivot = min(rest)
-        inv = 1 / rest[pivot]
+        inv = quo(1, rest[pivot])
         row = {key: c * inv for key, c in rest.items()}
         for other in self._rows.values():
             if pivot in other:
@@ -106,7 +103,7 @@ def solve(rows, b) -> list | None:
     items = _row_echelon([[*r, b[i]] for i, r in enumerate(rows)]).items()
     if items and items[-1][0] == width:
         return None
-    x = [Fraction(0)] * width
+    x = [0] * width
     for p, row in items:
         if width in row:
             x[p] = row[width]

@@ -25,7 +25,7 @@ import os
 from itertools import product as iter_product
 
 from . import linalg
-from .scalars import Q
+from .scalars import quo
 from .series import GradedContext, TruncatedElement, sum_of_products
 
 DEFAULT_MAX_STEPS = 100000
@@ -143,7 +143,7 @@ class PoissonPresentation:
             exps, lead, lc, rest = hit
             coeff = work.pop(exps)
             quot = tuple(e - l for e, l in zip(exps, lead))
-            factor = -(coeff / lc)
+            factor = -quo(coeff, lc)
             # work += factor * x^quot * rest
             for re, rc in rest.terms.items():
                 key = tuple(q + r for q, r in zip(quot, re))
@@ -243,7 +243,7 @@ class PoissonPresentation:
                 xi.apply(t_ab)
                 - self.bracket(xi.image(a), self.ctx.var(b))
                 - self.bracket(self.ctx.var(a), xi.image(b))
-                - t_ab.scale(Q(k))
+                - t_ab.scale(k)
             )
             res = self.reduce(res)
             if res:

@@ -46,7 +46,7 @@ from itertools import product as iter_product
 # test (perfbench/test_quick.py) checks that it is rebound in this module
 from .linalg import Echelon, in_span, relations
 from .poisson import PoissonPresentation, RewriteLimitError, max_steps
-from .scalars import Q, exact_int
+from .scalars import Q, exact, exact_int, quo
 
 
 class ConicRelationError(ValueError):
@@ -74,7 +74,7 @@ def element_add(a: dict, b: dict) -> dict:
 
 
 def element_scale(a: dict, c) -> dict:
-    c = Q(c)
+    c = exact(Q(c))
     if not c:
         return {}
     return {key: v * c for key, v in a.items()}
@@ -143,12 +143,12 @@ class HbarPresentation:
         return {}
 
     def one(self) -> dict:
-        return {(0, ()): Q(1)}
+        return {(0, ()): 1}
 
     def hbar(self, power: int = 1) -> dict:
         if power >= self.order:
             return {}
-        return {(power, ()): Q(1)}
+        return {(power, ()): 1}
 
     def var(self, name: str, exp: int = 1) -> dict:
         i = self._index[name]
@@ -156,7 +156,7 @@ class HbarPresentation:
             return self.one()
         if exp < 0 and name not in self.invertible:
             raise ValueError(f"{name} is not invertible")
-        return {(0, ((i, exp),)): Q(1)}
+        return {(0, ((i, exp),)): 1}
 
     def from_terms(self, terms) -> dict:
         """Element from (coefficient, hbar power, {name: exponent}) rows."""
@@ -176,7 +176,7 @@ class HbarPresentation:
                     raise ValueError(f"{name} is not invertible")
                 mono.append((self._index[name], e))
             key = (hpow, tuple(mono))
-            s = out.get(key, Q(0)) + Q(coeff)
+            s = exact(out.get(key, 0) + Q(coeff))
             if s:
                 out[key] = s
             else:
@@ -222,7 +222,7 @@ class HbarPresentation:
             e > 0 or self.names[i] in self.invertible for i, e in mono
         ), "negative exponents require invertible generators"
         key = (hpow, tuple(mono))
-        s = out.get(key, Q(0)) + coeff
+        s = out.get(key, 0) + coeff
         if s:
             out[key] = s
         else:
@@ -327,12 +327,12 @@ class HbarPresentation:
         before = budget[0]
         form: dict = {}
         self._straighten(
-            self._letters(m1) + self._letters(m2), p, Q(1), form, budget
+            self._letters(m1) + self._letters(m2), p, 1, form, budget
         )
         entry = [before - budget[0]]
         for key, c in form.items():
             entry.append(memo.setdefault(key, key))
-            entry.append(c.numerator if c.denominator == 1 else c)
+            entry.append(exact(c))
         entry = memo[(m1, m2, p)] = tuple(entry)
         return entry
 
@@ -347,7 +347,6 @@ class HbarPresentation:
         out: dict = {}
         state = [max_steps() if budget is None else budget]
         memo = {} if memo is None else memo
-        zero = Q(0)
         for (p1, m1), c1 in a.items():
             for (p2, m2), c2 in b.items():
                 p = p1 + p2
@@ -357,7 +356,7 @@ class HbarPresentation:
                 entry = self._term_product(m1, m2, p, state, memo)
                 for n in range(1, len(entry), 2):
                     key, v = entry[n], entry[n + 1]
-                    s = out.get(key, zero) + (c if v == 1 else c * v)
+                    s = out.get(key, 0) + (c if v == 1 else c * v)
                     if s:
                         out[key] = s
                     else:
@@ -381,7 +380,7 @@ class HbarPresentation:
             letters.extend(self._letters(((self._index[name], exp),)))
         out: dict = {}
         state = [max_steps() if budget is None else budget]
-        self._straighten(tuple(letters), 0, Q(1), out, state)
+        self._straighten(tuple(letters), 0, 1, out, state)
         return out
 
     def hbar_coefficient(self, element: dict, power: int) -> dict:
@@ -410,7 +409,7 @@ class HbarPresentation:
             for strategy in ("first", "last"):
                 out: dict = {}
                 state = [max_steps() if budget is None else budget]
-                self._straighten(triple, 0, Q(1), out, state, strategy)
+                self._straighten(triple, 0, 1, out, state, strategy)
                 results.append(out)
             if results[0] != results[1]:
                 failures.append({
@@ -474,9 +473,9 @@ def differential_family(n: int, k: int, order: int = 3) -> HbarPresentation:
         raise ValueError("k must be >= 0")
     names = ["t", "u"] + [f"z{i}" for i in range(1, 2 * n - 1)]
     weights = [1, 0] + [k if i % 2 == 1 else 0 for i in range(1, 2 * n - 1)]
-    commutators = {("t", "u"): [(Q(1), 1, {"t": 1 - k})]}
+    commutators = {("t", "u"): [(1, 1, {"t": 1 - k})]}
     for i in range(1, 2 * n - 1, 2):
-        commutators[(f"z{i}", f"z{i + 1}")] = [(Q(1), 1, {})]
+        commutators[(f"z{i}", f"z{i + 1}")] = [(1, 1, {})]
     return HbarPresentation(
         names, weights, k, commutators, invertible=("t",), order=order
     )
@@ -489,7 +488,7 @@ def weyl_family(pairs: int, k: int, order: int = 3) -> HbarPresentation:
     names = [f"z{i}" for i in range(1, 2 * pairs + 1)]
     weights = [k if i % 2 == 1 else 0 for i in range(1, 2 * pairs + 1)]
     commutators = {
-        (f"z{i}", f"z{i + 1}"): [(Q(1), 1, {})]
+        (f"z{i}", f"z{i + 1}"): [(1, 1, {})]
         for i in range(1, 2 * pairs + 1, 2)
     }
     return HbarPresentation(names, weights, k, commutators, order=order)
@@ -557,9 +556,9 @@ def enveloping_family(names, constants: dict, weights=None, k: int = 1,
 def sl2_constants() -> dict:
     """Structure constants of sl2 on (e, f, h)."""
     return {
-        ("e", "f"): {"h": Q(1)},
-        ("e", "h"): {"e": Q(-2)},
-        ("f", "h"): {"f": Q(2)},
+        ("e", "f"): {"h": 1},
+        ("e", "h"): {"e": -2},
+        ("f", "h"): {"f": 2},
     }
 
 
@@ -569,9 +568,9 @@ def sl2_enveloping(order: int = 3, localized: bool = False) -> HbarPresentation:
     if not localized:
         return enveloping_family(("e", "f", "h"), sl2_constants(), order=order)
     constants = {
-        ("f", "e"): {"h": Q(-1)},
-        ("f", "h"): {"f": Q(2)},
-        ("e", "h"): {"e": Q(-2)},
+        ("f", "e"): {"h": -1},
+        ("f", "h"): {"f": 2},
+        ("e", "h"): {"e": -2},
     }
     return enveloping_family(
         ("f", "e", "h"), constants, invertible=("f",), order=order
@@ -842,7 +841,7 @@ def quantized_slice(a: HbarPresentation, t_lift, z_lifts, truncation: int,
             continue
         columns = []
         for hpow, mono in monos:
-            cand = {(hpow, mono): Q(1)}
+            cand = {(hpow, mono): 1}
             col = {}
             for li, lift in enumerate(lifts):
                 for (p, m), c in a.commutator(lift, cand, memo=memo).items():
@@ -996,7 +995,7 @@ def exp_ad_conjugate(a: HbarPresentation, w: dict, element: dict) -> dict:
     m = 1
     while True:
         term = element_scale(
-            a.multiply(a.hbar(), a.commutator(w, term)), Q(1, m)
+            a.multiply(a.hbar(), a.commutator(w, term)), quo(1, m)
         )
         if not term:
             return out

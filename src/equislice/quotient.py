@@ -27,7 +27,7 @@ from __future__ import annotations
 from array import array
 
 from .linalg import Echelon, rank, relations
-from .scalars import CycloField, CycloNumber, as_scalar
+from .scalars import CycloField, CycloNumber, as_scalar, quo
 
 Matrix = tuple[tuple[CycloNumber, ...], ...]
 Vector = tuple[CycloNumber, ...]
@@ -517,7 +517,7 @@ def _line_stabilizer_order(group: GroupData, v: Vector) -> int:
     scalars = set()
     for g in group.elements:
         w = _mat_vec(g, v)
-        lam = w[pivot] / v[pivot]
+        lam = quo(w[pivot], v[pivot])
         if all(wi == lam * vi for wi, vi in zip(w, v)):
             scalars.add(lam)
     return len(scalars)

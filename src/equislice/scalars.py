@@ -1,11 +1,19 @@
 """Exact scalar arithmetic: rationals and cyclotomic field elements.
 
-Rational scalars are ``fractions.Fraction``.  Elements of Q(zeta_n) are
-stored as coefficient vectors over the power basis 1, zeta, ...,
-zeta^{d-1}, d = deg Phi_n, always reduced modulo the n-th cyclotomic
-polynomial Phi_n.  Reduction is canonical, so equality of field elements
-is equality of stored vectors and CycloNumber can be hashed and used as
-a dictionary key or matrix entry.
+A rational scalar is an ``int`` when it is integral and a
+``fractions.Fraction`` only when a division made a non-integral value.
+``exact`` turns an integral Fraction into its int, and ``quo`` is the one
+exact division (Python's ``int / int`` is a float).  Structures apply
+``exact`` where they take coefficients in; an integral Fraction that a
+product makes inside a loop may survive, and it compares, hashes and
+prints (``str``) like the int.
+
+Elements of Q(zeta_n) are stored as coefficient vectors over the power
+basis 1, zeta, ..., zeta^{d-1}, d = deg Phi_n, always reduced modulo the
+n-th cyclotomic polynomial Phi_n, with the same int-first coefficients.
+Reduction is canonical, so equality of field elements is equality of
+stored vectors and CycloNumber can be hashed and used as a dictionary
+key or matrix entry.
 
 Mixed arithmetic with int and Fraction coerces into the field; mixing
 two different cyclotomic orders raises, there is no implicit embedding.
@@ -51,6 +59,24 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+def exact(c):
+    """c with an integral Fraction turned into its int; anything else
+    (an int, a non-integral Fraction, a CycloNumber) unchanged."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def quo(a, b):
+    """The exact quotient a / b: for two ints the int quotient when b
+    divides a, else their Fraction; otherwise exact(a / b)."""
+    if type(a) is int and type(b) is int:
+        if b and not a % b:
+            return a // b
+        return Fraction(a, b)
+    return exact(a / b)
+
+
 def exact_int(value, what: str = "value") -> int:
     """value as an int when it is one exactly: an int (not a bool) or a
     Fraction with denominator 1.  A float, a bool or a non-integral value
@@ -77,7 +103,7 @@ class CycloField:
         cls._cache[n] = self
         return self
 
-    def reduce(self, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+    def reduce(self, coeffs: list) -> tuple:
         coeffs = list(coeffs)
         d = self.degree
         for i in range(len(coeffs) - 1, d - 1, -1):
@@ -85,11 +111,13 @@ class CycloField:
             if c:
                 for j in range(d + 1):
                     coeffs[i - d + j] -= c * self.modulus[j]
-        coeffs = coeffs[:d] + [Q(0)] * (d - len(coeffs))
-        return tuple(coeffs[:d])
+        coeffs = [exact(c) for c in coeffs[:d]]
+        return tuple(coeffs + [0] * (d - len(coeffs)))
 
     def element(self, coeffs) -> "CycloNumber":
-        return CycloNumber(self, self.reduce([Q(c) for c in coeffs]))
+        return CycloNumber(
+            self, self.reduce([c if type(c) is int else Q(c) for c in coeffs])
+        )
 
     def zero(self) -> "CycloNumber":
         return self.element([])
@@ -110,7 +138,7 @@ class CycloNumber:
 
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: CycloField, coeffs: tuple[Fraction, ...]):
+    def __init__(self, field: CycloField, coeffs: tuple):
         self.field = field
         self.coeffs = coeffs
 
@@ -134,7 +162,7 @@ class CycloNumber:
 
     def __hash__(self):
         if not any(self.coeffs):
-            return hash(Q(0))
+            return hash(0)
         if self.is_rational():
             return hash(self.coeffs[0])
         return hash((self.field.order, self.coeffs))
@@ -169,7 +197,7 @@ class CycloNumber:
         if o is None:
             return NotImplemented
         d = self.field.degree
-        prod = [Q(0)] * (2 * d - 1 if d > 0 else 1)
+        prod = [0] * (2 * d - 1 if d > 0 else 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -185,15 +213,15 @@ class CycloNumber:
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         if self.is_rational():
-            return self.field.element([Q(1) / self.coeffs[0]])
-        r0 = [Q(c) for c in self.field.modulus]
+            return self.field.element([quo(1, self.coeffs[0])])
+        r0 = list(self.field.modulus)
         r1 = list(self.coeffs)
         while r1 and not r1[-1]:
             r1.pop()
-        s0, s1 = [Q(0)], [Q(1)]
+        s0, s1 = [0], [1]
 
         def poly_mul(a, b):
-            out = [Q(0)] * (len(a) + len(b) - 1)
+            out = [0] * (len(a) + len(b) - 1)
             for i, x in enumerate(a):
                 if x:
                     for j, y in enumerate(b):
@@ -201,7 +229,7 @@ class CycloNumber:
             return out
 
         def poly_sub(a, b):
-            out = [Q(0)] * max(len(a), len(b))
+            out = [0] * max(len(a), len(b))
             for i, x in enumerate(a):
                 out[i] += x
             for i, x in enumerate(b):
@@ -212,13 +240,13 @@ class CycloNumber:
 
         while r1:
             # divide r0 by r1
-            quot = [Q(0)] * max(len(r0) - len(r1) + 1, 1)
+            quot = [0] * max(len(r0) - len(r1) + 1, 1)
             rem = list(r0)
             lead = r1[-1]
             for i in range(len(rem) - 1, len(r1) - 2, -1):
                 if i >= len(rem):
                     continue
-                c = rem[i] / lead
+                c = quo(rem[i], lead)
                 if not c:
                     continue
                 quot[i - (len(r1) - 1)] = c
@@ -232,7 +260,7 @@ class CycloNumber:
         if len(r0) != 1:
             raise ArithmeticError("element not invertible mod cyclotomic polynomial")
         g = r0[0]
-        return CycloNumber(self.field, self.field.reduce([c / g for c in s0]))
+        return CycloNumber(self.field, self.field.reduce([quo(c, g) for c in s0]))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -261,10 +289,10 @@ class CycloNumber:
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
 
-    def as_rational(self) -> Fraction:
+    def as_rational(self):
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0] if self.coeffs else Q(0)
+        return self.coeffs[0] if self.coeffs else 0
 
     def __repr__(self):
         if not self:
@@ -288,4 +316,4 @@ def as_scalar(x, field: CycloField | None = None):
         return x
     if field is not None:
         return field.element([x])
-    return Q(x)
+    return x if type(x) is int else exact(Q(x))

@@ -5,7 +5,10 @@ each, which variables are invertible (Laurent directions, negative
 exponents allowed), and which variables generate the truncation ideal J.
 Every element is kept truncated: no term of J-order >= order survives,
 where the J-order of a monomial is the total exponent of the filtration
-variables.  All coefficients are exact (Fraction or CycloNumber).
+variables.  All coefficients are exact: an int when integral, else a
+Fraction or a CycloNumber (the rule of ``scalars``).  Coefficients are
+normalised where an element takes them in: the public constructor, the
+context's constructors, scale, coercion of a scalar and the parser.
 
 Multiplication example at order 4 with J = (u):
 (1 + u) * (1 - u + u^2 - u^3) = 1 - u^4 -> 1.
@@ -33,7 +36,7 @@ import re
 from fractions import Fraction
 from operator import add, itemgetter
 
-from .scalars import CycloNumber, Q, exact_int
+from .scalars import CycloNumber, exact, exact_int, quo
 
 
 def _jorder_function(idx):
@@ -124,15 +127,15 @@ class GradedContext:
         return TruncatedElement(self, {(0,) * len(self.variables): c})
 
     def one(self) -> "TruncatedElement":
-        return self.const(Q(1))
+        return self.const(1)
 
     def var(self, name: str, exp: int = 1) -> "TruncatedElement":
         i = self.index(name)
         exps = [0] * len(self.variables)
         exps[i] = exp
-        return TruncatedElement(self, {tuple(exps): Q(1)})
+        return TruncatedElement(self, {tuple(exps): 1})
 
-    def monomial(self, exps, coeff=Q(1)) -> "TruncatedElement":
+    def monomial(self, exps, coeff=1) -> "TruncatedElement":
         return TruncatedElement(self, {tuple(exps): coeff})
 
     def parse(self, text: str) -> "TruncatedElement":
@@ -160,7 +163,7 @@ class TruncatedElement:
                 continue
             if ctx.jorder_of_exps(exps) >= ctx.order:
                 continue
-            clean[exps] = c
+            clean[exps] = exact(c)
         self.terms = clean
         if validate:
             for exps in clean:
@@ -204,10 +207,10 @@ class TruncatedElement:
         return _trusted(self.ctx, {e: c for e, c in self.terms.items() if jo(e) >= m})
 
     def constant_coefficient(self):
-        return self.terms.get((0,) * len(self.ctx.variables), Q(0))
+        return self.terms.get((0,) * len(self.ctx.variables), 0)
 
     def coefficient(self, exps):
-        return self.terms.get(tuple(exps), Q(0))
+        return self.terms.get(tuple(exps), 0)
 
     def monomials(self):
         return sorted(self.terms)
@@ -221,9 +224,7 @@ class TruncatedElement:
             ):
                 return other
             raise ValueError("elements live in different contexts")
-        if isinstance(other, (int, Fraction)):
-            return self.ctx.const(Q(other))
-        if isinstance(other, CycloNumber):
+        if isinstance(other, (int, Fraction, CycloNumber)):
             return self.ctx.const(other)
         return None
 
@@ -259,6 +260,7 @@ class TruncatedElement:
     __rmul__ = __mul__
 
     def scale(self, c) -> "TruncatedElement":
+        c = exact(c)
         if not c:
             return self.ctx.zero()
         return _trusted(self.ctx, {e: c * v for e, v in self.terms.items()})
@@ -294,7 +296,7 @@ class TruncatedElement:
                 raise ValueError(
                     "not a unit: leading monomial involves a non-invertible variable"
                 )
-        lead_inv = ctx.monomial(tuple(-e for e in exps), c ** (-1))
+        lead_inv = ctx.monomial(tuple(-e for e in exps), quo(1, c))
         g = self * lead_inv - 1
         # sum_{j} (-g)^j by Horner; a term of (-g)^j has J-order at least
         # j * min_jorder(g) >= j, so the powers past (order - 1) // m vanish
@@ -342,7 +344,7 @@ class TruncatedElement:
                 raise ValueError(f"cannot integrate exponent -1 in {name}")
             ne = list(exps)
             ne[i] = e + 1
-            out[tuple(ne)] = c * Q(1, e + 1) if isinstance(c, Fraction) else c / (e + 1)
+            out[tuple(ne)] = quo(c, e + 1)
         return TruncatedElement(self.ctx, out, validate=False)
 
     def coefficients_in(self, name: str) -> dict:
@@ -425,7 +427,7 @@ class TruncatedElement:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.ctx.const(Q(other))
+            other = self.ctx.const(other)
         if not isinstance(other, TruncatedElement):
             return NotImplemented
         return self.ctx.same_variables(other.ctx) and self.terms == other.terms
@@ -517,7 +519,7 @@ def _mul_into(acc: dict, a: TruncatedElement, b: TruncatedElement) -> dict:
 
 
 def _coeff_str(c) -> str:
-    if isinstance(c, Fraction):
+    if isinstance(c, (int, Fraction)):
         return str(c)
     return f"({c!r})"
 
@@ -557,7 +559,7 @@ def parse_element(ctx: GradedContext, text: str) -> TruncatedElement:
         return tokens[i] if i < len(tokens) else (None, None)
 
     while i < len(tokens):
-        sign = Q(1)
+        sign = 1
         kind, val = peek()
         while kind == "op" and val in "+-":
             if val == "-":
@@ -573,14 +575,14 @@ def parse_element(ctx: GradedContext, text: str) -> TruncatedElement:
             kind, val = peek()
             if kind == "num":
                 i += 1
-                num = Q(val)
+                num = val
                 kind2, val2 = peek()
                 if kind2 == "op" and val2 == "/":
                     i += 1
                     kind3, val3 = peek()
                     if kind3 != "num":
                         raise ValueError("expected denominator")
-                    num = Q(num, val3)
+                    num = quo(num, val3)
                     i += 1
                 coeff *= num
                 saw_atom = True

@@ -1,8 +1,13 @@
-"""An independent dense reference for exact linear algebra: textbook
-Gauss-Jordan over Fraction and cyclotomic scalars, shared by the tests
-that check the elimination engine and its callers."""
+"""References shared by the tests: an independent dense textbook
+Gauss-Jordan over Fraction and cyclotomic scalars, for the tests that
+check the elimination engine and its callers; and the Fraction-typed
+form of a scalar, with the comparison that holds int-first results to
+the same computation on Fraction inputs."""
 
 from fractions import Fraction
+
+from equislice.scalars import CycloNumber
+from equislice.series import TruncatedElement
 
 
 def _reference_rref(rows):
@@ -52,3 +57,56 @@ def _reference_solve(rows, b):
     for i, c in enumerate(pivots):
         x[c] = a[i][width]
     return x
+
+
+def as_fractions(c):
+    """A scalar with every rational in it a Fraction, the representation
+    before the int-first rule; the constructors would turn integral
+    Fractions back into ints, so a CycloNumber is built directly."""
+    if isinstance(c, CycloNumber):
+        return CycloNumber(c.field, tuple(Fraction(x) for x in c.coeffs))
+    return Fraction(c)
+
+
+def rationals(obj):
+    """Every rational scalar in a result: coefficients of elements, of
+    cyclotomic numbers and of dict values, through lists and tuples."""
+    if isinstance(obj, TruncatedElement):
+        obj = list(obj.terms.values())
+    elif isinstance(obj, CycloNumber):
+        obj = obj.coeffs
+    elif isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        for x in obj:
+            yield from rationals(x)
+    else:
+        yield obj
+
+
+def _hashable(obj):
+    if isinstance(obj, dict):
+        return frozenset((k, _hashable(v)) for k, v in obj.items())
+    if isinstance(obj, (list, tuple)):
+        return tuple(_hashable(x) for x in obj)
+    return obj
+
+
+def _printed(obj) -> str:
+    # str(dict) would show repr(Fraction(2)), which no report prints
+    if isinstance(obj, dict):
+        return str(sorted((k, _printed(v)) for k, v in obj.items()))
+    if isinstance(obj, (list, tuple)):
+        return str([_printed(x) for x in obj])
+    return str(obj)
+
+
+def assert_same_result(got, ref):
+    """got (from int-first inputs) and ref (from Fraction inputs) agree as
+    values, hashes and printed text, and neither holds a float."""
+    for result in (got, ref):
+        strays = [c for c in rationals(result) if type(c) not in (int, Fraction)]
+        assert strays == []
+    assert got == ref
+    assert hash(_hashable(got)) == hash(_hashable(ref))
+    assert _printed(got) == _printed(ref)

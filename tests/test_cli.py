@@ -432,3 +432,90 @@ def test_integer_document_fields_are_refused_unless_integers(command, document, 
             name, value = key, bad
         status, report = invoke(command, dict(document, **{name: value}))
         assert status == 2 and repr(name) in report["error"], (bad, report)
+
+
+ENVELOPING = {
+    "family": "enveloping", "names": ["e", "f", "h"],
+    "constants": {"e,f": {"h": 1}, "e,h": {"e": -2}, "f,h": {"f": 2}},
+}
+RATIONAL_FIELDS = [
+    ("quotient slice", {"builder": "cyclic", "n": 2, "base_point": [1, 0]},
+     ("base_point", 0), "'base_point' entry"),
+    ("quotient slice", {"builder": "cyclic", "n": 2, "base_point": [[1, 0], 0]},
+     ("base_point", 0, 1), "'base_point' entry"),
+    ("quotient sra", {"builder": "pairwise-sign", "x": [1, 0, 0, 0], "y": [0, 0, 1, 0]},
+     ("x", 0), "'x' entry"),
+    ("quotient sra", {"builder": "pairwise-sign", "x": [1, 0, 0, 0], "y": [0, 0, 1, 0]},
+     ("y", 2), "'y' entry"),
+    ("quotient reflections", GROUP, ("omega", 0, 1), "'omega' entry"),
+    ("quotient reflections", GROUP, ("generators", 0, 1, 1), "'generators' entry"),
+    ("quantize build", ENVELOPING, ("constants", "e,h", "e"), "'constants' value"),
+    ("quantize central", {"presentation": SL2, "element": [[1, 0, {"h": 2}]]},
+     ("element", 0, 0), "element term's coefficient"),
+]
+
+
+def _replaced(document, path, value):
+    """A deep copy of the document with the entry at path set to value."""
+    document = json.loads(json.dumps(document))
+    holder = document
+    for step in path[:-1]:
+        holder = holder[step]
+    holder[path[-1]] = value
+    return document
+
+
+def _entry(document, path):
+    for step in path:
+        document = document[step]
+    return document
+
+
+@pytest.mark.parametrize(
+    "command, document, path, what", RATIONAL_FIELDS,
+    ids=[f"{command}-{path[0]}" for command, _doc, path, _what in RATIONAL_FIELDS],
+)
+def test_rational_document_fields_take_ints_and_strings_only(command, document, path, what):
+    expected = invoke(command, document)
+    assert expected[0] in (0, 1) and "error" not in expected[1]
+    value = _entry(document, path)
+    for same in (str(value), f"{3 * value}/3"):
+        assert invoke(command, _replaced(document, path, same)) == expected
+    for bad in (0.5, 1.0, True, False, None, {"n": 1}):
+        status, report = invoke(command, _replaced(document, path, bad))
+        assert status == 2 and what in report["error"] and repr(bad) in report["error"], (bad, report)
+    for bad in ("x", "1/0", "", [[1]]):
+        status, report = invoke(command, _replaced(document, path, bad))
+        assert status == 2 and what in report["error"], (bad, report)
+
+
+def test_rational_strings_are_exact():
+    element = [["1/10", 0, {"h": 2}]]
+    status, report = invoke("quantize central", {"presentation": SL2, "element": element})
+    assert status == 1 and report["residues"]["e"] == "-2/5*hbar*e*h + -2/5*hbar^2*e"
+    assert invoke("quantize central", {"presentation": SL2, "element": [["2/20", 0, {"h": 2}]]}) == (
+        status, report)
+    status, report = invoke("quantize central", {"presentation": SL2, "element": [[0.1, 0, {"h": 2}]]})
+    assert status == 2 and "0.1" in report["error"]
+
+
+def test_a_presentation_table_must_be_an_object_of_texts():
+    plain = {"variables": ["x", "y"], "weights": [1, 1], "table": {"x,y": "1"}}
+    assert invoke("poisson jacobi", plain)[0] == 0
+    cases = [
+        (dict(plain, table=[["x", "y", "1"]]), "'table'"),
+        (dict(plain, table="x,y: 1"), "'table'"),
+        (dict(plain, table={"x,y": 0.5}), "'x,y'"),
+        (dict(plain, table={"x,y": 1}), "'x,y'"),
+        (dict(plain, table={"x,y": ["1"]}), "'x,y'"),
+        (dict(plain, relations="x*y"), "'relations'"),
+        (dict(plain, relations=[1]), "'relations'"),
+        (dict(plain, relations=[["x"]]), "'relations'"),
+    ]
+    for document, key in cases:
+        for command in ("poisson jacobi", "poisson degree"):
+            status, report = invoke(command, document)
+            assert status == 2 and key in report["error"], (document, report)
+    code, out = cli_bytes(["poisson", "jacobi", "-", "--json"],
+                          stdin=json.dumps(cases[0][0]).encode())
+    assert code == 2 and "'table'" in json.loads(out)["error"]

@@ -1,9 +1,12 @@
 """Cyclotomic and rational scalar arithmetic."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from reference import as_fractions, assert_same_result
 
+from equislice.linalg import Echelon, relations, solve
 from equislice.scalars import CycloField, Q, as_scalar, cyclotomic_polynomial
 
 
@@ -93,3 +96,74 @@ def test_inverse_of_rational_and_irrational_elements(order):
         assert x * inv == 1
         assert inv.is_rational() == x.is_rational()
         assert inv.field is field
+
+
+# -- the coefficient rule: ints first, Fractions only from a division ------------
+#
+# The same computation fed int-first inputs and Fraction-typed ones must
+# give equal, hash-equal, identically printed results with no float in
+# them, over Q, Q(i) and Q(zeta8).
+
+WALK_FIELDS = [CycloField(1), CycloField(4), CycloField(8)]
+WALK_IDS = ["Q", "Q(i)", "Q(zeta8)"]
+
+
+def _walk_number(rng, field):
+    coeffs = [Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) for _ in range(field.degree)]
+    if not any(coeffs):
+        coeffs[0] = Fraction(1)
+    return field.element(coeffs)
+
+
+@pytest.mark.parametrize("field", WALK_FIELDS, ids=WALK_IDS)
+def test_cyclotomic_operations_agree_across_coefficient_types(field):
+    rng = random.Random(field.order)
+    for _ in range(30):
+        x, y = _walk_number(rng, field), _walk_number(rng, field)
+        X, Y = as_fractions(x), as_fractions(y)
+        for got, ref in ((x + y, X + Y), (x - y, X - Y), (x * y, X * Y), (-x, -X),
+                         (x * 3, X * Fraction(3)), (x ** 3, X ** 3), (x ** -2, X ** -2),
+                         (x.inverse(), X.inverse()), (x / y, X / Y), (2 / x, Fraction(2) / X)):
+            assert_same_result(got, ref)
+        assert all(type(c) is int or c.denominator != 1 for c in x.coeffs)
+
+
+@pytest.mark.parametrize("field", WALK_FIELDS, ids=WALK_IDS)
+def test_elimination_agrees_across_coefficient_types(field):
+    rng = random.Random(100 + field.order)
+    for _ in range(15):
+        vectors = [
+            {j: _walk_number(rng, field) if field.degree > 1 else rng.randint(-3, 3)
+             for j in rng.sample(range(6), rng.randint(1, 4))}
+            for _ in range(rng.randint(1, 6))
+        ]
+        fed = [{j: as_fractions(c) for j, c in v.items()} for v in vectors]
+        ints, fractions = Echelon(), Echelon()
+        for v, f in zip(vectors, fed):
+            assert ints.insert(v) == fractions.insert(f)
+        assert len(ints) == len(fractions)
+        for (p, row), (q, ref) in zip(ints.items(), fractions.items()):
+            assert p == q
+            assert_same_result(row, ref)
+        target = {j: rng.randint(-2, 2) for j in range(6)}
+        assert_same_result(ints.reduce(target), fractions.reduce({j: Fraction(c) for j, c in target.items()}))
+        tags = range(6, 6 + len(vectors))
+        got, ref = relations(vectors, tags), relations(fed, tags)
+        assert len(got) == len(ref)
+        for row, ref_row in zip(got, ref):
+            assert_same_result(row, ref_row)
+
+
+def test_integral_scalars_are_ints():
+    z8 = CycloField(8)
+    assert [type(c) for c in z8.element([Fraction(2), Fraction(1, 2)]).coeffs] == [int, Fraction, int, int]
+    assert [type(c) for c in (z8.element([Fraction(1, 2)]) * 2).coeffs] == [int] * 4
+    assert [type(c) for c in z8.zeta().inverse().coeffs] == [int] * 4
+    assert type(CycloField(4).element([Fraction(1, 3)]).inverse().as_rational()) is int
+    assert type(as_scalar(Fraction(6, 3))) is int
+    echelon = Echelon()
+    echelon.insert({0: 1, 1: 4, 2: 3})  # a unit pivot divides nothing
+    assert [type(c) for c in echelon.items()[0][1].values()] == [int] * 3
+    assert [type(x) for x in solve([[1, 0], [0, 3]], [4, 1])] == [int, Fraction]
+    gauss_two = CycloField(4).element([2])
+    assert len({2, Fraction(2), gauss_two}) == 1

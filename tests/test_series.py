@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from reference import as_fractions, assert_same_result
 
+from equislice.poisson import PoissonPresentation
+from equislice.quantize import differential_family, element_scale, sl2_enveloping
 from equislice.scalars import CycloField, Q
-from equislice.series import GradedContext, TruncatedElement
+from equislice.series import GradedContext, TruncatedElement, _trusted
 
 
 def make_ctx(order=6):
@@ -389,3 +392,125 @@ def test_subs_inverts_each_image_once(monkeypatch):
     g = f.subs(images)
     assert len(inversions) == 1
     assert g == naive_subs(f, images)
+
+
+# -- the coefficient rule: ints first, Fractions only from a division ------------
+#
+# Every operation runs twice: on elements as the constructors build them,
+# whose integral coefficients are ints, and on copies whose every rational
+# coefficient (inside cyclotomic numbers too) is a Fraction.  The results
+# must be equal, hash equal and print the same, and no coefficient
+# anywhere may be a float.
+
+ZETA8 = CycloField(8)
+WALK_FIELDS = [None, GAUSS, ZETA8]
+WALK_IDS = ["Q", "Q(i)", "Q(zeta8)"]
+
+
+def fraction_fed(elem):
+    """The element with Fraction coefficients, past the constructors that
+    would turn integral ones into ints."""
+    return _trusted(elem.ctx, {e: as_fractions(c) for e, c in elem.terms.items()})
+
+
+def walk_coeff(rng, field):
+    """A random nonzero scalar, integral about half the time."""
+    c = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3)))
+    if field is None:
+        return c if c.denominator != 1 else c.numerator
+    return field.element([c, rng.randint(-1, 1)])
+
+
+def walk_presentation(ctx, rng, field):
+    """A bracket table on the walk context and one relation whose leading
+    coefficient is not a unit of the integers."""
+    table = {
+        ("t", "u"): ctx.var("t").scale(walk_coeff(rng, field)),
+        ("t", "z"): ctx.var("t") * ctx.var("u"),
+        ("z", "w"): random_element(ctx, rng, field, terms=3, min_jorder=1) * ctx.var("w"),
+    }
+    relation = ctx.parse("3*u^2 + 2*z*u")
+    return table, relation
+
+
+@pytest.mark.parametrize("field", WALK_FIELDS, ids=WALK_IDS)
+def test_every_series_operation_agrees_across_coefficient_types(field):
+    rng = random.Random(85)
+    ctx = diff_ctx(4)
+    for _ in range(10):
+        a, b = random_element(ctx, rng, field), random_element(ctx, rng, field)
+        unit = random_unit(ctx, rng, field)
+        c = walk_coeff(rng, field)
+        A, B, UNIT = fraction_fed(a), fraction_fed(b), fraction_fed(unit)
+        assert_same_result(a + b, A + B)
+        assert_same_result(a - b, A - B)
+        assert_same_result(a * b, A * B)
+        assert_same_result(a.scale(c), A.scale(as_fractions(c)))
+        assert_same_result(a + 2, A + Fraction(2))
+        for e in (-2, -1, 2, 3):
+            assert_same_result(unit ** e, UNIT ** e)
+        assert_same_result(unit.invert_unit(), UNIT.invert_unit())
+        for name in ("t", "u"):
+            assert_same_result(a.partial(name), A.partial(name))
+        assert_same_result(a.gradient(), A.gradient())
+        assert_same_result(a.antiderivative("u"), A.antiderivative("u"))
+        images = {"t": unit, "u": random_element(ctx, rng, field, terms=3, min_jorder=1)}
+        fed = {name: fraction_fed(image) for name, image in images.items()}
+        assert_same_result(a.subs(images, ctx), A.subs(fed, ctx))
+        table, relation = walk_presentation(ctx, rng, field)
+        pres = PoissonPresentation(ctx, table, relations=[relation])
+        fed_pres = PoissonPresentation(
+            ctx, {k: fraction_fed(v) for k, v in table.items()},
+            relations=[fraction_fed(relation)],
+        )
+        assert_same_result(pres.bracket(a, b), fed_pres.bracket(A, B))
+        assert_same_result(pres.reduce(a * b), fed_pres.reduce(A * B))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sl2_enveloping(order=3),
+    lambda: differential_family(2, 1, order=3),
+], ids=["U(sl2)", "differential(2,1)"])
+def test_hbar_products_agree_across_coefficient_types(make):
+    algebra = make()
+    rng = random.Random(86)
+
+    def random_hbar_element():
+        rows = []
+        for _ in range(rng.randint(1, 4)):
+            exps = {}
+            for name in algebra.names:
+                lo = -1 if name in algebra.invertible else 0
+                exps[name] = rng.randint(lo, 1)
+            rows.append((walk_coeff(rng, None), rng.randint(0, 1), exps))
+        return algebra.from_terms(rows)
+
+    for _ in range(12):
+        a, b = random_hbar_element(), random_hbar_element()
+        A = {k: Fraction(v) for k, v in a.items()}
+        B = {k: Fraction(v) for k, v in b.items()}
+        assert_same_result(algebra.multiply(a, b), algebra.multiply(A, B))
+        assert_same_result(algebra.commutator(a, b), algebra.commutator(A, B))
+        assert algebra.render(algebra.multiply(a, b)) == algebra.render(algebra.multiply(A, B))
+
+
+def test_integral_coefficients_enter_as_ints():
+    ctx = diff_ctx(4)
+    t = ctx.var("t")
+    entered = [
+        ctx.one(), t, ctx.const(Fraction(2)), ctx.monomial((1, 0, 0, 0), Fraction(4, 2)),
+        t.scale(Fraction(-3)), t + Fraction(3), ctx.parse("4/2*t + 6/3*u - 1/2*z"),
+        TruncatedElement(ctx, {(1, 0, 0, 0): Fraction(5)}),
+    ]
+    for elem in entered:
+        assert [c for c in elem.terms.values() if type(c) is Fraction and c.denominator == 1] == []
+    assert type(ctx.zero().constant_coefficient()) is int
+    assert type(t.coefficient((0, 0, 0, 0))) is int
+    assert type(t.invert_unit().coefficient((-1, 0, 0, 0))) is int
+    assert str(ctx.parse("4/2*t - 1/2*z")) == "-1/2*z + 2*t"
+    gauss_two = ctx.const(GAUSS.element([2]))
+    assert len({ctx.const(2), ctx.const(Fraction(2)), gauss_two, fraction_fed(ctx.const(2))}) == 1
+    algebra = sl2_enveloping(order=2)
+    element = algebra.from_terms([(Fraction(2), 0, {"e": 1}), (Fraction(1, 2), 1, {})])
+    assert sorted(map(type, element.values()), key=str) == [Fraction, int]
+    assert [type(c) for c in element_scale(algebra.var("h"), Fraction(6, 3)).values()] == [int]
