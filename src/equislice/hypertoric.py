@@ -21,8 +21,9 @@ symbolic certification of a chart are independent computations.
 from __future__ import annotations
 
 from itertools import combinations
+from math import gcd
 
-from .intmat import IntMatrix
+from .intmat import IntMatrix, det
 from .poisson import PoissonPresentation
 from .series import GradedContext, TruncatedElement
 
@@ -37,13 +38,8 @@ class TorusActionMatrix:
 
     def __init__(self, rows):
         self.matrix = rows if isinstance(rows, IntMatrix) else IntMatrix(rows)
-        if self.matrix.nrows == 0:
-            raise ValueError("the weight matrix needs at least one row")
-        if self.matrix.rank() != self.matrix.ncols:
-            raise ValueError(
-                "the torus action is not faithful: the weight matrix has "
-                f"rank {self.matrix.rank()} but {self.matrix.ncols} columns"
-            )
+        if self.matrix.nrows == 0 or self.matrix.rank() != self.matrix.ncols:
+            raise _unfaithful(self.matrix)
 
     @property
     def n(self) -> int:
@@ -58,6 +54,16 @@ class TorusActionMatrix:
 
     def __repr__(self):
         return f"TorusActionMatrix({[list(r) for r in self.matrix.rows]})"
+
+
+def _unfaithful(matrix: IntMatrix) -> ValueError:
+    """The refusal of a weight matrix whose action is not faithful."""
+    if matrix.nrows == 0:
+        return ValueError("the weight matrix needs at least one row")
+    return ValueError(
+        "the torus action is not faithful: the weight matrix has "
+        f"rank {matrix.rank()} but {matrix.ncols} columns"
+    )
 
 
 class LeafDescriptor:
@@ -128,12 +134,23 @@ class DecompositionReport:
 
 def check_unimodular(b) -> tuple[bool, dict | None]:
     """Whether every nonzero maximal minor of the weight matrix is 1 or
-    -1; on failure the witness names the offending row set and minor."""
-    b = b if isinstance(b, TorusActionMatrix) else TorusActionMatrix(b)
-    for sel in combinations(range(b.n), b.m):
-        minor = b.matrix.submatrix(sel, range(b.m)).det()
+    -1; on failure the witness names the first offending row set, in
+    combinations order, and its minor.
+
+    The minors also decide faithfulness, which holds when some minor is
+    nonzero, so the rank is computed only to word a refusal."""
+    matrix = b.matrix if isinstance(b, TorusActionMatrix) else IntMatrix(b)
+    rows = matrix.rows
+    if not rows:
+        raise _unfaithful(matrix)
+    faithful = False
+    for sel in combinations(range(len(rows)), matrix.ncols):
+        minor = det([rows[i] for i in sel])
         if minor not in (-1, 0, 1):
             return False, {"rows": [i + 1 for i in sel], "minor": minor}
+        faithful = faithful or minor != 0
+    if not faithful:
+        raise _unfaithful(matrix)
     return True, None
 
 
@@ -181,11 +198,10 @@ def cotangent_presentation(ctx: GradedContext, n: int) -> PoissonPresentation:
 
 def _stabilizer_lattice(b: TorusActionMatrix, support) -> IntMatrix:
     """Hermite basis of the cocharacters pairing to zero with every base
-    character in the support."""
+    character in the support.  An empty support stands for one zero row,
+    whose kernel is every cocharacter, so each lattice is one Smith form."""
     rows = [b.row(i) for i in sorted(support)]
-    if not rows:
-        return IntMatrix.identity(b.m).hermite_normal_form()
-    return IntMatrix(rows).kernel_basis()
+    return IntMatrix(rows or [(0,) * b.m]).kernel_basis()
 
 
 def _fixed_coordinates(b: TorusActionMatrix, lattice: IntMatrix) -> tuple:
@@ -213,30 +229,59 @@ def _is_cyclic(b: TorusActionMatrix, fixed) -> bool:
     )
 
 
+def _covers(b: TorusActionMatrix, flat: tuple, lattice: IntMatrix) -> list:
+    """The flats of the row matroid that cover a flat, given the Hermite
+    basis of the flat's stabilizer lattice.
+
+    Each row j outside the flat pairs with the lattice to a nonzero
+    integer vector (nonzero because the flat is closed).  Row k lies in
+    the span of the flat and row j exactly when their pairings are
+    parallel, so each cover is the flat plus one class of parallel
+    pairings, grouped by primitive form: divided by the gcd, first
+    nonzero entry positive."""
+    classes: dict = {}
+    inside = set(flat)
+    for j in range(b.n):
+        if j in inside:
+            continue
+        p = [sum(c * w for c, w in zip(vec, b.row(j))) for vec in lattice.rows]
+        g = gcd(*p)
+        if next(x for x in p if x) < 0:
+            g = -g
+        classes.setdefault(tuple(x // g for x in p), []).append(j)
+    return [tuple(sorted(inside.union(cls))) for cls in classes.values()]
+
+
 def enumerate_leaves(b) -> list[LeafDescriptor]:
     """All symplectic leaves of the hypertoric cone, one per maximal
     parabolic subtorus whose fixed coordinates form a cyclic flat,
     sorted by decreasing dimension.
 
-    Subtori are found by intersecting character kernels over every
-    coordinate subset and deduplicating by Hermite basis; each flat then
-    gets the full pointwise stabilizer of its fixed locus, so the
-    recorded subtorus is maximal for its leaf."""
+    The fixed coordinates of a parabolic subtorus are a flat of the row
+    matroid, and the subtorus is the stabilizer of its flat.  The walk
+    starts at the least flat, the zero rows, and climbs by covers (see
+    _covers), so it meets every flat once and computes one kernel
+    lattice, one Smith form, per flat.  Each lattice fixes exactly its
+    own flat, so the recorded subtorus is maximal for its leaf; only
+    the cyclic flats carry leaves."""
     b = b if isinstance(b, TorusActionMatrix) else TorusActionMatrix(b)
     ok, witness = check_unimodular(b)
     if not ok:
         raise ValueError(f"the action is not unimodular: minor {witness['minor']} on rows {witness['rows']}")
-    lattices = {}
-    for size in range(b.n + 1):
-        for support in combinations(range(b.n), size):
-            lat = _stabilizer_lattice(b, support)
-            lattices[lat.rows] = lat
+    lattice = _stabilizer_lattice(b, ())
+    lattices = {_fixed_coordinates(b, lattice): lattice}
+    todo = list(lattices)
+    while todo:
+        flat = todo.pop()
+        for cover in _covers(b, flat, lattices[flat]):
+            if cover not in lattices:
+                lattices[cover] = _stabilizer_lattice(b, cover)
+                todo.append(cover)
     leaves = []
-    for lat in lattices.values():
-        fixed = _fixed_coordinates(b, lat)
-        # the kernel over the full fixed locus reproduces the lattice, so
-        # each recorded subtorus is the maximal one for its flat
-        assert _stabilizer_lattice(b, fixed).rows == lat.rows
+    for fixed, lat in lattices.items():
+        # a cover that missed a row of its span (a parallel class split
+        # in two) would not be closed, and its lattice would fix that row
+        assert _fixed_coordinates(b, lat) == fixed
         if not _is_cyclic(b, fixed):
             continue
         flat = [i + 1 for i in range(b.n) if i not in fixed]
@@ -474,10 +519,10 @@ def _verify_elimination(b, report, ctx, mu) -> list[dict]:
     pairing = IntMatrix(
         [[sum(c * w for c, w in zip(vec, b.row(j - 1))) for j in g] for vec in comp_rows.rows]
     )
-    det = pairing.det()
-    if det not in (-1, 1):
+    pairing_det = pairing.det()
+    if pairing_det not in (-1, 1):
         failures.append(
-            {"check": "elimination", "detail": f"the elimination matrix has determinant {det}"}
+            {"check": "elimination", "detail": f"the elimination matrix has determinant {pairing_det}"}
         )
         return failures
     inv = _integer_inverse(pairing)

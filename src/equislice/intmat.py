@@ -1,5 +1,6 @@
-"""Exact integer matrix utilities: determinants, Smith and Hermite normal
-forms, kernel lattices, and rational solves.
+"""Exact integer matrix utilities: determinants, ranks and minors by one
+Bareiss elimination, Smith and Hermite normal forms, kernel lattices, and
+rational solves.
 
 All algorithms are fraction-free or track unimodular transforms, so every
 result is certified by integer identities (for example snf returns U, D, V
@@ -28,6 +29,44 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
+
+
+def _bareiss(rows) -> tuple[int, int]:
+    """Fraction-free (Bareiss) elimination of integer rows, skipping
+    columns without a pivot: (rank, signed last pivot).  After k pivots
+    each entry left below them is a (k+1)-minor of the row-swapped
+    matrix, so every division by the previous pivot is exact; for a
+    square matrix of full rank the signed last pivot is its determinant."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    width = len(a[0]) if a else 0
+    rank, sign, prev = 0, 1, 1
+    for c in range(width):
+        if rank == n:
+            break
+        p = next((i for i in range(rank, n) if a[i][c]), None)
+        if p is None:
+            continue
+        if p != rank:
+            a[rank], a[p] = a[p], a[rank]
+            sign = -sign
+        top = a[rank]
+        pivot = top[c]
+        for row in a[rank + 1 :]:
+            f = row[c]
+            for j in range(c + 1, width):
+                num = row[j] * pivot - f * top[j]
+                assert num % prev == 0
+                row[j] = num // prev
+        prev = pivot
+        rank += 1
+    return rank, sign * prev
+
+
+def det(rows) -> int:
+    """Determinant of a square integer matrix given as plain rows."""
+    rank, last = _bareiss(rows)
+    return last if rank == len(rows) else 0
 
 
 class IntMatrix:
@@ -82,39 +121,16 @@ class IntMatrix:
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.rows]})"
 
-    def submatrix(self, row_idx, col_idx) -> "IntMatrix":
-        return IntMatrix([[self.rows[i][j] for j in col_idx] for i in row_idx])
-
     # -- rank and determinants -------------------------------------------
 
     def det(self) -> int:
         """Bareiss fraction-free determinant."""
-        n = self.nrows
-        if n != self.ncols:
+        if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        if n == 0:
-            return 1
-        a = [list(r) for r in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-                if swap is None:
-                    return 0
-                a[k], a[swap] = a[swap], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                    assert num % prev == 0
-                    a[i][j] = num // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        return det(self.rows)
 
     def rank(self) -> int:
-        return linalg.rank(self.rows)
+        return _bareiss(self.rows)[0]
 
     # -- normal forms ------------------------------------------------------
 

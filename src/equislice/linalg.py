@@ -7,8 +7,10 @@ vectors, dicts from keys to field elements, grown one vector at a time.
 Each row pivots on its least key, so the keys fed to one Echelon must be
 mutually orderable, and the stored rows are exactly the canonical RREF of
 the span in key order.  Entries follow the int-first rule of
-``scalars``: the one division, by a pivot, is ``scalars.quo``, so an
-integral entry stays an int and no division makes a float.
+``scalars``: the one division, by a pivot, is ``scalars.quo``, and a row
+scaled by the pivot's inverse goes through ``scalars.exact`` once as it
+is stored, so an integral entry stays an int and no division makes a
+float.
 
 `rank`, `solve` and `in_span` are thin wrappers for dense matrices,
 plain lists of row lists keyed by column index.  `relations` hands
@@ -18,7 +20,7 @@ their linear relations.
 
 from __future__ import annotations
 
-from .scalars import quo
+from .scalars import exact, quo
 
 
 def _subtract_multiple(vec: dict, f, row: dict) -> None:
@@ -71,7 +73,7 @@ class Echelon:
             return False
         pivot = min(rest)
         inv = quo(1, rest[pivot])
-        row = {key: c * inv for key, c in rest.items()}
+        row = {key: exact(c * inv) for key, c in rest.items()}
         for other in self._rows.values():
             if pivot in other:
                 _subtract_multiple(other, other[pivot], row)

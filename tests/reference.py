@@ -1,11 +1,21 @@
 """References shared by the tests: an independent dense textbook
 Gauss-Jordan over Fraction and cyclotomic scalars, for the tests that
-check the elimination engine and its callers; and the Fraction-typed
+check the elimination engine and its callers; the brute-force walk of
+hypertoric leaves over every coordinate subset; and the Fraction-typed
 form of a scalar, with the comparison that holds int-first results to
 the same computation on Fraction inputs."""
 
 from fractions import Fraction
+from itertools import combinations
 
+from equislice.hypertoric import (
+    LeafDescriptor,
+    TorusActionMatrix,
+    _fixed_coordinates,
+    _is_cyclic,
+    _stabilizer_lattice,
+    check_unimodular,
+)
 from equislice.scalars import CycloNumber
 from equislice.series import TruncatedElement
 
@@ -34,6 +44,27 @@ def _reference_rank(rows):
     return len(_reference_rref(rows)[1])
 
 
+def _reference_det(rows):
+    """Determinant as the signed product of Fraction pivots."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if a[i][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            det = -det
+        det *= a[c][c]
+        inv = 1 / a[c][c]
+        for i in range(c + 1, n):
+            if a[i][c]:
+                f = a[i][c] * inv
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
 def _reference_kernel(rows):
     a, pivots = _reference_rref(rows)
     width = len(rows[0]) if rows else 0
@@ -57,6 +88,32 @@ def _reference_solve(rows, b):
     for i, c in enumerate(pivots):
         x[c] = a[i][width]
     return x
+
+
+def _reference_leaves(b):
+    """The leaves by brute force: one kernel lattice per coordinate
+    subset, 2**n in all, deduplicated by Hermite basis."""
+    b = b if isinstance(b, TorusActionMatrix) else TorusActionMatrix(b)
+    ok, witness = check_unimodular(b)
+    if not ok:
+        raise ValueError(f"the action is not unimodular: minor {witness['minor']} on rows {witness['rows']}")
+    lattices = {}
+    for size in range(b.n + 1):
+        for support in combinations(range(b.n), size):
+            lat = _stabilizer_lattice(b, support)
+            lattices[lat.rows] = lat
+    leaves = []
+    for lat in lattices.values():
+        fixed = _fixed_coordinates(b, lat)
+        # the kernel over the full fixed locus reproduces the lattice, so
+        # each recorded subtorus is the maximal one for its flat
+        assert _stabilizer_lattice(b, fixed).rows == lat.rows
+        if not _is_cyclic(b, fixed):
+            continue
+        flat = [i + 1 for i in range(b.n) if i not in fixed]
+        leaves.append(LeafDescriptor(flat, lat, b.m, b.n))
+    leaves.sort(key=lambda leaf: (-leaf.leaf_dim, leaf.flat))
+    return leaves
 
 
 def as_fractions(c):

@@ -1,9 +1,10 @@
 """Hypertoric cones: unimodularity, leaves, charts, and certification."""
 
-from fractions import Fraction
+import random
 from itertools import combinations, permutations
 
 import pytest
+from reference import _reference_det, _reference_leaves, _reference_rank
 
 from equislice.hypertoric import (
     DecompositionReport,
@@ -22,26 +23,21 @@ A1xA1 = [[1, 0], [1, 0], [0, 1], [0, 1]]
 TRIPLE = [[1], [1], [1]]
 # C^2/Z_3: its row matroid has flats that are not cyclic
 A2 = [[1, 0], [0, 1], [1, 1]]
+A2xA1 = [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [0, 0, 1]]
 
 
-def _fraction_det(rows):
-    a = [[Fraction(x) for x in row] for row in rows]
-    n = len(a)
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if a[i][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c]:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return det
+def _complete_graph(n, copies=1):
+    """The signed incidence matrix of K_n with vertex 0 grounded, each
+    edge repeated `copies` times: totally unimodular, and its flats are
+    the partitions of the n vertices."""
+    rows = []
+    for a, b in combinations(range(n), 2):
+        row = [0] * (n - 1)
+        if a:
+            row[a - 1] = 1
+        row[b - 1] = -1
+        rows += [row] * copies
+    return rows
 
 
 # -- unimodularity ------------------------------------------------------------
@@ -59,18 +55,73 @@ def test_unimodularity_matches_fraction_determinants():
     for mat in (A1, A1xA1, TRIPLE, [[1], [2]], [[1, 0], [1, 1], [0, 1]], [[2, 1], [1, 1], [1, 0]]):
         b = TorusActionMatrix(mat)
         minors = [
-            _fraction_det([mat[i] for i in sel])
+            _reference_det([mat[i] for i in sel])
             for sel in combinations(range(b.n), b.m)
         ]
         expected = all(m in (-1, 0, 1) for m in minors)
         assert check_unimodular(mat)[0] == expected
 
 
+def _first_bad_minor(rows):
+    m = len(rows[0])
+    for sel in combinations(range(len(rows)), m):
+        minor = _reference_det([rows[i] for i in sel])
+        if minor not in (-1, 0, 1):
+            return False, {"rows": [i + 1 for i in sel], "minor": minor}
+    return True, None
+
+
+def test_the_witness_is_the_first_bad_minor():
+    rng = random.Random(21)
+    several = 0
+    for _ in range(300):
+        m = rng.randint(1, 3)
+        n = rng.randint(m, 6)
+        rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
+        rank = _reference_rank(rows)
+        if rank < m:
+            with pytest.raises(ValueError, match=f"has rank {rank} but {m} columns$"):
+                check_unimodular(rows)
+            continue
+        assert check_unimodular(rows) == _first_bad_minor(rows)
+        several += sum(
+            _reference_det([rows[i] for i in sel]) not in (-1, 0, 1)
+            for sel in combinations(range(n), m)
+        ) > 1
+    assert several > 100
+
+
+def test_faithful_inputs_are_never_ranked(monkeypatch):
+    calls = []
+    rank = IntMatrix.rank
+
+    def counting(self):
+        calls.append(self.rows)
+        return rank(self)
+
+    monkeypatch.setattr(IntMatrix, "rank", counting)
+    for rows in (A1, A1xA1, TRIPLE, A2, A2xA1, [[1], [2]], [[2, 1], [1, 1], [1, 0]], _complete_graph(5)):
+        check_unimodular(rows)
+    assert calls == []
+    with pytest.raises(ValueError, match="has rank 1 but 2 columns"):
+        check_unimodular([[1, 1], [2, 2]])
+    assert calls == [((1, 1), (2, 2))]
+
+
 def test_rank_deficient_input_is_refused():
-    with pytest.raises(ValueError):
-        TorusActionMatrix([[1, 1], [2, 2]])
-    with pytest.raises(ValueError):
-        check_unimodular([[0], [0]])
+    # the refusals keep their wording, rank included, on both entry points
+    for call in (check_unimodular, TorusActionMatrix):
+        for bad in ([], ()):
+            with pytest.raises(ValueError) as err:
+                call(bad)
+            assert str(err.value) == "the weight matrix needs at least one row"
+        for bad, rank in (([[1, 1], [2, 2]], 1), ([[0], [0]], 0), ([[1, 0, 0], [0, 1, 0]], 2)):
+            with pytest.raises(ValueError) as err:
+                call(bad)
+            assert str(err.value) == (
+                "the torus action is not faithful: the weight matrix has "
+                f"rank {rank} but {len(bad[0])} columns"
+            )
 
 
 # -- moment map ---------------------------------------------------------------
@@ -127,8 +178,7 @@ def test_only_cyclic_flats_carry_leaves():
         assert {leaf.flat: leaf.leaf_dim for leaf in leaves} == {(): 2, (1, 2, 3): 0}
         assert sum(leaf.is_vertex for leaf in leaves) == 1
     # the product with A_1 has the product leaves
-    a2xa1 = [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [0, 0, 1]]
-    assert {leaf.flat: leaf.leaf_dim for leaf in enumerate_leaves(a2xa1)} == {
+    assert {leaf.flat: leaf.leaf_dim for leaf in enumerate_leaves(A2xA1)} == {
         (): 4, (1, 2, 3): 2, (4, 5): 2, (1, 2, 3, 4, 5): 0,
     }
     for leaf in enumerate_leaves(A2):
@@ -136,6 +186,59 @@ def test_only_cyclic_flats_carry_leaves():
     for flat in [(2, 3), (1, 3), (1, 2)]:
         with pytest.raises(ValueError, match="not the flat of a leaf"):
             slice_matrix(A2, flat)
+
+
+def _seeded_unimodular(rng):
+    """A faithful unimodular matrix with at most 3 columns and 7 rows,
+    often with zero rows and with parallel rows of either sign."""
+    while True:
+        m = rng.randint(1, 3)
+        n = rng.randint(m, 7)
+        rows = [[rng.randint(-1, 1) for _ in range(m)] for _ in range(n)]
+        for i in range(1, n):
+            roll = rng.random()
+            if roll < 0.15:
+                rows[i] = [0] * m
+            elif roll < 0.4:
+                sign = rng.choice((1, -1))
+                rows[i] = [sign * x for x in rows[rng.randrange(i)]]
+        if _reference_rank(rows) == m and all(
+            _reference_det([rows[i] for i in sel]) in (-1, 0, 1)
+            for sel in combinations(range(n), m)
+        ):
+            return rows
+
+
+def test_leaves_match_the_subset_walk():
+    rng = random.Random(12)
+    cases = [A1, A1xA1, TRIPLE, A2, A2xA1, _complete_graph(4), _complete_graph(5), _complete_graph(4, copies=2)]
+    for _ in range(100):
+        rows = _seeded_unimodular(rng)
+        cases += [rows, rng.sample(rows, len(rows))]
+    zero = sum(any(not any(row) for row in rows) for rows in cases)
+    antiparallel = sum(
+        any([-x for x in r] == s and any(r) for r, s in combinations(rows, 2)) for rows in cases
+    )
+    assert zero > 20 and antiparallel > 20
+    for rows in cases:
+        expected = [leaf.as_json() for leaf in _reference_leaves(rows)]
+        assert [leaf.as_json() for leaf in enumerate_leaves(rows)] == expected
+
+
+@pytest.mark.parametrize("n, flats, leaves", [(4, 15, 6), (5, 52, 17), (6, 203, 53)])
+def test_one_smith_form_per_flat(monkeypatch, n, flats, leaves):
+    # the flats of the graphic matroid of K_n are the partitions of its
+    # n vertices, a Bell number of them
+    calls = []
+    smith = IntMatrix.smith_normal_form
+
+    def counting(self):
+        calls.append(self.rows)
+        return smith(self)
+
+    monkeypatch.setattr(IntMatrix, "smith_normal_form", counting)
+    assert len(enumerate_leaves(_complete_graph(n))) == leaves
+    assert len(calls) == flats
 
 
 def test_nonunimodular_enumeration_is_refused():

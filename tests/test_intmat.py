@@ -5,8 +5,9 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from reference import _reference_det, _reference_rank
 
-from equislice.intmat import IntMatrix, xgcd
+from equislice.intmat import IntMatrix, det, xgcd
 
 
 def test_xgcd_bezout():
@@ -103,7 +104,7 @@ def _rank_by_minors(mat: IntMatrix) -> int:
     for k in range(min(mat.nrows, mat.ncols), 0, -1):
         for rows in combinations(range(mat.nrows), k):
             for cols in combinations(range(mat.ncols), k):
-                if mat.submatrix(rows, cols).det():
+                if det([[mat.rows[i][j] for j in cols] for i in rows]):
                     return k
     return 0
 
@@ -116,6 +117,29 @@ def test_rank_agrees_with_minors():
         assert mat.rank() == _rank_by_minors(mat)
     assert IntMatrix([]).rank() == 0
     assert IntMatrix([[0, 0], [0, 0]]).rank() == 0
+
+
+def test_rank_and_det_match_the_reference():
+    # rank-deficient rows (integer combinations of a few random ones),
+    # zero rows and zero columns, so the elimination skips columns
+    rng = random.Random(12)
+    for _ in range(400):
+        n, m = rng.randint(0, 6), rng.randint(1, 6)
+        basis = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(rng.randint(1, m))]
+        rows = [
+            [sum(rng.randint(-2, 2) * b[j] for b in basis) for j in range(m)]
+            if rng.random() < 0.5 else [rng.randint(-3, 3) for _ in range(m)]
+            for _ in range(n)
+        ]
+        for j in range(m):
+            if rng.random() < 0.15:
+                for row in rows:
+                    row[j] = 0
+        mat = IntMatrix(rows)
+        assert mat.rank() == _reference_rank(rows)
+        if n == m:
+            assert mat.det() == det(rows) == _reference_det(rows)
+    assert det([]) == 1 and det([[0]]) == 0 and det([[-4]]) == -4
 
 
 def test_solve_rational_against_the_product():
