@@ -5,12 +5,14 @@ requested computation succeeds (or the property holds), 1 when the
 computation ran and the property verifiably fails (a Jacobi violation,
 a non-unimodular matrix, a non-central element), 2 when the input
 cannot be used at all (among others: --order below 1, a negative
-degree cap from --degree-cap or the document, an integer field that
-holds a float, bool or string, an empty weight window), 3 when a step
+degree cap from --degree-cap or the document, any field of the wrong
+type, an unknown generator name, an empty weight window), 3 when a step
 budget ran out before an answer (the report names EQUISLICE_MAX_STEPS,
-which sets the budget).  Reports are JSON on stdout, sorted keys, so
-identical jobs produce byte-identical output; the pretty form is a
-rendering of the same data, never a different source of truth.
+which sets the budget), 4 when the program itself failed (an
+InternalError or any other unforeseen exception; the report carries
+"internal": true and no traceback).  Reports are JSON on stdout, sorted
+keys, so identical jobs produce byte-identical output; the pretty form
+is a rendering of the same data, never a different source of truth.
 """
 
 from __future__ import annotations
@@ -63,262 +65,298 @@ class JobSpec:
     options: dict = field(default_factory=dict)
 
 
-# -- document loaders --------------------------------------------------------
+# -- document schemas ---------------------------------------------------------
+#
+# Every document is read against a schema, plain data that one walker,
+# `_Reader`, checks and turns into typed values.  An object schema maps
+# each field to its kind: a leaf kind below (the string says what a value
+# must be) or a (tag, argument, expectation) triple from the helpers
+# after them.  A refusal is an InputError naming the path of the bad
+# field, such as table['x,y'], word[0] or generators[1][0][1].
+
+INT = "an integer"
+NAT = "an integer at least 0"
+BOOL = "true or false"
+TEXT = "a string"
+RATIONAL = 'an integer or a string such as "3/4"'
+CYCLO = "a rational or a list of rational coefficients of the powers of zeta"
+NAME = "one of the generators"
+NAMES = "a list of generator names"
+KEY = "two generators joined by a comma, such as 'x,y'"
+POLY = "an element text in the generators"
+WINDOW = "a window [lo, hi] of two integers with lo <= hi"
+ELEMENT = ('a generator name, {"word": [...]}, {"casimir": true} or a list '
+           "of [coefficient, hbar power, exponents] terms")
+OBJECT = "an object"
+POISSON = "a Poisson presentation document"
+GROUP = "a group document"
+QUANTUM = "a quantum presentation document"
 
 
-def _need(doc: dict, key: str):
-    if key not in doc:
-        raise InputError(f"the document is missing the {key!r} field")
-    return doc[key]
+def _list(item, expected="a list"):
+    return ("list", item, expected)
 
 
-def _degree_cap(opts: dict, fallback):
-    """The --degree-cap option when it was given (0 is a cap too), else
-    the fallback, which is usually the document's 'degree_cap'; refused
-    unless an integer at least 0, whichever source it came from."""
-    cap = opts.get("degree_cap")
-    cap = fallback if cap is None else cap
-    if cap is not None and _int(cap, "the 'degree_cap' field") < 0:
-        raise InputError(f"the 'degree_cap' must be at least 0, got {cap}")
-    return cap
+def _map(key, value):
+    return ("map", (key, value), OBJECT)
 
 
-def _window(doc: dict, key: str) -> tuple:
-    lo, hi = (_int(x, f"a {key!r} entry") for x in _need(doc, key))
-    if lo > hi:
-        raise InputError(f"the weight window [{lo}, {hi}] is empty")
-    return lo, hi
+def _tuple(expected, *parts):
+    """A list of fixed length; each part is (noun, kind), the noun naming
+    that entry in a refusal."""
+    return ("tuple", parts, expected)
 
 
-def _int(value, what: str) -> int:
-    """value when it is an int (not a bool, float or string), so that no
-    input is silently truncated; else an InputError naming the field."""
-    if type(value) is not int:
-        raise InputError(f"{what} must be an integer, got {value!r}")
-    return value
+def _one_of(table):
+    return ("one of", table, "one of " + ", ".join(sorted(table)))
 
 
-def _int_field(doc: dict, key: str, default=None) -> int:
-    """The document's integer field, required when there is no default."""
-    value = _need(doc, key) if default is None else doc.get(key, default)
-    return _int(value, f"the {key!r} field")
+def _optional(kind, default=None):
+    """An absent field reads as the default: None stays None, any other
+    default is read like a value the document gave."""
+    return ("optional", kind, default)
 
 
-def _int_matrix(doc: dict) -> list:
-    """The 'matrix' field, refused unless it is a list of rows whose
-    entries are all integers."""
-    matrix = _need(doc, "matrix")
-    if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
-        raise InputError("the 'matrix' field must be a list of rows")
-    for row in matrix:
-        for x in row:
-            _int(x, "a 'matrix' entry")
-    return matrix
+POISSON_BUILDERS = {
+    "standard": (standard_presentation, {"n": INT, "k": INT, "ell": _optional(INT, 1)}),
+    "sl2": (fixtures.sl2_presentation, {}),
+    "kleinian": (fixtures.kleinian_presentation, {"n": INT}),
+    "kleinian-product": (fixtures.kleinian_product, {"n": INT, "slice_n": INT}),
+    "cyclic-nonjacobi": (fixtures.cyclic_nonjacobi, {}),
+    "coupled-line": (fixtures.coupled_line_example, {}),
+    "cubic-jacobian": (fixtures.cubic_jacobian, {}),
+    "invariant-quadric": (fixtures.invariant_quadric, {}),
+}
+POISSON_DOC = {"builder": _optional(_one_of(POISSON_BUILDERS)), "order": _optional(INT, 6)}
+# a spelled-out presentation: its graded context, then its brackets
+POISSON_CONTEXT = {
+    "variables": NAMES,
+    "weights": _list(INT),
+    "invertible": _optional(_list(NAME), []),
+    "filtration": _optional(_list(NAME), []),
+}
+POISSON_TABLE = {
+    "table": _map(KEY, POLY),
+    "relations": _optional(_list(POLY), []),
+    "degree": _optional(INT),
+}
+
+GROUP_BUILDERS = {
+    "cyclic": (fixtures.cyclic_plane_action, {"n": INT}),
+    "pairwise-sign": (fixtures.pairwise_sign_action, {}),
+    "binary-dihedral": (fixtures.binary_dihedral_action, {}),
+}
+GROUP_DOC = {
+    "builder": _optional(_one_of(GROUP_BUILDERS)), "cyclotomic_order": _optional(INT, 1),
+}
+GROUP_MATRICES = {
+    "omega": _list(_list(CYCLO)),
+    "generators": _list(_list(_list(CYCLO))),
+    "cap": _optional(INT, 512),
+}
+
+QUANTUM_FAMILIES = {
+    "differential": (differential_family, {"n": INT, "k": INT}),
+    "weyl": (weyl_family, {"pairs": INT, "k": INT}),
+    "sl2": (sl2_enveloping, {"localized": _optional(BOOL, False)}),
+    "enveloping": (enveloping_family, {
+        "names": NAMES,
+        "constants": _map(KEY, _map(NAME, RATIONAL)),
+        "weights": _optional(_list(INT)),
+        "k": _optional(INT, 1),
+        "invertible": _optional(_list(NAME), []),
+    }),
+}
+QUANTUM_DOC = {"family": _one_of(QUANTUM_FAMILIES), "order": _optional(INT, 3)}
+WORD = _list(_tuple("a [generator, exponent] pair",
+                    ("a 'word' generator", NAME), ("a 'word' exponent", INT)))
+TERM = _tuple("a [coefficient, hbar power, exponents] term",
+              ("an element term's coefficient", RATIONAL),
+              ("an element term's hbar power", INT),
+              ("an element term's exponent", _map(NAME, INT)))
 
 
-def _rational(value, what: str):
-    """value as an exact rational when it is an int (not a bool) or a
-    string such as "3/4"; a JSON float would bring its binary rounding
-    in (0.1 is 3602879701896397/36028797018963968) and a bool is not a
-    number, so both are refused, naming the field."""
-    if type(value) is int:
-        return value
-    if isinstance(value, str):
-        try:
-            return exact(Q(value))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"{what} is not a rational number: {value!r}") from exc
-    raise InputError(
-        f"{what} must be an integer or a string such as \"3/4\", got {value!r}"
-    )
+class _Reader:
+    """Reads documents against schemas, in a scope: `names` for NAME and
+    KEY (set by a NAMES field and by each presentation read), `field` for
+    CYCLO, `ctx` for POLY and `algebra` for ELEMENT, each set by the read
+    that defines it.  A field that an option also sets, --order or
+    --degree-cap, takes the option's value when it was given, and the
+    document's value is not read."""
+
+    def __init__(self, opts=None):
+        self.opts = opts or {}
+        self.names, self.field, self.ctx, self.algebra = (), None, None, None
+
+    def object(self, doc, schema: dict, path: str = "") -> dict:
+        if type(doc) is not dict:
+            what = f"the {path!r} field" if path else "the document"
+            raise InputError(f"{what} must be {OBJECT}, got {doc!r}")
+        out = {}
+        for key, kind in schema.items():
+            at = f"{path}.{key}" if path else key
+            if key in ("order", "degree_cap") and self.opts.get(key) is not None:
+                out[key] = self.opts[key]
+                continue
+            if type(kind) is tuple and kind[0] == "optional":
+                _tag, kind, default = kind
+                if key not in doc and default is None:
+                    out[key] = None
+                    continue
+                value = doc.get(key, default)
+            elif key in doc:
+                value = doc[key]
+            else:
+                raise InputError(f"the document is missing the {at!r} field")
+            noun = "value" if type(kind) is tuple and kind[0] == "map" else "entry"
+            out[key] = self.value(value, kind, at, f"a {key!r} {noun}", f"the {at!r} field")
+        return out
+
+    def value(self, value, kind, path: str, noun: str, what: str = ""):
+        """value read as kind.  what names it in a refusal, by default as
+        noun at path; noun names the entries inside it."""
+        what = what or f"{noun} at {path}"
+        expected = kind
+        if type(kind) is tuple:
+            tag, arg, expected = kind
+            if tag == "one of" and type(value) is str and value in arg:
+                return arg[value]
+            if tag == "list" and type(value) is list:
+                return [self.value(v, arg, f"{path}[{i}]", noun) for i, v in enumerate(value)]
+            if tag == "tuple" and type(value) is list and len(value) == len(arg):
+                return [self.value(v, part, f"{path}[{i}]", part_noun)
+                        for i, (v, (part_noun, part)) in enumerate(zip(value, arg))]
+            if tag == "map" and type(value) is dict:
+                key_kind, value_kind = arg
+                return {
+                    self.value(k, key_kind, path, noun, f"the key {k!r} of {path}"):
+                    self.value(v, value_kind, f"{path}[{k!r}]", noun)
+                    for k, v in value.items()
+                }
+        elif kind in (INT, NAT) and type(value) is int:
+            if kind == INT or value >= 0:
+                return value
+        elif kind in (BOOL, TEXT, OBJECT):
+            if type(value) is {BOOL: bool, TEXT: str, OBJECT: dict}[kind]:
+                return value
+        elif kind == RATIONAL and type(value) in (int, str):
+            try:
+                return exact(Q(value))
+            except (ValueError, ZeroDivisionError):
+                pass
+        elif kind == CYCLO:
+            if type(value) is not list:
+                return self.value(value, RATIONAL, path, noun, what)
+            z, total = self.field.zeta(), self.field.zero()
+            for i, c in enumerate(value):
+                total = total + z ** i * self.value(c, RATIONAL, f"{path}[{i}]", noun)
+            return total
+        elif kind == NAME:
+            if type(value) is str and value in self.names:
+                return value
+            expected = f"{NAME} {', '.join(self.names)}"
+        elif kind == NAMES:
+            self.names = tuple(self.value(value, _list(TEXT), path, noun, what))
+            return list(self.names)
+        elif kind == KEY:
+            pair = tuple(value.split(","))
+            if len(pair) == 2 and all(name in self.names for name in pair):
+                return pair
+            expected = f"two of the generators {', '.join(self.names)} joined by a comma"
+        elif kind == POLY and type(value) is str:
+            try:
+                return self.ctx.parse(value)
+            except (KeyError, ValueError, ZeroDivisionError) as exc:
+                expected = f"{POLY} {', '.join(self.names)} ({exc.args[0]})"
+        elif kind == WINDOW:
+            lo, hi = self.value(value, _tuple(WINDOW, (noun, INT), (noun, INT)), path, noun, what)
+            if lo > hi:
+                raise InputError(f"the weight window [{lo}, {hi}] at {path} is empty")
+            return lo, hi
+        elif kind == ELEMENT:
+            if type(value) is str:
+                return self.algebra.var(self.value(value, NAME, path, noun, what))
+            if type(value) is dict and "word" in value:
+                word = self.object(value, {"word": WORD}, path)["word"]
+                return self.algebra.normal_form(word)
+            if type(value) is dict and value.get("casimir") is True:
+                return sl2_casimir_element(self.algebra)
+            if type(value) is list:
+                return self.algebra.from_terms(self.value(value, _list(TERM), path, noun, what))
+        elif kind in (POISSON, GROUP, QUANTUM):
+            read = {POISSON: self.poisson, GROUP: self.group, QUANTUM: self.quantum}[kind]
+            return read(value, path)
+        raise InputError(f"{what} must be {expected}, got {value!r}")
+
+    def poisson(self, doc, path: str = "") -> PoissonPresentation:
+        head = self.object(doc, POISSON_DOC, path)
+        if head["builder"]:
+            build, schema = head["builder"]
+            pres = build(**self.object(doc, schema, path), order=head["order"])
+        else:
+            self.ctx = GradedContext(**self.object(doc, POISSON_CONTEXT, path), order=head["order"])
+            pres = PoissonPresentation(self.ctx, **self.object(doc, POISSON_TABLE, path))
+        self.names = pres.ctx.variables
+        return pres
+
+    def group(self, doc, path: str = ""):
+        head = self.object(doc, GROUP_DOC, path)
+        if head["builder"]:
+            build, schema = head["builder"]
+            group = build(**self.object(doc, schema, path))
+        else:
+            self.field = CycloField(head["cyclotomic_order"])
+            spec = self.object(doc, GROUP_MATRICES, path)
+            group = close_group(spec["generators"], spec["omega"],
+                                field=self.field, cap=spec["cap"])
+        self.field = group.field
+        return group
+
+    def quantum(self, doc, path: str = ""):
+        head = self.object(doc, QUANTUM_DOC, path)
+        build, schema = head["family"]
+        self.algebra = build(**self.object(doc, schema, path), order=head["order"])
+        self.names = self.algebra.names
+        return self.algebra
 
 
 def load_poisson(doc: dict, order=None) -> PoissonPresentation:
-    if not isinstance(doc, dict):
-        raise InputError("a presentation document must be a JSON object")
-    builder = doc.get("builder")
-    if builder is not None:
-        pick = order or _int_field(doc, "order", 6)
-        table = {
-            "standard": lambda: standard_presentation(
-                _int_field(doc, "n"), _int_field(doc, "k"),
-                ell=_int_field(doc, "ell", 1), order=pick,
-            ),
-            "sl2": lambda: fixtures.sl2_presentation(order=pick),
-            "kleinian": lambda: fixtures.kleinian_presentation(
-                _int_field(doc, "n"), order=pick
-            ),
-            "kleinian-product": lambda: fixtures.kleinian_product(
-                _int_field(doc, "n"), _int_field(doc, "slice_n"), order=pick
-            ),
-            "cyclic-nonjacobi": lambda: fixtures.cyclic_nonjacobi(order=pick),
-            "coupled-line": lambda: fixtures.coupled_line_example(order=pick),
-            "cubic-jacobian": lambda: fixtures.cubic_jacobian(order=pick),
-            "invariant-quadric": lambda: fixtures.invariant_quadric(order=pick),
-        }
-        if builder not in table:
-            raise InputError(f"unknown builder {builder!r}")
-        return table[builder]()
-    variables = _need(doc, "variables")
-    weights = _need(doc, "weights")
-    ctx = GradedContext(
-        variables,
-        weights,
-        invertible=doc.get("invertible", ()),
-        filtration=doc.get("filtration", ()),
-        order=order or _int_field(doc, "order", 6),
-    )
-    entries = _need(doc, "table")
-    if not isinstance(entries, dict):
-        raise InputError("the 'table' field must be an object of 'a,b': text entries")
-    table = {}
-    for key, text in entries.items():
-        pair = tuple(key.split(","))
-        if len(pair) != 2:
-            raise InputError(f"table keys look like 'a,b', got {key!r}")
-        table[pair] = ctx.parse(_text(text, f"the table entry {key!r}"))
-    relations = doc.get("relations", [])
-    if not isinstance(relations, list):
-        raise InputError("the 'relations' field must be a list of texts")
-    relations = tuple(ctx.parse(_text(r, "a 'relations' entry")) for r in relations)
-    # an absent degree is undeclared, a present one an integer
-    degree = _int_field(doc, "degree") if "degree" in doc else None
-    return PoissonPresentation(ctx, table, relations=relations, degree=degree)
-
-
-def _text(value, what: str) -> str:
-    if not isinstance(value, str):
-        raise InputError(f"{what} must be a string, got {value!r}")
-    return value
-
-
-def _cyclo_entry(fld: CycloField, value, what: str):
-    """A field element: a rational, or a list of rational coefficients of
-    the powers of zeta."""
-    if isinstance(value, list):
-        z = fld.zeta()
-        total = fld.zero()
-        for i, c in enumerate(value):
-            total = total + z ** i * _rational(c, what)
-        return total
-    return _rational(value, what)
+    return _Reader({"order": order}).poisson(doc)
 
 
 def load_group(doc: dict):
-    if not isinstance(doc, dict):
-        raise InputError("a group document must be a JSON object")
-    builder = doc.get("builder")
-    if builder == "cyclic":
-        return fixtures.cyclic_plane_action(_int_field(doc, "n"))
-    if builder == "pairwise-sign":
-        return fixtures.pairwise_sign_action()
-    if builder == "binary-dihedral":
-        return fixtures.binary_dihedral_action()
-    if builder is not None:
-        raise InputError(f"unknown builder {builder!r}")
-    fld = CycloField(_int_field(doc, "cyclotomic_order", 1))
-    omega = tuple(
-        tuple(_cyclo_entry(fld, v, "an 'omega' entry") for v in row)
-        for row in _need(doc, "omega")
-    )
-    generators = [
-        tuple(
-            tuple(_cyclo_entry(fld, v, "a 'generators' entry") for v in row)
-            for row in mat
-        )
-        for mat in _need(doc, "generators")
-    ]
-    return close_group(
-        generators, omega, field=fld, cap=_int_field(doc, "cap", 512)
-    )
+    return _Reader().group(doc)
 
 
 def load_quantum(doc: dict, order=None):
-    if not isinstance(doc, dict):
-        raise InputError("a quantum document must be a JSON object")
-    family = _need(doc, "family")
-    pick = order or _int_field(doc, "order", 3)
-    if family == "differential":
-        return differential_family(
-            _int_field(doc, "n"), _int_field(doc, "k"), order=pick
-        )
-    if family == "weyl":
-        return weyl_family(
-            _int_field(doc, "pairs"), _int_field(doc, "k"), order=pick
-        )
-    if family == "sl2":
-        localized = doc.get("localized", False)
-        if type(localized) is not bool:
-            raise InputError(
-                f"the 'localized' field must be true or false, got {localized!r}"
-            )
-        return sl2_enveloping(order=pick, localized=localized)
-    if family == "enveloping":
-        constants = {}
-        for key, row in _need(doc, "constants").items():
-            pair = tuple(key.split(","))
-            if len(pair) != 2:
-                raise InputError(f"constant keys look like 'a,b', got {key!r}")
-            constants[pair] = {
-                g: _rational(c, "a 'constants' value") for g, c in row.items()
-            }
-        return enveloping_family(
-            _need(doc, "names"),
-            constants,
-            weights=doc.get("weights"),
-            k=_int_field(doc, "k", 1),
-            invertible=doc.get("invertible", ()),
-            order=pick,
-        )
-    raise InputError(f"unknown family {family!r}")
-
-
-def _word(word) -> list:
-    return [(name, _int(exp, "a 'word' exponent")) for name, exp in word]
+    return _Reader({"order": order}).quantum(doc)
 
 
 def load_quantum_element(algebra, spec):
-    if isinstance(spec, str):
-        return algebra.var(spec)
-    if isinstance(spec, dict) and "word" in spec:
-        return algebra.normal_form(_word(spec["word"]))
-    if isinstance(spec, dict) and spec.get("casimir"):
-        return sl2_casimir_element(algebra)
-    if isinstance(spec, list):
-        return algebra.from_terms([
-            (_rational(c, "an element term's coefficient"),
-             _int(h, "an element term's hbar power"),
-             {name: _int(exps[name], "an element term's exponent")
-              for name in exps})
-            for c, h, exps in spec
-        ])
-    raise InputError(
-        "an element is a generator name, {'word': [...]}, "
-        "{'casimir': true}, or a list of [coeff, hbar_power, exponents]"
-    )
+    reader = _Reader()
+    reader.algebra, reader.names = algebra, algebra.names
+    return reader.value(spec, ELEMENT, "element", "an 'element' entry", "the 'element' field")
 
 
 # -- command handlers ---------------------------------------------------------
+# Each takes the structure its document describes (or None), the typed
+# fields of the document and the options; see COMMANDS.
 
 
-def _poisson_jacobi(doc, opts):
-    p = load_poisson(doc, opts.get("order"))
+def _poisson_jacobi(p, fields, opts):
     failures = p.check_jacobi()
     return (0 if not failures else 1), {
         "ok": not failures, "failures": failures,
     }
 
 
-def _poisson_degree(doc, opts):
-    p = load_poisson(doc, opts.get("order"))
+def _poisson_degree(p, fields, opts):
     return 0, {"degree": p.homogeneity_degree()}
 
 
-def _poisson_center(doc, opts):
-    p = load_poisson(doc, opts.get("order"))
-    lo, hi = _window(doc, "weight_window")
-    cap = _degree_cap(opts, doc.get("degree_cap"))
-    basis = p.poisson_center_basis(range(lo, hi + 1), degree_cap=cap)
+def _poisson_center(p, fields, opts):
+    lo, hi = fields["weight_window"]
+    basis = p.poisson_center_basis(range(lo, hi + 1), degree_cap=fields["degree_cap"])
     return 0, {
         "basis": {
             str(w): [str(e) for e in elems]
@@ -327,17 +365,12 @@ def _poisson_center(doc, opts):
     }
 
 
-def _poisson_hp0(doc, opts):
-    p = load_poisson(doc, opts.get("order"))
-    cap = _degree_cap(opts, doc.get("degree_cap"))
-    if cap is None:
-        raise InputError("hp0 needs a degree cap (--degree-cap or document)")
-    dims = p.hp0_graded(cap)
+def _poisson_hp0(p, fields, opts):
+    dims = p.hp0_graded(fields["degree_cap"])
     return 0, {"dimensions": {str(w): d for w, d in sorted(dims.items())}}
 
 
-def _poisson_gradings(doc, opts):
-    p = load_poisson(doc, opts.get("order"))
+def _poisson_gradings(p, fields, opts):
     ctx = p.ctx
     try:
         degree = p.homogeneity_degree()
@@ -353,15 +386,13 @@ def _poisson_gradings(doc, opts):
         "degree": degree,
     }
     if degree is not None:
-        bound = _degree_cap(opts, 2)
-        report["search"] = [
-            list(w) for w in p.grading_search(degree, bound)
-        ]
+        bound = opts.get("degree_cap")
+        bound = 2 if bound is None else bound
+        report["search"] = [list(w) for w in p.grading_search(degree, bound)]
     return 0, report
 
 
-def _darboux_normalize(doc, opts):
-    p = load_poisson(doc, opts.get("order"))
+def _darboux_normalize(p, fields, opts):
     try:
         cert = normalize_full(p)
     except StageError as exc:
@@ -369,18 +400,10 @@ def _darboux_normalize(doc, opts):
     return 0, cert.as_json()
 
 
-def _darboux_slice(doc, opts):
-    p = load_poisson(doc, opts.get("order"))
-    pairs = doc.get("pairs", ())
-    if not all(isinstance(pair, list) for pair in pairs):
-        raise InputError('pairs is a list of name lists, like [["z1", "z2"]]')
-    report = extract_slice(
-        p,
-        doc.get("t", "t"),
-        tuple(name for pair in pairs for name in pair),
-        degree_cap=_degree_cap(opts, doc.get("degree_cap")),
-        weight=_int_field(doc, "weight", 0),
-    )
+def _darboux_slice(p, fields, opts):
+    pairs = tuple(name for pair in fields["pairs"] for name in pair)
+    report = extract_slice(p, fields["t"], pairs, degree_cap=fields["degree_cap"],
+                           weight=fields["weight"])
     return 0, {
         "weight": report["weight"],
         "generators": [str(g) for g in report["generators"]],
@@ -388,50 +411,43 @@ def _darboux_slice(doc, opts):
     }
 
 
-def _hypertoric_unimodular(doc, opts):
-    ok, witness = check_unimodular(_int_matrix(doc))
+def _hypertoric_unimodular(_none, fields, opts):
+    ok, witness = check_unimodular(fields["matrix"])
     return (0 if ok else 1), {"unimodular": ok, "witness": witness}
 
 
-def _hypertoric_leaves(doc, opts):
-    leaves = enumerate_leaves(_int_matrix(doc))
+def _hypertoric_leaves(_none, fields, opts):
+    leaves = enumerate_leaves(fields["matrix"])
     return 0, {
         "leaves": [leaf.as_json() for leaf in leaves],
         "dimensions": sorted({leaf.leaf_dim for leaf in leaves}, reverse=True),
     }
 
 
-def _pick_leaf(matrix, doc):
+def _decompose_at_flat(matrix, flat):
     leaves = enumerate_leaves(matrix)
-    flat = doc.get("flat", [])
     for leaf in leaves:
-        if leaf.as_json()["flat"] == list(flat):
-            return leaf
+        if leaf.as_json()["flat"] == flat:
+            return decompose_at(matrix, leaf)
     raise InputError(
-        f"no leaf has flat {list(flat)}; "
+        f"no leaf has flat {flat}; "
         f"available: {[leaf.as_json()['flat'] for leaf in leaves]}"
     )
 
 
-def _hypertoric_decompose(doc, opts):
-    matrix = _int_matrix(doc)
-    leaf = _pick_leaf(matrix, doc)
-    report = decompose_at(matrix, leaf)
-    return 0, report.as_json()
+def _hypertoric_decompose(_none, fields, opts):
+    return 0, _decompose_at_flat(fields["matrix"], fields["flat"]).as_json()
 
 
-def _hypertoric_verify(doc, opts):
-    matrix = _int_matrix(doc)
-    leaf = _pick_leaf(matrix, doc)
-    report = decompose_at(matrix, leaf)
+def _hypertoric_verify(_none, fields, opts):
+    report = _decompose_at_flat(fields["matrix"], fields["flat"])
     verdict = verify_decomposition(
-        matrix, report, order=opts.get("order") or 5
+        fields["matrix"], report, order=opts.get("order") or 5
     )
     return (0 if verdict["ok"] else 1), verdict
 
 
-def _quotient_parabolics(doc, opts):
-    group = load_group(doc)
+def _quotient_parabolics(group, fields, opts):
     records = parabolic_subgroups(group)
     return 0, {
         "group": group.as_json(),
@@ -439,42 +455,25 @@ def _quotient_parabolics(doc, opts):
     }
 
 
-def _quotient_reflections(doc, opts):
-    group = load_group(doc)
+def _quotient_reflections(group, fields, opts):
     return 0, symplectic_reflections(group).as_json()
 
 
-def _quotient_slice(doc, opts):
-    group = load_group(doc)
-    fld = group.field
-    point = tuple(
-        _cyclo_entry(fld, v, "a 'base_point' entry")
-        for v in _need(doc, "base_point")
-    )
-    lagrangian = doc.get("lagrangian")
-    if lagrangian is not None:
-        lagrangian = [
-            tuple(_cyclo_entry(fld, v, "a 'lagrangian' entry") for v in vec)
-            for vec in lagrangian
-        ]
+def _quotient_slice(group, fields, opts):
     last = None
     for record in parabolic_subgroups(group):
         try:
             return 0, leaf_slice_data(
-                group, record, point, lagrangian=lagrangian
+                group, record, fields["base_point"], lagrangian=fields["lagrangian"]
             )
         except ValueError as exc:
             last = exc
     raise InputError(f"no parabolic matches the base point: {last}")
 
 
-def _quotient_sra(doc, opts):
-    group = load_group(doc)
-    fld = group.field
+def _quotient_sra(group, fields, opts):
     sra = symplectic_reflections(group)
-    x = tuple(_cyclo_entry(fld, v, "an 'x' entry") for v in _need(doc, "x"))
-    y = tuple(_cyclo_entry(fld, v, "a 'y' entry") for v in _need(doc, "y"))
-    relation = sra_relation(group, sra, x, y)
+    relation = sra_relation(group, sra, fields["x"], fields["y"])
     return 0, {
         "relation": {
             f"{param},{idx}": str(coeff)
@@ -484,8 +483,7 @@ def _quotient_sra(doc, opts):
     }
 
 
-def _quantize_build(doc, opts):
-    algebra = load_quantum(doc, opts.get("order"))
+def _quantize_build(algebra, fields, opts):
     confluence = algebra.certify_confluence()
     return (0 if confluence["ok"] else 1), {
         "presentation": algebra.as_json(),
@@ -493,36 +491,24 @@ def _quantize_build(doc, opts):
     }
 
 
-def _quantize_normalform(doc, opts):
-    algebra = load_quantum(_need(doc, "presentation"), opts.get("order"))
-    word = _word(_need(doc, "word"))
-    return 0, {"normal_form": algebra.render(algebra.normal_form(word))}
+def _quantize_normalform(_none, fields, opts):
+    algebra = fields["presentation"]
+    return 0, {"normal_form": algebra.render(algebra.normal_form(fields["word"]))}
 
 
-def _quantize_central(doc, opts):
-    algebra = load_quantum(_need(doc, "presentation"), opts.get("order"))
-    element = load_quantum_element(algebra, _need(doc, "element"))
+def _quantize_central(_none, fields, opts):
     report = centrality_check(
-        algebra, element, degree_cap=opts.get("degree_cap")
+        fields["presentation"], fields["element"], degree_cap=opts.get("degree_cap")
     )
     return (0 if report["ok"] else 1), report
 
 
-def _quantize_slice(doc, opts):
-    algebra = load_quantum(_need(doc, "presentation"), opts.get("order"))
-    t_lift = load_quantum_element(algebra, _need(doc, "t_lift"))
-    z_lifts = [
-        load_quantum_element(algebra, z) for z in doc.get("z_lifts", ())
-    ]
-    lo, hi = _window(doc, "window")
+def _quantize_slice(_none, fields, opts):
     try:
         result = quantized_slice(
-            algebra,
-            t_lift,
-            z_lifts,
-            truncation=_int_field(doc, "truncation"),
-            weight_window=(lo, hi),
-            degree_cap=_degree_cap(opts, doc.get("degree_cap", 4)),
+            fields["presentation"], fields["t_lift"], fields["z_lifts"],
+            truncation=fields["truncation"], weight_window=fields["window"],
+            degree_cap=fields["degree_cap"],
         )
     except ConicRelationError as exc:
         return 1, {"ok": False, "error": str(exc)}
@@ -530,20 +516,19 @@ def _quantize_slice(doc, opts):
     return status, result.as_json()
 
 
-def _quantize_axiom(doc, opts):
-    algebra = load_quantum(_need(doc, "quantum"), None)
-    classical = load_poisson(_need(doc, "classical"), opts.get("order"))
-    report = quantization_axiom_check(algebra, classical)
+def _quantize_axiom(_none, fields, opts):
+    # --order truncates the classical side only
+    algebra = _Reader().quantum(fields["quantum"], "quantum")
+    report = quantization_axiom_check(algebra, fields["classical"])
     return (0 if report["ok"] else 1), report
 
 
 # -- selftest ------------------------------------------------------------------
 
 
-def _selftest(doc, opts):
+def _selftest(_none, fields, opts):
     order = opts.get("order") or 6
     seed = opts.get("seed") or 0
-    checks = []
 
     def sl2_jacobi():
         return fixtures.sl2_presentation(order=order).check_jacobi() == []
@@ -613,58 +598,65 @@ def _selftest(doc, opts):
         return cert.is_product()
 
     checks = [
-        ("sl2-jacobi", sl2_jacobi),
-        ("sl2-degree", sl2_degree),
-        ("kleinian-jacobi", kleinian_jacobi),
-        ("cyclic-counterexample", cyclic_counterexample),
-        ("counterexample-center", counterexample_center),
-        ("counterexample-twisted", counterexample_twisted),
-        ("hypertoric-line", hypertoric_line),
-        ("hypertoric-rectangle", hypertoric_rectangle),
-        ("quotient-z2", quotient_z2),
-        ("quantize-axiom", quantize_axiom),
-        ("quantize-localization", quantize_localization),
-        ("darboux-roundtrip", darboux_roundtrip),
+        sl2_jacobi, sl2_degree, kleinian_jacobi, cyclic_counterexample,
+        counterexample_center, counterexample_twisted, hypertoric_line,
+        hypertoric_rectangle, quotient_z2, quantize_axiom,
+        quantize_localization, darboux_roundtrip,
     ]
-    matrix = {}
-    for name, check in checks:
-        matrix[name] = "pass" if check() else "fail"
+    # each check reports under its name, dashed: sl2_jacobi as sl2-jacobi
+    matrix = {
+        check.__name__.replace("_", "-"): "pass" if check() else "fail"
+        for check in checks
+    }
     ok = all(v == "pass" for v in matrix.values())
     return (0 if ok else 1), {
         "ok": ok, "order": order, "seed": seed, "fixtures": matrix,
     }
 
 
-HANDLERS = {
-    "poisson jacobi": _poisson_jacobi,
-    "poisson degree": _poisson_degree,
-    "poisson center": _poisson_center,
-    "poisson hp0": _poisson_hp0,
-    "poisson gradings": _poisson_gradings,
-    "darboux normalize": _darboux_normalize,
-    "darboux slice": _darboux_slice,
-    "hypertoric unimodular": _hypertoric_unimodular,
-    "hypertoric leaves": _hypertoric_leaves,
-    "hypertoric decompose": _hypertoric_decompose,
-    "hypertoric verify": _hypertoric_verify,
-    "quotient parabolics": _quotient_parabolics,
-    "quotient reflections": _quotient_reflections,
-    "quotient slice": _quotient_slice,
-    "quotient sra": _quotient_sra,
-    "quantize build": _quantize_build,
-    "quantize normalform": _quantize_normalform,
-    "quantize central": _quantize_central,
-    "quantize slice": _quantize_slice,
-    "quantize axiom": _quantize_axiom,
-    "selftest": _selftest,
+CAP = {"degree_cap": _optional(NAT)}
+MATRIX = {"matrix": _list(_list(INT))}
+LEAF = {**MATRIX, "flat": _optional(_list(INT), [])}
+PAIRS = _list(_list(NAME, 'a list of names (pairs are name lists, like [["z1", "z2"]])'))
+# command: (handler, the kind of the whole document or None, its fields)
+COMMANDS = {
+    "poisson jacobi": (_poisson_jacobi, POISSON, {}),
+    "poisson degree": (_poisson_degree, POISSON, {}),
+    "poisson center": (_poisson_center, POISSON, {"weight_window": WINDOW, **CAP}),
+    "poisson hp0": (_poisson_hp0, POISSON, {"degree_cap": NAT}),
+    "poisson gradings": (_poisson_gradings, POISSON, {}),
+    "darboux normalize": (_darboux_normalize, POISSON, {}),
+    "darboux slice": (_darboux_slice, POISSON, {
+        "t": _optional(NAME, "t"), "pairs": _optional(PAIRS, []), **CAP,
+        "weight": _optional(INT, 0),
+    }),
+    "hypertoric unimodular": (_hypertoric_unimodular, None, MATRIX),
+    "hypertoric leaves": (_hypertoric_leaves, None, MATRIX),
+    "hypertoric decompose": (_hypertoric_decompose, None, LEAF),
+    "hypertoric verify": (_hypertoric_verify, None, LEAF),
+    "quotient parabolics": (_quotient_parabolics, GROUP, {}),
+    "quotient reflections": (_quotient_reflections, GROUP, {}),
+    "quotient slice": (_quotient_slice, GROUP, {
+        "base_point": _list(CYCLO), "lagrangian": _optional(_list(_list(CYCLO))),
+    }),
+    "quotient sra": (_quotient_sra, GROUP, {"x": _list(CYCLO), "y": _list(CYCLO)}),
+    "quantize build": (_quantize_build, QUANTUM, {}),
+    "quantize normalform": (_quantize_normalform, None, {"presentation": QUANTUM, "word": WORD}),
+    "quantize central": (_quantize_central, None, {"presentation": QUANTUM, "element": ELEMENT}),
+    "quantize slice": (_quantize_slice, None, {
+        "presentation": QUANTUM, "t_lift": ELEMENT, "z_lifts": _optional(_list(ELEMENT), []),
+        "window": WINDOW, "truncation": INT, "degree_cap": _optional(NAT, 4),
+    }),
+    "quantize axiom": (_quantize_axiom, None, {"quantum": OBJECT, "classical": POISSON}),
+    "selftest": (_selftest, None, {}),
 }
 
 
 def run(job: JobSpec) -> tuple[int, dict]:
     """Dispatch one job; returns (exit status, report)."""
-    handler = HANDLERS.get(job.command)
-    if handler is None:
+    if job.command not in COMMANDS:
         return 2, {"error": f"unknown command {job.command!r}"}
+    handler, main, schema = COMMANDS[job.command]
     order = job.options.get("order")
     if order is not None and order < 1:
         return 2, {"error": f"--order must be at least 1, got {order}",
@@ -674,12 +666,17 @@ def run(job: JobSpec) -> tuple[int, dict]:
         return 2, {"error": f"--degree-cap must be at least 0, got {cap}",
                    "command": job.command}
     try:
-        return handler(job.document, job.options)
+        reader = _Reader(job.options)
+        doc = main and reader.value(job.document, main, "", "", "the document")
+        return handler(doc, reader.object(job.document, schema), job.options)
     except RewriteLimitError as exc:
         return 3, {"error": str(exc), "command": job.command,
                    "budget": "EQUISLICE_MAX_STEPS"}
-    except (InputError, KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:  # InputError and the library's refusals
         return 2, {"error": str(exc), "command": job.command}
+    except Exception as exc:  # InternalError, or a fault no check foresaw
+        return 4, {"error": f"{type(exc).__name__}: {exc}",
+                   "command": job.command, "internal": True}
 
 
 def render_report(report: dict, compact: bool) -> str:
@@ -718,24 +715,18 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="equislice", parents=[common],
         description="equivariant Poisson decompositions, exact arithmetic",
     )
-    groups = {
-        "poisson": ["jacobi", "degree", "center", "hp0", "gradings"],
-        "darboux": ["normalize", "slice"],
-        "hypertoric": ["unimodular", "leaves", "decompose", "verify"],
-        "quotient": ["parabolics", "reflections", "slice", "sra"],
-        "quantize": ["build", "normalform", "central", "slice", "axiom"],
-    }
     sub = parser.add_subparsers(dest="group", required=True)
-    for group, ops in groups.items():
-        gp = sub.add_parser(group, parents=[common])
-        gsub = gp.add_subparsers(dest="op", required=True)
-        for op in ops:
-            opp = gsub.add_parser(op, parents=[common])
-            opp.add_argument(
+    groups = {}
+    for command in COMMANDS:
+        group, _, op = command.partition(" ")
+        if group not in groups:
+            gp = sub.add_parser(group, parents=[common])
+            groups[group] = op and gp.add_subparsers(dest="op", required=True)
+        if op:
+            groups[group].add_parser(op, parents=[common]).add_argument(
                 "file", nargs="?", default="-",
                 help="JSON document path, or - for stdin",
             )
-    sub.add_parser("selftest", parents=[common])
     return parser
 
 

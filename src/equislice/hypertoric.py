@@ -25,6 +25,7 @@ from math import gcd
 
 from .intmat import IntMatrix, det
 from .poisson import PoissonPresentation
+from .scalars import InternalError
 from .series import GradedContext, TruncatedElement
 
 
@@ -281,7 +282,8 @@ def enumerate_leaves(b) -> list[LeafDescriptor]:
     for fixed, lat in lattices.items():
         # a cover that missed a row of its span (a parallel class split
         # in two) would not be closed, and its lattice would fix that row
-        assert _fixed_coordinates(b, lat) == fixed
+        if _fixed_coordinates(b, lat) != fixed:
+            raise InternalError(f"the flat fixing {sorted(fixed)} is not closed")
         if not _is_cyclic(b, fixed):
             continue
         flat = [i + 1 for i in range(b.n) if i not in fixed]
@@ -387,9 +389,8 @@ def decompose_at(b, leaf, nonvanishing=None, invert=None) -> DecompositionReport
         slice_mat=slice_matrix(b, leaf.flat),
         hyperplanes=[f"{designated[j]}{j}" for j in g],
     )
-    assert all(
-        report.weights[f"x{i}"] + report.weights[f"y{i}"] == 2 for i in remaining
-    )
+    if any(report.weights[f"x{i}"] + report.weights[f"y{i}"] != 2 for i in remaining):
+        raise InternalError("each remaining pair must have weights summing to 2")
     return report
 
 

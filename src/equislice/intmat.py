@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import chain
 
 from . import linalg
-from .scalars import exact, exact_int
+from .scalars import InternalError, exact, exact_int
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -56,7 +56,8 @@ def _bareiss(rows) -> tuple[int, int]:
             f = row[c]
             for j in range(c + 1, width):
                 num = row[j] * pivot - f * top[j]
-                assert num % prev == 0
+                if num % prev:
+                    raise InternalError("a Bareiss division must be exact")
                 row[j] = num // prev
         prev = pivot
         rank += 1

@@ -9,8 +9,8 @@ mutually orderable, and the stored rows are exactly the canonical RREF of
 the span in key order.  Entries follow the int-first rule of
 ``scalars``: the one division, by a pivot, is ``scalars.quo``, and a row
 scaled by the pivot's inverse goes through ``scalars.exact`` once as it
-is stored, so an integral entry stays an int and no division makes a
-float.
+is stored, as do the entries of the stored rows it clears of its pivot,
+so an integral entry stays an int and no division makes a float.
 
 `rank`, `solve` and `in_span` are thin wrappers for dense matrices,
 plain lists of row lists keyed by column index.  `relations` hands
@@ -77,6 +77,8 @@ class Echelon:
         for other in self._rows.values():
             if pivot in other:
                 _subtract_multiple(other, other[pivot], row)
+                for key in row.keys() & other.keys():
+                    other[key] = exact(other[key])
         self._rows[pivot] = row
         return True
 

@@ -46,7 +46,7 @@ from itertools import product as iter_product
 # test (perfbench/test_quick.py) checks that it is rebound in this module
 from .linalg import Echelon, in_span, relations
 from .poisson import PoissonPresentation, RewriteLimitError, max_steps
-from .scalars import Q, exact, exact_int, quo
+from .scalars import InternalError, Q, exact, exact_int, quo
 
 
 class ConicRelationError(ValueError):
@@ -218,9 +218,8 @@ class HbarPresentation:
                     mono.pop()
             else:
                 mono.append((i, e))
-        assert all(
-            e > 0 or self.names[i] in self.invertible for i, e in mono
-        ), "negative exponents require invertible generators"
+        if any(e < 0 and self.names[i] not in self.invertible for i, e in mono):
+            raise InternalError("negative exponents require invertible generators")
         key = (hpow, tuple(mono))
         s = out.get(key, 0) + coeff
         if s:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from array import array
 
 from .linalg import Echelon, rank, relations
-from .scalars import CycloField, CycloNumber, as_scalar, quo
+from .scalars import CycloField, CycloNumber, InternalError, as_scalar, quo
 
 Matrix = tuple[tuple[CycloNumber, ...], ...]
 Vector = tuple[CycloNumber, ...]
@@ -340,9 +340,8 @@ class ParabolicRecord:
         self.fixed_basis = fixed
         self.perp_basis = _omega_perp(field, group.omega, fixed)
         together = [list(v) for v in fixed + self.perp_basis]
-        assert len(together) == dim and rank(together) == dim, (
-            "the fixed space of a parabolic must be symplectic"
-        )
+        if len(together) != dim or rank(together) != dim:
+            raise InternalError("the fixed space of a parabolic must be symplectic")
         members = set(self.subgroup)
         self.normalizer = tuple(
             h for h in range(group.order)
@@ -431,9 +430,8 @@ class SRAData:
         self.classes = tuple(
             c for c in group.classes if set(c) <= inside
         )
-        assert sum(len(c) for c in self.classes) == len(self.reflections), (
-            "conjugation must preserve the reflection set"
-        )
+        if sum(len(c) for c in self.classes) != len(self.reflections):
+            raise InternalError("conjugation must preserve the reflection set")
         self.param_of = {
             s: f"c{k + 1}" for k, c in enumerate(self.classes) for s in c
         }
@@ -448,9 +446,8 @@ class SRAData:
         kernel = group.fixed_space(s)
         moved = _reduced_basis(field, _transpose(group._moved_rows(s)))
         basis = list(kernel) + list(moved)
-        assert len(basis) == dim and rank([list(v) for v in basis]) == dim, (
-            "a reflection must split the space into fixed plus moved"
-        )
+        if len(basis) != dim or rank([list(v) for v in basis]) != dim:
+            raise InternalError("a reflection must split the space into fixed plus moved")
         # row j: the image of e_j under the projection onto the moved
         # plane along the fixed space
         moved_t = _transpose(moved)
@@ -459,9 +456,8 @@ class SRAData:
             for c in _coordinates(basis, _identity_matrix(field, dim))
         ]
         out = _mat_mul(_mat_mul(proj_t, group.omega), _transpose(proj_t))
-        assert _transpose(out) == tuple(
-            tuple(-x for x in row) for row in out
-        ), "a compressed symplectic form must stay skew"
+        if _transpose(out) != tuple(tuple(-x for x in row) for row in out):
+            raise InternalError("a compressed symplectic form must stay skew")
         return out
 
     def as_json(self) -> dict:
@@ -554,6 +550,8 @@ def leaf_slice_data(group: GroupData, record: ParabolicRecord, v,
     vv = _vector(field, v)
     if len(vv) != group.dim:
         raise ValueError("the base point must have one entry per dimension")
+    if lagrangian is not None and any(len(w) != group.dim for w in lagrangian):
+        raise ValueError("each lagrangian vector must have one entry per dimension")
     if not any(vv):
         raise ValueError("the base point must be nonzero")
     stab = tuple(
@@ -567,9 +565,8 @@ def leaf_slice_data(group: GroupData, record: ParabolicRecord, v,
             f"the base point has stabilizer of order {len(stab)}, not the "
             f"recorded parabolic of order {len(record.subgroup)}"
         )
-    assert _contains(record.fixed_basis, [vv]), (
-        "a point with the recorded stabilizer lies in its fixed space"
-    )
+    if not _contains(record.fixed_basis, [vv]):
+        raise InternalError("a point with the recorded stabilizer lies in its fixed space")
 
     slice_group = [_restrict(group, i, record.perp_basis)
                    for i in record.subgroup]

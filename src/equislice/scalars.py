@@ -27,6 +27,11 @@ from functools import lru_cache
 Q = Fraction
 
 
+class InternalError(RuntimeError):
+    """A broken internal invariant, a fault of this package and never of
+    its input; raised, not asserted, so that ``python -O`` keeps it."""
+
+
 def _poly_divmod_z(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     # Exact division of integer polynomials, coefficients ascending,
     # denominator monic.  Used only to build cyclotomic polynomials.
@@ -55,7 +60,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         if n % d == 0:
             poly, rem = _poly_divmod_z(poly, list(cyclotomic_polynomial(d)))
             if rem:
-                raise AssertionError("cyclotomic division not exact")
+                raise InternalError("cyclotomic division not exact")
     return tuple(poly)
 
 

@@ -168,6 +168,9 @@ def test_integral_scalars_are_ints():
     echelon.insert({1: 2, 2: 4, 3: 3})  # a non-unit pivot keeps integral entries ints
     assert echelon.items()[1][1] == {1: 1, 2: 2, 3: Fraction(3, 2)}
     assert [type(c) for c in echelon.items()[1][1].values()] == [int, int, Fraction]
+    # clearing the new pivot from an earlier row keeps its integral entries ints
+    assert echelon.items()[0][1] == {0: 1, 2: -5, 3: -6}
+    assert [type(c) for c in echelon.items()[0][1].values()] == [int] * 3
     x = solve([[2, 0], [0, 3]], [4, 1])
     assert x == [2, Fraction(1, 3)] and type(x[0]) is int
     gauss_two = CycloField(4).element([2])
