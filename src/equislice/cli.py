@@ -266,7 +266,7 @@ class _Reader:
         elif kind == POLY and type(value) is str:
             try:
                 return self.ctx.parse(value)
-            except (KeyError, ValueError, ZeroDivisionError) as exc:
+            except (KeyError, ValueError) as exc:
                 expected = f"{POLY} {', '.join(self.names)} ({exc.args[0]})"
         elif kind == WINDOW:
             lo, hi = self.value(value, _tuple(WINDOW, (noun, INT), (noun, INT)), path, noun, what)
@@ -386,9 +386,7 @@ def _poisson_gradings(p, fields, opts):
         "degree": degree,
     }
     if degree is not None:
-        bound = opts.get("degree_cap")
-        bound = 2 if bound is None else bound
-        report["search"] = [list(w) for w in p.grading_search(degree, bound)]
+        report["search"] = [list(w) for w in p.grading_search(degree, fields["degree_cap"])]
     return 0, report
 
 
@@ -460,6 +458,14 @@ def _quotient_reflections(group, fields, opts):
 
 
 def _quotient_slice(group, fields, opts):
+    lagrangian = [(f"lagrangian[{i}]", w) for i, w in enumerate(fields["lagrangian"] or [])]
+    for path, vector in [("base_point", fields["base_point"]), *lagrangian]:
+        if len(vector) != group.dim:
+            raise InputError(
+                f"{path} must have one entry per dimension ({group.dim}), got {len(vector)}"
+            )
+    if not any(fields["base_point"]):
+        raise InputError("base_point must be nonzero")
     last = None
     for record in parabolic_subgroups(group):
         try:
@@ -624,7 +630,7 @@ COMMANDS = {
     "poisson degree": (_poisson_degree, POISSON, {}),
     "poisson center": (_poisson_center, POISSON, {"weight_window": WINDOW, **CAP}),
     "poisson hp0": (_poisson_hp0, POISSON, {"degree_cap": NAT}),
-    "poisson gradings": (_poisson_gradings, POISSON, {}),
+    "poisson gradings": (_poisson_gradings, POISSON, {"degree_cap": _optional(NAT, 2)}),
     "darboux normalize": (_darboux_normalize, POISSON, {}),
     "darboux slice": (_darboux_slice, POISSON, {
         "t": _optional(NAME, "t"), "pairs": _optional(PAIRS, []), **CAP,

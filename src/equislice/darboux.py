@@ -20,8 +20,7 @@ logs one line under its name and fails with a StageError of that name:
                        {t, u} = t^(1-k) modulo the filtration;
   flatten-conic        flatten {t, g} = 0 exactly for every other
                        generator by sweeps of u-antiderivative
-                       corrections (the minimal defect order must rise on
-                       every sweep, which the Jacobi identity guarantees);
+                       corrections;
   conjugate-normalize  normalize {t, u} = t^(1-k) exactly by iterated
                        conjugate corrections (each pass squares the
                        defect);
@@ -43,7 +42,11 @@ logs one line under its name and fails with a StageError of that name:
                        composite change.
 
 Every stage works on one run state, which records each step it takes;
-the certificate's change is the composite of those steps.
+the certificate's change is the composite of those steps.  Every
+iterative stage runs through _Run.sweep, which requires the least
+J-order of the defect each pass targets to rise strictly (the Jacobi
+identity guarantees it).  Defects are read below the certification
+horizon, so every sweep ends before its orders reach it.
 
 All corrections are either antiderivatives of table entries or built
 from J-order-zero data, so the computed pipeline agrees with the exact
@@ -63,7 +66,7 @@ import random
 
 from . import linalg
 from .poisson import PoissonPresentation, VectorFieldRep
-from .scalars import quo
+from .scalars import InternalError, quo
 from .series import GradedContext, TruncatedElement
 
 
@@ -246,7 +249,7 @@ def apply_exponential(field: VectorFieldRep, f: TruncatedElement, budget: int) -
 
 
 def hamiltonian_flow_change(
-    pres: PoissonPresentation, hamiltonian: TruncatedElement, budget: int | None = None
+    pres: PoissonPresentation, hamiltonian: TruncatedElement
 ) -> CoordinateChange:
     """The coordinate change realized by the bracket flow of a generator.
 
@@ -254,18 +257,17 @@ def hamiltonian_flow_change(
     them computes the flow of an element; the forward images use the
     opposite field."""
     ctx = pres.ctx
-    if budget is None:
-        budget = 8 * ctx.order + 8
+    terms = 8 * ctx.order + 8
     xi = pres.hamiltonian_field(hamiltonian)
     neg = VectorFieldRep(pres, {n: -img for n, img in xi.images.items() if img})
     forward = {}
     inverse = {}
     for name in ctx.variables:
         v = ctx.var(name)
-        fwd = apply_exponential(neg, v, budget)
+        fwd = apply_exponential(neg, v, terms)
         if fwd != v:
             forward[name] = fwd
-            inverse[name] = apply_exponential(xi, v, budget)
+            inverse[name] = apply_exponential(xi, v, terms)
     return CoordinateChange(ctx, forward, inverse)
 
 
@@ -622,16 +624,15 @@ class _Run:
     """One normalization in progress: the current presentation, the
     steps that reached it from the source, and the facts the stages
     share (the conic coordinate t and its weight ell, the conjugate u,
-    the exponent k, the pairs and slice names once split off, the
-    certification horizon and the sweep budget).  apply is the only
-    place a step transports the presentation."""
+    the exponent k, the pairs and slice names once split off, and the
+    certification horizon).  apply is the only place a step transports
+    the presentation."""
 
-    def __init__(self, pres: PoissonPresentation, budget: int | None = None):
+    def __init__(self, pres: PoissonPresentation):
         self.ctx = pres.ctx
         self.cur = pres
         self.steps: list[CoordinateChange] = []
         self.horizon = certification_horizon(self.ctx)
-        self.budget = 2 * self.ctx.order + 2 if budget is None else budget
         self.t = self.u = self.k = self.ell = None
         self.pairs: list[tuple[str, str]] = []
         self.slice_names: list[str] = []
@@ -657,6 +658,25 @@ class _Run:
     def change(self) -> CoordinateChange:
         """The composite of every step taken, from the source presentation."""
         return CoordinateChange.compose(self.ctx, self.steps)
+
+    def sweep(self, stage: str, subject: str, passes, floor: int = 0) -> int:
+        """Drive the passes of one iterative stage; returns their number.
+
+        passes yields, before each pass applies its correction, the least
+        J-order of the defect that the correction targets.  It must rise
+        strictly above floor and above the previous pass, or a StageError
+        names subject.  Defects are trusted, so every order lies below the
+        horizon and the sweep ends within horizon - floor passes."""
+        count = 0
+        for order in passes:
+            if order <= floor:
+                message = f"{subject} did not rise; this signals a Jacobi failure upstream"
+                raise StageError(stage, message)
+            if order >= self.horizon:
+                raise InternalError(f"[{stage}] a trusted defect reached J-order {order}")
+            floor = order
+            count += 1
+        return count
 
 
 def _rescale(run: _Run, name: str, lead: TruncatedElement, target: int, stage: str) -> None:
@@ -739,33 +759,27 @@ def _locate_conjugate(run: _Run) -> None:
 
 def _flatten_conic(run: _Run) -> None:
     """Stage flatten-conic: sweeps of u-antiderivative corrections until
-    {t, g} = 0 below the horizon for every generator g other than u.
-    The minimal defect order must rise on every sweep, which the Jacobi
-    identity guarantees."""
+    {t, g} = 0 below the horizon for every generator g other than u."""
     ctx, t = run.ctx, run.t
     others = run.others
-    prev_order = -1
-    for _ in range(run.budget):
-        defects = {}
-        for g in others:
-            d = run.trusted(t, g)
-            if d:
-                defects[g] = d
-        if not defects:
-            return
-        m = min(d.min_jorder() for d in defects.values())
-        if m <= prev_order:
-            raise StageError(
-                "flatten-conic",
-                "the defect order did not rise; this signals a Jacobi failure upstream",
-            )
-        prev_order = m
-        t_power = ctx.var(t, run.k - 1)
-        run.apply_forward({
-            g: ctx.var(g) - (t_power * d).antiderivative(run.u)
-            for g, d in defects.items()
-        })
-    raise StageError("flatten-conic", "the sweep budget was exhausted")
+
+    def passes():
+        while True:
+            defects = {}
+            for g in others:
+                d = run.trusted(t, g)
+                if d:
+                    defects[g] = d
+            if not defects:
+                return
+            yield min(d.min_jorder() for d in defects.values())
+            t_power = ctx.var(t, run.k - 1)
+            run.apply_forward({
+                g: ctx.var(g) - (t_power * d).antiderivative(run.u)
+                for g, d in defects.items()
+            })
+
+    run.sweep("flatten-conic", "the defect order", passes(), floor=-1)
 
 
 def enforce_tu(run: _Run) -> int:
@@ -782,36 +796,29 @@ def enforce_tu(run: _Run) -> int:
             "conjugate-normalize",
             f"the conic couplings {offenders} must be flattened first",
         )
-    passes = 0
-    prev_order = 0
-    for _ in range(run.budget):
-        eps = _trusted(run.cur.entry(t, u) * ctx.var(t, run.k - 1) - 1, run.horizon)
-        if not eps:
-            return passes
-        m = eps.min_jorder()
-        if m <= prev_order:
-            raise StageError(
-                "conjugate-normalize",
-                "the pairing defect order did not rise; this signals a "
-                "Jacobi failure upstream",
-            )
-        prev_order = m
-        correction = ctx.zero()
-        for exp, coeff_elem in eps.coefficients_in(u).items():
-            if coeff_elem.involves(u) or _trusted(
-                run.cur.bracket(ctx.var(t), coeff_elem), run.horizon
-            ):
-                raise StageError(
-                    "conjugate-normalize",
-                    f"the defect coefficient at conjugate power {exp} does "
-                    "not commute with the conic coordinate",
-                )
-            correction = correction + (
-                ctx.var(u, exp + 1) * coeff_elem
-            ).scale(quo(1, exp + 1))
-        run.apply_forward({u: ctx.var(u) - correction})
-        passes += 1
-    raise StageError("conjugate-normalize", "the correction iteration did not converge")
+
+    def passes():
+        while True:
+            eps = _trusted(run.cur.entry(t, u) * ctx.var(t, run.k - 1) - 1, run.horizon)
+            if not eps:
+                return
+            yield eps.min_jorder()
+            correction = ctx.zero()
+            for exp, coeff_elem in eps.coefficients_in(u).items():
+                if coeff_elem.involves(u) or _trusted(
+                    run.cur.bracket(ctx.var(t), coeff_elem), run.horizon
+                ):
+                    raise StageError(
+                        "conjugate-normalize",
+                        f"the defect coefficient at conjugate power {exp} does "
+                        "not commute with the conic coordinate",
+                    )
+                correction = correction + (
+                    ctx.var(u, exp + 1) * coeff_elem
+                ).scale(quo(1, exp + 1))
+            run.apply_forward({u: ctx.var(u) - correction})
+
+    return run.sweep("conjugate-normalize", "the pairing defect order", passes())
 
 
 def _split_pairs(run: _Run) -> None:
@@ -876,10 +883,9 @@ def _straighten_pairs(run: _Run) -> None:
     """Stage straighten-pairs: flatten each Darboux pair against all
     later generators by two-phase antiderivative sweeps."""
     ctx = run.ctx
-    for q, (a_name, b_name) in enumerate(run.pairs):
-        later = [v for ab in run.pairs[q + 1 :] for v in ab] + run.slice_names
-        prev_order = 0
-        for _ in range(run.budget):
+
+    def passes(a_name, b_name, later):
+        while True:
             defects = []
             d_pair = _trusted(run.cur.entry(a_name, b_name) - 1, run.horizon)
             if d_pair:
@@ -890,15 +896,8 @@ def _straighten_pairs(run: _Run) -> None:
                     if d:
                         defects.append(d)
             if not defects:
-                break
-            m = min(d.min_jorder() for d in defects)
-            if m <= prev_order:
-                raise StageError(
-                    "straighten-pairs",
-                    f"the defect order for pair ({a_name},{b_name}) did not "
-                    "rise; this signals a Jacobi failure upstream",
-                )
-            prev_order = m
+                return
+            yield min(d.min_jorder() for d in defects)
             fwd = {}
             if d_pair:
                 fwd[b_name] = ctx.var(b_name) - d_pair.antiderivative(b_name)
@@ -913,10 +912,11 @@ def _straighten_pairs(run: _Run) -> None:
                 if d:
                     fwd[g] = ctx.var(g) + d.antiderivative(a_name)
             run.apply_forward(fwd)
-        else:
-            raise StageError(
-                "straighten-pairs", f"the sweep budget for ({a_name},{b_name}) was exhausted"
-            )
+
+    for q, (a_name, b_name) in enumerate(run.pairs):
+        later = [v for ab in run.pairs[q + 1 :] for v in ab] + run.slice_names
+        subject = f"the defect order for pair ({a_name},{b_name})"
+        run.sweep("straighten-pairs", subject, passes(a_name, b_name, later))
 
 
 def decouple_u(run: _Run) -> int:
@@ -982,48 +982,39 @@ def _decouple_slice(run: _Run) -> bool:
     absorbed."""
     ctx, u, slice_names = run.ctx, run.u, run.slice_names
     leaf = [v for ab in run.pairs for v in ab] + [u]
-    absorbed = False
-    prev_order = 0
-    for _ in range(run.budget):
-        targets, cands, columns = _coupling_move_system(
-            run.cur, run.t, u, slice_names, leaf, run.horizon
-        )
-        if not any(targets.values()):
-            return absorbed
-        target = {
-            (si, oe): oc
-            for si, s in enumerate(slice_names)
-            for oe, oc in targets[s].terms.items()
-        }
-        killable, moves = _reachable_coupling(columns, target, len(slice_names))
-        if not killable:
-            return absorbed
-        m = min(ctx.jorder_of_exps(oe) for _, oe in killable)
-        if m <= prev_order:
-            raise StageError(
-                "decouple-slice",
-                "the reachable coupling order did not rise; this signals "
-                "a Jacobi failure upstream",
+
+    def passes():
+        while True:
+            targets, cands, columns = _coupling_move_system(
+                run.cur, run.t, u, slice_names, leaf, run.horizon
             )
-        prev_order = m
-        forward = {}
-        for j, (kind, name, mono) in enumerate(cands):
-            c = moves.get(j)
-            if not c:
-                continue
-            piece = mono.scale(c)
-            if kind == "conjugate":
-                forward[u] = forward.get(u, ctx.var(u)) - piece
-            else:
-                forward[name] = forward.get(name, ctx.var(name)) + piece
-        run.apply_forward(forward)
-        absorbed = True
-    raise StageError("decouple-slice", "the sweep budget was exhausted")
+            target = {
+                (si, oe): oc
+                for si, s in enumerate(slice_names)
+                for oe, oc in targets[s].terms.items()
+            }
+            killable, moves = _reachable_coupling(columns, target, len(slice_names))
+            if not killable:
+                return
+            yield min(ctx.jorder_of_exps(oe) for _, oe in killable)
+            forward = {}
+            for j, (kind, name, mono) in enumerate(cands):
+                c = moves.get(j)
+                if not c:
+                    continue
+                piece = mono.scale(c)
+                if kind == "conjugate":
+                    forward[u] = forward.get(u, ctx.var(u)) - piece
+                else:
+                    forward[name] = forward.get(name, ctx.var(name)) + piece
+            run.apply_forward(forward)
+
+    return run.sweep("decouple-slice", "the reachable coupling order", passes()) > 0
 
 
-def normalize_full(pres: PoissonPresentation, budget: int | None = None) -> DecompositionCertificate:
+def normalize_full(pres: PoissonPresentation) -> DecompositionCertificate:
     """Run the full staged normalization and return a verified certificate."""
-    run = _Run(pres, budget)
+    run = _Run(pres)
     degree = _validate(run)
     log = [f"validate: degree {degree}, k={run.k}, conic weight {run.ell}"]
     _locate_conjugate(run)

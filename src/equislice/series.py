@@ -582,6 +582,8 @@ def parse_element(ctx: GradedContext, text: str) -> TruncatedElement:
                     kind3, val3 = peek()
                     if kind3 != "num":
                         raise ValueError("expected denominator")
+                    if not val3:
+                        raise ValueError("division by zero in element text")
                     num = quo(num, val3)
                     i += 1
                 coeff *= num

@@ -235,10 +235,13 @@ def test_output_file_and_formats(tmp_path):
 
 
 def test_degree_cap_zero_is_a_cap():
-    status, report = invoke(
-        "poisson gradings", {"builder": "standard", "n": 1, "k": 2}, degree_cap=0
-    )
+    gradings = {"builder": "standard", "n": 1, "k": 2}
+    status, report = invoke("poisson gradings", gradings, degree_cap=0)
     assert status == 0 and report["search"] == []
+    status, report = invoke("poisson gradings", dict(gradings, degree_cap=0))
+    assert status == 0 and report["search"] == []
+    status, report = invoke("poisson gradings", dict(gradings, degree_cap=0), degree_cap=2)
+    assert status == 0 and report["search"] == [[0, 2], [1, 0], [2, -2]]
     center = {"builder": "sl2", "weight_window": [2, 2], "degree_cap": 2}
     status, report = invoke("poisson center", center)
     assert status == 0 and report["basis"] == {"2": ["1*h^2 + 4*e*f"]}

@@ -186,8 +186,26 @@ def test_a_lagrangian_of_the_wrong_length_is_refused():
     document = {"builder": "cyclic", "n": 2, "base_point": [1, 0], "lagrangian": [[1, 0, 0]]}
     status, report = run(JobSpec("quotient slice", document, {}))
     assert status == 2 and "lagrangian" in report["error"]
+    # refused by its path before any parabolic is tried
+    for fields, error in (
+        ({"lagrangian": [[1]]}, "lagrangian[0] must have one entry per dimension (2), got 1"),
+        ({"base_point": [1, 0, 0]}, "base_point must have one entry per dimension (2), got 3"),
+        ({"base_point": [0, 0], "lagrangian": [[1, 0]]}, "base_point must be nonzero"),
+    ):
+        status, report = run(JobSpec("quotient slice", dict(document, **fields), {}))
+        assert (status, report["error"]) == (2, error)
     status, report = run(JobSpec("quotient slice", dict(document, lagrangian=[[1, 0]]), {}))
     assert status == 0 and report["cotangent_cover"] is True
+
+
+def test_a_zero_denominator_is_refused_in_words():
+    document = {"variables": ["x", "y"], "weights": [1, 1], "table": {"x,y": "1/0"}}
+    status, report = run(JobSpec("poisson jacobi", document, {}))
+    assert status == 2
+    assert report["error"] == (
+        "a 'table' value at table['x,y'] must be an element text in the generators x, y "
+        "(division by zero in element text), got '1/0'"
+    )
 
 
 def test_an_unknown_builder_or_family_lists_the_known_names():

@@ -26,7 +26,7 @@ from equislice.fixtures import (
     sl2_presentation,
 )
 from equislice.poisson import PoissonPresentation, standard_presentation
-from equislice.scalars import Q
+from equislice.scalars import InternalError, Q
 from equislice.series import TruncatedElement
 
 
@@ -307,14 +307,61 @@ def test_invariants_survive_order_lifting(label, make, pairs):
         assert seen[0] == seen[1] == seen[2], (label, seed)
 
 
-@pytest.mark.parametrize("label,make,pairs", ORDER_LIFT_SOURCES, ids=[s[0] for s in ORDER_LIFT_SOURCES])
-def test_budget_of_one_sweep_stops_at_flatten_conic(label, make, pairs):
-    for seed in (0, 1):
-        _, scrambled = scramble_presentation(make(5), pairs, seed)
+def test_sweep_requires_rising_orders_below_the_horizon():
+    run = darboux._Run(standard_presentation(1, 2, order=6))
+    assert run.horizon == 5
+    applied = []
+
+    def passes(orders):
+        for order in orders:
+            yield order
+            applied.append(order)
+
+    for orders, floor in (([1, 1], 0), ([0], 0), ([3, 2], 0), ([2], 2), ([-1], -1)):
+        applied.clear()
         with pytest.raises(StageError) as err:
-            normalize_full(scrambled, budget=1)
-        assert err.value.stage == "flatten-conic"
-        assert str(err.value) == "[flatten-conic] the sweep budget was exhausted"
+            run.sweep("some-stage", "the test order", passes(orders), floor)
+        assert err.value.stage == "some-stage"
+        assert str(err.value) == (
+            "[some-stage] the test order did not rise; this signals a Jacobi failure upstream"
+        )
+        # the pass whose order failed never applied its correction
+        assert applied == orders[:-1]
+    for orders in ([5], [1, 2, 6]):
+        with pytest.raises(InternalError):
+            run.sweep("some-stage", "the test order", passes(orders))
+    assert run.sweep("some-stage", "the test order", passes([1, 2, 3])) == 3
+    assert run.sweep("some-stage", "the test order", passes([0, 4]), floor=-1) == 2
+    assert run.sweep("some-stage", "the test order", passes([])) == 0
+
+
+@pytest.mark.parametrize("label,make,pairs", ORDER_LIFT_SOURCES, ids=[s[0] for s in ORDER_LIFT_SOURCES])
+def test_every_sweep_ends_within_the_horizon(label, make, pairs, monkeypatch):
+    """Sweep orders rise strictly and stay below the certification
+    horizon, so no sweep takes more than horizon - floor passes.  Every
+    stage sweeps under its own subject, straighten-pairs once per pair,
+    and a scramble leaves flatten-conic a defect to correct."""
+    sweeps = []
+    sweep = darboux._Run.sweep
+
+    def recording(run, stage, subject, passes, floor=0):
+        count = sweep(run, stage, subject, passes, floor)
+        sweeps.append(((stage, subject), count, run.horizon - floor))
+        return count
+
+    monkeypatch.setattr(darboux._Run, "sweep", recording)
+    for order in (4, 5, 6):
+        for seed in (0, 1):
+            sweeps.clear()
+            normalize_full(scramble_presentation(make(order), pairs, seed)[1])
+            assert [named for named, _, _ in sweeps] == [
+                ("flatten-conic", "the defect order"),
+                ("conjugate-normalize", "the pairing defect order"),
+                *(("straighten-pairs", f"the defect order for pair ({a},{b})") for a, b in pairs),
+                ("decouple-slice", "the reachable coupling order"),
+            ], (label, order, seed)
+            assert all(count <= bound for _, count, bound in sweeps), (label, order, seed)
+            assert sweeps[0][1] >= 1, (label, order, seed)
 
 
 def test_scrambling_cannot_untwist():
