@@ -4,15 +4,16 @@ One job per invocation.  The exit status is the verdict: 0 when the
 requested computation succeeds (or the property holds), 1 when the
 computation ran and the property verifiably fails (a Jacobi violation,
 a non-unimodular matrix, a non-central element), 2 when the input
-cannot be used at all (among others: --order below 1, a negative
-degree cap from --degree-cap or the document, any field of the wrong
-type, an unknown generator name, an empty weight window), 3 when a step
-budget ran out before an answer (the report names EQUISLICE_MAX_STEPS,
-which sets the budget), 4 when the program itself failed (an
-InternalError or any other unforeseen exception; the report carries
-"internal": true and no traceback).  Reports are JSON on stdout, sorted
-keys, so identical jobs produce byte-identical output; the pretty form
-is a rendering of the same data, never a different source of truth.
+cannot be used at all (among others: --order below 1, or below 3 for
+hypertoric verify, a negative degree cap from --degree-cap or the
+document, any field of the wrong type, an unknown generator name, an
+empty weight window), 3 when a step budget ran out before an answer
+(the report names EQUISLICE_MAX_STEPS, which sets the budget), 4 when
+the program itself failed (an InternalError or any other unforeseen
+exception; the report carries "internal": true and no traceback).
+Reports are JSON on stdout, sorted keys, so identical jobs produce
+byte-identical output; the pretty form is a rendering of the same data,
+never a different source of truth.
 """
 
 from __future__ import annotations

@@ -24,8 +24,9 @@ from itertools import combinations
 from math import gcd
 
 from .intmat import IntMatrix, det
+from .linalg import Echelon
 from .poisson import PoissonPresentation
-from .scalars import InternalError
+from .scalars import InternalError, exact_int
 from .series import GradedContext, TruncatedElement
 
 
@@ -159,15 +160,25 @@ def moment_map(b, order: int = 4) -> list[TruncatedElement]:
     """The components of the torus moment map on the cotangent bundle,
     one quadratic per torus factor."""
     b = b if isinstance(b, TorusActionMatrix) else TorusActionMatrix(b)
-    ctx = cotangent_context(b, order=order)
-    out = []
-    for t in range(b.m):
-        comp = ctx.zero()
-        for j in range(b.n):
-            if b.row(j)[t]:
-                comp = comp + b.row(j)[t] * ctx.var(f"x{j + 1}") * ctx.var(f"y{j + 1}")
-        out.append(comp)
-    return out
+    return _moment_components(b, cotangent_context(b, order=order))
+
+
+def _moment_components(b: TorusActionMatrix, ctx: GradedContext) -> list[TruncatedElement]:
+    """The moment components sum_j b_jt * x_j * y_j, built in ctx."""
+    return [_quadratic(ctx, [row[t] for row in b.matrix.rows]) for t in range(b.m)]
+
+
+def _quadratic(ctx: GradedContext, coefficients) -> TruncatedElement:
+    """sum_j c_j * x_j * y_j in a cotangent context (variables x1..xn,
+    y1..yn), one monomial per nonzero coefficient c_j."""
+    n = len(coefficients)
+    terms = {}
+    for j, c in enumerate(coefficients):
+        if c:
+            exps = [0] * (2 * n)
+            exps[j] = exps[n + j] = 1
+            terms[tuple(exps)] = c
+    return TruncatedElement(ctx, terms)
 
 
 def cotangent_context(b, order: int = 4, invertible=()) -> GradedContext:
@@ -396,16 +407,26 @@ def decompose_at(b, leaf, nonvanishing=None, invert=None) -> DecompositionReport
 
 # -- symbolic certification ----------------------------------------------------
 
+# The moment components x_j * y_j have J-order 2, so below order 3 they
+# truncate to zero and the invariance and elimination checks see nothing.
+LEAST_VERIFY_ORDER = 3
+
 
 def _integer_inverse(v: IntMatrix) -> IntMatrix:
-    cols = []
-    for j in range(v.nrows):
-        unit = [1 if i == j else 0 for i in range(v.nrows)]
-        sol = v.solve_rational(unit)
-        if sol is None or any(x.denominator != 1 for x in sol):
-            raise ValueError("matrix is not unimodular")
-        cols.append([int(x) for x in sol])
-    return IntMatrix(cols).transpose()
+    """The inverse of a unimodular matrix, read off one elimination of
+    [V | I]: its reduced echelon form is [I | V^-1] exactly when V is
+    invertible, and V^-1 is integral exactly when V is unimodular."""
+    n = v.nrows
+    echelon = Echelon()
+    for i, row in enumerate(v.rows):
+        vec = dict(enumerate(row))
+        vec[n + i] = 1
+        echelon.insert(vec)
+    rows = echelon.items()
+    inv = [[row.get(n + k, 0) for k in range(n)] for _, row in rows]
+    if any(p >= n for p, _ in rows) or any(x.denominator != 1 for r in inv for x in r):
+        raise ValueError("matrix is not unimodular")
+    return IntMatrix(inv)
 
 
 def _complement_rows(lattice: IntMatrix, m: int) -> IntMatrix:
@@ -422,85 +443,98 @@ def _complement_rows(lattice: IntMatrix, m: int) -> IntMatrix:
 
 
 def chart_coordinates(b, report, ctx: GradedContext) -> dict:
-    """The dressed invariant coordinates of the leaf factor, by name."""
-    b = b if isinstance(b, TorusActionMatrix) else TorusActionMatrix(b)
-    g = report.g
-    remaining = [i for i in report.leaf.fixed if i not in g]
+    """The dressed invariant coordinates of the leaf factor, by name.
+    Each is one monomial: x_i times the product of d_j^r_ij over the
+    inverted coordinates j, d_j the designated side of j, and y_i with
+    the inverse dressing."""
+    remaining = [i for i in report.leaf.fixed if i not in report.g]
     out = {}
     for row, i in zip(report.r.rows, remaining):
-        out[f"x{i}"] = ctx.var(f"x{i}") * _dress_monomial(ctx, report, row, 1)
-        out[f"y{i}"] = ctx.var(f"y{i}") * _dress_monomial(ctx, report, row, -1)
+        for side, sign in (("x", 1), ("y", -1)):
+            exps = [0] * len(ctx.variables)
+            exps[ctx.index(f"{side}{i}")] = 1
+            for e, j in zip(row, report.g):
+                if e:
+                    exps[ctx.index(f"{report.designated[j]}{j}")] += sign * e
+            out[f"{side}{i}"] = TruncatedElement(ctx, {tuple(exps): 1})
     return out
 
 
-def _dress_monomial(ctx: GradedContext, report, row, sign: int) -> TruncatedElement:
-    dress = ctx.one()
-    for e, j in zip(row, report.g):
-        if e:
-            dress = dress * ctx.var(f"{report.designated[j]}{j}", sign * e)
-    return dress
-
-
 def verify_decomposition(b, report, order: int = 5) -> dict:
-    """Symbolic certification of a chart at the given truncation order.
+    """Symbolic certification of a chart at the given truncation order,
+    at least LEAST_VERIFY_ORDER.
 
     Checks that the dressed coordinates are torus-invariant (they
     bracket to zero with every moment component), commute with the
     transverse coordinates, satisfy standard Darboux brackets with the
     stated weights, and that the moment equations on the inverted chart
     solve the conjugates of the inverted coordinates by exact
-    elimination.  Returns {"ok": bool, "failures": [...]}."""
+    elimination.  Each coordinate, moment component and transverse
+    coordinate has its gradient taken once, and every bracket is formed
+    from those gradients.  Returns {"ok": bool, "failures": [...]}."""
     b = b if isinstance(b, TorusActionMatrix) else TorusActionMatrix(b)
+    order = exact_int(order, "the truncation order")
+    if order < LEAST_VERIFY_ORDER:
+        raise ValueError(
+            f"verification needs truncation order at least {LEAST_VERIFY_ORDER}, got {order}: "
+            "below it the moment components truncate to zero"
+        )
     failures = []
-    inverted_names = tuple(report.hyperplanes)
-    ctx = cotangent_context(b, order=order, invertible=inverted_names)
-    pres = cotangent_presentation(ctx, b.n)
-    mu = [comp.subs({}, target=ctx) for comp in moment_map(b, order=order)]
+    ctx = cotangent_context(b, order=order, invertible=tuple(report.hyperplanes))
+    bracket = cotangent_presentation(ctx, b.n).bracket_of_gradients
     coords = chart_coordinates(b, report, ctx)
+    grads = {name: elem.gradient() for name, elem in coords.items()}
+    mu_grads = [comp.gradient() for comp in _moment_components(b, ctx)]
+    slice_grads = [
+        (f"{side}{f}", ctx.var(f"{side}{f}").gradient())
+        for f in report.leaf.flat
+        for side in ("x", "y")
+    ]
 
     for name, elem in sorted(coords.items()):
         if elem.weight() != report.weights[name]:
             failures.append(
                 {"check": "weights", "detail": f"{name} has weight {elem.weight()}, stated {report.weights[name]}"}
             )
-        for t, comp in enumerate(mu):
-            res = pres.bracket(comp, elem)
+        for t, dmu in enumerate(mu_grads):
+            res = bracket(dmu, grads[name])
             if res:
                 failures.append(
                     {"check": "invariance", "detail": f"{{mu_{t + 1}, {name}}} = {res}"}
                 )
-        for f in report.leaf.flat:
-            for side in ("x", "y"):
-                res = pres.bracket(elem, ctx.var(f"{side}{f}"))
-                if res:
-                    failures.append(
-                        {"check": "slice-commutation", "detail": f"{{{name}, {side}{f}}} = {res}"}
-                    )
+        for var, dvar in slice_grads:
+            res = bracket(grads[name], dvar)
+            if res:
+                failures.append(
+                    {"check": "slice-commutation", "detail": f"{{{name}, {var}}} = {res}"}
+                )
 
     remaining = [i for i in report.leaf.fixed if i not in report.g]
     for a_pos, i in enumerate(remaining):
         for l in remaining[a_pos:]:
             expected_xy = ctx.one() if i == l else ctx.zero()
-            res = pres.bracket(coords[f"x{i}"], coords[f"y{l}"]) - expected_xy
+            res = bracket(grads[f"x{i}"], grads[f"y{l}"]) - expected_xy
             if res:
                 failures.append(
                     {"check": "darboux", "detail": f"{{x{i}',y{l}'}} != {expected_xy}"}
                 )
             if i != l:
                 for side in ("x", "y"):
-                    res = pres.bracket(coords[f"{side}{i}"], coords[f"{side}{l}"])
+                    res = bracket(grads[f"{side}{i}"], grads[f"{side}{l}"])
                     if res:
                         failures.append(
                             {"check": "darboux", "detail": f"{{{side}{i}',{side}{l}'}} != 0"}
                         )
 
-    failures.extend(_verify_elimination(b, report, ctx, mu))
+    failures.extend(_verify_elimination(b, report, ctx))
     return {"ok": not failures, "failures": failures}
 
 
-def _verify_elimination(b, report, ctx, mu) -> list[dict]:
+def _verify_elimination(b, report, ctx) -> list[dict]:
     """Solve the quotient-torus moment equations for the conjugates of
-    the inverted coordinates and substitute back."""
+    the inverted coordinates and substitute back.  The moment component
+    of a cocharacter vec is the quadratic whose coefficient on x_j * y_j
+    is the pairing of vec with row j."""
     failures = []
     g = report.g
     lattice = report.leaf.subtorus_lattice
@@ -508,8 +542,12 @@ def _verify_elimination(b, report, ctx, mu) -> list[dict]:
         comp_rows = _complement_rows(lattice, b.m)
     except ValueError as err:
         return [{"check": "elimination", "detail": str(err)}]
+
+    def pairings(vec):
+        return [sum(c * w for c, w in zip(vec, row)) for row in b.matrix.rows]
+
     for vec in lattice.rows:
-        comp = _combine(mu, vec, ctx)
+        comp = _quadratic(ctx, pairings(vec))
         outside = [nm for nm in ctx.variables if comp.involves(nm) and int(nm[1:]) not in report.leaf.flat]
         if outside:
             failures.append(
@@ -517,9 +555,8 @@ def _verify_elimination(b, report, ctx, mu) -> list[dict]:
             )
     if not g:
         return failures
-    pairing = IntMatrix(
-        [[sum(c * w for c, w in zip(vec, b.row(j - 1))) for j in g] for vec in comp_rows.rows]
-    )
+    comp_pairings = [pairings(vec) for vec in comp_rows.rows]
+    pairing = IntMatrix([[p[j - 1] for j in g] for p in comp_pairings])
     pairing_det = pairing.det()
     if pairing_det not in (-1, 1):
         failures.append(
@@ -527,16 +564,7 @@ def _verify_elimination(b, report, ctx, mu) -> list[dict]:
         )
         return failures
     inv = _integer_inverse(pairing)
-    rests = []
-    for vec in comp_rows.rows:
-        rest = ctx.zero()
-        for j in range(b.n):
-            if j + 1 in g:
-                continue
-            c = sum(cc * w for cc, w in zip(vec, b.row(j)))
-            if c:
-                rest = rest + c * ctx.var(f"x{j + 1}") * ctx.var(f"y{j + 1}")
-        rests.append(rest)
+    rests = [_quadratic(ctx, [0 if j + 1 in g else c for j, c in enumerate(p)]) for p in comp_pairings]
     subs = {}
     for s, j in enumerate(g):
         product = ctx.zero()
@@ -546,18 +574,10 @@ def _verify_elimination(b, report, ctx, mu) -> list[dict]:
         solved_name = f"y{j}" if report.designated[j] == "x" else f"x{j}"
         subs[solved_name] = product * ctx.var(report.hyperplanes[s], -1)
     powers = {}
-    for vec in comp_rows.rows:
-        res = _combine(mu, vec, ctx).subs(subs, powers=powers)
+    for p in comp_pairings:
+        res = _quadratic(ctx, p).subs(subs, powers=powers)
         if res:
             failures.append(
                 {"check": "elimination", "detail": f"moment residue {res} after elimination"}
             )
     return failures
-
-
-def _combine(mu, vec, ctx) -> TruncatedElement:
-    total = ctx.zero()
-    for c, comp in zip(vec, mu):
-        if c:
-            total = total + c * comp
-    return total

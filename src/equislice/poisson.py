@@ -160,8 +160,13 @@ class PoissonPresentation:
     def bracket(self, f: TruncatedElement, g: TruncatedElement) -> TruncatedElement:
         if not f.ctx.same_variables(self.ctx) or not g.ctx.same_variables(self.ctx):
             raise ValueError("elements live in a different context")
-        df = f.gradient()
-        dg = g.gradient()
+        return self.bracket_of_gradients(f.gradient(), g.gradient())
+
+    def bracket_of_gradients(self, df: dict, dg: dict) -> TruncatedElement:
+        """{f, g} from the gradients of f and g (TruncatedElement.gradient),
+        so that a caller bracketing one element with many takes its
+        gradient once.  The gradients must come from elements of this
+        presentation's variables; nothing checks it here."""
         products = []
         for (i, j), t_ij in self._table.items():
             fi, fj, gi, gj = df.get(i), df.get(j), dg.get(i), dg.get(j)
@@ -172,7 +177,7 @@ class PoissonPresentation:
             if fj is not None and gi is not None:
                 pairs.append((-fj, gi))
             if pairs:
-                term = sum_of_products(f.ctx, pairs)
+                term = sum_of_products(pairs[0][0].ctx, pairs)
                 if term:
                     products.append((t_ij, term))
         return self.reduce(sum_of_products(self.ctx, products))

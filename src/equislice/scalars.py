@@ -15,8 +15,11 @@ Reduction is canonical, so equality of field elements is equality of
 stored vectors and CycloNumber can be hashed and used as a dictionary
 key or matrix entry.
 
-Mixed arithmetic with int and Fraction coerces into the field; mixing
-two different cyclotomic orders raises, there is no implicit embedding.
+Mixed arithmetic with int and Fraction coerces into the field, by exact
+type, so a bool or a float is refused; mixing two different cyclotomic
+orders raises, there is no implicit embedding.  A product with a
+rational factor scales the other factor's vector and skips the
+reduction.
 """
 
 from __future__ import annotations
@@ -82,6 +85,19 @@ def quo(a, b):
     return exact(a / b)
 
 
+def _rational(c):
+    """c as an exact rational scalar, dispatched on its exact type: an int
+    as it is, a Fraction through exact.  A bool (an int subclass), a float
+    or anything else raises TypeError, so that no truth value or inexact
+    number becomes a coefficient."""
+    t = type(c)
+    if t is int:
+        return c
+    if t is Fraction:
+        return exact(c)
+    raise TypeError(f"a rational scalar must be an int or a Fraction, got {c!r}")
+
+
 def exact_int(value, what: str = "value") -> int:
     """value as an int when it is one exactly: an int (not a bool) or a
     Fraction with denominator 1.  A float, a bool or a non-integral value
@@ -120,9 +136,9 @@ class CycloField:
         return tuple(coeffs + [0] * (d - len(coeffs)))
 
     def element(self, coeffs) -> "CycloNumber":
-        return CycloNumber(
-            self, self.reduce([c if type(c) is int else Q(c) for c in coeffs])
-        )
+        """The element with the given rational coefficients (int or
+        Fraction, see _rational) on the power basis, reduced mod Phi_n."""
+        return CycloNumber(self, self.reduce([_rational(c) for c in coeffs]))
 
     def zero(self) -> "CycloNumber":
         return self.element([])
@@ -148,12 +164,17 @@ class CycloNumber:
         self.coeffs = coeffs
 
     def _coerce(self, other):
-        if isinstance(other, CycloNumber):
+        """other as an element of this field, dispatched on its exact type;
+        None for any type that is not a CycloNumber, an int or a Fraction
+        (a bool or a float among them), so the operator returns
+        NotImplemented and Python raises TypeError."""
+        t = type(other)
+        if t is CycloNumber:
             if other.field is not self.field:
                 raise TypeError("cyclotomic orders differ; no implicit embedding")
             return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.element([other])
+        if t is int or t is Fraction:
+            return CycloNumber(self.field, (exact(other),) + (0,) * (self.field.degree - 1))
         return None
 
     def __bool__(self):
@@ -198,9 +219,19 @@ class CycloNumber:
         return o + (-self)
 
     def __mul__(self, other):
+        """The product; when either factor is rational (an int, a Fraction
+        or a CycloNumber with only a constant coefficient) it scales the
+        other's coefficient vector, with no product and no reduction."""
+        t = type(other)
+        if t is int or t is Fraction:
+            return self._scaled(self.coeffs, other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if o.is_rational():
+            return self._scaled(self.coeffs, o.coeffs[0])
+        if self.is_rational():
+            return self._scaled(o.coeffs, self.coeffs[0])
         d = self.field.degree
         prod = [0] * (2 * d - 1 if d > 0 else 1)
         for i, a in enumerate(self.coeffs):
@@ -212,6 +243,9 @@ class CycloNumber:
         return CycloNumber(self.field, self.field.reduce(prod))
 
     __rmul__ = __mul__
+
+    def _scaled(self, coeffs: tuple, c) -> "CycloNumber":
+        return CycloNumber(self.field, tuple([exact(c * a) for a in coeffs]))
 
     def inverse(self) -> "CycloNumber":
         # Extended Euclid in Q[x] against the (irreducible) modulus.
@@ -321,4 +355,4 @@ def as_scalar(x, field: CycloField | None = None):
         return x
     if field is not None:
         return field.element([x])
-    return x if type(x) is int else exact(Q(x))
+    return _rational(x)

@@ -1,9 +1,10 @@
 """References shared by the tests: an independent dense textbook
 Gauss-Jordan over Fraction and cyclotomic scalars, for the tests that
 check the elimination engine and its callers; the brute-force walk of
-hypertoric leaves over every coordinate subset; and the Fraction-typed
-form of a scalar, with the comparison that holds int-first results to
-the same computation on Fraction inputs."""
+hypertoric leaves over every coordinate subset; the bracket-by-bracket
+certification of a hypertoric chart; and the Fraction-typed form of a
+scalar, with the comparison that holds int-first results to the same
+computation on Fraction inputs."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -15,7 +16,10 @@ from equislice.hypertoric import (
     _is_cyclic,
     _stabilizer_lattice,
     check_unimodular,
+    cotangent_context,
+    cotangent_presentation,
 )
+from equislice.intmat import IntMatrix
 from equislice.scalars import CycloNumber
 from equislice.series import TruncatedElement
 
@@ -114,6 +118,140 @@ def _reference_leaves(b):
         leaves.append(LeafDescriptor(flat, lat, b.m, b.n))
     leaves.sort(key=lambda leaf: (-leaf.leaf_dim, leaf.flat))
     return leaves
+
+
+def _reference_moment_map(b, ctx):
+    """One quadratic per torus factor, as sums of products of variables."""
+    out = []
+    for t in range(b.m):
+        comp = ctx.zero()
+        for j in range(b.n):
+            if b.row(j)[t]:
+                comp = comp + b.row(j)[t] * ctx.var(f"x{j + 1}") * ctx.var(f"y{j + 1}")
+        out.append(comp)
+    return out
+
+
+def _reference_integer_inverse(v):
+    """The inverse of a unimodular matrix, one rational solve per column."""
+    cols = []
+    for j in range(v.nrows):
+        unit = [1 if i == j else 0 for i in range(v.nrows)]
+        sol = v.solve_rational(unit)
+        if sol is None or any(x.denominator != 1 for x in sol):
+            raise ValueError("matrix is not unimodular")
+        cols.append([int(x) for x in sol])
+    return IntMatrix(cols).transpose()
+
+
+def _reference_chart(report, ctx):
+    """Each dressed coordinate as a product of one variable power at a time."""
+    remaining = [i for i in report.leaf.fixed if i not in report.g]
+    out = {}
+    for row, i in zip(report.r.rows, remaining):
+        for side, sign in (("x", 1), ("y", -1)):
+            elem = ctx.var(f"{side}{i}")
+            for e, j in zip(row, report.g):
+                if e:
+                    elem = elem * ctx.var(f"{report.designated[j]}{j}", sign * e)
+            out[f"{side}{i}"] = elem
+    return out
+
+
+def _reference_verify(b, report, order):
+    """The chart certification one bracket at a time, each bracket taking
+    both gradients afresh, with the moment map built in the uninverted
+    context and substituted across; the failures in the same order and
+    with the same texts as hypertoric.verify_decomposition."""
+    b = b if isinstance(b, TorusActionMatrix) else TorusActionMatrix(b)
+    failures = []
+    ctx = cotangent_context(b, order=order, invertible=tuple(report.hyperplanes))
+    pres = cotangent_presentation(ctx, b.n)
+    mu = [comp.subs({}, target=ctx) for comp in _reference_moment_map(b, cotangent_context(b, order=order))]
+    coords = _reference_chart(report, ctx)
+    for name, elem in sorted(coords.items()):
+        if elem.weight() != report.weights[name]:
+            failures.append(
+                {"check": "weights", "detail": f"{name} has weight {elem.weight()}, stated {report.weights[name]}"}
+            )
+        for t, comp in enumerate(mu):
+            res = pres.bracket(comp, elem)
+            if res:
+                failures.append({"check": "invariance", "detail": f"{{mu_{t + 1}, {name}}} = {res}"})
+        for f in report.leaf.flat:
+            for side in ("x", "y"):
+                res = pres.bracket(elem, ctx.var(f"{side}{f}"))
+                if res:
+                    failures.append({"check": "slice-commutation", "detail": f"{{{name}, {side}{f}}} = {res}"})
+    remaining = [i for i in report.leaf.fixed if i not in report.g]
+    for a_pos, i in enumerate(remaining):
+        for l in remaining[a_pos:]:
+            expected_xy = ctx.one() if i == l else ctx.zero()
+            if pres.bracket(coords[f"x{i}"], coords[f"y{l}"]) - expected_xy:
+                failures.append({"check": "darboux", "detail": f"{{x{i}',y{l}'}} != {expected_xy}"})
+            if i != l:
+                for side in ("x", "y"):
+                    if pres.bracket(coords[f"{side}{i}"], coords[f"{side}{l}"]):
+                        failures.append({"check": "darboux", "detail": f"{{{side}{i}',{side}{l}'}} != 0"})
+    failures.extend(_reference_elimination(b, report, ctx, mu))
+    return {"ok": not failures, "failures": failures}
+
+
+def _reference_elimination(b, report, ctx, mu):
+    def combine(vec):
+        total = ctx.zero()
+        for c, comp in zip(vec, mu):
+            if c:
+                total = total + c * comp
+        return total
+
+    failures = []
+    g = report.g
+    lattice = report.leaf.subtorus_lattice
+    if lattice.nrows == 0:
+        comp_rows = IntMatrix.identity(b.m)
+    else:
+        _, d, v = lattice.smith_normal_form()
+        if any(d.rows[i][i] != 1 for i in range(lattice.nrows)):
+            return [{"check": "elimination", "detail": "the subtorus lattice is not saturated"}]
+        v_inv = _reference_integer_inverse(v)
+        comp_rows = IntMatrix(v_inv.rows[lattice.nrows :]) if lattice.nrows < b.m else IntMatrix([])
+    for vec in lattice.rows:
+        comp = combine(vec)
+        outside = [nm for nm in ctx.variables if comp.involves(nm) and int(nm[1:]) not in report.leaf.flat]
+        if outside:
+            failures.append({"check": "elimination", "detail": f"a subtorus moment component involves {outside}"})
+    if not g:
+        return failures
+    pairing = IntMatrix(
+        [[sum(c * w for c, w in zip(vec, b.row(j - 1))) for j in g] for vec in comp_rows.rows]
+    )
+    pairing_det = pairing.det()
+    if pairing_det not in (-1, 1):
+        failures.append({"check": "elimination", "detail": f"the elimination matrix has determinant {pairing_det}"})
+        return failures
+    inv = _reference_integer_inverse(pairing)
+    rests = []
+    for vec in comp_rows.rows:
+        rest = ctx.zero()
+        for j in range(b.n):
+            c = sum(cc * w for cc, w in zip(vec, b.row(j)))
+            if c and j + 1 not in g:
+                rest = rest + c * ctx.var(f"x{j + 1}") * ctx.var(f"y{j + 1}")
+        rests.append(rest)
+    subs = {}
+    for s, j in enumerate(g):
+        product = ctx.zero()
+        for t in range(len(rests)):
+            if inv.rows[s][t]:
+                product = product - inv.rows[s][t] * rests[t]
+        solved_name = f"y{j}" if report.designated[j] == "x" else f"x{j}"
+        subs[solved_name] = product * ctx.var(report.hyperplanes[s], -1)
+    for vec in comp_rows.rows:
+        res = combine(vec).subs(subs)
+        if res:
+            failures.append({"check": "elimination", "detail": f"moment residue {res} after elimination"})
+    return failures
 
 
 def as_fractions(c):

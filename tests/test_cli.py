@@ -188,6 +188,20 @@ def test_order_below_one_is_rejected():
     assert code == 2 and b"--order" in out
 
 
+def test_hypertoric_verify_needs_order_three():
+    # below order 3 the check would be vacuous (order 2) or falsely
+    # negative (order 1); both are unusable input, not a verdict
+    document = {"matrix": [[1, 0], [1, 0], [0, 1], [0, 1]], "flat": [1, 2]}
+    for order in (1, 2):
+        status, report = invoke("hypertoric verify", document, order=order)
+        assert status == 2
+        assert report["error"].startswith("verification needs truncation order at least 3")
+    status, report = invoke("hypertoric verify", document, order=3)
+    assert status == 0 and report == {"ok": True, "failures": []}
+    code, out = cli_bytes(["hypertoric", "verify", "--order", "1", "--json", "-"], json.dumps(document).encode())
+    assert code == 2 and b"at least 3" in out
+
+
 def test_selftest_matrix_is_order_stable():
     status, base = invoke("selftest", {})
     assert status == 0 and base["ok"]

@@ -4,11 +4,19 @@ import random
 from itertools import combinations, permutations
 
 import pytest
-from reference import _reference_det, _reference_leaves, _reference_rank
+from reference import (
+    _reference_det,
+    _reference_integer_inverse,
+    _reference_leaves,
+    _reference_rank,
+    _reference_verify,
+)
 
 from equislice.hypertoric import (
+    LEAST_VERIFY_ORDER,
     DecompositionReport,
     TorusActionMatrix,
+    _integer_inverse,
     check_unimodular,
     decompose_at,
     enumerate_leaves,
@@ -17,6 +25,7 @@ from equislice.hypertoric import (
     verify_decomposition,
 )
 from equislice.intmat import IntMatrix
+from equislice.series import TruncatedElement
 
 A1 = [[1], [1]]
 A1xA1 = [[1, 0], [1, 0], [0, 1], [0, 1]]
@@ -332,10 +341,10 @@ def test_unusable_sign_data_is_refused():
         decompose_at(A1, enumerate_leaves(A1)[0], nonvanishing={})
 
 
-def test_corrupted_dressing_exponent_fails_verification():
+def _corrupted_product_chart():
     leaf = next(l for l in enumerate_leaves(A1xA1) if l.flat == (1, 2))
     report = decompose_at(A1xA1, leaf, nonvanishing={3: "x"})
-    corrupted = DecompositionReport(
+    return report, DecompositionReport(
         leaf=report.leaf,
         g=report.g,
         designated=report.designated,
@@ -344,6 +353,138 @@ def test_corrupted_dressing_exponent_fails_verification():
         slice_mat=report.slice_matrix,
         hyperplanes=report.hyperplanes,
     )
+
+
+def test_corrupted_dressing_exponent_fails_verification():
+    _, corrupted = _corrupted_product_chart()
     out = verify_decomposition(A1xA1, corrupted, order=5)
     assert not out["ok"]
     assert any(f["check"] == "invariance" for f in out["failures"])
+
+
+def test_orders_below_the_least_are_refused():
+    # below order 3 the moment components x_j*y_j truncate to zero: a
+    # corrupted chart would pass at order 2, a true one fail at order 1
+    assert LEAST_VERIFY_ORDER == 3
+    report, corrupted = _corrupted_product_chart()
+    for order in range(-1, LEAST_VERIFY_ORDER):
+        for chart in (report, corrupted):
+            with pytest.raises(ValueError, match="truncation order at least 3"):
+                verify_decomposition(A1xA1, chart, order=order)
+    assert verify_decomposition(A1xA1, report, order=LEAST_VERIFY_ORDER) == {"ok": True, "failures": []}
+    out = verify_decomposition(A1xA1, corrupted, order=LEAST_VERIFY_ORDER)
+    assert not out["ok"]
+    assert any(f["check"] == "invariance" for f in out["failures"])
+    assert out == _reference_verify(A1xA1, corrupted, LEAST_VERIFY_ORDER)
+    with pytest.raises(ValueError, match="exact integer"):
+        verify_decomposition(A1xA1, report, order=3.0)
+
+
+def _tampered(rng, report):
+    """Seeded corruptions of a chart: one r entry moved by one, one
+    stated weight moved by one, the designation of one inverted
+    coordinate flipped (with its hyperplane, so the report stays
+    coherent), and one inverted coordinate moved into the flat."""
+    out = []
+    if report.r.nrows:
+        rows = [list(row) for row in report.r.rows]
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+        rows[i][j] += rng.choice((-1, 1))
+        out.append(DecompositionReport(report.leaf, report.g, report.designated, IntMatrix(rows),
+                                       report.weights, report.slice_matrix, report.hyperplanes))
+        weights = dict(report.weights)
+        weights[rng.choice(sorted(weights))] += rng.choice((-1, 1))
+        out.append(DecompositionReport(report.leaf, report.g, report.designated, report.r,
+                                       weights, report.slice_matrix, report.hyperplanes))
+    if report.g:
+        designated = dict(report.designated)
+        j = rng.choice(report.g)
+        designated[j] = "y" if designated[j] == "x" else "x"
+        out.append(DecompositionReport(report.leaf, report.g, designated, report.r, report.weights,
+                                       report.slice_matrix, [f"{designated[k]}{k}" for k in report.g]))
+    if report.g and report.leaf.flat:
+        # an inverted coordinate moved into the flat: the dressing then
+        # involves a transverse coordinate
+        g = sorted(set(report.g[1:]) | {rng.choice(report.leaf.flat)})
+        designated = {**report.designated, **{k: "x" for k in g}}
+        rows = [list(row) for row in report.r.rows] + [[0] * len(g)]
+        remaining = [i for i in report.leaf.fixed if i not in g]
+        weights = {f"{side}{i}": 1 + sign * sum(row)
+                   for i, row in zip(remaining, rows) for side, sign in (("x", 1), ("y", -1))}
+        out.append(DecompositionReport(report.leaf, g, designated, IntMatrix(rows), weights,
+                                       report.slice_matrix, [f"x{k}" for k in g]))
+    return out
+
+
+@pytest.mark.parametrize("name, mat", [
+    ("A1", A1), ("A1xA1", A1xA1), ("TRIPLE", TRIPLE), ("K4 doubled", _complete_graph(4, copies=2)),
+])
+def test_verification_matches_the_bracket_by_bracket_reference(name, mat):
+    rng = random.Random(len(mat))
+    failing = 0
+    checks = set()
+    for leaf in enumerate_leaves(mat):
+        report = decompose_at(mat, leaf)
+        for chart in [report] + _tampered(rng, report):
+            for order in range(3, 7):
+                got = verify_decomposition(mat, chart, order=order)
+                assert got == _reference_verify(mat, chart, order)
+                assert got["ok"] or chart is not report
+                checks.update(f["check"] for f in got["failures"])
+    # the Darboux brackets of monomial charts hold whatever r says, so
+    # only the other four checks can be made to fail
+    if len(mat) > 3:
+        assert checks == {"weights", "invariance", "slice-commutation", "elimination"}
+
+
+def test_integer_inverse_is_one_elimination():
+    rng = random.Random(3)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        v = IntMatrix.identity(n)
+        for _ in range(6 if n > 1 else 0):
+            # add a multiple of one row to another: still unimodular
+            i, j = rng.sample(range(n), 2)
+            k = rng.choice((-2, -1, 1, 2))
+            rows = [list(r) for r in v.rows]
+            rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+            v = IntMatrix(rows)
+        if rng.random() < 0.5:
+            v = IntMatrix([[-x for x in v.rows[0]], *v.rows[1:]])
+        assert _integer_inverse(v) == _reference_integer_inverse(v)
+        assert v @ _integer_inverse(v) == IntMatrix.identity(n)
+    for singular in ([[1, 1], [1, 1]], [[2, 0], [0, 1]], [[0]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]]):
+        with pytest.raises(ValueError, match="not unimodular"):
+            _integer_inverse(IntMatrix(singular))
+
+
+def test_an_incoherent_designation_is_refused_by_both():
+    # a designated side that is not the inverted hyperplane makes a
+    # negative power of a non-invertible coordinate
+    report = decompose_at(TRIPLE, enumerate_leaves(TRIPLE)[0])
+    flipped = DecompositionReport(report.leaf, report.g, {**report.designated, 1: "y"}, report.r,
+                                  report.weights, report.slice_matrix, report.hyperplanes)
+    for verify in (verify_decomposition, _reference_verify):
+        with pytest.raises(ValueError, match="negative exponent on non-invertible variable"):
+            verify(TRIPLE, flipped, 5)
+
+
+def test_one_gradient_per_element(monkeypatch):
+    # each coordinate, moment component and transverse variable has its
+    # gradient taken once per verification, whatever it is bracketed with
+    taken = []
+    gradient = TruncatedElement.gradient
+
+    def counting(self):
+        taken.append(self)
+        return gradient(self)
+
+    monkeypatch.setattr(TruncatedElement, "gradient", counting)
+    mat = _complete_graph(4, copies=2)
+    for leaf in enumerate_leaves(mat):
+        report = decompose_at(mat, leaf)
+        taken.clear()
+        assert verify_decomposition(mat, report, order=4)["ok"]
+        assert len(taken) == len(set(taken))
+        coordinates = 2 * len(report.r.rows)
+        assert len(taken) <= coordinates + len(mat[0]) + 2 * len(leaf.flat)

@@ -7,7 +7,7 @@ import pytest
 from reference import as_fractions, assert_same_result
 
 from equislice.linalg import Echelon, relations, solve
-from equislice.scalars import CycloField, Q, as_scalar, cyclotomic_polynomial
+from equislice.scalars import CycloField, CycloNumber, Q, as_scalar, cyclotomic_polynomial
 
 
 def test_cyclotomic_polynomials_small_orders():
@@ -175,3 +175,76 @@ def test_integral_scalars_are_ints():
     assert x == [2, Fraction(1, 3)] and type(x[0]) is int
     gauss_two = CycloField(4).element([2])
     assert len({2, Fraction(2), gauss_two}) == 1
+
+
+# -- products with a rational factor: a scaled vector, no reduction ------------
+
+
+def _general_product(field, a, b):
+    """a * b by the full polynomial product of the coefficient vectors,
+    then long division by Phi_n, all in Fraction."""
+    va, vb = ([Fraction(c) for c in x.coeffs] if isinstance(x, CycloNumber) else [Fraction(x)] for x in (a, b))
+    prod = [Fraction(0)] * (len(va) + len(vb) - 1)
+    for i, x in enumerate(va):
+        for j, y in enumerate(vb):
+            prod[i + j] += x * y
+    modulus = cyclotomic_polynomial(field.order)
+    d = len(modulus) - 1
+    for i in range(len(prod) - 1, d - 1, -1):
+        c = prod[i]
+        for j, m in enumerate(modulus):
+            prod[i - d + j] -= c * m
+    return (prod + [Fraction(0)] * d)[:d]
+
+
+@pytest.mark.parametrize("order", [1, 3, 4, 5, 8, 12])
+def test_rational_factors_scale_without_reduction(order, monkeypatch):
+    field = CycloField(order)
+    rng = random.Random(order)
+    rationals = [0, Fraction(0), field.zero(), 1, -3, Fraction(4, 2), Fraction(-5, 6),
+                 field.element([Fraction(7, 3)]), field.element([-2]), field.one()]
+    others = [_walk_number(rng, field) for _ in range(6)] + [field.zero(), field.zeta(order - 1)]
+    cases = [(x, r) for x in others for r in rationals] + [(r, x) for x in others for r in rationals]
+    cases += [(r, s) for r in rationals for s in rationals if isinstance(r, CycloNumber) or isinstance(s, CycloNumber)]
+    reductions = []
+    reduce = CycloField.reduce
+
+    def counting(self, coeffs):
+        reductions.append(coeffs)
+        return reduce(self, coeffs)
+
+    for a, b in cases:
+        expected = _general_product(field, a, b)
+        monkeypatch.setattr(CycloField, "reduce", counting)
+        got = a * b
+        monkeypatch.setattr(CycloField, "reduce", reduce)
+        assert got.field is field
+        assert list(got.coeffs) == expected
+        # an integral coefficient stays an int
+        assert [type(c) for c in got.coeffs] == [int if c.denominator == 1 else Fraction for c in expected]
+    assert reductions == []
+    # two irrational factors still take the general product
+    if field.degree > 1:
+        x = field.zeta() + Fraction(1, 2)
+        assert list((x * x).coeffs) == _general_product(field, x, x)
+
+
+def test_scalars_are_dispatched_on_exact_type():
+    # a bool is an int subclass and a float is inexact: neither becomes a
+    # coefficient, by construction or by arithmetic, on either side
+    field = CycloField(4)
+    for x in (field.zeta(), field.one(), field.zero()):
+        for bad in (True, False, 1.0, 0.5):
+            for op in (lambda: x * bad, lambda: bad * x, lambda: x + bad, lambda: bad - x, lambda: x / bad):
+                with pytest.raises(TypeError):
+                    op()
+    for bad in (True, False, 1.0, "1"):
+        with pytest.raises(TypeError, match="must be an int or a Fraction"):
+            field.element([bad])
+        with pytest.raises(TypeError, match="must be an int or a Fraction"):
+            field.element([1, bad])
+        with pytest.raises(TypeError, match="must be an int or a Fraction"):
+            as_scalar(bad, field)
+        with pytest.raises(TypeError, match="must be an int or a Fraction"):
+            as_scalar(bad)
+    assert field.element([1]) == 1 and field.zeta() * 1 == field.zeta()
