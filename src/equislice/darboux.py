@@ -207,6 +207,19 @@ class CoordinateChange:
             raise ValueError("presentation lives in a different context")
         changed = self.changed_names()
         powers = {}
+        grads = {name: img.gradient() for name, img in self.forward.items()}
+
+        def bracket(a, b):
+            """{F_a, F_b} of the forward images; an unchanged image is a
+            generator, bracketed through its row of the table."""
+            if a not in grads:
+                if b not in grads:
+                    return pres.reduce(pres.entry(a, b))
+                return pres.generator_bracket(ctx.index(a), grads[b])
+            if b not in grads:
+                return -pres.generator_bracket(ctx.index(b), grads[a])
+            return pres.bracket_of_gradients(grads[a], grads[b])
+
         table = {}
         for a, b in pres.pairs():
             cur = pres.entry(a, b)
@@ -217,9 +230,7 @@ class CoordinateChange:
             ):
                 entry = cur
             else:
-                entry = self.to_new(
-                    pres.bracket(self.image_forward(a), self.image_forward(b)), powers
-                )
+                entry = self.to_new(bracket(a, b), powers)
             if entry:
                 table[(a, b)] = entry
         relations = tuple(self.to_new(r, powers) for r in pres.relations)
@@ -506,9 +517,11 @@ def _coupling_move_system(cur, t_name, u_name, slice_names, leaf, horizon):
         if not admissible(exps, 1):
             continue
         mono = ctx.monomial(exps)
+        dmono = mono.gradient()
         col = {}
         for si, s in enumerate(slice_names):
-            shift = _trusted(cur.bracket(mono, ctx.var(s)), horizon)
+            # {mono, s} = -{s, mono}
+            shift = _trusted(-cur.generator_bracket(ctx.index(s), dmono), horizon)
             for oe, oc in shift.terms.items():
                 col[(si, oe)] = -oc
         if col:
@@ -520,7 +533,9 @@ def _coupling_move_system(cur, t_name, u_name, slice_names, leaf, horizon):
                 continue
             mono = ctx.monomial(exps)
             col = {}
-            shift = _trusted(cur.bracket(ctx.var(u_name), mono), horizon)
+            shift = _trusted(
+                cur.generator_bracket(ctx.index(u_name), mono.gradient()), horizon
+            )
             for oe, oc in shift.terms.items():
                 col[(si, oe)] = oc
             for sj, s_other in enumerate(slice_names):
@@ -806,7 +821,8 @@ def enforce_tu(run: _Run) -> int:
             correction = ctx.zero()
             for exp, coeff_elem in eps.coefficients_in(u).items():
                 if coeff_elem.involves(u) or _trusted(
-                    run.cur.bracket(ctx.var(t), coeff_elem), run.horizon
+                    run.cur.generator_bracket(ctx.index(t), coeff_elem.gradient()),
+                    run.horizon,
                 ):
                     raise StageError(
                         "conjugate-normalize",

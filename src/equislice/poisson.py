@@ -11,6 +11,16 @@ reduced modulo the relation ideal.  Sign convention: the standard
 structure of degree -k has {t, u} = t^(1-k); the bivector is oriented so
 this holds verbatim, and hamiltonian_field(f) maps g to {f, g}.
 
+A bracket visits only the entries its supports reach.  The presentation
+keeps one row index, for each generator the keys of the table entries
+that touch it, and {f, g} walks the rows of f's nonzero partials,
+adding the entries whose other end carries a partial of g.  A generator
+bracket {x_a, g} = sum_j +-T_aj * dg/dg_j is one product per entry of
+a's row.  Both work from gradients (bracket_of_gradients,
+generator_bracket), so a caller bracketing one element with many takes
+its gradient once; check_jacobi takes each entry's gradient once per
+call.
+
 Relation reduction is plain multivariate division under a graded
 lexicographic order (total degree, ties by exponent tuple in context
 order).  A single relation is always a Groebner basis of its ideal, so
@@ -68,6 +78,12 @@ class PoissonPresentation:
                 raise ValueError(f"duplicate bracket entry for ({a}, {b})")
             if val:
                 self._table[key] = val
+        # row index: for each generator, the keys of the entries touching it
+        rows = [[] for _ in ctx.variables]
+        for key in self._table:
+            rows[key[0]].append(key)
+            rows[key[1]].append(key)
+        self._rows = tuple(tuple(row) for row in rows)
         for rel in self.relations:
             for exps in rel.terms:
                 if any(e < 0 for e in exps):
@@ -165,21 +181,42 @@ class PoissonPresentation:
     def bracket_of_gradients(self, df: dict, dg: dict) -> TruncatedElement:
         """{f, g} from the gradients of f and g (TruncatedElement.gradient),
         so that a caller bracketing one element with many takes its
-        gradient once.  The gradients must come from elements of this
-        presentation's variables; nothing checks it here."""
+        gradient once.  Only the entries with a partial of f at one end
+        and a partial of g at the other are visited, found through the
+        rows of f's indices; each adds T_ij * (f_i g_j - f_j g_i).  The
+        gradients must come from elements of this presentation's
+        variables; nothing checks it here."""
+        table = self._table
         products = []
-        for (i, j), t_ij in self._table.items():
-            fi, fj, gi, gj = df.get(i), df.get(j), dg.get(i), dg.get(j)
-            # a missing partial is zero, and so is its product
-            pairs = []
-            if fi is not None and gj is not None:
-                pairs.append((fi, gj))
-            if fj is not None and gi is not None:
-                pairs.append((-fj, gi))
-            if pairs:
-                term = sum_of_products(pairs[0][0].ctx, pairs)
+        for i, fi in df.items():
+            for key in self._rows[i]:
+                j = key[1] if key[0] == i else key[0]
+                gj = dg.get(j)
+                if gj is None:
+                    continue
+                fj, gi = df.get(j), dg.get(i)
+                if fj is None or gi is None:
+                    pairs = [(fi, gj) if i < j else (-fi, gj)]
+                elif i < j:
+                    pairs = [(fi, gj), (-fj, gi)]
+                else:
+                    continue  # reached from j as well; its turn adds the entry
+                term = sum_of_products(fi.ctx, pairs)
                 if term:
-                    products.append((t_ij, term))
+                    products.append((table[key], term))
+        return self.reduce(sum_of_products(self.ctx, products))
+
+    def generator_bracket(self, a: int, dg: dict) -> TruncatedElement:
+        """{x_a, g} for the generator of index a, from the gradient of g:
+        the sum of +-T_aj * dg/dx_j over the entries of a's row, one
+        product each."""
+        table = self._table
+        products = []
+        for key in self._rows[a]:
+            j = key[1] if key[0] == a else key[0]
+            gj = dg.get(j)
+            if gj is not None:
+                products.append((table[key], gj if a < j else -gj))
         return self.reduce(sum_of_products(self.ctx, products))
 
     # -- certification ------------------------------------------------------
@@ -198,17 +235,21 @@ class PoissonPresentation:
         if certified_only and self.ctx.filtration:
             cutoff = self.ctx.order - 1
         names = self.ctx.variables
+        grads = {key: val.gradient() for key, val in self._table.items()}
         out = []
         n = len(names)
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
                     a, b, c = names[i], names[j], names[k]
-                    jac = (
-                        self.bracket(self.ctx.var(a), self.entry(b, c))
-                        + self.bracket(self.ctx.var(b), self.entry(c, a))
-                        + self.bracket(self.ctx.var(c), self.entry(a, b))
-                    )
+                    # {a, T_bc} + {b, T_ca} + {c, T_ab}, with T_ca = -T_ac
+                    jac = self.ctx.zero()
+                    if (j, k) in grads:
+                        jac = jac + self.generator_bracket(i, grads[(j, k)])
+                    if (i, k) in grads:
+                        jac = jac - self.generator_bracket(j, grads[(i, k)])
+                    if (i, j) in grads:
+                        jac = jac + self.generator_bracket(k, grads[(i, j)])
                     jac = self.reduce(jac)
                     if cutoff is not None and jac:
                         jac = jac - jac.jtail(cutoff)
@@ -217,8 +258,10 @@ class PoissonPresentation:
                             {"kind": "jacobi", "triple": [a, b, c], "residue": str(jac)}
                         )
         for r_idx, rel in enumerate(self.relations):
-            for name in names:
-                res = self.reduce(self.bracket(rel, self.ctx.var(name)))
+            drel = rel.gradient()
+            for g_idx, name in enumerate(names):
+                # {rel, x} = -{x, rel}
+                res = self.reduce(-self.generator_bracket(g_idx, drel))
                 if cutoff is not None and res:
                     res = res - res.jtail(cutoff)
                 if res:
@@ -233,21 +276,25 @@ class PoissonPresentation:
         return out
 
     def hamiltonian_field(self, f: TruncatedElement) -> "VectorFieldRep":
+        df = f.gradient()
+        # {f, x} = -{x, f}
         images = {
-            name: self.bracket(f, self.ctx.var(name)) for name in self.ctx.variables
+            name: -self.generator_bracket(i, df) for i, name in enumerate(self.ctx.variables)
         }
         return VectorFieldRep(self, images)
 
     def lie_derivative_check(self, xi: "VectorFieldRep", k: int) -> list[dict]:
         """Residues of xi{f,g} - {xi f, g} - {f, xi g} - k{f,g} over all
         generator pairs; empty list means [xi, pi] = k pi holds at order N."""
+        ctx = self.ctx
+        grads = {name: xi.image(name).gradient() for name in ctx.variables}
         out = []
         for a, b in self.pairs():
             t_ab = self.entry(a, b)
             res = (
                 xi.apply(t_ab)
-                - self.bracket(xi.image(a), self.ctx.var(b))
-                - self.bracket(self.ctx.var(a), xi.image(b))
+                + self.generator_bracket(ctx.index(b), grads[a])
+                - self.generator_bracket(ctx.index(a), grads[b])
                 - t_ab.scale(k)
             )
             res = self.reduce(res)
@@ -315,11 +362,9 @@ class PoissonPresentation:
         low-J-order table entry, so only terms below N - drop are certified."""
         g = self.ctx.index(name)
         drop = 0
-        for (i, j), val in self._table.items():
-            if g not in (i, j):
-                continue
-            other = j if i == g else i
-            loss = -val.min_jorder()
+        for key in self._rows[g]:
+            other = key[1] if key[0] == g else key[0]
+            loss = -self._table[key].min_jorder()
             if self.ctx.variables[other] in self.ctx.filtration:
                 loss += 1
             drop = max(drop, loss)
@@ -419,11 +464,13 @@ class PoissonPresentation:
         cutoffs = [self.certified_bracket_order(name) for name in names]
         cands = self.weight_monomials(weight, degree_cap)
         columns = []
+        indices = [ctx.index(name) for name in names]
         for exps in cands:
-            mono = ctx.monomial(exps)
+            dmono = ctx.monomial(exps).gradient()
             col = {}
-            for g_idx, name in enumerate(names):
-                br = self.bracket(mono, ctx.var(name))
+            for g_idx, index in enumerate(indices):
+                # {mono, x} = -{x, mono}
+                br = -self.generator_bracket(index, dmono)
                 for oe, oc in br.terms.items():
                     if ctx.jorder_of_exps(oe) < cutoffs[g_idx]:
                         col[(g_idx, oe)] = oc

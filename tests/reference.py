@@ -1,10 +1,11 @@
 """References shared by the tests: an independent dense textbook
 Gauss-Jordan over Fraction and cyclotomic scalars, for the tests that
 check the elimination engine and its callers; the brute-force walk of
-hypertoric leaves over every coordinate subset; the bracket-by-bracket
-certification of a hypertoric chart; and the Fraction-typed form of a
-scalar, with the comparison that holds int-first results to the same
-computation on Fraction inputs."""
+hypertoric leaves over every coordinate subset; the Poisson bracket as
+a walk over the whole table and the Jacobi check one generator triple
+at a time; the bracket-by-bracket certification of a hypertoric chart;
+and the Fraction-typed form of a scalar, with the comparison that holds
+int-first results to the same computation on Fraction inputs."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -21,7 +22,7 @@ from equislice.hypertoric import (
 )
 from equislice.intmat import IntMatrix
 from equislice.scalars import CycloNumber
-from equislice.series import TruncatedElement
+from equislice.series import TruncatedElement, sum_of_products
 
 
 def _reference_rref(rows):
@@ -158,6 +159,66 @@ def _reference_chart(report, ctx):
     return out
 
 
+def _reference_bracket(pres, f, g):
+    """{f, g} by a walk over every table entry, taking both gradients
+    afresh: sum_{i<j} T_ij * (f_i g_j - f_j g_i), reduced modulo the
+    relations."""
+    if not f.ctx.same_variables(pres.ctx) or not g.ctx.same_variables(pres.ctx):
+        raise ValueError("elements live in a different context")
+    df, dg = f.gradient(), g.gradient()
+    products = []
+    for (i, j), t_ij in pres._table.items():
+        fi, fj, gi, gj = df.get(i), df.get(j), dg.get(i), dg.get(j)
+        # a missing partial is zero, and so is its product
+        pairs = []
+        if fi is not None and gj is not None:
+            pairs.append((fi, gj))
+        if fj is not None and gi is not None:
+            pairs.append((-fj, gi))
+        if pairs:
+            term = sum_of_products(pairs[0][0].ctx, pairs)
+            if term:
+                products.append((t_ij, term))
+    return pres.reduce(sum_of_products(pres.ctx, products))
+
+
+def _reference_jacobi(pres, certified_only=False):
+    """The Jacobiator of every generator triple, each of its three
+    brackets by _reference_bracket, then {relation, generator} for every
+    pair; the records of PoissonPresentation.check_jacobi, in its order
+    and with its texts."""
+    cutoff = None
+    if certified_only and pres.ctx.filtration:
+        cutoff = pres.ctx.order - 1
+    names = pres.ctx.variables
+    out = []
+    n = len(names)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                a, b, c = names[i], names[j], names[k]
+                jac = (
+                    _reference_bracket(pres, pres.ctx.var(a), pres.entry(b, c))
+                    + _reference_bracket(pres, pres.ctx.var(b), pres.entry(c, a))
+                    + _reference_bracket(pres, pres.ctx.var(c), pres.entry(a, b))
+                )
+                jac = pres.reduce(jac)
+                if cutoff is not None and jac:
+                    jac = jac - jac.jtail(cutoff)
+                if jac:
+                    out.append({"kind": "jacobi", "triple": [a, b, c], "residue": str(jac)})
+    for r_idx, rel in enumerate(pres.relations):
+        for name in names:
+            res = pres.reduce(_reference_bracket(pres, rel, pres.ctx.var(name)))
+            if cutoff is not None and res:
+                res = res - res.jtail(cutoff)
+            if res:
+                out.append(
+                    {"kind": "relation", "relation": r_idx, "generator": name, "residue": str(res)}
+                )
+    return out
+
+
 def _reference_verify(b, report, order):
     """The chart certification one bracket at a time, each bracket taking
     both gradients afresh, with the moment map built in the uninverted
@@ -175,23 +236,23 @@ def _reference_verify(b, report, order):
                 {"check": "weights", "detail": f"{name} has weight {elem.weight()}, stated {report.weights[name]}"}
             )
         for t, comp in enumerate(mu):
-            res = pres.bracket(comp, elem)
+            res = _reference_bracket(pres, comp, elem)
             if res:
                 failures.append({"check": "invariance", "detail": f"{{mu_{t + 1}, {name}}} = {res}"})
         for f in report.leaf.flat:
             for side in ("x", "y"):
-                res = pres.bracket(elem, ctx.var(f"{side}{f}"))
+                res = _reference_bracket(pres, elem, ctx.var(f"{side}{f}"))
                 if res:
                     failures.append({"check": "slice-commutation", "detail": f"{{{name}, {side}{f}}} = {res}"})
     remaining = [i for i in report.leaf.fixed if i not in report.g]
     for a_pos, i in enumerate(remaining):
         for l in remaining[a_pos:]:
             expected_xy = ctx.one() if i == l else ctx.zero()
-            if pres.bracket(coords[f"x{i}"], coords[f"y{l}"]) - expected_xy:
+            if _reference_bracket(pres, coords[f"x{i}"], coords[f"y{l}"]) - expected_xy:
                 failures.append({"check": "darboux", "detail": f"{{x{i}',y{l}'}} != {expected_xy}"})
             if i != l:
                 for side in ("x", "y"):
-                    if pres.bracket(coords[f"{side}{i}"], coords[f"{side}{l}"]):
+                    if _reference_bracket(pres, coords[f"{side}{i}"], coords[f"{side}{l}"]):
                         failures.append({"check": "darboux", "detail": f"{{{side}{i}',{side}{l}'}} != 0"})
     failures.extend(_reference_elimination(b, report, ctx, mu))
     return {"ok": not failures, "failures": failures}

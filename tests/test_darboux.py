@@ -86,6 +86,29 @@ def test_transport_raises_each_image_to_each_power_once(monkeypatch):
     assert max(Counter(raised).values()) == 1
 
 
+def test_transport_takes_one_gradient_per_changed_image(monkeypatch):
+    cases = []
+    for pres, pairs, seed in (
+        (standard_presentation(2, 2, order=6), [("z1", "z2")], 3),
+        (kleinian_product(1, 2, order=5), [], 1),
+    ):
+        change, scrambled = scramble_presentation(pres, pairs, seed)
+        assert len(change.forward) > 1
+        cases.append((pres, change, scrambled))
+    taken = []
+    gradient = TruncatedElement.gradient
+
+    def counting(self):
+        taken.append(self)
+        return gradient(self)
+
+    monkeypatch.setattr(TruncatedElement, "gradient", counting)
+    for pres, change, scrambled in cases:
+        taken.clear()
+        assert change.transport(pres).table_as_strings() == scrambled.table_as_strings()
+        assert len(taken) <= len(change.forward)
+
+
 def test_transport_preserves_jacobi():
     p = standard_presentation(2, 2, order=6)
     ctx = p.ctx

@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from reference import _reference_bracket, _reference_jacobi
 
+from equislice import fixtures
+from equislice.darboux import CoordinateChange, scramble_presentation
 from equislice.fixtures import (
     coupled_line_example,
     cubic_jacobian,
@@ -14,8 +17,8 @@ from equislice.fixtures import (
     sl2_presentation,
 )
 from equislice.poisson import PoissonPresentation, standard_presentation
-from equislice.scalars import Q
-from equislice.series import GradedContext
+from equislice.scalars import CycloField, Q
+from equislice.series import GradedContext, TruncatedElement
 
 
 # -- bracket mechanics -----------------------------------------------------
@@ -263,3 +266,177 @@ def test_reduce_normalizes_products():
     assert p.reduce(a * b) == m * m
     assert p.reduce(a * b * m) == m**3
     assert p.reduce(a**2 * b**2) == m**4
+
+
+# -- sparse brackets against the table walk ---------------------------------
+
+# every presentation builder of the fixtures module, with small arguments
+BUILDERS = {
+    "sl2_presentation": fixtures.sl2_presentation,
+    "kleinian_presentation": lambda: fixtures.kleinian_presentation(3),
+    "cyclic_nonjacobi": fixtures.cyclic_nonjacobi,
+    "cubic_jacobian": fixtures.cubic_jacobian,
+    "coupled_line_example": fixtures.coupled_line_example,
+    "invariant_quadric": fixtures.invariant_quadric,
+    "product_with_slice": lambda: fixtures.product_with_slice(
+        2, 1, ("a", "b"), (1, 0), lambda ctx: {("a", "b"): ctx.var("a")}, order=4
+    ),
+    "kleinian_product": lambda: fixtures.kleinian_product(1, 2, order=4),
+    "standard_presentation": lambda: fixtures.standard_presentation(2, 2, order=5),
+}
+
+# Q, Q(i) and Q(zeta_8)
+FIELDS = {"Q": None, "Q(i)": CycloField(4), "Q(zeta8)": CycloField(8)}
+
+
+def _scalar(rng, field):
+    if field is None:
+        return Q(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2)))
+    return field.element([rng.randrange(-2, 3) for _ in range(field.degree)]) or field.one()
+
+
+def _random_element(rng, ctx, field, terms=3):
+    out = {}
+    for _ in range(terms):
+        exps = tuple(
+            rng.randrange(-1, 2) if v in ctx.invertible else rng.randrange(0, 3)
+            for v in ctx.variables
+        )
+        out[exps] = _scalar(rng, field)
+    return TruncatedElement(ctx, out)
+
+
+def _rescaled(pres, rng, field):
+    """The same structure in generators scaled by seeded nonzero scalars
+    of the field."""
+    if field is None:
+        return pres
+    ctx = pres.ctx
+    scales = {name: field.zeta(rng.randrange(field.order)) * rng.choice((1, 2)) for name in ctx.variables}
+    forward = {name: ctx.var(name).scale(c) for name, c in scales.items()}
+    inverse = {name: ctx.var(name).scale(c.inverse()) for name, c in scales.items()}
+    return CoordinateChange(ctx, forward, inverse).transport(pres)
+
+
+def _random_table(rng, field, relations):
+    """A skew table on four variables (one, w, in no entry) with seeded
+    entries, so Jacobi mostly fails, and optionally one relation."""
+    ctx = GradedContext(("x", "y", "z", "w"), (1, 1, 1, 1), order=5)
+    table = {}
+    for a, b in (("x", "y"), ("y", "z"), ("x", "z")):
+        if rng.random() < 0.85:
+            table[(a, b) if rng.random() < 0.5 else (b, a)] = _random_element(rng, ctx, field, 2)
+    rels = (ctx.var("x") * ctx.var("y") - _random_element(rng, ctx, field, 1),) if relations else ()
+    return PoissonPresentation(ctx, table, relations=rels)
+
+
+def _presentations(rng, field):
+    cases = [(name, _rescaled(make(), rng, field)) for name, make in BUILDERS.items()]
+    for label, source, pairs in (
+        ("standard", standard_presentation(2, 2, order=5), [("z1", "z2")]),
+        ("kleinian_product", fixtures.kleinian_product(1, 2, order=4), []),
+    ):
+        _change, scrambled = scramble_presentation(source, pairs, rng.randrange(100))
+        cases.append((f"scrambled {label}", _rescaled(scrambled, rng, field)))
+    cases.append(("random table", _random_table(rng, field, relations=False)))
+    cases.append(("random table with a relation", _random_table(rng, field, relations=True)))
+    return cases
+
+
+def test_builders_cover_every_fixture_presentation():
+    others = {
+        "sl2_casimir",
+        "kleinian_ambient_slice",
+        "cyclic_plane_action",
+        "pairwise_sign_action",
+        "binary_dihedral_action",
+        "PLANE_FORM",
+        "DOUBLE_PLANE_FORM",
+    }
+    assert set(BUILDERS) == set(fixtures.__all__) - others
+
+
+@pytest.mark.parametrize("field_name", sorted(FIELDS))
+def test_brackets_match_the_table_walk(field_name):
+    field = FIELDS[field_name]
+    rng = random.Random(f"brackets {field_name}")
+    for label, pres in _presentations(rng, field):
+        ctx = pres.ctx
+        for _ in range(6):
+            f, g = _random_element(rng, ctx, field), _random_element(rng, ctx, field)
+            want = _reference_bracket(pres, f, g)
+            assert pres.bracket(f, g) == want, label
+            assert pres.bracket_of_gradients(f.gradient(), g.gradient()) == want, label
+        for a, name in enumerate(ctx.variables):
+            g = _random_element(rng, ctx, field)
+            # the generator on the left and on the right
+            assert pres.generator_bracket(a, g.gradient()) == _reference_bracket(pres, ctx.var(name), g), label
+            assert pres.bracket(g, ctx.var(name)) == _reference_bracket(pres, g, ctx.var(name)), label
+            assert pres.bracket(ctx.var(name), g) == _reference_bracket(pres, ctx.var(name), g), label
+
+
+@pytest.mark.parametrize("field_name", sorted(FIELDS))
+def test_jacobi_matches_the_triple_walk(field_name):
+    field = FIELDS[field_name]
+    rng = random.Random(f"jacobi {field_name}")
+    failing = 0
+    for label, pres in _presentations(rng, field):
+        for certified_only in (False, True):
+            got = pres.check_jacobi(certified_only=certified_only)
+            assert got == _reference_jacobi(pres, certified_only=certified_only), label
+            failing += bool(got)
+    assert failing  # the records themselves are compared, not only emptiness
+
+
+def test_bracket_edge_cases_match_the_table_walk():
+    ctx = GradedContext(("x", "y", "z", "w"), (1, 1, 1, 1), order=5)
+    x, y, z, w = (ctx.var(v) for v in ctx.variables)
+    pres = PoissonPresentation(
+        ctx, {("x", "y"): z, ("z", "y"): x * x, ("x", "z"): ctx.one()}
+    )
+    cases = [
+        # w has an empty row: every bracket with it vanishes
+        (w, x * y + z),
+        (x * y * z, w),
+        # disjoint supports: no entry joins x to w
+        (x * x, w * w),
+        # (x, y) is reached from both ends: both arguments involve x and y
+        (x * y, x + y * y),
+        (x * y + z, x * z + y),
+        # a generator on the left and on the right
+        (y, x * z),
+        (x * z, y),
+    ]
+    for f, g in cases:
+        want = _reference_bracket(pres, f, g)
+        assert pres.bracket(f, g) == want
+    assert pres.bracket(w, x * y + z) == ctx.zero()
+    assert pres.generator_bracket(ctx.index("w"), (x * y + z).gradient()) == ctx.zero()
+    assert pres.bracket(x * x, w * w) == ctx.zero()
+    assert pres.bracket(x * y, x + y * y) == _reference_bracket(pres, x * y, x + y * y) != ctx.zero()
+
+
+def _count_gradients(monkeypatch):
+    taken = []
+    gradient = TruncatedElement.gradient
+
+    def counting(self):
+        taken.append(self)
+        return gradient(self)
+
+    monkeypatch.setattr(TruncatedElement, "gradient", counting)
+    return taken
+
+
+def test_check_jacobi_takes_one_gradient_per_entry(monkeypatch):
+    rng = random.Random(3)
+    cases = [make() for make in BUILDERS.values()]
+    cases.append(scramble_presentation(standard_presentation(2, 2, order=5), [("z1", "z2")], 1)[1])
+    cases.append(_random_table(rng, None, relations=True))
+    taken = _count_gradients(monkeypatch)
+    for pres in cases:
+        for certified_only in (False, True):
+            taken.clear()
+            pres.check_jacobi(certified_only=certified_only)
+            entries = sum(1 for a, b in pres.pairs() if pres.entry(a, b))
+            assert len(taken) <= entries + len(pres.relations)
