@@ -7,8 +7,9 @@ a non-unimodular matrix, a non-central element), 2 when the input
 cannot be used at all (among others: --order below 1, or below 3 for
 hypertoric verify, a negative degree cap from --degree-cap or the
 document, any field of the wrong type, an unknown generator name, an
-empty weight window), 3 when a step budget ran out before an answer
-(the report names EQUISLICE_MAX_STEPS, which sets the budget), 4 when
+empty weight window, an EQUISLICE_MAX_STEPS that is not a non-negative
+decimal integer), 3 when a step budget ran out before an answer (the
+report names EQUISLICE_MAX_STEPS, which sets the budget), 4 when
 the program itself failed (an InternalError or any other unforeseen
 exception; the report carries "internal": true and no traceback).
 Reports are JSON on stdout, sorted keys, so identical jobs produce
@@ -504,9 +505,7 @@ def _quantize_normalform(_none, fields, opts):
 
 
 def _quantize_central(_none, fields, opts):
-    report = centrality_check(
-        fields["presentation"], fields["element"], degree_cap=opts.get("degree_cap")
-    )
+    report = centrality_check(fields["presentation"], fields["element"])
     return (0 if report["ok"] else 1), report
 
 

@@ -550,34 +550,6 @@ def _coupling_move_system(cur, t_name, u_name, slice_names, leaf, horizon):
     return targets, cands, columns
 
 
-def _reachable_coupling(columns, target: dict, tag_row: int) -> tuple[dict, dict]:
-    """One elimination of a move system: (killable, moves), where
-    killable is the part of the target in the span of the columns (the
-    target minus its echelon residual) and moves[j] the coefficient of
-    column j in the combination that cancels it, nonzero only on columns
-    independent of the earlier ones.
-
-    Keys are (row, exponents) with row < tag_row.  Column j enters the
-    engine with the extra key (tag_row, -j), which sorts after every
-    coupling key and puts earlier columns' tags last; the reduced target
-    is the residual on the coupling keys and the moves on the tags."""
-    echelon = linalg.Echelon()
-    for j, col in enumerate(columns):
-        echelon.insert({**col, (tag_row, -j): 1})
-    killable = dict(target)
-    moves = {}
-    for key, v in echelon.reduce(target).items():
-        if key[0] == tag_row:
-            moves[-key[1]] = v
-            continue
-        s = killable.get(key, 0) - v
-        if s:
-            killable[key] = s
-        else:
-            del killable[key]
-    return killable, moves
-
-
 def _read_slice_data(final, t_name, u_name, slice_names, k, ell, slice_ctx):
     """Slice table and residual field in the weight-zero chart
     s -> t^(-w/ell) * s, re-expressed over the slice context.
@@ -989,13 +961,13 @@ def _decouple_slice(run: _Run) -> bool:
     its canonical residual.
 
     Each pass assembles the linear system of _coupling_move_system and
-    eliminates it once: reducing the trusted coupling against the move
-    span splits it into the reachable part, with the move combination
-    that reaches it, and the echelon residual.  One change then absorbs
-    the reachable part.  Nonlinear transport effects reappear at
-    strictly higher J-order, so the sweep terminates; what survives is
-    the obstruction to product form.  Returns whether anything was
-    absorbed."""
+    eliminates it once: expressing the trusted coupling in the span of
+    the move columns splits it into the echelon residual and the
+    reachable part, a combination of the columns.  One change, the moves
+    with minus its coefficients, then absorbs the reachable part.
+    Nonlinear transport effects reappear at strictly higher J-order, so
+    the sweep terminates; what survives is the obstruction to product
+    form.  Returns whether anything was absorbed."""
     ctx, u, slice_names = run.ctx, run.u, run.slice_names
     leaf = [v for ab in run.pairs for v in ab] + [u]
 
@@ -1009,16 +981,20 @@ def _decouple_slice(run: _Run) -> bool:
                 for si, s in enumerate(slice_names)
                 for oe, oc in targets[s].terms.items()
             }
-            killable, moves = _reachable_coupling(columns, target, len(slice_names))
-            if not killable:
+            coefficients, residual = linalg.Span(columns).express(target)
+            if not coefficients:
                 return
-            yield min(ctx.jorder_of_exps(oe) for _, oe in killable)
+            yield min(
+                ctx.jorder_of_exps(key[1])
+                for key in target.keys() | residual.keys()
+                if target.get(key) != residual.get(key)
+            )
             forward = {}
             for j, (kind, name, mono) in enumerate(cands):
-                c = moves.get(j)
+                c = coefficients.get(j)
                 if not c:
                     continue
-                piece = mono.scale(c)
+                piece = mono.scale(-c)
                 if kind == "conjugate":
                     forward[u] = forward.get(u, ctx.var(u)) - piece
                 else:

@@ -24,7 +24,7 @@ from itertools import combinations
 from math import gcd
 
 from .intmat import IntMatrix, det
-from .linalg import Echelon
+from .linalg import Span
 from .poisson import PoissonPresentation
 from .scalars import InternalError, exact_int
 from .series import GradedContext, TruncatedElement
@@ -379,15 +379,14 @@ def decompose_at(b, leaf, nonvanishing=None, invert=None) -> DecompositionReport
                 "the base point does not lie on a free orbit"
             )
     remaining = [i for i in leaf.fixed if i not in g]
-    columns = IntMatrix([signed_row(j) for j in g]).transpose() if g else IntMatrix([])
+    span = Span(dict(enumerate(signed_row(j))) for j in g)
     r_rows = []
     weights = {}
     for i in remaining:
-        target = [-w for w in b.row(i - 1)]
-        sol = columns.solve_rational(target) if g else ([] if not any(target) else None)
-        if sol is None or any(x.denominator != 1 for x in sol):
+        sol, residual = span.express({t: -w for t, w in enumerate(b.row(i - 1))})
+        if residual or any(x.denominator != 1 for x in sol.values()):
             raise ValueError(f"no integral dressing exponents for coordinate {i}")
-        row = [int(x) for x in sol]
+        row = [int(sol.get(k, 0)) for k in range(len(g))]
         r_rows.append(row)
         weights[f"x{i}"] = 1 + sum(row)
         weights[f"y{i}"] = 1 - sum(row)
@@ -413,19 +412,16 @@ LEAST_VERIFY_ORDER = 3
 
 
 def _integer_inverse(v: IntMatrix) -> IntMatrix:
-    """The inverse of a unimodular matrix, read off one elimination of
-    [V | I]: its reduced echelon form is [I | V^-1] exactly when V is
-    invertible, and V^-1 is integral exactly when V is unimodular."""
-    n = v.nrows
-    echelon = Echelon()
-    for i, row in enumerate(v.rows):
-        vec = dict(enumerate(row))
-        vec[n + i] = 1
-        echelon.insert(vec)
-    rows = echelon.items()
-    inv = [[row.get(n + k, 0) for k in range(n)] for _, row in rows]
-    if any(p >= n for p, _ in rows) or any(x.denominator != 1 for r in inv for x in r):
-        raise ValueError("matrix is not unimodular")
+    """The inverse of a unimodular matrix: row k of V^-1 holds the
+    coefficients of e_k over V's rows, which exist for every k exactly
+    when V is invertible and are integral exactly when V is unimodular."""
+    span = Span(dict(enumerate(row)) for row in v.rows)
+    inv = []
+    for k in range(v.nrows):
+        coefficients, residual = span.express({k: 1})
+        if residual or any(x.denominator != 1 for x in coefficients.values()):
+            raise ValueError("matrix is not unimodular")
+        inv.append([coefficients.get(i, 0) for i in range(v.nrows)])
     return IntMatrix(inv)
 
 

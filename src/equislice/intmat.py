@@ -1,6 +1,6 @@
 """Exact integer matrix utilities: determinants, ranks and minors by one
-Bareiss elimination, Smith and Hermite normal forms, kernel lattices, and
-rational solves.
+Bareiss elimination, Smith and Hermite normal forms and kernel lattices.
+Rational solves and inverses go through ``linalg.Span``.
 
 All algorithms are fraction-free or track unimodular transforms, so every
 result is certified by integer identities (for example snf returns U, D, V
@@ -9,11 +9,9 @@ with U * M * V == D and det(U), det(V) in {1, -1}).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 
-from . import linalg
-from .scalars import InternalError, exact, exact_int
+from .scalars import InternalError, exact_int
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -238,7 +236,7 @@ class IntMatrix:
                 break
         return IntMatrix([row for row in a[:r]])
 
-    # -- lattices and solving ----------------------------------------------
+    # -- lattices ----------------------------------------------------------
 
     def kernel_basis(self) -> "IntMatrix":
         """Canonical basis (as rows, in Hermite normal form) of the integer
@@ -250,11 +248,3 @@ class IntMatrix:
         if not basis:
             return IntMatrix([])
         return IntMatrix(basis).hermite_normal_form()
-
-    def solve_rational(self, b) -> list[Fraction] | None:
-        """One rational solution x of self @ x == b, or None if inconsistent.
-        Free variables are set to zero."""
-        b = [exact(Fraction(x)) for x in b]
-        if len(b) != self.nrows:
-            raise ValueError("length mismatch")
-        return linalg.solve(self.rows, b)

@@ -12,10 +12,10 @@ scaled by the pivot's inverse goes through ``scalars.exact`` once as it
 is stored, as do the entries of the stored rows it clears of its pivot,
 so an integral entry stays an int and no division makes a float.
 
-`rank`, `solve` and `in_span` are thin wrappers for dense matrices,
-plain lists of row lists keyed by column index.  `relations` hands
-sparse columns straight to the engine and returns the echelon basis of
-their linear relations.
+`Span` is the one augmented elimination: each vector carries a tag of
+its own, and its combinations and relations are read off the tags.
+`relations` (the canonical kernel of sparse columns), `rank`, `solve`
+and `in_span` (dense matrices as lists of rows) are thin wrappers.
 """
 
 from __future__ import annotations
@@ -69,9 +69,13 @@ class Echelon:
     def insert(self, vec: dict) -> bool:
         """Add vec to the span; whether it was new (the rank grew)."""
         rest = self.reduce(vec)
-        if not rest:
-            return False
-        pivot = min(rest)
+        if rest:
+            self._store(rest, min(rest))
+        return bool(rest)
+
+    def _store(self, rest: dict, pivot) -> None:
+        """Store a reduced vector as the row of the given pivot: its least
+        key from insert, its least data key from a Span."""
         inv = quo(1, rest[pivot])
         row = {key: exact(c * inv) for key, c in rest.items()}
         for other in self._rows.values():
@@ -80,38 +84,96 @@ class Echelon:
                 for key in row.keys() & other.keys():
                     other[key] = exact(other[key])
         self._rows[pivot] = row
-        return True
 
 
-def _row_echelon(rows) -> Echelon:
-    """The echelon of a dense matrix's row span, keyed by column."""
+class _Tag:
+    """The augmentation key of one vector of a Span: equal to no data key
+    (it hashes by identity) and never ordered (no tag is a pivot)."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index
+
+
+class Span:
+    """The span of sparse vectors added one at a time, vector j being
+    the j-th added.
+
+    Vector j enters one Echelon with its own tag at coefficient 1, and
+    each stored row pivots on its least data key, so its tags write it
+    as a combination of the vectors.  A vector whose data part reduces
+    to zero leaves only tags, its relation to the earlier vectors, and
+    is not stored.  So the rows carry only the tags of vectors
+    independent of the ones before them, and every combination read
+    off them is the unique one supported there (in a dense solve: the
+    free variables are zero)."""
+
+    def __init__(self, vectors=()):
+        self._echelon = Echelon()
+        self._count = 0
+        for vec in vectors:
+            self.add(vec)
+
+    def add(self, vec: dict) -> dict | None:
+        """Add the next vector, j: None when it grows the span, else its
+        relation to the earlier vectors, by index in index order: 1 at j,
+        minus its coefficients on the earlier independent vectors."""
+        tag = _Tag(self._count)
+        self._count += 1
+        rest = self._echelon.reduce({**vec, tag: 1})
+        data = [key for key in rest if type(key) is not _Tag]
+        if data:
+            self._echelon._store(rest, min(data))
+            return None
+        return dict(sorted((t.index, exact(c)) for t, c in rest.items()))
+
+    def express(self, target: dict) -> tuple[dict, dict]:
+        """(coefficients, residual) with target == residual + the sum of
+        coefficients[j] * vector j.  The residual is target's echelon
+        residual, empty exactly when target lies in the span; the
+        coefficients, by index, are nonzero only on vectors independent
+        of the ones before them."""
+        coefficients, residual = {}, {}
+        for key, c in self._echelon.reduce(target).items():
+            if type(key) is _Tag:
+                coefficients[key.index] = -c
+            else:
+                residual[key] = c
+        return coefficients, residual
+
+
+def relations(columns) -> list[dict]:
+    """The linear relations {c : sum_j c_j * columns[j] == 0} among
+    sparse columns as the RREF of dicts keyed by column index, in pivot
+    order: the Span's relations, put through one small elimination."""
+    span, kernel = Span(), Echelon()
+    for col in columns:
+        relation = span.add(col)
+        if relation is not None:
+            kernel.insert(relation)
+    return [row for _, row in kernel.items()]
+
+
+def rank(rows) -> int:
     echelon = Echelon()
     width = len(rows[0]) if rows else 0
     for r in rows:
         if len(echelon) == width:
             break
         echelon.insert(dict(enumerate(r)))
-    return echelon
-
-
-def rank(rows) -> int:
-    return len(_row_echelon(rows))
+    return len(echelon)
 
 
 def solve(rows, b) -> list | None:
     """One solution of rows @ x == b, or None if inconsistent.  Free
     variables are set to zero."""
-    if not rows:
-        return []
-    width = len(rows[0])
-    items = _row_echelon([[*r, b[i]] for i, r in enumerate(rows)]).items()
-    if items and items[-1][0] == width:
+    width = len(rows[0]) if rows else 0
+    span = Span({i: r[j] for i, r in enumerate(rows)} for j in range(width))
+    coefficients, residual = span.express(dict(enumerate(b)))
+    if residual:
         return None
-    x = [0] * width
-    for p, row in items:
-        if width in row:
-            x[p] = row[width]
-    return x
+    return [exact(coefficients.get(j, 0)) for j in range(width)]
 
 
 def in_span(vectors, target) -> bool:
@@ -121,21 +183,3 @@ def in_span(vectors, target) -> bool:
     cols = [list(v) for v in vectors]
     mat = [[cols[j][i] for j in range(len(cols))] for i in range(len(target))]
     return solve(mat, list(target)) is not None
-
-
-def relations(columns, tags) -> list[dict]:
-    """The linear relations {c : sum_j c_j * columns[j] == 0} among
-    sparse columns, as the RREF of sparse dicts keyed by tags[j], in
-    pivot order.
-
-    Column j goes into the engine with the extra key tags[j] at
-    coefficient 1.  Every tag must sort after every column key, so the
-    rows that pivot on a tag have no column part and span exactly the
-    relations, in the order of the tags."""
-    tagged = set(tags)
-    echelon = Echelon()
-    for col, tag in zip(columns, tags):
-        vec = dict(col)
-        vec[tag] = 1
-        echelon.insert(vec)
-    return [row for p, row in echelon.items() if p in tagged]

@@ -48,11 +48,17 @@ class RewriteLimitError(RuntimeError):
 
 
 def max_steps() -> int:
+    """The step budget: EQUISLICE_MAX_STEPS, a non-negative decimal
+    integer, or DEFAULT_MAX_STEPS when it is unset or empty.  Any other
+    value is refused with a ValueError, never replaced by the default."""
     raw = os.environ.get("EQUISLICE_MAX_STEPS", "")
-    try:
-        return int(raw) if raw else DEFAULT_MAX_STEPS
-    except ValueError:
+    if not raw:
         return DEFAULT_MAX_STEPS
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(
+            f"EQUISLICE_MAX_STEPS must be a non-negative decimal integer, got {raw!r}"
+        )
+    return int(raw)
 
 
 def _grlex_key(exps):
@@ -475,14 +481,9 @@ class PoissonPresentation:
                     if ctx.jorder_of_exps(oe) < cutoffs[g_idx]:
                         col[(g_idx, oe)] = oc
             columns.append(col)
-        tags = [(len(names), j) for j in range(len(cands))]
         return [
-            TruncatedElement(
-                ctx,
-                {cands[j]: v for (_, j), v in sorted(row.items())},
-                validate=False,
-            )
-            for row in linalg.relations(columns, tags)
+            TruncatedElement(ctx, {cands[j]: v for j, v in sorted(row.items())}, validate=False)
+            for row in linalg.relations(columns)
         ]
 
     def hp0_graded(self, degree_cap: int) -> dict[int, int]:

@@ -44,7 +44,7 @@ from itertools import product as iter_product
 
 # in_span is unused here but stays importable: the benchmark's tracer
 # test (perfbench/test_quick.py) checks that it is rebound in this module
-from .linalg import Echelon, in_span, relations
+from .linalg import Echelon, Span, in_span
 from .poisson import PoissonPresentation, RewriteLimitError, max_steps
 from .scalars import InternalError, Q, exact, exact_int, quo
 
@@ -335,7 +335,7 @@ class HbarPresentation:
         entry = memo[(m1, m2, p)] = tuple(entry)
         return entry
 
-    def multiply(self, a: dict, b: dict, budget=None, memo=None) -> dict:
+    def multiply(self, a: dict, b: dict, memo=None) -> dict:
         """The normal form of a*b.
 
         memo, when given, is a dict shared by the calls of one computation
@@ -344,7 +344,7 @@ class HbarPresentation:
         it cost when it was first straightened, so whether the budget
         runs out depends on the call alone, not on what the memo holds."""
         out: dict = {}
-        state = [max_steps() if budget is None else budget]
+        state = [max_steps()]
         memo = {} if memo is None else memo
         for (p1, m1), c1 in a.items():
             for (p2, m2), c2 in b.items():
@@ -362,13 +362,13 @@ class HbarPresentation:
                         out.pop(key, None)
         return out
 
-    def commutator(self, a: dict, b: dict, budget=None, memo=None) -> dict:
+    def commutator(self, a: dict, b: dict, memo=None) -> dict:
         return element_add(
-            self.multiply(a, b, budget=budget, memo=memo),
-            element_scale(self.multiply(b, a, budget=budget, memo=memo), -1),
+            self.multiply(a, b, memo=memo),
+            element_scale(self.multiply(b, a, memo=memo), -1),
         )
 
-    def normal_form(self, word, budget=None) -> dict:
+    def normal_form(self, word) -> dict:
         """Unique ordered expansion of a word of (name, exponent) pairs."""
         letters = []
         for name, exp in word:
@@ -378,7 +378,7 @@ class HbarPresentation:
                 raise ValueError(f"{name} is not invertible")
             letters.extend(self._letters(((self._index[name], exp),)))
         out: dict = {}
-        state = [max_steps() if budget is None else budget]
+        state = [max_steps()]
         self._straighten(tuple(letters), 0, 1, out, state)
         return out
 
@@ -390,7 +390,7 @@ class HbarPresentation:
 
     # -- certification ---------------------------------------------------------
 
-    def certify_confluence(self, budget=None) -> dict:
+    def certify_confluence(self) -> dict:
         """Compare both reduction orders on every letter triple.
 
         Rules rewrite two-letter words, so all overlap ambiguities sit
@@ -407,7 +407,7 @@ class HbarPresentation:
             results = []
             for strategy in ("first", "last"):
                 out: dict = {}
-                state = [max_steps() if budget is None else budget]
+                state = [max_steps()]
                 self._straighten(triple, 0, 1, out, state, strategy)
                 results.append(out)
             if results[0] != results[1]:
@@ -590,16 +590,12 @@ def sl2_casimir_element(a: HbarPresentation) -> dict:
 # -- verification operations ---------------------------------------------------
 
 
-def centrality_check(a: HbarPresentation, element: dict,
-                     degree_cap=None) -> dict:
-    """Commutators of one element with every generator, rendered.
-
-    degree_cap, when given, overrides the rewrite step budget for the
-    check; the computation itself is exact at the truncation order."""
+def centrality_check(a: HbarPresentation, element: dict) -> dict:
+    """Commutators of one element with every generator, rendered."""
     residues = {}
     ok = True
     for name in a.names:
-        r = a.commutator(a.var(name), element, budget=degree_cap)
+        r = a.commutator(a.var(name), element)
         if r:
             ok = False
         residues[name] = a.render(r)
@@ -838,7 +834,9 @@ def quantized_slice(a: HbarPresentation, t_lift, z_lifts, truncation: int,
         monos = _slice_monomials(a, w, truncation - 1, degree_cap)
         if not monos:
             continue
-        columns = []
+        # the relations of the columns are the kernel basis with a 1 in
+        # each dependent column, one per such column, in column order
+        span, elems = Span(), []
         for hpow, mono in monos:
             cand = {(hpow, mono): 1}
             col = {}
@@ -846,14 +844,9 @@ def quantized_slice(a: HbarPresentation, t_lift, z_lifts, truncation: int,
                 for (p, m), c in a.commutator(lift, cand, memo=memo).items():
                     if p <= truncation:
                         col[(li, p, m)] = c
-            columns.append(col)
-        # descending tags make the relations the kernel basis with a 1 in
-        # each free position, one per free column; list them by column
-        tags = [(len(lifts), -j) for j in range(len(monos))]
-        elems = [
-            {monos[-neg]: c for (_, neg), c in sorted(row.items(), reverse=True)}
-            for row in reversed(relations(columns, tags))
-        ]
+            relation = span.add(col)
+            if relation is not None:
+                elems.append({monos[j]: c for j, c in relation.items()})
         if elems:
             basis[w] = elems
 

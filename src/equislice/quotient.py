@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from array import array
 
-from .linalg import Echelon, rank, relations
+from .linalg import Echelon, Span, rank, relations
 from .scalars import CycloField, CycloNumber, InternalError, as_scalar, quo
 
 Matrix = tuple[tuple[CycloNumber, ...], ...]
@@ -259,14 +259,12 @@ def _reduced_basis(field: CycloField, vectors) -> tuple[Vector, ...]:
 
 def _kernel(field: CycloField, rows, dim: int) -> tuple[Vector, ...]:
     """Reduced basis of {x : rows @ x == 0}, the whole space when there
-    are no rows: the relations among the columns, tagged in ascending
-    column order after every row index."""
+    are no rows: the relations among the columns."""
     columns = [
         {r: row[j] for r, row in enumerate(rows) if row[j]}
         for j in range(dim)
     ]
-    tags = range(len(rows), len(rows) + dim)
-    return _basis(field, relations(columns, tags), tags)
+    return _basis(field, relations(columns), range(dim))
 
 
 def _intersect(field: CycloField, a, b, dim: int) -> tuple[Vector, ...]:
@@ -287,22 +285,12 @@ def _intersect(field: CycloField, a, b, dim: int) -> tuple[Vector, ...]:
 
 def _coordinates(basis, vectors) -> list:
     """Coordinates of each vector in an independent basis, or None for a
-    vector off its span.
-
-    Basis vector t goes into one echelon with an extra tag key at
-    coefficient 1, and the tags sort after every coordinate key, so every
-    pivot is a coordinate.  Reducing a vector of the span then leaves
-    only tags, carrying minus its coordinates."""
-    dim = len(basis[0]) if basis else 0
-    tags = range(dim, dim + len(basis))
-    echelon = Echelon()
-    for tag, v in zip(tags, basis):
-        echelon.insert({**dict(enumerate(v)), tag: 1})
+    vector off its span."""
+    span = Span(dict(enumerate(v)) for v in basis)
     out = []
     for w in vectors:
-        rest = echelon.reduce(dict(enumerate(w)))
-        off_span = any(k not in tags for k in rest)
-        out.append(None if off_span else [-rest.get(t, 0) for t in tags])
+        coefficients, residual = span.express(dict(enumerate(w)))
+        out.append(None if residual else [coefficients.get(t, 0) for t in range(len(basis))])
     return out
 
 

@@ -134,11 +134,12 @@ def _reference_moment_map(b, ctx):
 
 
 def _reference_integer_inverse(v):
-    """The inverse of a unimodular matrix, one rational solve per column."""
+    """The inverse of a unimodular matrix, one dense reference solve per
+    column."""
     cols = []
     for j in range(v.nrows):
         unit = [1 if i == j else 0 for i in range(v.nrows)]
-        sol = v.solve_rational(unit)
+        sol = _reference_solve(v.rows, unit)
         if sol is None or any(x.denominator != 1 for x in sol):
             raise ValueError("matrix is not unimodular")
         cols.append([int(x) for x in sol])

@@ -132,7 +132,6 @@ def test_input_errors_exit_two():
 
 
 def test_exhausted_step_budget_exits_three(monkeypatch):
-    monkeypatch.setenv("EQUISLICE_MAX_STEPS", "3")
     documents = {
         "quantize central": {
             "presentation": {"family": "sl2"}, "element": {"casimir": True},
@@ -141,11 +140,14 @@ def test_exhausted_step_budget_exits_three(monkeypatch):
             "presentation": {"family": "sl2"}, "word": [["f", 2], ["e", 2]],
         },
     }
-    for command, document in documents.items():
-        status, report = invoke(command, document)
-        assert status == 3
-        assert report["budget"] == "EQUISLICE_MAX_STEPS"
-        assert "step budget" in report["error"] and report["command"] == command
+    # 0 is a budget too: it allows no step
+    for budget in ("3", "0"):
+        monkeypatch.setenv("EQUISLICE_MAX_STEPS", budget)
+        for command, document in documents.items():
+            status, report = invoke(command, document)
+            assert status == 3
+            assert report["budget"] == "EQUISLICE_MAX_STEPS"
+            assert "step budget" in report["error"] and report["command"] == command
     monkeypatch.delenv("EQUISLICE_MAX_STEPS")
     status, report = invoke("quantize normalform", documents["quantize normalform"])
     assert status == 0 and report["normal_form"].startswith("1*e^2*f^2")
@@ -163,6 +165,26 @@ def test_exhausted_reduction_budget_exits_three(monkeypatch):
     assert report["budget"] == "EQUISLICE_MAX_STEPS"
     assert "step budget" in report["error"]
     assert report["command"] == "poisson center"
+
+
+CASIMIR_CENTRALITY = {"presentation": {"family": "sl2"}, "element": {"casimir": True}}
+
+
+@pytest.mark.parametrize("cap", [0, 3])
+def test_quantize_central_ignores_the_degree_cap(cap):
+    # the command has no cap field, so a cap leaves its report unchanged
+    # and is not a step budget
+    uncapped = invoke("quantize central", CASIMIR_CENTRALITY)
+    assert uncapped[0] == 0 and uncapped[1]["ok"]
+    assert invoke("quantize central", CASIMIR_CENTRALITY, degree_cap=cap) == uncapped
+
+
+@pytest.mark.parametrize("value", ["abc", "2.5", "-5"])
+def test_malformed_step_budget_exits_two(monkeypatch, value):
+    monkeypatch.setenv("EQUISLICE_MAX_STEPS", value)
+    status, report = invoke("quantize central", CASIMIR_CENTRALITY)
+    assert status == 2 and "internal" not in report
+    assert "EQUISLICE_MAX_STEPS" in report["error"] and repr(value) in report["error"]
 
 
 def test_poisson_center_covers_the_whole_weight_window():

@@ -11,7 +11,6 @@ from equislice.darboux import (
     CoordinateChange,
     StageError,
     _greedy_generators,
-    _reachable_coupling,
     certification_horizon,
     decouple_u,
     enforce_tu,
@@ -25,6 +24,7 @@ from equislice.fixtures import (
     kleinian_product,
     sl2_presentation,
 )
+from equislice.linalg import Span
 from equislice.poisson import PoissonPresentation, standard_presentation
 from equislice.scalars import InternalError, Q
 from equislice.series import TruncatedElement
@@ -264,8 +264,10 @@ def test_roundtrip_scrambled_product_with_pair():
 
 
 def test_decouple_step_matches_the_dense_reference(monkeypatch):
-    """The one-elimination split of each move system equals the residual
-    and the solution of two dense reference eliminations."""
+    """Expressing each move system's target in one Span gives the
+    residual and the solution of two dense reference eliminations: the
+    reachable part is the target minus the residual, and the moves are
+    minus the coefficients that reach it."""
     systems = []
     original = darboux._coupling_move_system
 
@@ -295,11 +297,12 @@ def test_decouple_step_matches_the_dense_reference(monkeypatch):
             f = residual[p]
             residual = [x - f * y for x, y in zip(residual, row)]
         reachable = [t - r for t, r in zip(tvec, residual)]
-        killable, moves = _reachable_coupling(columns, target, len(slice_names))
-        assert killable == {key: v for key, v in zip(keys, reachable) if v}
-        if killable:
-            x = _reference_solve(amat, [-v for v in reachable])
-            assert x == [moves.get(j, 0) for j in range(len(columns))]
+        coefficients, rest = Span(columns).express(target)
+        assert rest == {key: v for key, v in zip(keys, residual) if v}
+        assert bool(coefficients) == any(reachable)
+        if coefficients:
+            x = _reference_solve(amat, reachable)
+            assert x == [coefficients.get(j, 0) for j in range(len(columns))]
             checked += 1
     assert checked
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from equislice.linalg import Echelon, in_span, rank, relations, solve
+from equislice.linalg import Echelon, Span, in_span, rank, relations, solve
 from equislice.scalars import CycloField
 from reference import (
     _reference_kernel,
@@ -168,7 +168,7 @@ def test_wrappers_agree_with_the_reference(field, seed):
 
 def test_wrappers_on_empty_and_zero_inputs():
     assert rank([]) == 0
-    assert solve([], []) == []
+    assert solve([], []) == [] and solve([], [1]) is None
     assert solve([[], []], [0, 0]) == [] and solve([[], []], [0, 1]) is None
     zero = [[0, 0, 0], [0, 0, 0]]
     assert rank(zero) == 0
@@ -185,15 +185,104 @@ def test_relations_of_sparse_columns(field, seed):
             continue
         width = len(rows[0])
         columns = [{("row", i): r[j] for i, r in enumerate(rows) if r[j]} for j in range(width)]
-        # ascending tags: the RREF of the kernel
-        ascending = relations(columns, [("tag", j) for j in range(width)])
+        # the canonical kernel: its RREF in column order
         kernel = _reference_kernel(rows)
         reduced, pivots = _reference_rref(kernel) if kernel else ([], [])
-        assert [[row.get(("tag", j), 0) for j in range(width)] for row in ascending] == (
-            reduced[: len(pivots)]
-        )
-        # descending tags: the kernel basis with a 1 in each free position
-        descending = relations(columns, [("tag", -j) for j in range(width)])
-        assert [
-            [row.get(("tag", -j), 0) for j in range(width)] for row in reversed(descending)
-        ] == kernel
+        assert [_dense(row, width) for row in relations(columns)] == reduced[: len(pivots)]
+        # the Span's relations: the kernel basis with a 1 in each free position
+        span = Span()
+        free = [r for r in map(span.add, columns) if r is not None]
+        assert [_dense(row, width) for row in free] == kernel
+
+
+# -- the augmented elimination against the reference --------------------------
+
+
+def _random_columns(rng, field, height):
+    """Sparse columns keyed by row index, with zero columns and columns
+    that combine earlier ones mixed in."""
+    columns: list[dict] = []
+    for _ in range(rng.randint(0, 7)):
+        roll = rng.random()
+        if roll < 0.15:
+            col = {}
+        elif roll < 0.45 and columns:
+            col = {}
+            for other in rng.sample(columns, min(2, len(columns))):
+                c = _random_scalar(rng, field)
+                for i, x in other.items():
+                    col[i] = col.get(i, 0) + c * x
+        else:
+            col = _random_sparse(rng, height, field, rng.choice((0.3, 0.7)))
+        columns.append(col)
+    return columns
+
+
+@pytest.mark.parametrize("field", [None, CycloField(4), CycloField(8)], ids=["Q", "Q(i)", "Q(z8)"])
+@pytest.mark.parametrize("seed", range(6))
+def test_span_agrees_with_the_reference(field, seed):
+    rng = random.Random(300 + seed)
+    for _ in range(15):
+        height = rng.randint(1, 6)
+        columns = _random_columns(rng, field, height)
+        width = len(columns)
+        rows = [[col.get(i, 0) for col in columns] for i in range(height)]
+        span = Span()
+        free, dependent = [], []
+        for j, col in enumerate(columns):
+            before = _reference_rank([_dense(c, height) for c in columns[:j]])
+            relation = span.add(col)
+            grew = _reference_rank([_dense(c, height) for c in columns[: j + 1]]) > before
+            assert (relation is None) == grew
+            if relation is not None:
+                # 1 at j, minus j's coefficients on the earlier vectors
+                assert max(relation) == j and relation[j] == 1
+                total = {}
+                for k, c in relation.items():
+                    for i, x in columns[k].items():
+                        total[i] = total.get(i, 0) + c * x
+                assert not any(total.values())
+                free.append(_dense(relation, width))
+                dependent.append(j)
+        # both shapes of the kernel
+        kernel = _reference_kernel(rows)
+        assert free == kernel
+        reduced, pivots = _reference_rref(kernel) if kernel else ([], [])
+        assert [_dense(row, width) for row in relations(columns)] == reduced[: len(pivots)]
+        # targets in the span and off it
+        basis, pivots = _reference_rref([_dense(c, height) for c in columns])
+        inside = {}
+        for col in columns:
+            c = _random_scalar(rng, field)
+            for i, x in col.items():
+                inside[i] = inside.get(i, 0) + c * x
+        for target in (inside, _random_sparse(rng, height, field, 0.6), {}):
+            coefficients, residual = span.express(target)
+            residue = _dense(target, height)
+            for row, p in zip(basis, pivots):
+                f = residue[p]
+                residue = [x - f * y for x, y in zip(residue, row)]
+            assert _dense(residual, height) == residue and all(residual.values())
+            solution = _reference_solve(rows, _dense(target, height))
+            if residual:
+                assert solution is None
+            else:
+                assert [coefficients.get(j, 0) for j in range(width)] == solution
+            # target == residual + the combination, with coefficients only
+            # on the vectors independent of the ones before them
+            rebuilt = dict(residual)
+            for j, c in coefficients.items():
+                assert c and j not in dependent
+                for i, x in columns[j].items():
+                    rebuilt[i] = rebuilt.get(i, 0) + c * x
+            assert _dense(rebuilt, height) == _dense(target, height)
+
+
+def test_span_on_empty_and_zero_vectors():
+    span = Span()
+    assert span.express({}) == ({}, {})
+    assert span.express({"a": 2, "b": 0}) == ({}, {"a": 2})
+    assert relations([]) == []
+    assert span.add({}) == {0: 1} and span.add({"a": 0}) == {1: 1}
+    assert span.add({"a": 1}) is None and span.add({"a": 3}) == {2: -3, 3: 1}
+    assert span.express({"a": Fraction(1, 2), "b": 1}) == ({2: Fraction(1, 2)}, {"b": 1})

@@ -136,10 +136,11 @@ def test_multiplication_is_associative():
     assert a.multiply(a.multiply(x, y), z) == a.multiply(x, a.multiply(y, z))
 
 
-def test_step_budget_exhaustion_raises():
+def test_step_budget_exhaustion_raises(monkeypatch):
     a = differential_family(1, 2, order=3)
+    monkeypatch.setenv("EQUISLICE_MAX_STEPS", "4")
     with pytest.raises(RewriteLimitError, match="step budget"):
-        a.normal_form([("u", 3), ("t", 3)], budget=4)
+        a.normal_form([("u", 3), ("t", 3)])
 
 
 # -- the term-pair memo of multiply -------------------------------------------
@@ -201,7 +202,7 @@ def monomial_pool(a, rng):
 
 
 @pytest.mark.parametrize("name", sorted(MEMO_ALGEBRAS))
-def test_memo_multiply_matches_letter_by_letter_straightening(name):
+def test_memo_multiply_matches_letter_by_letter_straightening(name, monkeypatch):
     a = MEMO_ALGEBRAS[name]()
     rng = random.Random(f"memo {name}")
     pool = monomial_pool(a, rng)
@@ -212,14 +213,17 @@ def test_memo_multiply_matches_letter_by_letter_straightening(name):
         # the smallest budget that does not raise is the same, on a fresh
         # memo and on one shared with every earlier product
         for memo in ({}, shared):
-            assert a.multiply(x, y, budget=steps, memo=memo) == want
+            monkeypatch.setenv("EQUISLICE_MAX_STEPS", str(steps))
+            assert a.multiply(x, y, memo=memo) == want
             if steps:
+                monkeypatch.setenv("EQUISLICE_MAX_STEPS", str(steps - 1))
                 with pytest.raises(RewriteLimitError, match="step budget"):
-                    a.multiply(x, y, budget=steps - 1, memo=memo)
+                    a.multiply(x, y, memo=memo)
+        monkeypatch.delenv("EQUISLICE_MAX_STEPS")
         assert a.multiply(x, y) == want
 
 
-def test_cached_term_pairs_cost_their_first_steps():
+def test_cached_term_pairs_cost_their_first_steps(monkeypatch):
     a = sl2_enveloping(order=4, localized=True)
     casimir = sl2_casimir_element(a)
     shifted = a.multiply(casimir, a.var("f", -2))
@@ -227,13 +231,12 @@ def test_cached_term_pairs_cost_their_first_steps():
     for budget in (steps - 1, steps):
         statuses = []
         warm: dict = {}
+        monkeypatch.delenv("EQUISLICE_MAX_STEPS", raising=False)
         a.multiply(shifted, shifted, memo=warm)
+        monkeypatch.setenv("EQUISLICE_MAX_STEPS", str(budget))
         for memo in ({}, warm):
             try:
-                statuses.append(
-                    a.multiply(shifted, shifted, budget=budget, memo=memo)
-                    == want
-                )
+                statuses.append(a.multiply(shifted, shifted, memo=memo) == want)
             except RewriteLimitError:
                 statuses.append("exhausted")
         expect = True if budget >= steps else "exhausted"

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from reference import as_fractions, assert_same_result
 
-from equislice.linalg import Echelon, relations, solve
+from equislice.linalg import Echelon, Span, relations, solve
 from equislice.scalars import CycloField, CycloNumber, Q, as_scalar, cyclotomic_polynomial
 
 
@@ -147,11 +147,19 @@ def test_elimination_agrees_across_coefficient_types(field):
             assert_same_result(row, ref)
         target = {j: rng.randint(-2, 2) for j in range(6)}
         assert_same_result(ints.reduce(target), fractions.reduce({j: Fraction(c) for j, c in target.items()}))
-        tags = range(6, 6 + len(vectors))
-        got, ref = relations(vectors, tags), relations(fed, tags)
+        got, ref = relations(vectors), relations(fed)
         assert len(got) == len(ref)
         for row, ref_row in zip(got, ref):
             assert_same_result(row, ref_row)
+        span, span_ref = Span(), Span()
+        for v, f in zip(vectors, fed):
+            relation, ref_relation = span.add(v), span_ref.add(f)
+            assert (relation is None) == (ref_relation is None)
+            if relation is not None:
+                assert_same_result(relation, ref_relation)
+        assert_same_result(
+            span.express(target), span_ref.express({j: Fraction(c) for j, c in target.items()})
+        )
 
 
 def test_integral_scalars_are_ints():
