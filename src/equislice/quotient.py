@@ -48,19 +48,46 @@ def _identity_matrix(field: CycloField, n: int) -> Matrix:
     )
 
 
+def _zero(a: Matrix):
+    """The zero of the field of a matrix's entries; the integer 0 when
+    the matrix has no entries, so carries no field."""
+    for row in a:
+        for x in row:
+            return x.field.zero()
+    return 0
+
+
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), start=a[i][0] * 0)
-              for j in range(len(b[0])))
-        for i in range(len(a))
-    )
+    """a times b, forming only products of two nonzero entries: each row
+    of b is read once for its nonzero (column, entry) pairs, and each
+    nonzero entry of a row of a scales the pairs of its row of b."""
+    width = len(b[0]) if b else 0
+    zero = _zero(b)
+    pairs = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [zero] * width
+        for x, bk in zip(row, pairs):
+            if x:
+                for j, y in bk:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def _mat_vec(a: Matrix, v) -> Vector:
-    return tuple(
-        sum((a[i][k] * v[k] for k in range(len(v))), start=a[i][0] * 0)
-        for i in range(len(a))
-    )
+    """a times v, forming only products of two nonzero entries."""
+    zero = _zero(a)
+    pairs = [(k, c) for k, c in enumerate(v) if c]
+    out = []
+    for row in a:
+        total = zero
+        for k, c in pairs:
+            x = row[k]
+            if x:
+                total += x * c
+        out.append(total)
+    return tuple(out)
 
 
 def _transpose(a: Matrix) -> Matrix:
@@ -68,8 +95,14 @@ def _transpose(a: Matrix) -> Matrix:
 
 
 def _pairing(omega: Matrix, x, y):
-    wy = _mat_vec(omega, y)
-    return sum((xi * wi for xi, wi in zip(x, wy)), start=omega[0][0] * 0)
+    """x . omega y, forming the entries of omega y only where x is
+    nonzero."""
+    support = [i for i, xi in enumerate(x) if xi]
+    total = _zero(omega)
+    for i, wi in zip(support, _mat_vec([omega[i] for i in support], y)):
+        if wi:
+            total += x[i] * wi
+    return total
 
 
 def _matrix_json(a: Matrix) -> list[list[str]]:
@@ -563,14 +596,10 @@ def leaf_slice_data(group: GroupData, record: ParabolicRecord, v,
         for b in slice_group:
             if _mat_mul(a, b) not in seen:
                 raise ValueError("the slice matrices do not close")
-    slice_form: Matrix = ()
-    if record.perp_basis:
-        columns = tuple(
-            tuple(w[r] for w in record.perp_basis) for r in range(group.dim)
-        )
-        slice_form = _mat_mul(
-            _mat_mul(_transpose(columns), group.omega), columns
-        )
+    columns = tuple(
+        tuple(w[r] for w in record.perp_basis) for r in range(group.dim)
+    )
+    slice_form = _mat_mul(_mat_mul(_transpose(columns), group.omega), columns)
 
     minus_on_fixed = any(
         all(

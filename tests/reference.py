@@ -4,8 +4,9 @@ check the elimination engine and its callers; the brute-force walk of
 hypertoric leaves over every coordinate subset; the Poisson bracket as
 a walk over the whole table and the Jacobi check one generator triple
 at a time; the bracket-by-bracket certification of a hypertoric chart;
-and the Fraction-typed form of a scalar, with the comparison that holds
-int-first results to the same computation on Fraction inputs."""
+the Fraction-typed form of a scalar, with the comparison that holds
+int-first results to the same computation on Fraction inputs; and the
+Galois conjugate of a group presentation over a cyclotomic field."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -367,3 +368,24 @@ def assert_same_result(got, ref):
     assert got == ref
     assert hash(_hashable(got)) == hash(_hashable(ref))
     assert _printed(got) == _printed(ref)
+
+
+def _galois(x, k: int):
+    """The image of an exact scalar under the field automorphism
+    zeta -> zeta^k of its cyclotomic field (k coprime to the order);
+    rationals are fixed."""
+    if not isinstance(x, CycloNumber):
+        return x
+    field = x.field
+    return sum((c * field.zeta(i * k) for i, c in enumerate(x.coeffs) if c),
+               start=field.zero())
+
+
+def _galois_conjugate(omega, generators, k: int):
+    """The form and generating matrices with zeta -> zeta^k applied to
+    every entry: a presentation of an isomorphic group acting on the
+    conjugate space."""
+    def conj(matrix):
+        return tuple(tuple(_galois(x, k) for x in row) for row in matrix)
+
+    return conj(omega), [conj(g) for g in generators]

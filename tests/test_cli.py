@@ -80,6 +80,14 @@ def test_quotient_commands_round_trip():
     assert report["conic_weight"] == 2
 
 
+def test_quotient_sra_on_a_zero_dimensional_group_is_empty():
+    document = {"cyclotomic_order": 1, "omega": [], "generators": [[]],
+                "x": [], "y": []}
+    assert invoke("quotient sra", document) == (
+        0, {"params": ["hbar"], "relation": {}}
+    )
+
+
 def test_quantize_slice_and_bad_lifts():
     doc = {
         "presentation": {"family": "differential", "n": 2, "k": 2},

@@ -2,10 +2,18 @@
 
 import json
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from reference import _reference_kernel, _reference_rref, _reference_solve
+from reference import (
+    _galois_conjugate,
+    _reference_kernel,
+    _reference_rref,
+    _reference_solve,
+)
 
 from equislice import quotient
 from equislice.fixtures import (
@@ -29,7 +37,7 @@ from equislice.quotient import (
     sra_relation,
     symplectic_reflections,
 )
-from equislice.scalars import CycloField
+from equislice.scalars import CycloField, CycloNumber
 
 BLOCK_GENERATORS = (
     ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
@@ -41,10 +49,13 @@ G_M12_FORM = ((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0))
 
 
 def _mat_mul(a, b):
-    n = len(b)
+    """The dense product: every term of every entry, each sum from the
+    integer 0."""
+    width = len(b[0]) if b else 0
     return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
+        tuple(sum(a[i][k] * b[k][j] for k in range(len(b)))
+              for j in range(width))
+        for i in range(len(a))
     )
 
 
@@ -589,6 +600,9 @@ def test_cyclic_open_leaf_conic_weights():
     d2 = leaf_slice_data(z2, _record_by_dim(z2, 2), [1, 3])
     assert d2["conic_weight"] == 2
     assert d2["line_stabilizer_order"] == 2
+    # an open leaf has a zero-dimensional slice and an empty slice form
+    assert d2["slice_dim"] == d3["slice_dim"] == 0
+    assert d2["slice_form"] == d3["slice_form"] == []
 
 
 def test_lagrangian_cover_flag():
@@ -663,6 +677,13 @@ def test_klein_four_relation_separates_the_planes():
     assert rel == {("hbar", 0): 1, ("c2", 2): 1}
 
 
+def test_zero_dimensional_relation_is_empty():
+    group = close_group([()], (), field=CycloField(1))
+    sra = symplectic_reflections(group)
+    assert group.order == 1 and sra.reflections == ()
+    assert sra_relation(group, sra, [], []) == {}
+
+
 def test_relation_rejects_wrong_arity():
     group = cyclic_plane_action(2)
     sra = symplectic_reflections(group)
@@ -695,3 +716,147 @@ def test_record_and_sra_json_round_trip_through_dumps():
     assert sra["reflections"] == [1, 2]
     assert sra["params"] == ["hbar", "c1", "c2"]
     assert json.loads(json.dumps(sra)) == sra
+
+
+# -- sparse products -----------------------------------------------------------
+
+
+PRODUCT_FIELDS = [CycloField(n) for n in (1, 3, 4, 8)]
+
+
+def _random_matrix(rng, field, rows, cols):
+    """A random matrix, with a zero row and a zero column now and then;
+    an empty tuple when it has no rows."""
+    a = [[_random_scalar(rng, field) for _ in range(cols)] for _ in range(rows)]
+    if rows and rng.random() < 0.3:
+        a[rng.randrange(rows)] = [field.zero()] * cols
+    if cols and rng.random() < 0.3:
+        j = rng.randrange(cols)
+        for row in a:
+            row[j] = field.zero()
+    return tuple(tuple(row) for row in a)
+
+
+def _dense_mat_vec(a, v):
+    column = _mat_mul(a, tuple((c,) for c in v))
+    return tuple(row[0] if row else 0 for row in column)
+
+
+def _in_field(entries, field):
+    return all(type(x) is CycloNumber and x.field is field for x in entries)
+
+
+@pytest.mark.parametrize("field", PRODUCT_FIELDS, ids=lambda f: f"n={f.order}")
+@pytest.mark.parametrize("seed", range(12))
+def test_sparse_products_agree_with_the_dense_product(field, seed):
+    """_mat_mul, _mat_vec and _pairing against the dense product, on
+    shapes from 0 to 4 in each direction, so 0xn, nx0 and 0x0 operands
+    come up, with their products over the field's zero."""
+    rng = random.Random(seed)
+    for _ in range(25):
+        r, k, c = (rng.randint(0, 4) for _ in range(3))
+        a = _random_matrix(rng, field, r, k)
+        b = _random_matrix(rng, field, k, c)
+        got = quotient._mat_mul(a, b)
+        assert got == _mat_mul(a, b)
+        assert len(got) == r and all(len(row) == (c if k else 0) for row in got)
+        assert _in_field((x for row in got for x in row), field)
+
+        v = _random_matrix(rng, field, 1, k)[0] if k else ()
+        got = quotient._mat_vec(a, v)
+        assert got == _dense_mat_vec(a, v) and len(got) == r
+        if k:
+            assert _in_field(got, field)
+
+        omega = _random_matrix(rng, field, k, k)
+        x = _random_matrix(rng, field, 1, k)[0] if k else ()
+        pairing = quotient._pairing(omega, x, v)
+        assert pairing == sum(
+            xi * wi for xi, wi in zip(x, _dense_mat_vec(omega, v))
+        )
+        if k:
+            assert _in_field([pairing], field)
+
+
+def test_sparse_products_form_no_product_with_a_zero_factor(monkeypatch):
+    """Closing G(3,1,2) and taking the slice data of each of its leaves
+    forms no cyclotomic product with a zero factor inside _mat_mul,
+    _mat_vec or _pairing."""
+    helpers = {"_mat_mul", "_mat_vec", "_pairing"}
+    products = Counter()
+    product = CycloNumber.__mul__
+
+    def counted(self, other):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_globals is vars(quotient):
+            if frame.f_code.co_name in helpers:
+                products["zero" if not self or not other else "nonzero"] += 1
+                break
+            frame = frame.f_back
+        return product(self, other)
+
+    monkeypatch.setattr(CycloNumber, "__mul__", counted)
+    monkeypatch.setattr(CycloNumber, "__rmul__", counted)
+    field = CycloField(3)
+    group = close_group(_g_m12_generators(3, field), G_M12_FORM, field=field,
+                        cap=64)
+    assert group.order == 18
+    records = parabolic_subgroups(group)
+    slices = 0
+    for record in records:
+        for coeffs in ((1, 2, 5, 11), (3, 1, 4, 1), (2, 7, 1, 8)):
+            v = [
+                sum((c * b[i] for c, b in zip(coeffs, record.fixed_basis)),
+                    start=field.zero())
+                for i in range(group.dim)
+            ]
+            try:
+                leaf_slice_data(group, record, v)
+            except ValueError:  # zero, or a special point of a smaller leaf
+                continue
+            slices += 1
+            break
+    assert slices == len(records) - 1  # all but the vertex
+    assert products["nonzero"] > 0
+    assert products["zero"] == 0
+
+
+# -- Galois conjugation --------------------------------------------------------
+
+
+def _galois_summary(group):
+    records = parabolic_subgroups(group)
+    return (
+        group.order,
+        sorted(len(c) for c in group.classes),
+        sorted(Counter(r.leaf_dim for r in records).items()),
+        sorted(len(c) for c in symplectic_reflections(group).classes),
+    )
+
+
+GALOIS_GROUPS = {
+    **{f"cyclic {n}": (lambda n=n: cyclic_plane_action(n)) for n in range(1, 7)},
+    "pairwise-sign": pairwise_sign_action,
+    "binary-dihedral": binary_dihedral_action,
+    "binary dihedral 12": lambda: _binary_dihedral(12),
+    **{f"G({m},1,2)": (lambda m=m: _g_m12(m)) for m in (1, 2, 3, 4)},
+    "G(4,1,2) over Q(z8)": lambda: _g_m12(4, CycloField(8)),
+}
+
+
+@pytest.mark.parametrize("build", GALOIS_GROUPS.values(), ids=GALOIS_GROUPS)
+def test_galois_conjugate_groups_share_their_invariants(build):
+    """zeta -> zeta^k, for every k coprime to the cyclotomic order, maps
+    the form and generators to a presentation of an isomorphic group:
+    the order, the class sizes, the parabolics per leaf dimension and
+    the reflections per class stay the same."""
+    group = build()
+    field, n = group.field, group.field.order
+    generators = [group.element(i) for i in group.generators]
+    summary = _galois_summary(group)
+    for k in range(1, n + 1):
+        if gcd(k, n) != 1:
+            continue
+        omega, conjugate = _galois_conjugate(group.omega, generators, k)
+        image = close_group(conjugate, omega, field=field, cap=group.order)
+        assert _galois_summary(image) == summary, k
