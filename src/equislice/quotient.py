@@ -529,13 +529,19 @@ def sra_relation(group: GroupData, sra: SRAData, x, y) -> dict:
 
 def _line_stabilizer_order(group: GroupData, v: Vector) -> int:
     """Number of scalars through which group elements rescale the line
-    of a nonzero vector."""
+    of a nonzero vector.  The pivot entry is inverted once per call, and
+    no product has a zero factor: an image with a zero pivot entry is
+    not a multiple of v (an invertible g maps v to a nonzero vector),
+    and a zero entry of v asks its image entry to be zero."""
     pivot = next(i for i, x in enumerate(v) if x)
+    inv = quo(1, v[pivot])
     scalars = set()
     for g in group.elements:
         w = _mat_vec(g, v)
-        lam = quo(w[pivot], v[pivot])
-        if all(wi == lam * vi for wi, vi in zip(w, v)):
+        if not w[pivot]:
+            continue
+        lam = w[pivot] * inv
+        if all(wi == lam * vi if vi else not wi for wi, vi in zip(w, v)):
             scalars.add(lam)
     return len(scalars)
 

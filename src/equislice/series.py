@@ -21,13 +21,20 @@ a nonzero scalar, partials and the gradient, J-order parts, substitution)
 go through the private _trusted constructor, which skips that pass;
 antiderivative and the parser keep the checked path.
 
-Power caches.  subs raises each image to each exponent once per call,
-and a caller may hand one dict of powers to several calls that
-substitute the same images into the same target (one transport, one
-direction of one composition, one inversion check, one fixpoint pass).
-Such a dict lives only as long as that operation: it is never stored on
-a long-lived object, since certificates keep their coordinate changes
-(and so anything stored on them) alive.
+Substitution and its power caches.  A coordinate change moves a few
+generators and fixes the rest, so subs multiplies only the images it is
+given.  A variable without an image stands for the target's own
+generator: its exponent is added to a shift vector of the term, in
+target positions, and the product of the mapped image powers (one key
+when there is none) is shifted by it and scaled by the coefficient,
+dropping the keys whose J-order reaches the order.  subs raises each
+given image to each exponent once per call, and a caller may hand one
+dict of powers to several calls that substitute the same images into
+the same target (one transport, one direction of one composition, one
+inversion check, one fixpoint pass).  Such a dict lives only as long as
+that operation: it is never stored on a long-lived object, since
+certificates keep their coordinate changes (and so anything stored on
+them) alive.
 """
 
 from __future__ import annotations
@@ -374,8 +381,10 @@ class TruncatedElement:
         target: GradedContext | None = None,
         powers: dict | None = None,
     ) -> "TruncatedElement":
-        """Substitute an element for every variable.  Missing variables map
-        to the same-named variable of the target context.
+        """Substitute an element for every variable.  A variable missing
+        from images maps to the same-named variable of the target context;
+        it costs no product, since its exponent only shifts the exponents
+        of the term (see the module docstring).
 
         powers caches the image powers, keyed (name, exponent).  A caller
         that substitutes the same images into the same target several
@@ -397,10 +406,8 @@ class TruncatedElement:
                 elif e < 0:
                     got = image_power(name, -1) ** -e
                 else:
-                    base = images.get(name)
-                    if base is None:
-                        base = target.var(name)
-                    elif base.ctx is not target and not (
+                    base = images[name]
+                    if base.ctx is not target and not (
                         base.ctx.same_variables(target) and base.ctx.order == target.order
                     ):
                         raise ValueError("an image lives outside the target context")
@@ -408,31 +415,71 @@ class TruncatedElement:
                 powers[key] = got
             return got
 
-        out: dict = {}
         names = self.ctx.variables
-        const_key = (0,) * len(target.variables)
+        # per source variable: whether it has an image, and its target
+        # position (None when the target lacks it)
+        mapped = [images.get(name) is not None for name in names]
+        slots = [target._index.get(name) for name in names]
+        width = len(target.variables)
+        const_key = (0,) * width
+        jo, order, inv_flags = target.jorder_of_exps, target.order, target._inv_flags
+        out: dict = {}
         for exps, c in sorted(self.terms.items()):
-            term = None
-            for name, e in zip(names, exps):
-                if e:
+            term = shift = None
+            for i, e in enumerate(exps):
+                if not e:
+                    continue
+                name = names[i]
+                if mapped[i]:
                     p = image_power(name, e)
                     term = p if term is None else term * p
-            if term is None:
-                _add_into(out, [(const_key, c)])
+                    continue
+                j = slots[i]
+                if j is None:
+                    target.index(name)  # raises the KeyError that names it
+                if e < 0 and not inv_flags[j]:
+                    target.var(name).invert_unit()  # raises: not a unit
+                if shift is None:
+                    shift = [0] * width
+                shift[j] += e
+            if shift is None:
+                if term is None:
+                    items = [(const_key, c)]
+                else:
+                    items = [(k, c * v) for k, v in term.terms.items()]
             else:
-                _add_into(out, [(k, c * v) for k, v in term.terms.items()])
+                # J-orders add and the shift's is at least 0, so a key
+                # stays below the order when its own J-order is below
+                # the room the shift leaves
+                room = order - jo(shift)
+                if term is None:
+                    items = [(tuple(shift), c)] if room > 0 else []
+                else:
+                    items = [
+                        (tuple(map(add, k, shift)), c * v)
+                        for k, v in term.terms.items() if jo(k) < room
+                    ]
+            _add_into(out, items)
         return _trusted(target, out)
 
     # -- comparison and formatting ---------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction, CycloNumber)):
             other = self.ctx.const(other)
         if not isinstance(other, TruncatedElement):
             return NotImplemented
         return self.ctx.same_variables(other.ctx) and self.terms == other.terms
 
     def __hash__(self):
+        """Equal to the hash of the scalar an element equals, if any: a
+        zero element hashes as 0 and a constant as its coefficient."""
+        if not self.terms:
+            return hash(0)
+        if len(self.terms) == 1:
+            (exps, c), = self.terms.items()
+            if not any(exps):
+                return hash(c)
         return hash(frozenset(self.terms.items()))
 
     def __str__(self):

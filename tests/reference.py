@@ -4,9 +4,11 @@ check the elimination engine and its callers; the brute-force walk of
 hypertoric leaves over every coordinate subset; the Poisson bracket as
 a walk over the whole table and the Jacobi check one generator triple
 at a time; the bracket-by-bracket certification of a hypertoric chart;
-the Fraction-typed form of a scalar, with the comparison that holds
-int-first results to the same computation on Fraction inputs; and the
-Galois conjugate of a group presentation over a cyclotomic field."""
+substitution that raises every variable, mapped or not, to its power
+and multiplies the powers; the Fraction-typed form of a scalar, with the
+comparison that holds int-first results to the same computation on
+Fraction inputs; and the Galois conjugate of a group presentation over a
+cyclotomic field."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -23,7 +25,7 @@ from equislice.hypertoric import (
 )
 from equislice.intmat import IntMatrix
 from equislice.scalars import CycloNumber
-from equislice.series import TruncatedElement, sum_of_products
+from equislice.series import TruncatedElement, _add_into, _trusted, sum_of_products
 
 
 def _reference_rref(rows):
@@ -159,6 +161,52 @@ def _reference_chart(report, ctx):
                     elem = elem * ctx.var(f"{report.designated[j]}{j}", sign * e)
             out[f"{side}{i}"] = elem
     return out
+
+
+def _reference_subs(f, images, target=None, powers=None):
+    """f with images substituted: every variable of a term, mapped or
+    not, raised to its power (an unmapped one as the target's own
+    generator), and the powers multiplied, each cached by (name,
+    exponent) in powers."""
+    if target is None:
+        some = next(iter(images.values()), None)
+        target = some.ctx if some is not None else f.ctx
+    if powers is None:
+        powers = {}
+
+    def image_power(name, e):
+        key = (name, e)
+        got = powers.get(key)
+        if got is None:
+            if e == -1:
+                got = image_power(name, 1).invert_unit()
+            elif e < 0:
+                got = image_power(name, -1) ** -e
+            else:
+                base = images.get(name)
+                if base is None:
+                    base = target.var(name)
+                elif base.ctx is not target and not (
+                    base.ctx.same_variables(target) and base.ctx.order == target.order
+                ):
+                    raise ValueError("an image lives outside the target context")
+                got = base ** e
+            powers[key] = got
+        return got
+
+    out = {}
+    const_key = (0,) * len(target.variables)
+    for exps, c in sorted(f.terms.items()):
+        term = None
+        for name, e in zip(f.ctx.variables, exps):
+            if e:
+                p = image_power(name, e)
+                term = p if term is None else term * p
+        if term is None:
+            _add_into(out, [(const_key, c)])
+        else:
+            _add_into(out, [(k, c * v) for k, v in term.terms.items()])
+    return _trusted(target, out)
 
 
 def _reference_bracket(pres, f, g):

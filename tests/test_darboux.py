@@ -109,6 +109,56 @@ def test_transport_takes_one_gradient_per_changed_image(monkeypatch):
         assert len(taken) <= len(change.forward)
 
 
+def test_transport_of_a_one_generator_change_multiplies_only_its_terms(monkeypatch):
+    """A change that moves z alone transports the table with products
+    only for the terms that involve z: each is one power of z's image,
+    raised once per exponent, and no term is multiplied factor by
+    factor."""
+    pres = kleinian_product(1, 2, order=6)
+    ctx = pres.ctx
+    moved = ctx.var("z") + ctx.var("t", -2) * ctx.var("x") * ctx.var("y")
+    change = CoordinateChange.from_forward(ctx, {"z": moved})
+    assert change.changed_names() == {"z"}
+    expected = change.transport(pres).table_as_strings()
+    image = change.inverse["z"]
+    z = ctx.index("z")
+    state = {"subs": 0, "inside": 0}
+    inputs, raised, direct = [], [], []
+    subs, power, product = TruncatedElement.subs, TruncatedElement.__pow__, TruncatedElement.__mul__
+
+    def recording_subs(self, *args):
+        inputs.append(self)
+        state["subs"] += 1
+        try:
+            return subs(self, *args)
+        finally:
+            state["subs"] -= 1
+
+    def recording_power(self, e):
+        if state["subs"] and not state["inside"]:
+            raised.append((self, e))
+        state["inside"] += 1
+        try:
+            return power(self, e)
+        finally:
+            state["inside"] -= 1
+
+    def recording_product(self, other):
+        if state["subs"] and not state["inside"]:
+            direct.append((self, other))
+        return product(self, other)
+
+    monkeypatch.setattr(TruncatedElement, "subs", recording_subs)
+    monkeypatch.setattr(TruncatedElement, "__pow__", recording_power)
+    monkeypatch.setattr(TruncatedElement, "__mul__", recording_product)
+    assert change.transport(pres).table_as_strings() == expected
+    exponents = {exps[z] for f in inputs for exps in f.terms if exps[z]}
+    assert exponents and any(not exps[z] for f in inputs for exps in f.terms)
+    assert direct == []
+    assert all(base is image for base, _ in raised)
+    assert sorted(e for _, e in raised) == sorted(exponents)
+
+
 def test_transport_preserves_jacobi():
     p = standard_presentation(2, 2, order=6)
     ctx = p.ctx

@@ -778,25 +778,9 @@ def test_sparse_products_agree_with_the_dense_product(field, seed):
             assert _in_field([pairing], field)
 
 
-def test_sparse_products_form_no_product_with_a_zero_factor(monkeypatch):
-    """Closing G(3,1,2) and taking the slice data of each of its leaves
-    forms no cyclotomic product with a zero factor inside _mat_mul,
-    _mat_vec or _pairing."""
-    helpers = {"_mat_mul", "_mat_vec", "_pairing"}
-    products = Counter()
-    product = CycloNumber.__mul__
-
-    def counted(self, other):
-        frame = sys._getframe(1)
-        while frame is not None and frame.f_globals is vars(quotient):
-            if frame.f_code.co_name in helpers:
-                products["zero" if not self or not other else "nonzero"] += 1
-                break
-            frame = frame.f_back
-        return product(self, other)
-
-    monkeypatch.setattr(CycloNumber, "__mul__", counted)
-    monkeypatch.setattr(CycloNumber, "__rmul__", counted)
+def _slice_every_leaf_of_g312():
+    """Close G(3,1,2) and take leaf_slice_data at one base point of each
+    leaf with a nonzero fixed space."""
     field = CycloField(3)
     group = close_group(_g_m12_generators(3, field), G_M12_FORM, field=field,
                         cap=64)
@@ -817,8 +801,68 @@ def test_sparse_products_form_no_product_with_a_zero_factor(monkeypatch):
             slices += 1
             break
     assert slices == len(records) - 1  # all but the vertex
+
+
+def test_sparse_products_form_no_product_with_a_zero_factor(monkeypatch):
+    """Closing G(3,1,2) and taking the slice data of each of its leaves
+    forms no cyclotomic product with a zero factor inside _mat_mul,
+    _mat_vec or _pairing."""
+    helpers = {"_mat_mul", "_mat_vec", "_pairing"}
+    products = Counter()
+    product = CycloNumber.__mul__
+
+    def counted(self, other):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_globals is vars(quotient):
+            if frame.f_code.co_name in helpers:
+                products["zero" if not self or not other else "nonzero"] += 1
+                break
+            frame = frame.f_back
+        return product(self, other)
+
+    monkeypatch.setattr(CycloNumber, "__mul__", counted)
+    monkeypatch.setattr(CycloNumber, "__rmul__", counted)
+    _slice_every_leaf_of_g312()
     assert products["nonzero"] > 0
     assert products["zero"] == 0
+
+
+def test_line_stabilizer_order_inverts_once_and_never_multiplies_by_zero(monkeypatch):
+    """At a base point of each leaf of G(3,1,2), _line_stabilizer_order
+    inverts the pivot entry once and forms no product with a zero factor:
+    a zero entry of the base point asks its image entry to be zero."""
+    calls = []
+    active = []
+    line_order = quotient._line_stabilizer_order
+    product, inverse = CycloNumber.__mul__, CycloNumber.inverse
+
+    def recording_line_order(group, v):
+        active.append(Counter())
+        try:
+            return line_order(group, v)
+        finally:
+            calls.append((v, active.pop()))
+
+    def counted_product(self, other):
+        if active:
+            active[-1]["zero" if not self or not other else "nonzero"] += 1
+        return product(self, other)
+
+    def counted_inverse(self):
+        if active:
+            active[-1]["inversions"] += 1
+        return inverse(self)
+
+    monkeypatch.setattr(quotient, "_line_stabilizer_order", recording_line_order)
+    monkeypatch.setattr(CycloNumber, "__mul__", counted_product)
+    monkeypatch.setattr(CycloNumber, "__rmul__", counted_product)
+    monkeypatch.setattr(CycloNumber, "inverse", counted_inverse)
+    _slice_every_leaf_of_g312()
+    assert calls
+    assert any(not x for v, _ in calls for x in v)
+    for _, counts in calls:
+        assert counts["zero"] == 0 and counts["inversions"] <= 1
+        assert counts["nonzero"] > 0
 
 
 # -- Galois conjugation --------------------------------------------------------

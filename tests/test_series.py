@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from reference import as_fractions, assert_same_result
+from reference import _reference_subs, as_fractions, assert_same_result
 
 from equislice.poisson import PoissonPresentation
 from equislice.quantize import differential_family, element_scale, sl2_enveloping
@@ -205,6 +205,35 @@ def test_equal_elements_hash_equal_across_scalar_types():
     assert ctx.const(Q(2)) != ctx.const(gauss.element([0, 2]))
 
 
+def test_constants_hash_like_the_scalars_they_equal():
+    """A zero element hashes as 0 and a constant as its coefficient, so
+    equal elements and scalars hash equal and a set keeps one of them;
+    a cyclotomic scalar compares with a constant as the others do."""
+    rng = random.Random(89)
+    ctx = make_ctx()
+    assert ctx.one() == 1 and hash(ctx.one()) == hash(1) and len({ctx.one(), 1}) == 1
+    assert ctx.zero() == 0 and hash(ctx.zero()) == hash(0) and len({ctx.zero(), 0}) == 1
+    for field in (GAUSS, ZETA8):
+        for _ in range(12):
+            q = Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
+            z = field.element([q] + [rng.randint(-2, 2) for _ in range(field.degree - 1)])
+            scalars = [field.element([q])]
+            if q.denominator == 1:
+                scalars.append(q.numerator)
+            scalars.append(q)
+            for value in scalars:
+                c = ctx.const(value)
+                assert c == value and value == c and hash(c) == hash(value)
+                assert c == ctx.const(scalars[0]) and hash(c) == hash(ctx.const(scalars[0]))
+            assert len({*scalars, *map(ctx.const, scalars)}) == 1
+            c = ctx.const(z)
+            assert c == z and z == c and hash(c) == hash(z)
+            assert len({c, z, fraction_fed(c)}) == 1
+            assert (c == q) is (z == q)
+    u = ctx.var("u")
+    assert u != 1 and u + 1 != 1 and len({u, u + 1, ctx.one()}) == 3
+
+
 # -- differential tests of the series core ----------------------------------
 #
 # Random elements over Q and Q(i), with Laurent variables (t, w) and
@@ -262,6 +291,11 @@ def assert_clean(elem):
         assert all(e >= 0 or inv for e, inv in zip(exps, (True, False, False, True)))
 
 
+def _declared_jorder(ctx, exps):
+    """The J-order of exps from the names the context declares."""
+    return sum(e for name, e in zip(ctx.variables, exps) if name in ctx.filtration)
+
+
 def naive_product(a, b):
     acc = {}
     for e1, c1 in a.terms.items():
@@ -269,7 +303,7 @@ def naive_product(a, b):
             e = tuple(x + y for x, y in zip(e1, e2))
             acc[e] = acc.get(e, 0) + c1 * c2
     return TruncatedElement(
-        a.ctx, {e: c for e, c in acc.items() if c and _jorder(e) < a.ctx.order}
+        a.ctx, {e: c for e, c in acc.items() if c and _declared_jorder(a.ctx, e) < a.ctx.order}
     )
 
 
@@ -281,16 +315,16 @@ def naive_power(f, e):
     return out
 
 
-def naive_subs(f, images):
-    ctx = f.ctx
+def naive_subs(f, images, target=None):
+    target = target or f.ctx
     acc = {}
     for exps, c in f.terms.items():
-        term = ctx.const(c)
-        for name, e in zip(ctx.variables, exps):
-            term = naive_product(term, naive_power(images.get(name, ctx.var(name)), e))
+        term = target.const(c)
+        for name, e in zip(f.ctx.variables, exps):
+            term = naive_product(term, naive_power(images.get(name, target.var(name)), e))
         for k, v in term.terms.items():
             acc[k] = acc.get(k, 0) + v
-    return TruncatedElement(ctx, acc)
+    return TruncatedElement(target, acc)
 
 
 FIELDS = [None, GAUSS]
@@ -356,6 +390,165 @@ def test_subs_with_shared_powers_matches_fresh_calls(field):
         assert powers
 
 
+# -- substitution across target contexts ----------------------------------------
+#
+# subs against the term-by-term reference (every variable raised to its
+# power and the powers multiplied) and against naive_subs, from diff_ctx
+# into targets with the same names at other truncation orders, with the
+# names permuted, and with two more variables.  Images cover a random
+# subset of the source variables, some of them given as the identity;
+# Laurent variables left unmapped carry negative exponents.
+
+ZETA8 = CycloField(8)
+WALK_FIELDS = [None, GAUSS, ZETA8]
+WALK_IDS = ["Q", "Q(i)", "Q(zeta8)"]
+
+
+def permuted_ctx(order=3):
+    return GradedContext(
+        variables=("w", "z", "t", "u"),
+        weights=(2, 1, 1, 0),
+        invertible=("t", "w"),
+        filtration=("u", "z"),
+        order=order,
+    )
+
+
+def wider_ctx(order=3):
+    return GradedContext(
+        variables=("t", "u", "z", "w", "v", "s"),
+        weights=(1, 0, 1, 2, 1, 1),
+        invertible=("t", "w", "v"),
+        filtration=("u", "z", "s"),
+        order=order,
+    )
+
+
+def random_in(ctx, rng, field=None, terms=3, min_jorder=0):
+    """A random element of a context whose every variable is invertible
+    or in the filtration."""
+    filtration = [i for i, name in enumerate(ctx.variables) if name in ctx.filtration]
+    out = {}
+    for _ in range(rng.randrange(terms + 1)):
+        exps = [
+            rng.randint(0, 2) if name in ctx.filtration else rng.randint(-2, 2)
+            for name in ctx.variables
+        ]
+        lack = min_jorder - _declared_jorder(ctx, exps)
+        if lack > 0:
+            exps[rng.choice(filtration)] += lack
+        out[tuple(exps)] = _random_coeff(rng, field)
+    return TruncatedElement(ctx, out)
+
+
+def random_unit_in(ctx, rng, field=None):
+    lead = [rng.randint(-1, 1) if name in ctx.invertible else 0 for name in ctx.variables]
+    return ctx.monomial(lead, walk_coeff(rng, field)) + random_in(ctx, rng, field, min_jorder=1)
+
+
+def random_images(target, rng, field):
+    """Images for a random subset of diff_ctx's variables, in the target:
+    units for the Laurent ones, and now and then the identity."""
+    images = {}
+    for name in ("t", "u", "z", "w"):
+        roll = rng.random()
+        if roll < 0.4:
+            continue
+        if roll < 0.55:
+            images[name] = target.var(name)
+        elif name in ("t", "w"):
+            images[name] = random_unit_in(target, rng, field)
+        else:
+            images[name] = random_in(target, rng, field, min_jorder=1)
+    return images
+
+
+def assert_clean_in(elem):
+    ctx = elem.ctx
+    for exps, c in elem.terms.items():
+        assert c
+        assert _declared_jorder(ctx, exps) < ctx.order
+        assert all(e >= 0 or name in ctx.invertible for name, e in zip(ctx.variables, exps))
+
+
+SUBS_TARGETS = {"same names": diff_ctx, "permuted": permuted_ctx, "wider": wider_ctx}
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("make_target", SUBS_TARGETS.values(), ids=SUBS_TARGETS)
+@pytest.mark.parametrize("field", WALK_FIELDS, ids=WALK_IDS)
+def test_subs_matches_both_references_across_targets(field, make_target, order):
+    rng = random.Random(f"subs {make_target.__name__} {order} {field}")
+    source, target = diff_ctx(3), make_target(order)
+    unmapped_laurent = 0
+    for _ in range(6):
+        images = random_images(target, rng, field)
+        powers, reference_powers = {}, {}
+        for _ in range(3):
+            f = random_element(source, rng, field, terms=8)
+            got = f.subs(images, target, powers)
+            assert got.ctx is target
+            assert got.terms == _reference_subs(f, images, target, reference_powers).terms
+            assert got.terms == naive_subs(f, images, target).terms
+            assert got == f.subs(images, target)
+            assert_clean_in(got)
+            unmapped_laurent += any(
+                exps[i] < 0 for exps in f.terms for i, name in ((0, "t"), (3, "w"))
+                if name not in images
+            )
+        # only images are raised to powers; an unmapped variable is a shift
+        assert {name for name, _ in powers} <= set(images)
+        identity = {name: target.var(name) for name in source.variables}
+        assert f.subs(identity, target) == f.subs({}, target) == _reference_subs(f, {}, target)
+    assert unmapped_laurent
+
+
+def raised(call):
+    """The type and message of the exception call raises."""
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("field", WALK_FIELDS, ids=WALK_IDS)
+def test_subs_refuses_as_the_reference_does(field):
+    """A source variable the target lacks raises KeyError only when a
+    term uses it; a negative power of an unmapped variable the target
+    cannot invert raises the ValueError of invert_unit; an image from
+    another context raises ValueError only when a term uses it."""
+    rng = random.Random(f"refusals {field}")
+    source = diff_ctx(3)
+    w_free = {(0, 0, 0, 0): 1, (1, 1, 0, 0): 2, (-2, 0, 1, 0): 3}
+    f = TruncatedElement(source, w_free).scale(walk_coeff(rng, field))
+    narrow = GradedContext(("t", "u", "z"), (1, 0, 1), invertible=("t",),
+                           filtration=("u", "z"), order=3)
+    images = {"u": random_in(narrow, rng, field, min_jorder=1)}
+    assert f.subs(images, narrow).terms == _reference_subs(f, images, narrow).terms
+    g = f + source.monomial((0, 0, 0, -1), walk_coeff(rng, field))
+    expected = (KeyError, str(KeyError("unknown variable 'w'")))
+    assert raised(lambda: g.subs(images, narrow)) == expected
+    assert raised(lambda: _reference_subs(g, images, narrow)) == expected
+
+    t_plain = GradedContext(("t", "u", "z", "w"), (1, 0, 1, 2), invertible=("w",),
+                            filtration=("u", "z"), order=3)
+    t_filtered = GradedContext(("t", "u", "z", "w"), (1, 0, 1, 2), invertible=("w",),
+                               filtration=("t", "u", "z"), order=3)
+    for target in (t_plain, t_filtered):
+        positive = TruncatedElement(source, {e: c for e, c in f.terms.items() if e[0] >= 0})
+        assert positive.subs({}, target).terms == _reference_subs(positive, {}, target).terms
+        assert positive.subs({}, target).terms == naive_subs(positive, {}, target).terms
+        got = raised(lambda: f.subs({}, target))
+        assert got[0] is ValueError and got[1].startswith("not a unit")
+        assert got == raised(lambda: _reference_subs(f, {}, target))
+
+    foreign = {"z": random_in(diff_ctx(4), rng, field, min_jorder=1)}
+    z_free = TruncatedElement(source, {e: c for e, c in f.terms.items() if not e[2]})
+    assert z_free.subs(foreign, source) == _reference_subs(z_free, foreign, source)
+    expected = (ValueError, "an image lives outside the target context")
+    assert raised(lambda: f.subs(foreign, source)) == expected
+    assert raised(lambda: _reference_subs(f, foreign, source)) == expected
+
+
 # -- call counts ----------------------------------------------------------------
 
 
@@ -394,6 +587,25 @@ def test_subs_inverts_each_image_once(monkeypatch):
     assert g == naive_subs(f, images)
 
 
+def test_subs_of_unmapped_variables_forms_no_product(monkeypatch):
+    """A variable without an image shifts exponents: substituting into
+    an element none of whose variables is mapped multiplies nothing and
+    raises nothing to a power, in any target."""
+    rng = random.Random(90)
+    cases = []
+    for make_target in SUBS_TARGETS.values():
+        target = make_target(3)
+        for _ in range(8):
+            f = random_element(diff_ctx(3), rng, GAUSS, terms=8)
+            images = {"v": target.var("v")} if "v" in target.variables else {}
+            cases.append((f, images, target, _reference_subs(f, images, target)))
+    products = count_calls(monkeypatch, TruncatedElement, "__mul__")
+    powers = count_calls(monkeypatch, TruncatedElement, "__pow__")
+    for f, images, target, expected in cases:
+        assert f.subs(images, target).terms == expected.terms
+    assert products == [] and powers == []
+
+
 # -- the coefficient rule: ints first, Fractions only from a division ------------
 #
 # Every operation runs twice: on elements as the constructors build them,
@@ -401,10 +613,6 @@ def test_subs_inverts_each_image_once(monkeypatch):
 # coefficient (inside cyclotomic numbers too) is a Fraction.  The results
 # must be equal, hash equal and print the same, and no coefficient
 # anywhere may be a float.
-
-ZETA8 = CycloField(8)
-WALK_FIELDS = [None, GAUSS, ZETA8]
-WALK_IDS = ["Q", "Q(i)", "Q(zeta8)"]
 
 
 def fraction_fed(elem):
