@@ -326,20 +326,6 @@ def load_poisson(doc: dict, order=None) -> PoissonPresentation:
     return _Reader({"order": order}).poisson(doc)
 
 
-def load_group(doc: dict):
-    return _Reader().group(doc)
-
-
-def load_quantum(doc: dict, order=None):
-    return _Reader({"order": order}).quantum(doc)
-
-
-def load_quantum_element(algebra, spec):
-    reader = _Reader()
-    reader.algebra, reader.names = algebra, algebra.names
-    return reader.value(spec, ELEMENT, "element", "an 'element' entry", "the 'element' field")
-
-
 # -- command handlers ---------------------------------------------------------
 # Each takes the structure its document describes (or None), the typed
 # fields of the document and the options; see COMMANDS.

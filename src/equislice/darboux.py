@@ -36,10 +36,11 @@ logs one line under its name and fails with a StageError of that name:
   decouple-slice       absorb the part of the couplings {u, s} to the
                        slice that admissible moves reach, leaving its
                        canonical residual;
-  extract-slice        read off the slice table and the residual field in
+  extract-slice        freeze the finished run as a certificate, which
+                       reads the slice table and the residual field in
                        the weight-zero chart s -> t^(-w/ell) * s;
-  certify              assemble and re-verify a certificate carrying the
-                       composite change.
+  certify              re-verify the certificate, whose change is the
+                       composite of the run's steps.
 
 Every stage works on one run state, which records each step it takes;
 the certificate's change is the composite of those steps.  Every
@@ -306,11 +307,6 @@ def certification_horizon(ctx: GradedContext) -> int:
     return ctx.order - 1
 
 
-def _trusted(elem: TruncatedElement, horizon: int) -> TruncatedElement:
-    """The part of an element below the certification horizon."""
-    return elem - elem.jtail(horizon)
-
-
 def extract_slice(
     pres: PoissonPresentation,
     t_name: str,
@@ -354,38 +350,34 @@ def _greedy_generators(pres: PoissonPresentation, basis: list) -> list:
 
 
 class DecompositionCertificate:
-    """The verified outcome of a full normalization."""
+    """The verified outcome of a full normalization: a finished run,
+    frozen.
 
-    def __init__(
-        self,
-        source: PoissonPresentation,
-        final: PoissonPresentation,
-        change: CoordinateChange,
-        t_name: str,
-        u_name: str,
-        pairs: list,
-        slice_names: list,
-        k: int,
-        ell: int,
-        residual_field: dict,
-        slice_table: dict,
-        slice_ctx: GradedContext,
-        stage_log: list,
-    ):
+    The roles, exponents and horizon are the run's; final is its current
+    presentation and change the composite of its steps.  The slice table
+    and the residual field are read once, by _slice_data, in the
+    weight-zero chart s -> t^(-w/ell) * s over slice_ctx; verify reads
+    them again with the same method."""
+
+    def __init__(self, source: PoissonPresentation, run: "_Run", stage_log: list):
         self.source = source
-        self.final = final
-        self.change = change
-        self.t_name = t_name
-        self.u_name = u_name
-        self.pairs = list(pairs)
-        self.slice_names = list(slice_names)
-        self.k = k
-        self.ell = ell
-        self.residual_field = dict(residual_field)
-        self.slice_table = dict(slice_table)
-        self.slice_ctx = slice_ctx
-        self.slice_weights = {s: final.ctx.weight_of_name(s) for s in slice_names}
-        self.certified_jorder = certification_horizon(final.ctx)
+        self.final = run.cur
+        self.change = run.change()
+        self.t_name = run.t
+        self.u_name = run.u
+        self.pairs = list(run.pairs)
+        self.slice_names = list(run.slice_names)
+        self.k = run.k
+        self.ell = run.ell
+        self.slice_weights = {s: run.ctx.weight_of_name(s) for s in self.slice_names}
+        self.certified_jorder = run.horizon
+        self.slice_ctx = GradedContext(
+            tuple(self.slice_names),
+            (0,) * len(self.slice_names),
+            filtration=tuple(self.slice_names),
+            order=run.horizon,
+        )
+        self.slice_table, self.residual_field = self._slice_data()
         self.stage_log = list(stage_log)
 
     @property
@@ -405,7 +397,7 @@ class DecompositionCertificate:
             out.append({"check": "change-inverse", "detail": str(defect)})
         transported = self.change.transport(self.source)
         for a, b in self.final.pairs():
-            if _trusted(transported.entry(a, b) - self.final.entry(a, b), horizon):
+            if (transported.entry(a, b) - self.final.entry(a, b)).below(horizon):
                 out.append(
                     {
                         "check": "transport-match",
@@ -413,45 +405,86 @@ class DecompositionCertificate:
                     }
                 )
         t, u = self.t_name, self.u_name
-        if _trusted(self.final.entry(t, u) - ctx.var(t, 1 - self.k), horizon):
+        if (self.final.entry(t, u) - ctx.var(t, 1 - self.k)).below(horizon):
             out.append({"check": "leaf-standard", "detail": "{t,u} is not standard"})
         for a, b in self.pairs:
-            if _trusted(self.final.entry(a, b) - 1, horizon):
+            if (self.final.entry(a, b) - 1).below(horizon):
                 out.append({"check": "leaf-standard", "detail": f"{{{a},{b}}} != 1"})
         leaf = [t, u] + [v for ab in self.pairs for v in ab]
         for i, a in enumerate(leaf):
             for b in leaf[i + 1 :]:
                 if (a, b) == (t, u) or any({a, b} == {x, y} for x, y in self.pairs):
                     continue
-                if _trusted(self.final.entry(a, b), horizon):
+                if self.final.entry(a, b).below(horizon):
                     out.append(
                         {"check": "leaf-standard", "detail": f"{{{a},{b}}} != 0"}
                     )
         for s in self.slice_names:
-            if _trusted(self.final.entry(t, s), horizon):
+            if self.final.entry(t, s).below(horizon):
                 out.append({"check": "couplings", "detail": f"{{{t},{s}}} != 0"})
             for v in [x for ab in self.pairs for x in ab]:
-                if _trusted(self.final.entry(v, s), horizon):
+                if self.final.entry(v, s).below(horizon):
                     out.append({"check": "couplings", "detail": f"{{{v},{s}}} != 0"})
         try:
-            sigma, xi = _read_slice_data(
-                self.final, t_name=t, u_name=u, slice_names=self.slice_names,
-                k=self.k, ell=self.ell, slice_ctx=self.slice_ctx,
-            )
+            sigma, xi = self._slice_data()
         except StageError as err:
             out.append({"check": "slice-closure", "detail": str(err)})
         else:
-            if {k_: str(v) for k_, v in sigma.items()} != {
-                k_: str(v) for k_, v in self.slice_table.items()
-            }:
+            if sigma != self.slice_table:
                 out.append({"check": "slice-closure", "detail": "slice table mismatch"})
-            if {k_: str(v) for k_, v in xi.items()} != {
-                k_: str(v) for k_, v in self.residual_field.items()
-            }:
+            if xi != self.residual_field:
                 out.append({"check": "slice-closure", "detail": "residual field mismatch"})
         for record in self.final.check_jacobi(certified_only=True):
             out.append({"check": "jacobi", "detail": str(record)})
         return out
+
+    def _slice_data(self) -> tuple[dict, dict]:
+        """The slice table and the residual field of final in the
+        weight-zero chart s -> t^(-w/ell) * s, over the slice context.
+
+        Terms at or above the certification horizon are dropped before
+        the closure checks; the slice data is only claimed below it."""
+        final, names, weights = self.final, self.slice_names, self.slice_weights
+
+        def read(a, b, weight):
+            """{a, b} below the horizon times t^(k - weight/ell)."""
+            dressing = final.ctx.var(self.t_name, self.k - weight // self.ell)
+            dressed = final.entry(a, b).below(self.certified_jorder) * dressing
+            return self._to_slice_polynomial(dressed, f"{{{a},{b}}}")
+
+        sigma = {
+            (a, b): read(a, b, weights[a] + weights[b])
+            for i, a in enumerate(names)
+            for b in names[i + 1 :]
+        }
+        xi = {s: read(self.u_name, s, weights[s]) for s in names}
+        return sigma, xi
+
+    def _to_slice_polynomial(self, elem: TruncatedElement, what: str) -> TruncatedElement:
+        """Rewrite an element of the weight-zero chart as a polynomial in
+        the rescaled slice variables, or fail with the offending coupling."""
+        ctx = self.final.ctx
+        ti = ctx.index(self.t_name)
+        slice_pos = [ctx.index(s) for s in self.slice_names]
+        weights = [self.slice_weights[s] for s in self.slice_names]
+        out = {}
+        for exps, coeff in elem.terms.items():
+            for i, e in enumerate(exps):
+                if e and i != ti and i not in slice_pos:
+                    raise StageError(
+                        "extract-slice",
+                        f"{what} still couples to {ctx.variables[i]} after "
+                        "normalization; this signals a Jacobi failure upstream",
+                    )
+            key = tuple(exps[i] for i in slice_pos)
+            dressing = -sum(e * w for e, w in zip(key, weights)) // self.ell
+            if exps[ti] != dressing:
+                raise StageError(
+                    "extract-slice",
+                    f"{what} carries a stray conic power after normalization",
+                )
+            out[key] = coeff
+        return TruncatedElement(self.slice_ctx, out, validate=False)
 
     def as_json(self) -> dict:
         return {
@@ -496,7 +529,7 @@ def _coupling_move_system(cur, t_name, u_name, slice_names, leaf, horizon):
     the pair block untouched, so they are exactly the moves still
     available after the earlier stages."""
     ctx = cur.ctx
-    targets = {s: _trusted(cur.entry(u_name, s), horizon) for s in slice_names}
+    targets = {s: cur.entry(u_name, s).below(horizon) for s in slice_names}
     if not any(targets.values()):
         return targets, [], []
     max_jorder = 1 + max(
@@ -521,7 +554,7 @@ def _coupling_move_system(cur, t_name, u_name, slice_names, leaf, horizon):
         col = {}
         for si, s in enumerate(slice_names):
             # {mono, s} = -{s, mono}
-            shift = _trusted(-cur.generator_bracket(ctx.index(s), dmono), horizon)
+            shift = (-cur.generator_bracket(ctx.index(s), dmono)).below(horizon)
             for oe, oc in shift.terms.items():
                 col[(si, oe)] = -oc
         if col:
@@ -533,13 +566,11 @@ def _coupling_move_system(cur, t_name, u_name, slice_names, leaf, horizon):
                 continue
             mono = ctx.monomial(exps)
             col = {}
-            shift = _trusted(
-                cur.generator_bracket(ctx.index(u_name), mono.gradient()), horizon
-            )
+            shift = cur.generator_bracket(ctx.index(u_name), mono.gradient()).below(horizon)
             for oe, oc in shift.terms.items():
                 col[(si, oe)] = oc
             for sj, s_other in enumerate(slice_names):
-                conj = _trusted(-targets[s_other].partial(s) * mono, horizon)
+                conj = (-targets[s_other].partial(s) * mono).below(horizon)
                 for oe, oc in conj.terms.items():
                     key = (sj, oe)
                     col[key] = col.get(key, 0) + oc
@@ -548,60 +579,6 @@ def _coupling_move_system(cur, t_name, u_name, slice_names, leaf, horizon):
                 cands.append(("translate", s, mono))
                 columns.append(col)
     return targets, cands, columns
-
-
-def _read_slice_data(final, t_name, u_name, slice_names, k, ell, slice_ctx):
-    """Slice table and residual field in the weight-zero chart
-    s -> t^(-w/ell) * s, re-expressed over the slice context.
-
-    Terms at or above the certification horizon are dropped before the
-    closure checks; the slice data is only claimed below it."""
-    ctx = final.ctx
-    horizon = certification_horizon(ctx)
-    weights = {s: ctx.weight_of_name(s) for s in slice_names}
-    sigma = {}
-    for i, a in enumerate(slice_names):
-        for b in slice_names[i + 1 :]:
-            raw = _trusted(final.entry(a, b), horizon)
-            dressed = raw * ctx.var(t_name, k - (weights[a] + weights[b]) // ell)
-            sigma[(a, b)] = _to_slice_polynomial(
-                ctx, dressed, t_name, slice_names, weights, ell, slice_ctx,
-                what=f"{{{a},{b}}}",
-            )
-    xi = {}
-    for s in slice_names:
-        raw = _trusted(final.entry(u_name, s), horizon)
-        dressed = raw * ctx.var(t_name, k - weights[s] // ell)
-        xi[s] = _to_slice_polynomial(
-            ctx, dressed, t_name, slice_names, weights, ell, slice_ctx,
-            what=f"{{{u_name},{s}}}",
-        )
-    return sigma, xi
-
-
-def _to_slice_polynomial(ctx, elem, t_name, slice_names, weights, ell, slice_ctx, what):
-    """Rewrite an element of the weight-zero chart as a polynomial in the
-    rescaled slice variables, or fail with the offending coupling."""
-    ti = ctx.index(t_name)
-    slice_pos = {s: ctx.index(s) for s in slice_names}
-    out = {}
-    for exps, coeff in elem.terms.items():
-        for i, e in enumerate(exps):
-            if e and i != ti and ctx.variables[i] not in slice_pos:
-                raise StageError(
-                    "extract-slice",
-                    f"{what} still couples to {ctx.variables[i]} after "
-                    "normalization; this signals a Jacobi failure upstream",
-                )
-        dressing = -sum(exps[slice_pos[s]] * weights[s] for s in slice_names) // ell
-        if exps[ti] != dressing:
-            raise StageError(
-                "extract-slice",
-                f"{what} carries a stray conic power after normalization",
-            )
-        key = tuple(exps[slice_pos[s]] for s in slice_ctx.variables)
-        out[key] = coeff
-    return TruncatedElement(slice_ctx, out, validate=False)
 
 
 # -- the stages ---------------------------------------------------------------
@@ -631,7 +608,7 @@ class _Run:
 
     def trusted(self, a: str, b: str) -> TruncatedElement:
         """The entry {a, b} below the certification horizon."""
-        return _trusted(self.cur.entry(a, b), self.horizon)
+        return self.cur.entry(a, b).below(self.horizon)
 
     def apply(self, step: CoordinateChange) -> None:
         self.cur = step.transport(self.cur)
@@ -786,16 +763,15 @@ def enforce_tu(run: _Run) -> int:
 
     def passes():
         while True:
-            eps = _trusted(run.cur.entry(t, u) * ctx.var(t, run.k - 1) - 1, run.horizon)
+            eps = (run.cur.entry(t, u) * ctx.var(t, run.k - 1) - 1).below(run.horizon)
             if not eps:
                 return
             yield eps.min_jorder()
             correction = ctx.zero()
             for exp, coeff_elem in eps.coefficients_in(u).items():
-                if coeff_elem.involves(u) or _trusted(
-                    run.cur.generator_bracket(ctx.index(t), coeff_elem.gradient()),
-                    run.horizon,
-                ):
+                if coeff_elem.involves(u) or run.cur.generator_bracket(
+                    ctx.index(t), coeff_elem.gradient()
+                ).below(run.horizon):
                     raise StageError(
                         "conjugate-normalize",
                         f"the defect coefficient at conjugate power {exp} does "
@@ -875,7 +851,7 @@ def _straighten_pairs(run: _Run) -> None:
     def passes(a_name, b_name, later):
         while True:
             defects = []
-            d_pair = _trusted(run.cur.entry(a_name, b_name) - 1, run.horizon)
+            d_pair = (run.cur.entry(a_name, b_name) - 1).below(run.horizon)
             if d_pair:
                 defects.append(d_pair)
             for g in later:
@@ -917,7 +893,7 @@ def decouple_u(run: _Run) -> int:
     pair_vars = [v for ab in pairs for v in ab]
     problems = []
     for a, b in pairs:
-        if _trusted(run.cur.entry(a, b) - 1, run.horizon):
+        if (run.cur.entry(a, b) - 1).below(run.horizon):
             problems.append(f"{{{a},{b}}} != 1")
     for v in pair_vars:
         if run.trusted(t, v):
@@ -1025,35 +1001,8 @@ def normalize_full(pres: PoissonPresentation) -> DecompositionCertificate:
     else:
         log.append("decouple-slice: nothing to absorb")
 
-    # extract-slice: read off the slice, certified below the horizon
-    slice_names = run.slice_names
-    slice_ctx = GradedContext(
-        tuple(slice_names),
-        (0,) * len(slice_names),
-        filtration=tuple(slice_names),
-        order=run.horizon,
-    )
-    sigma, xi = _read_slice_data(
-        run.cur, t_name=run.t, u_name=run.u, slice_names=slice_names,
-        k=run.k, ell=run.ell, slice_ctx=slice_ctx,
-    )
     log.append("extract-slice: done")
-
-    cert = DecompositionCertificate(
-        source=pres,
-        final=run.cur,
-        change=run.change(),
-        t_name=run.t,
-        u_name=run.u,
-        pairs=run.pairs,
-        slice_names=slice_names,
-        k=run.k,
-        ell=run.ell,
-        residual_field=xi,
-        slice_table=sigma,
-        slice_ctx=slice_ctx,
-        stage_log=log,
-    )
+    cert = DecompositionCertificate(pres, run, log)
     failures = cert.verify()
     if failures:
         raise StageError("certify", "the certificate failed re-verification", failures)
@@ -1064,26 +1013,18 @@ def normalize_full(pres: PoissonPresentation) -> DecompositionCertificate:
 # -- scrambling (for round-trip exercises) ------------------------------------
 
 
-def scramble_presentation(
-    pres: PoissonPresentation,
-    pairs: list,
-    seed: int,
-    t_name: str = "t",
-    u_name: str = "u",
-    n_flows: int = 2,
-    n_triangular: int = 3,
-    n_mixes: int = 1,
-):
+def scramble_presentation(pres: PoissonPresentation, pairs: list, seed: int):
     """A seeded random change of generators, honestly transported.
 
-    The change composes bracket flows taken with respect to the standard
-    block only (so they are genuine flow substitutions but not
-    automorphisms of the full structure and visibly scramble the table),
-    triangular weight-homogeneous substitutions with corrections of
-    J-order at least two, and linear mixes of equal-weight slice
-    variables.  Corrections to slice variables never carry the conic
-    coordinate, so the coupling they induce stays absorbable.  Returns
-    (change, scrambled_presentation)."""
+    The conic coordinate is t and its conjugate u.  The change composes
+    two bracket flows taken with respect to the standard block only (so
+    they are genuine flow substitutions but not automorphisms of the full
+    structure and visibly scramble the table), three triangular
+    weight-homogeneous substitutions with corrections of J-order at least
+    two, and one linear mix of equal-weight slice variables.  Corrections
+    to slice variables never carry the conic coordinate, so the coupling
+    they induce stays absorbable.  Returns (change, scrambled_presentation)."""
+    t_name, u_name = "t", "u"
     ctx = pres.ctx
     rng = random.Random(seed)
     degree = pres.degree if pres.degree is not None else pres.homogeneity_degree()
@@ -1109,11 +1050,11 @@ def scramble_presentation(
         return ctx.monomial(rng.choice(cands), coeff)
 
     changes = []
-    for _ in range(n_flows):
+    for _ in range(2):
         hamiltonian = random_monomial(-degree, 3)
         if hamiltonian is not None:
             changes.append(hamiltonian_flow_change(block, hamiltonian))
-    for _ in range(n_triangular):
+    for _ in range(3):
         name = rng.choice(ctx.variables)
         if name == t_name:
             j = random_monomial(0, 2)
@@ -1130,7 +1071,7 @@ def scramble_presentation(
                 changes.append(
                     CoordinateChange.from_forward(ctx, {name: ctx.var(name) + m})
                 )
-    for _ in range(n_mixes):
+    for _ in range(1):
         mixable = [
             (a, b)
             for a in slice_vars

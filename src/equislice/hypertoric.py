@@ -344,12 +344,12 @@ def _designation(leaf, nonvanishing) -> tuple[dict, set]:
     return designated, usable
 
 
-def decompose_at(b, leaf, nonvanishing=None, invert=None) -> DecompositionReport:
+def decompose_at(b, leaf, nonvanishing=None) -> DecompositionReport:
     """The equivariant product chart of a leaf at a base point.
 
     The sign data says which of the two conjugate coordinates is nonzero
-    at the point; the inverted set g (chosen lexicographically unless
-    overridden) must carry a faithful action of the quotient torus.  The
+    at the point; the inverted set g is the lexicographically first set of
+    usable coordinates on which the quotient torus acts faithfully.  The
     dressing exponents are the unique integers making each remaining
     coordinate invariant, and unimodularity makes them integral."""
     b = b if isinstance(b, TorusActionMatrix) else TorusActionMatrix(b)
@@ -361,23 +361,16 @@ def decompose_at(b, leaf, nonvanishing=None, invert=None) -> DecompositionReport
         sign = 1 if designated.get(i, "x") == "x" else -1
         return tuple(sign * w for w in b.row(i - 1))
 
-    if invert is not None:
-        g = tuple(sorted(int(i) for i in invert))
-        if len(g) != quotient_dim or any(i not in usable for i in g):
-            raise ValueError("the inverted set is not usable sign data")
-        if IntMatrix([signed_row(i) for i in g]).rank() != quotient_dim and g:
-            raise ValueError("the quotient torus does not act faithfully on the inverted set")
-    else:
-        g = None
-        for cand in combinations(sorted(usable), quotient_dim):
-            if quotient_dim == 0 or IntMatrix([signed_row(i) for i in cand]).rank() == quotient_dim:
-                g = cand
-                break
-        if g is None:
-            raise ValueError(
-                "no invertible coordinate set exists for the given sign data; "
-                "the base point does not lie on a free orbit"
-            )
+    g = None
+    for cand in combinations(sorted(usable), quotient_dim):
+        if quotient_dim == 0 or IntMatrix([signed_row(i) for i in cand]).rank() == quotient_dim:
+            g = cand
+            break
+    if g is None:
+        raise ValueError(
+            "no invertible coordinate set exists for the given sign data; "
+            "the base point does not lie on a free orbit"
+        )
     remaining = [i for i in leaf.fixed if i not in g]
     span = Span(dict(enumerate(signed_row(j))) for j in g)
     r_rows = []

@@ -257,8 +257,8 @@ class PoissonPresentation:
                     if (i, j) in grads:
                         jac = jac + self.generator_bracket(k, grads[(i, j)])
                     jac = self.reduce(jac)
-                    if cutoff is not None and jac:
-                        jac = jac - jac.jtail(cutoff)
+                    if cutoff is not None:
+                        jac = jac.below(cutoff)
                     if jac:
                         out.append(
                             {"kind": "jacobi", "triple": [a, b, c], "residue": str(jac)}
@@ -268,8 +268,8 @@ class PoissonPresentation:
             for g_idx, name in enumerate(names):
                 # {rel, x} = -{x, rel}
                 res = self.reduce(-self.generator_bracket(g_idx, drel))
-                if cutoff is not None and res:
-                    res = res - res.jtail(cutoff)
+                if cutoff is not None:
+                    res = res.below(cutoff)
                 if res:
                     out.append(
                         {

@@ -213,6 +213,11 @@ class TruncatedElement:
         jo = self.ctx.jorder_of_exps
         return _trusted(self.ctx, {e: c for e, c in self.terms.items() if jo(e) >= m})
 
+    def below(self, m: int) -> "TruncatedElement":
+        """The terms of J-order < m."""
+        jo = self.ctx.jorder_of_exps
+        return _trusted(self.ctx, {e: c for e, c in self.terms.items() if jo(e) < m})
+
     def constant_coefficient(self):
         return self.terms.get((0,) * len(self.ctx.variables), 0)
 

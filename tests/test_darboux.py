@@ -1,5 +1,6 @@
 """Darboux normalizer: coordinate changes, staged normal forms, certificates."""
 
+import copy
 import json
 from collections import Counter
 
@@ -547,3 +548,109 @@ def test_certificate_serializes_deterministically():
     assert data["slice_table"] == {"x,y": "2*z", "x,z": "-1*x", "y,z": "1*y"}
     blob = json.dumps(data, sort_keys=True)
     assert json.loads(blob) == json.loads(json.dumps(cert.as_json(), sort_keys=True))
+
+
+# -- tampered certificates ----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def line_cert():
+    """kleinian_product(1, 2) scrambled with seed 3, normalized."""
+    return normalize_full(scramble_presentation(kleinian_product(1, 2), [], 3)[1])
+
+
+@pytest.fixture(scope="module")
+def pair_cert():
+    """kleinian_product(2, 2) with the pair (z1, z2) scrambled with seed 5,
+    normalized."""
+    pres = kleinian_product(2, 2)
+    return normalize_full(scramble_presentation(pres, [("z1", "z2")], 5)[1])
+
+
+def _tampered(cert, **attributes):
+    """A copy of the certificate with the given attributes replaced; the
+    original is left as it was."""
+    other = copy.copy(cert)
+    for name, value in attributes.items():
+        setattr(other, name, value)
+    return other
+
+
+def _with_entry(pres, a, b, value):
+    """The presentation with the bracket {a, b} replaced by value."""
+    table = {pair: pres.entry(*pair) for pair in pres.pairs()}
+    if (a, b) not in table:
+        a, b, value = b, a, -value
+    table[(a, b)] = value
+    return PoissonPresentation(pres.ctx, table, relations=pres.relations, degree=pres.degree)
+
+
+def _failed_checks(cert):
+    return {record["check"] for record in cert.verify()}
+
+
+def test_fresh_tamper_sources_are_certified(line_cert, pair_cert):
+    assert line_cert.verify() == [] and pair_cert.verify() == []
+    assert not line_cert.change.is_identity()
+    assert pair_cert.pairs == [("z1", "z2")]
+
+
+@pytest.mark.parametrize("attribute", ["slice_table", "residual_field"])
+def test_a_shifted_slice_entry_fails_slice_closure(line_cert, attribute):
+    data = getattr(line_cert, attribute)
+    key = sorted(data)[0]
+    cert = _tampered(line_cert, **{attribute: {**data, key: data[key] + 1}})
+    assert "slice-closure" in _failed_checks(cert)
+    assert line_cert.verify() == []
+
+
+def test_a_change_without_its_inverse_fails_change_inverse(line_cert):
+    change = line_cert.change
+    broken = CoordinateChange(change.ctx, change.forward, {})
+    assert "change-inverse" in _failed_checks(_tampered(line_cert, change=broken))
+
+
+def test_the_identity_change_fails_transport_match(line_cert):
+    identity = CoordinateChange(line_cert.change.ctx, {}, {})
+    assert _failed_checks(_tampered(line_cert, change=identity)) == {"transport-match"}
+
+
+def test_a_doubled_conic_pairing_fails_leaf_standard(line_cert):
+    final = line_cert.final
+    doubled = _with_entry(final, "t", "u", final.entry("t", "u") * 2)
+    assert "leaf-standard" in _failed_checks(_tampered(line_cert, final=doubled))
+
+
+def test_a_conic_coupling_fails_couplings_and_jacobi(line_cert):
+    final = line_cert.final
+    coupled = _with_entry(final, "t", "x", final.ctx.var("x"))
+    assert {"couplings", "jacobi"} <= _failed_checks(_tampered(line_cert, final=coupled))
+
+
+def test_a_slice_bracket_leaving_the_slice_fails_slice_closure(line_cert):
+    final = line_cert.final
+    leaking = _tampered(line_cert, final=_with_entry(final, "x", "y", final.ctx.var("u")))
+    closure = [r["detail"] for r in leaking.verify() if r["check"] == "slice-closure"]
+    assert len(closure) == 1
+    assert closure[0].startswith("[extract-slice] {x,y} still couples to u")
+
+
+def test_a_doubled_pair_bracket_fails_leaf_standard(pair_cert):
+    final = pair_cert.final
+    doubled = _with_entry(final, "z1", "z2", final.entry("z1", "z2") * 2)
+    failures = _tampered(pair_cert, final=doubled).verify()
+    assert {"check": "leaf-standard", "detail": "{z1,z2} != 1"} in failures
+
+
+def test_a_pair_coupling_to_the_slice_fails_couplings(pair_cert):
+    final = pair_cert.final
+    coupled = _with_entry(final, "z1", "x", final.ctx.var("x"))
+    failures = _tampered(pair_cert, final=coupled).verify()
+    assert {"check": "couplings", "detail": "{z1,x} != 0"} in failures
+
+
+def test_a_conjugate_coupling_to_a_pair_fails_leaf_standard(pair_cert):
+    final = pair_cert.final
+    coupled = _with_entry(final, "u", "z1", final.ctx.var("z2"))
+    failures = _tampered(pair_cert, final=coupled).verify()
+    assert {"check": "leaf-standard", "detail": "{u,z1} != 0"} in failures

@@ -722,3 +722,22 @@ def test_integral_coefficients_enter_as_ints():
     element = algebra.from_terms([(Fraction(2), 0, {"e": 1}), (Fraction(1, 2), 1, {})])
     assert sorted(map(type, element.values()), key=str) == [Fraction, int]
     assert [type(c) for c in element_scale(algebra.var("h"), Fraction(6, 3)).values()] == [int]
+
+
+@pytest.mark.parametrize("field", WALK_FIELDS, ids=WALK_IDS)
+def test_below_is_the_element_minus_its_tail(field):
+    """below(m) keeps the terms of J-order < m, in the order and with the
+    coefficients that x - x.jtail(m) leaves, for m at or below zero,
+    inside the stored range and at or above the order."""
+    rng = random.Random(53)
+    for order in (1, 2, 3, 4):
+        ctx = diff_ctx(order)
+        for _ in range(30):
+            x = random_element(ctx, rng, field)
+            for m in range(-2, order + 3):
+                low, reference = x.below(m), x - x.jtail(m)
+                assert low == reference
+                assert list(low.terms.items()) == list(reference.terms.items())
+                assert_clean(low)
+            assert not x.below(0)
+            assert x.below(order) == x
