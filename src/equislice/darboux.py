@@ -484,7 +484,7 @@ class DecompositionCertificate:
                     f"{what} carries a stray conic power after normalization",
                 )
             out[key] = coeff
-        return TruncatedElement(self.slice_ctx, out, validate=False)
+        return TruncatedElement(self.slice_ctx, out)
 
     def as_json(self) -> dict:
         return {

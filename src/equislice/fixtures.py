@@ -1,5 +1,6 @@
 """Named fixture presentations and group actions shared by the test
-suite and the CLI selftest: small Lie-Poisson and surface-singularity
+suite, the CLI selftest and quantize (whose plain sl2 enveloping algebra
+quantizes sl2_presentation): small Lie-Poisson and surface-singularity
 structures, the two-dimensional coupled example whose center is
 t*exp(-z), the quadric-cone invariant presentation of a cyclic double
 cover, and the standard finite symplectic actions on two and four
@@ -36,19 +37,15 @@ def kleinian_presentation(n: int, order: int = 6) -> PoissonPresentation:
     if n < 2:
         raise ValueError("n must be >= 2")
     ctx = GradedContext(("x", "y", "z"), (n, n, 2), order=order)
-    table = {
-        ("x", "y"): n * ctx.var("z", n - 1),
-        ("z", "x"): ctx.var("x"),
-        ("y", "z"): ctx.var("y"),
-    }
+    table = kleinian_ambient_slice(n, ctx)
     relation = ctx.var("x") * ctx.var("y") + ctx.var("z") ** n
     return PoissonPresentation(ctx, table, relations=(relation,), degree=-2)
 
 
 def kleinian_ambient_slice(n: int, ctx: GradedContext) -> dict:
-    """The same brackets as a table over caller-supplied variables named
-    x, y, z (used as a transverse-slice factor; no relation imposed, the
-    bracket satisfies Jacobi on the ambient three-space)."""
+    """The bracket of kleinian_presentation as a table over caller-supplied
+    variables named x, y, z (also a transverse-slice factor: no relation
+    imposed, the bracket satisfies Jacobi on the ambient three-space)."""
     return {
         ("x", "y"): n * ctx.var("z", n - 1),
         ("z", "x"): ctx.var("x"),

@@ -130,9 +130,7 @@ class PoissonPresentation:
             for rel in self.relations:
                 lead = max(rel.terms, key=_grlex_key)
                 rest = TruncatedElement(
-                    self.ctx,
-                    {e: c for e, c in rel.terms.items() if e != lead},
-                    validate=False,
+                    self.ctx, {e: c for e, c in rel.terms.items() if e != lead}
                 )
                 data.append((lead, rel.terms[lead], rest))
             self._lt_cache = data
@@ -155,7 +153,7 @@ class PoissonPresentation:
                 if hit:
                     break
             if hit is None:
-                return TruncatedElement(self.ctx, work, validate=False)
+                return TruncatedElement(self.ctx, work)
             budget -= 1
             if budget < 0:
                 raise RewriteLimitError(
@@ -482,7 +480,7 @@ class PoissonPresentation:
                         col[(g_idx, oe)] = oc
             columns.append(col)
         return [
-            TruncatedElement(ctx, {cands[j]: v for j, v in sorted(row.items())}, validate=False)
+            TruncatedElement(ctx, {cands[j]: v for j, v in sorted(row.items())})
             for row in linalg.relations(columns)
         ]
 

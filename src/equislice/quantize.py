@@ -22,14 +22,14 @@ normal form never changes, and a cached pair costs the rewrite steps it
 cost when it was first straightened: whether a step budget runs out
 never depends on what the memo holds.
 
-The built-in families quantize the standard conic symplectic
-structures: the dilation-invariant differential operators on a torus
-times affine space, with the relation [t,u] = hbar*t^(1-k) and one
-Darboux pair [z_{2i-1}, z_{2i}] = hbar per transverse plane, and the
-homogenized enveloping algebra of a graded Lie algebra.  In every case
-hbar^-1 times a commutator of generators reduces, modulo hbar, to the
-Poisson bracket of the classical limit; that is the quantization axiom
-checked here generator pair by generator pair.
+Each built-in family quantizes a Poisson presentation without relations
+by HbarPresentation.from_poisson, [g_a, g_b] = hbar*{g_a, g_b} with hbar
+of weight minus the bracket degree: standard_presentation (differential
+operators on a torus times affine space), Darboux pairs, and the
+Lie-Poisson presentation of a graded Lie algebra (plain sl2 is
+fixtures.sl2_presentation).  So hbar^-1 [g_i, g_j] = {g_i, g_j} mod hbar
+holds by construction; quantization_axiom_check tests it pair by pair
+for an algebra and a classical presentation given apart.
 
 The transverse slice of such an algebra along a conic coordinate t and
 Darboux lifts z_i is the joint kernel of the derivations hbar^-1 ad(t)
@@ -42,11 +42,14 @@ from __future__ import annotations
 
 from itertools import product as iter_product
 
+from .fixtures import sl2_presentation
 # in_span is unused here but stays importable: the benchmark's tracer
 # test (perfbench/test_quick.py) checks that it is rebound in this module
 from .linalg import Echelon, Span, in_span
-from .poisson import PoissonPresentation, RewriteLimitError, max_steps
+from .poisson import (PoissonPresentation, RewriteLimitError, max_steps,
+                      standard_presentation)
 from .scalars import InternalError, Q, exact, exact_int, quo
+from .series import GradedContext
 
 
 class ConicRelationError(ValueError):
@@ -136,6 +139,31 @@ class HbarPresentation:
         # so the rows stay valid for the presentation's life
         self._corr_cache: dict[tuple[int, int, int, int], tuple] = {}
         self._corr_building: set[tuple[int, int, int, int]] = set()
+
+    @classmethod
+    def from_poisson(cls, p: PoissonPresentation,
+                     order: int = 3) -> HbarPresentation:
+        """[g_a, g_b] = hbar*{g_a, g_b} over the context of p, a Poisson
+        presentation without relations that passes check_jacobi; hbar
+        weighs minus the declared bracket degree, or minus the table's
+        homogeneity degree when none is declared."""
+        if p.relations:
+            raise ValueError("an hbar presentation has no relation ideal")
+        violations = p.check_jacobi()
+        if violations:
+            raise ValueError(
+                "structure constants fail the Jacobi identity at "
+                f"({','.join(violations[0]['triple'])})"
+            )
+        degree = p.homogeneity_degree() if p.degree is None else p.degree
+        names = p.ctx.variables
+        rules = {
+            pair: [(c, 1, dict(zip(names, e)))
+                   for e, c in p.entry(*pair).terms.items()]
+            for pair in p.pairs()
+        }
+        return cls(names, p.ctx.weights, -degree, rules,
+                   invertible=p.ctx.invertible, order=order)
 
     # -- element construction ------------------------------------------------
 
@@ -463,21 +491,14 @@ class HbarPresentation:
 
 
 def differential_family(n: int, k: int, order: int = 3) -> HbarPresentation:
-    """Quantized conic coordinates: invertible t of weight one, its
-    conjugate u with [t,u] = hbar*t^(1-k), and n-1 transverse Darboux
-    pairs of weights (k, 0) with [z_{2i-1}, z_{2i}] = hbar."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """Quantized conic coordinates, standard_presentation(n, k) quantized:
+    invertible t of weight one, its conjugate u with [t,u] = hbar*t^(1-k),
+    and n-1 transverse Darboux pairs of weights (k, 0) with
+    [z_{2i-1}, z_{2i}] = hbar."""
+    classical = standard_presentation(n, k)
     if k < 0:
         raise ValueError("k must be >= 0")
-    names = ["t", "u"] + [f"z{i}" for i in range(1, 2 * n - 1)]
-    weights = [1, 0] + [k if i % 2 == 1 else 0 for i in range(1, 2 * n - 1)]
-    commutators = {("t", "u"): [(1, 1, {"t": 1 - k})]}
-    for i in range(1, 2 * n - 1, 2):
-        commutators[(f"z{i}", f"z{i + 1}")] = [(1, 1, {})]
-    return HbarPresentation(
-        names, weights, k, commutators, invertible=("t",), order=order
-    )
+    return HbarPresentation.from_poisson(classical, order=order)
 
 
 def weyl_family(pairs: int, k: int, order: int = 3) -> HbarPresentation:
@@ -485,12 +506,13 @@ def weyl_family(pairs: int, k: int, order: int = 3) -> HbarPresentation:
     if pairs < 1:
         raise ValueError("at least one pair is required")
     names = [f"z{i}" for i in range(1, 2 * pairs + 1)]
-    weights = [k if i % 2 == 1 else 0 for i in range(1, 2 * pairs + 1)]
-    commutators = {
-        (f"z{i}", f"z{i + 1}"): [(1, 1, {})]
-        for i in range(1, 2 * pairs + 1, 2)
+    ctx = GradedContext(names, [k, 0] * pairs)
+    table = {
+        (names[i], names[i + 1]): ctx.one() for i in range(0, 2 * pairs, 2)
     }
-    return HbarPresentation(names, weights, k, commutators, order=order)
+    return HbarPresentation.from_poisson(
+        PoissonPresentation(ctx, table, degree=-k), order=order
+    )
 
 
 def enveloping_family(names, constants: dict, weights=None, k: int = 1,
@@ -498,74 +520,36 @@ def enveloping_family(names, constants: dict, weights=None, k: int = 1,
     """Homogenized enveloping algebra: [x_a, x_b] = hbar * (Lie bracket).
 
     constants maps generator pairs (in declared order) to {name:
-    coefficient} rows of the Lie bracket; the constants are validated
-    against the Jacobi identity before any rewriting is trusted."""
+    coefficient} rows of the Lie bracket; their Lie-Poisson presentation,
+    of bracket degree -k, passes the Jacobi check of from_poisson before
+    any rewriting is trusted."""
     names = tuple(names)
-    index = {g: i for i, g in enumerate(names)}
-
-    def lie(a: str, b: str) -> dict:
-        if (a, b) in constants:
-            return {g: Q(c) for g, c in constants[(a, b)].items()}
-        if (b, a) in constants:
-            return {g: -Q(c) for g, c in constants[(b, a)].items()}
-        return {}
-
-    def lie_vec(a: str, vec: dict) -> dict:
-        out: dict = {}
-        for b, c in vec.items():
-            for g, d in lie(a, b).items():
-                s = out.get(g, Q(0)) + c * d
-                if s:
-                    out[g] = s
-                else:
-                    out.pop(g, None)
-        return out
-
-    for a, b, c in iter_product(names, repeat=3):
-        total: dict = {}
-        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            for g, d in lie_vec(x, lie(y, z)).items():
-                s = total.get(g, Q(0)) + d
-                if s:
-                    total[g] = s
-                else:
-                    total.pop(g, None)
-        if total:
-            raise ValueError(
-                f"structure constants fail the Jacobi identity at "
-                f"({a},{b},{c})"
-            )
-
     if weights is None:
         weights = (1,) * len(names)
-    commutators = {}
+    ctx = GradedContext(names, weights, invertible=invertible)
     for a, b in constants:
-        if index[a] >= index[b]:
+        if ctx.index(a) >= ctx.index(b):
             raise ValueError(
                 f"constant keys follow the declared order, got ({a},{b})"
             )
-        commutators[(a, b)] = [
-            (c, 1, {g: 1}) for g, c in sorted(constants[(a, b)].items())
-        ]
-    return HbarPresentation(
-        names, weights, k, commutators, invertible=invertible, order=order
+    table = {
+        pair: sum(
+            (ctx.var(g).scale(Q(c)) for g, c in sorted(row.items())),
+            ctx.zero(),
+        )
+        for pair, row in constants.items()
+    }
+    return HbarPresentation.from_poisson(
+        PoissonPresentation(ctx, table, degree=-k), order=order
     )
 
 
-def sl2_constants() -> dict:
-    """Structure constants of sl2 on (e, f, h)."""
-    return {
-        ("e", "f"): {"h": 1},
-        ("e", "h"): {"e": -2},
-        ("f", "h"): {"f": 2},
-    }
-
-
 def sl2_enveloping(order: int = 3, localized: bool = False) -> HbarPresentation:
-    """Homogenized U(sl2); with localized=True the generator f is
-    inverted and moved first in the monomial order."""
+    """Homogenized U(sl2), the quantization of sl2_presentation; with
+    localized=True the generator f is inverted and moved first in the
+    monomial order."""
     if not localized:
-        return enveloping_family(("e", "f", "h"), sl2_constants(), order=order)
+        return HbarPresentation.from_poisson(sl2_presentation(), order=order)
     constants = {
         ("f", "e"): {"h": -1},
         ("f", "h"): {"f": 2},

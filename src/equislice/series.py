@@ -17,9 +17,10 @@ Invariant.  The terms of every element have no zero coefficient, no term
 of J-order >= order and no negative exponent outside the invertible
 variables.  The public constructor enforces it by filtering and checking.
 Results that hold it by construction (products, sums, negation, scale by
-a nonzero scalar, partials and the gradient, J-order parts, substitution)
-go through the private _trusted constructor, which skips that pass;
-antiderivative and the parser keep the checked path.
+a nonzero scalar, partials and the gradient, J-order parts, coefficients
+in one variable, substitution) go through the private _trusted
+constructor, which skips that pass; antiderivative and the parser keep
+the checked path.
 
 Substitution and its power caches.  A coordinate change moves a few
 generators and fixes the rest, so subs multiplies only the images it is
@@ -67,7 +68,6 @@ class GradedContext:
         "order",
         "_index",
         "_inv_flags",
-        "_filt_flags",
         "jorder_of_exps",
     )
 
@@ -97,10 +97,9 @@ class GradedContext:
             raise ValueError("truncation order must be >= 1")
         self._index = {v: i for i, v in enumerate(self.variables)}
         self._inv_flags = tuple(v in self.invertible for v in self.variables)
-        self._filt_flags = tuple(v in self.filtration for v in self.variables)
         # exps -> J-order, over the filtration positions found once here
         self.jorder_of_exps = _jorder_function(
-            [i for i, f in enumerate(self._filt_flags) if f]
+            [i for i, v in enumerate(self.variables) if v in self.filtration]
         )
 
     # -- basic queries -------------------------------------------------
@@ -162,7 +161,7 @@ class TruncatedElement:
 
     __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx: GradedContext, terms: dict, validate: bool = True):
+    def __init__(self, ctx: GradedContext, terms: dict):
         self.ctx = ctx
         clean = {}
         for exps, c in terms.items():
@@ -172,15 +171,12 @@ class TruncatedElement:
                 continue
             clean[exps] = exact(c)
         self.terms = clean
-        if validate:
-            for exps in clean:
-                for e, inv, f in zip(exps, ctx._inv_flags, ctx._filt_flags):
-                    if e < 0 and not inv:
-                        raise ValueError(
-                            f"negative exponent on non-invertible variable in {exps}"
-                        )
-                    if f and e < 0:
-                        raise ValueError("negative exponent on filtration variable")
+        # this also keeps filtration variables nonnegative: GradedContext
+        # never lets one be invertible
+        for exps in clean:
+            for e, inv in zip(exps, ctx._inv_flags):
+                if e < 0 and not inv:
+                    raise ValueError(f"negative exponent on non-invertible variable in {exps}")
 
     # -- predicates and structure --------------------------------------
 
@@ -357,7 +353,7 @@ class TruncatedElement:
             ne = list(exps)
             ne[i] = e + 1
             out[tuple(ne)] = quo(c, e + 1)
-        return TruncatedElement(self.ctx, out, validate=False)
+        return TruncatedElement(self.ctx, out)
 
     def coefficients_in(self, name: str) -> dict:
         """Split as a polynomial in one variable: exponent -> coefficient
@@ -369,10 +365,7 @@ class TruncatedElement:
             ne = list(exps)
             ne[i] = 0
             out.setdefault(e, {})[tuple(ne)] = c
-        return {
-            e: TruncatedElement(self.ctx, d, validate=False)
-            for e, d in sorted(out.items())
-        }
+        return {e: _trusted(self.ctx, d) for e, d in sorted(out.items())}
 
     def involves(self, name: str) -> bool:
         i = self.ctx.index(name)

@@ -7,11 +7,14 @@ at a time; the bracket-by-bracket certification of a hypertoric chart;
 substitution that raises every variable, mapped or not, to its power
 and multiplies the powers; the Fraction-typed form of a scalar, with the
 comparison that holds int-first results to the same computation on
-Fraction inputs; and the Galois conjugate of a group presentation over a
-cyclotomic field."""
+Fraction inputs; the Galois conjugate of a group presentation over a
+cyclotomic field; and the hbar families with their rule tables written
+by hand, the enveloping algebra checking its structure constants with a
+loop of its own over every ordered generator triple."""
 
 from fractions import Fraction
 from itertools import combinations
+from itertools import product as iter_product
 
 from equislice.hypertoric import (
     LeafDescriptor,
@@ -24,7 +27,8 @@ from equislice.hypertoric import (
     cotangent_presentation,
 )
 from equislice.intmat import IntMatrix
-from equislice.scalars import CycloNumber
+from equislice.quantize import HbarPresentation
+from equislice.scalars import CycloNumber, Q
 from equislice.series import TruncatedElement, _add_into, _trusted, sum_of_products
 
 
@@ -437,3 +441,102 @@ def _galois_conjugate(omega, generators, k: int):
         return tuple(tuple(_galois(x, k) for x in row) for row in matrix)
 
     return conj(omega), [conj(g) for g in generators]
+
+
+def _reference_differential_family(n: int, k: int, order: int = 3) -> HbarPresentation:
+    """Quantized conic coordinates: invertible t of weight one, its
+    conjugate u with [t,u] = hbar*t^(1-k), and n-1 transverse Darboux
+    pairs of weights (k, 0) with [z_{2i-1}, z_{2i}] = hbar."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    names = ["t", "u"] + [f"z{i}" for i in range(1, 2 * n - 1)]
+    weights = [1, 0] + [k if i % 2 == 1 else 0 for i in range(1, 2 * n - 1)]
+    commutators = {("t", "u"): [(1, 1, {"t": 1 - k})]}
+    for i in range(1, 2 * n - 1, 2):
+        commutators[(f"z{i}", f"z{i + 1}")] = [(1, 1, {})]
+    return HbarPresentation(
+        names, weights, k, commutators, invertible=("t",), order=order
+    )
+
+
+def _reference_weyl_family(pairs: int, k: int, order: int = 3) -> HbarPresentation:
+    """Darboux pairs alone: [z_{2i-1}, z_{2i}] = hbar with weights (k, 0)."""
+    if pairs < 1:
+        raise ValueError("at least one pair is required")
+    names = [f"z{i}" for i in range(1, 2 * pairs + 1)]
+    weights = [k if i % 2 == 1 else 0 for i in range(1, 2 * pairs + 1)]
+    commutators = {
+        (f"z{i}", f"z{i + 1}"): [(1, 1, {})]
+        for i in range(1, 2 * pairs + 1, 2)
+    }
+    return HbarPresentation(names, weights, k, commutators, order=order)
+
+
+def _reference_enveloping_family(names, constants: dict, weights=None, k: int = 1,
+                                 invertible=(), order: int = 3) -> HbarPresentation:
+    """Homogenized enveloping algebra: [x_a, x_b] = hbar * (Lie bracket).
+
+    constants maps generator pairs (in declared order) to {name:
+    coefficient} rows of the Lie bracket; the constants are validated
+    against the Jacobi identity before any rewriting is trusted."""
+    names = tuple(names)
+    index = {g: i for i, g in enumerate(names)}
+
+    def lie(a: str, b: str) -> dict:
+        if (a, b) in constants:
+            return {g: Q(c) for g, c in constants[(a, b)].items()}
+        if (b, a) in constants:
+            return {g: -Q(c) for g, c in constants[(b, a)].items()}
+        return {}
+
+    def lie_vec(a: str, vec: dict) -> dict:
+        out: dict = {}
+        for b, c in vec.items():
+            for g, d in lie(a, b).items():
+                s = out.get(g, Q(0)) + c * d
+                if s:
+                    out[g] = s
+                else:
+                    out.pop(g, None)
+        return out
+
+    for a, b, c in iter_product(names, repeat=3):
+        total: dict = {}
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            for g, d in lie_vec(x, lie(y, z)).items():
+                s = total.get(g, Q(0)) + d
+                if s:
+                    total[g] = s
+                else:
+                    total.pop(g, None)
+        if total:
+            raise ValueError(
+                f"structure constants fail the Jacobi identity at "
+                f"({a},{b},{c})"
+            )
+
+    if weights is None:
+        weights = (1,) * len(names)
+    commutators = {}
+    for a, b in constants:
+        if index[a] >= index[b]:
+            raise ValueError(
+                f"constant keys follow the declared order, got ({a},{b})"
+            )
+        commutators[(a, b)] = [
+            (c, 1, {g: 1}) for g, c in sorted(constants[(a, b)].items())
+        ]
+    return HbarPresentation(
+        names, weights, k, commutators, invertible=invertible, order=order
+    )
+
+
+def _reference_sl2_constants() -> dict:
+    """Structure constants of sl2 on (e, f, h)."""
+    return {
+        ("e", "f"): {"h": 1},
+        ("e", "h"): {"e": -2},
+        ("f", "h"): {"f": 2},
+    }

@@ -2,11 +2,14 @@
 
 import json
 import random
+from collections import Counter
+from functools import partial
 
 import pytest
 
+from equislice import fixtures
 from equislice.fixtures import sl2_presentation
-from equislice.linalg import in_span
+from equislice.linalg import Echelon, in_span
 from equislice.poisson import PoissonPresentation, standard_presentation
 from equislice.quantize import (
     ConicRelationError,
@@ -27,6 +30,13 @@ from equislice.quantize import (
     weyl_family,
 )
 from equislice.scalars import Q
+from equislice.series import GradedContext
+from reference import (
+    _reference_differential_family,
+    _reference_enveloping_family,
+    _reference_sl2_constants,
+    _reference_weyl_family,
+)
 
 
 def non_jacobi_rules() -> HbarPresentation:
@@ -161,12 +171,11 @@ def straightened_product(a, x, y, budget):
     return out, budget - state[0]
 
 
+SO3 = {("x", "y"): {"z": 1}, ("y", "z"): {"x": 1}, ("x", "z"): {"y": -1}}
+
+
 def so3_enveloping(order):
-    return enveloping_family(
-        ("x", "y", "z"),
-        {("x", "y"): {"z": 1}, ("y", "z"): {"x": 1}, ("x", "z"): {"y": -1}},
-        order=order,
-    )
+    return enveloping_family(("x", "y", "z"), SO3, order=order)
 
 
 MEMO_ALGEBRAS = {
@@ -504,6 +513,342 @@ def test_exp_ad_is_an_algebra_map():
     lhs = exp_ad_conjugate(a, w, a.multiply(x, y))
     rhs = a.multiply(exp_ad_conjugate(a, w, x), exp_ad_conjugate(a, w, y))
     assert lhs == rhs
+
+
+# -- the families against their hand-written reference ------------------------
+
+
+LOCALIZED_SL2 = {
+    ("f", "e"): {"h": -1},
+    ("f", "h"): {"f": 2},
+    ("e", "h"): {"e": -2},
+}
+
+
+def _attempt(call):
+    """call(), or the exception it raised as (type name, text)."""
+    try:
+        return call()
+    except (ValueError, KeyError, RewriteLimitError) as exc:
+        return ("raised", type(exc).__name__, str(exc))
+
+
+def family_outcome(build):
+    """What a family builder gives: its refusal, or the algebra's as_json(),
+    repr, confluence report (up to four generators) and the normal forms
+    of seeded words."""
+    a = _attempt(build)
+    if not isinstance(a, HbarPresentation):
+        return a
+    rng = random.Random(repr(a.as_json()))
+    forms = []
+    for _ in range(3):
+        word = []
+        for _ in range(rng.randint(2, 4)):
+            name = rng.choice(a.names)
+            word.append((name, rng.choice([1, 2, -1 if name in a.invertible else 3])))
+        forms.append(_attempt(partial(a.normal_form, word)))
+    confluence = _attempt(a.certify_confluence) if len(a.names) <= 4 else None
+    return a.as_json(), repr(a), confluence, forms
+
+
+def _pair(new, reference, *args, **kwargs):
+    return partial(new, *args, **kwargs), partial(reference, *args, **kwargs)
+
+
+FAMILY_GRID = {
+    **{
+        f"differential({n},{k}) order {order}": _pair(
+            differential_family, _reference_differential_family, n, k, order=order
+        )
+        for n in (1, 2, 3) for k in range(4) for order in range(1, 5)
+    },
+    **{
+        f"weyl({pairs},{k})": _pair(weyl_family, _reference_weyl_family, pairs, k)
+        for pairs in (1, 2) for k in range(3)
+    },
+    **{
+        f"sl2 order {order}": (
+            partial(sl2_enveloping, order=order),
+            partial(_reference_enveloping_family, ("e", "f", "h"),
+                    _reference_sl2_constants(), order=order),
+        )
+        for order in (2, 3, 4)
+    },
+    **{
+        f"localized sl2 order {order}": (
+            partial(sl2_enveloping, order=order, localized=True),
+            partial(_reference_enveloping_family, ("f", "e", "h"), LOCALIZED_SL2,
+                    invertible=("f",), order=order),
+        )
+        for order in (2, 3, 4)
+    },
+    "so3": _pair(enveloping_family, _reference_enveloping_family, ("x", "y", "z"), SO3),
+    "heisenberg, k = 0": _pair(
+        enveloping_family, _reference_enveloping_family, ("x", "y", "c"),
+        {("x", "y"): {"c": 1}}, weights=(1, 1, 2), k=0,
+    ),
+    # refusals
+    "differential n = 0": _pair(differential_family, _reference_differential_family, 0, 1),
+    "differential k < 0": _pair(differential_family, _reference_differential_family, 1, -1),
+    "differential n = 0, k < 0": _pair(
+        differential_family, _reference_differential_family, 0, -1
+    ),
+    "differential k = 1/2": _pair(
+        differential_family, _reference_differential_family, 1, Q(1, 2)
+    ),
+    "differential n = 2, k = 1/2": _pair(
+        differential_family, _reference_differential_family, 2, Q(1, 2)
+    ),
+    "weyl pairs = 0": _pair(weyl_family, _reference_weyl_family, 0, 1),
+    "weyl order 0": _pair(weyl_family, _reference_weyl_family, 1, 1, order=0),
+    "enveloping non-Jacobi": _pair(
+        enveloping_family, _reference_enveloping_family, ("x", "y", "z"),
+        {("x", "y"): {"z": 1}, ("y", "z"): {"y": 1}},
+    ),
+    "enveloping key order": _pair(
+        enveloping_family, _reference_enveloping_family, ("x", "y"),
+        {("y", "x"): {"x": 1}},
+    ),
+    "enveloping diagonal key": _pair(
+        enveloping_family, _reference_enveloping_family, ("x", "y"),
+        {("x", "x"): {"y": 1}},
+    ),
+    "enveloping k = 2 on weight one": _pair(
+        enveloping_family, _reference_enveloping_family, ("x", "y"),
+        {("x", "y"): {"x": 1}}, k=2,
+    ),
+    "enveloping invertible not first": _pair(
+        enveloping_family, _reference_enveloping_family, ("x", "y"),
+        {("x", "y"): {"x": 1}}, invertible=("y",),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_GRID))
+def test_family_matches_its_hand_written_reference(name):
+    build, reference = FAMILY_GRID[name]
+    assert family_outcome(build) == family_outcome(reference)
+
+
+KNOWN_LIE_ALGEBRAS = [
+    {("a", "b"): {"a": 1}},
+    {("a", "b"): {"c": 1}},
+    {("a", "b"): {"c": 1}, ("a", "c"): {"a": -2}, ("b", "c"): {"b": 2}},
+    {("a", "b"): {"c": 1}, ("b", "c"): {"a": 1}, ("a", "c"): {"b": -1}},
+    {("a", "b"): {"b": 1}, ("c", "d"): {"d": 1}},
+    {("a", "b"): {"c": 1}, ("a", "c"): {"d": 1}},
+]
+
+
+def _rescaled(constants, scale):
+    """The constants in the basis scale[g] * g: each coefficient of g in
+    [a, b] becomes scale[a] * scale[b] / scale[g] times itself."""
+    return {
+        (a, b): {g: Q(c) * scale[a] * scale[b] / scale[g] for g, c in row.items()}
+        for (a, b), row in constants.items()
+    }
+
+
+def test_seeded_lie_constants_match_the_reference():
+    rng = random.Random("enveloping against the reference")
+    seen = Counter()
+    inputs = []
+    for constants in KNOWN_LIE_ALGEBRAS:
+        for _ in range(2):
+            scale = {g: rng.choice([1, -1, 2, Q(1, 2)]) for g in "abcd"}
+            inputs.append(_rescaled(constants, scale))
+    for _ in range(30):
+        names = "abcd"[:rng.randint(3, 4)]
+        inputs.append({
+            (a, b): {
+                g: rng.choice([1, -1, 2, Q(1, 2), Q(-3, 2)])
+                for g in rng.sample(names, rng.randint(1, 2))
+            }
+            for i, a in enumerate(names) for b in names[i + 1:]
+            if rng.random() < 0.4
+        })
+    for constants in inputs:
+        used = {g for key, row in constants.items() for g in (*key, *row)}
+        size = max([2] + ["abcd".index(g) + 1 for g in used])
+        names = tuple("abcd"[:size])
+        options = {
+            "invertible": names[:1] if rng.random() < 0.5 else (),
+            "order": rng.choice([2, 3]),
+        }
+        got = family_outcome(partial(enveloping_family, names, constants, **options))
+        want = family_outcome(
+            partial(_reference_enveloping_family, names, constants, **options)
+        )
+        assert got == want, (constants, options)
+        refused = got[0] == "raised"
+        if refused:
+            assert "Jacobi identity at (" in got[2], got
+        seen["refused" if refused else "built"] += 1
+    assert seen["built"] >= 2 * len(KNOWN_LIE_ALGEBRAS) and seen["refused"] >= 10, seen
+
+
+# -- quantizing a Poisson presentation ----------------------------------------
+
+
+CLASSICAL_FIXTURES = {
+    "sl2": fixtures.sl2_presentation,
+    "kleinian": partial(fixtures.kleinian_presentation, 2),
+    "cyclic non-Jacobi": fixtures.cyclic_nonjacobi,
+    "cubic jacobian": fixtures.cubic_jacobian,
+    "coupled line": fixtures.coupled_line_example,
+    "invariant quadric": fixtures.invariant_quadric,
+    "kleinian product": partial(fixtures.kleinian_product, 2, 3),
+    "standard(1,2)": partial(standard_presentation, 1, 2),
+    "standard(3,1), ell = 2": partial(standard_presentation, 3, 1, ell=2),
+}
+
+
+def test_from_poisson_quantizes_every_accepted_fixture():
+    refused = {}
+    for name, build in sorted(CLASSICAL_FIXTURES.items()):
+        p = build()
+        try:
+            a = HbarPresentation.from_poisson(p, order=3)
+        except ValueError as exc:
+            refused[name] = str(exc)
+            continue
+        assert not p.relations
+        report = quantization_axiom_check(a, p)
+        assert report["ok"], (name, report["failures"])
+        assert report["checked"] == len(a.names) * (len(a.names) - 1) // 2
+    assert refused == {
+        "kleinian": "an hbar presentation has no relation ideal",
+        "invariant quadric": "an hbar presentation has no relation ideal",
+        "cyclic non-Jacobi":
+            "structure constants fail the Jacobi identity at (x,y,z)",
+    }
+
+
+def test_from_poisson_refuses_an_invertible_generator_out_of_place():
+    ctx = GradedContext(("u", "t"), (0, 1), invertible=("t",))
+    p = PoissonPresentation(ctx, {("t", "u"): ctx.one()}, degree=-1)
+    with pytest.raises(ValueError, match="come first"):
+        HbarPresentation.from_poisson(p)
+
+
+def test_from_poisson_reads_the_hbar_weight_off_the_degree():
+    p = sl2_presentation()
+    undeclared = PoissonPresentation(
+        p.ctx, {pair: p.entry(*pair) for pair in p.pairs()}
+    )
+    assert undeclared.degree is None
+    assert HbarPresentation.from_poisson(undeclared).as_json() == \
+        sl2_enveloping().as_json()
+    # a declared degree wins over the table's own
+    redeclared = PoissonPresentation(
+        p.ctx, {pair: p.entry(*pair) for pair in p.pairs()}, degree=-2
+    )
+    with pytest.raises(ValueError, match="not weight homogeneous"):
+        HbarPresentation.from_poisson(redeclared)
+
+
+# -- the classical limit of the quantized slice -------------------------------
+
+
+def built_with_classical(build, monkeypatch):
+    """build() and the Poisson presentation its family hands to
+    HbarPresentation.from_poisson."""
+    given = []
+    quantize = HbarPresentation.from_poisson.__func__
+
+    def spy(cls, p, order=3):
+        given.append(p)
+        return quantize(cls, p, order)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(HbarPresentation, "from_poisson", classmethod(spy))
+        algebra = build()
+    return algebra, given[-1]
+
+
+def hbar_layers(basis):
+    """The graded pieces of the hbar-adic filtration of span(basis): layer
+    j holds the hbar^j parts of the elements with no lower hbar power.  In
+    the reduced echelon form over (hbar power, monomial) keys these are
+    the hbar^j parts of the rows whose pivot has hbar power j."""
+    layers: dict = {}
+    for (j, _mono), row in spanned(basis).items():
+        layers.setdefault(j, []).append(
+            {mono: c for (p, mono), c in row.items() if p == j}
+        )
+    return layers
+
+
+def spanned(vectors) -> Echelon:
+    span = Echelon()
+    for v in vectors:
+        span.insert(v)
+    return span
+
+
+CLASSICAL_LIMIT_CASES = {
+    "differential(2,2), t z1 z2": (partial(differential_family, 2, 2, order=3), "t", ["z1", "z2"]),
+    "differential(2,2), t": (partial(differential_family, 2, 2, order=3), "t", []),
+    "sl2, h": (partial(sl2_enveloping, order=3), "h", []),
+    "sl2, e": (partial(sl2_enveloping, order=3), "e", []),
+    "localized sl2, f": (partial(sl2_enveloping, order=3, localized=True), "f", []),
+    "localized sl2, h": (partial(sl2_enveloping, order=3, localized=True), "h", []),
+    "weyl(2,1), z1": (partial(weyl_family, 2, 1, order=3), "z1", []),
+    "weyl(2,1), z1 z3 z4": (partial(weyl_family, 2, 1, order=3), "z1", ["z3", "z4"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSICAL_LIMIT_CASES))
+def test_quantized_slice_layers_are_the_classical_centralizer(name, monkeypatch):
+    """The hbar^0 part of every quantum slice element lies in the classical
+    centralizer of the lifts at its weight and these parts span it; the
+    hbar^j layer is hbar^j times the centralizer at weight w - j*k.
+
+    How the two sides line up:
+    - the classical side is the presentation the family quantized, so the
+      generators, weights and invertibles agree and a quantum monomial's
+      exponents are a classical exponent tuple; k is minus its degree;
+    - truncation T = 2: the quantum basis runs over hbar^0..hbar^(T-1) and
+      its kernel condition holds mod hbar^(T+1), so layers j = 0..T-1 are
+      compared, layer j of weight w with classical weight w - j*k;
+    - the degree cap counts the exponents of the non-invertible generators
+      on both sides (_slice_monomials and weight_monomials), at every
+      hbar power;
+    - the classical truncation order exceeds the cap by more than one, so
+      no J-truncation cuts a classical monomial or a certified bracket."""
+    build, t_lift, z_lifts = CLASSICAL_LIMIT_CASES[name]
+    a, classical = built_with_classical(build, monkeypatch)
+    truncation, cap, window = 2, 2, (0, 4)
+    assert classical.ctx.variables == a.names and a.k == -classical.degree
+    assert classical.ctx.order > cap + 1
+    lifts = [t_lift] + z_lifts
+    res = quantized_slice(a, t_lift, z_lifts, truncation, window, degree_cap=cap)
+
+    def exps(mono):
+        out = [0] * len(a.names)
+        for i, e in mono:
+            out[i] = e
+        return tuple(out)
+
+    nonzero = 0
+    for w in range(window[0], window[1] + 1):
+        basis = res.basis.get(w, [])
+        layers = hbar_layers(basis)
+        assert set(layers) <= set(range(truncation))
+        for j in range(truncation):
+            centralizer = spanned(
+                e.terms for e in
+                classical.centralizer_basis(lifts, w - j * a.k, degree_cap=cap)
+            )
+            nonzero += len(centralizer)
+            if j == 0:
+                for v in basis:
+                    part = a.hbar_coefficient(v, 0)
+                    assert centralizer.contains({exps(m): c for m, c in part.items()}), w
+            symbols = [{exps(m): c for m, c in v.items()} for v in layers.get(j, [])]
+            assert spanned(symbols).items() == centralizer.items(), (w, j)
+    assert nonzero
 
 
 # -- serialization ------------------------------------------------------------
