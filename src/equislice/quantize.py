@@ -13,14 +13,25 @@ Inverse letters of invertible generators rewrite through the push-down
 identity [a, b^-1] = -b^-1 [a,b] b^-1, expanded to the truncation
 order; the corrections' hbar factors make the expansion finite.
 
+A word is straightened with equal states merged: pending (word, hbar
+power) states collect their coefficients and are expanded in order of
+hbar power, then of falling inversion count.  A swap keeps the hbar
+power and removes one inversion, and a correction raises the hbar
+power, so a state has received every contribution before it is
+expanded, each state is rewritten once however many rewrite paths reach
+it, and a state whose contributions cancel is dropped.  One step of the
+budget is one expanded state.
+
 Products are formed term pair by term pair.  A pair none of whose
 crossing letters has a rule is the merged monomial; any other pair is
-straightened letter by letter once and its normal form kept in a memo
-that the caller scopes to one computation (quantized_slice shares one
-across its whole call).  The rules are fixed and confluent, so a pair's
-normal form never changes, and a cached pair costs the rewrite steps it
-cost when it was first straightened: whether a step budget runs out
-never depends on what the memo holds.
+straightened once and its normal form kept in a memo that the caller
+scopes to one computation (quantized_slice shares one across its whole
+call).  The rules are fixed and confluent, so a pair's normal form never
+changes, and a cached pair costs the rewrite steps it cost when it was
+first straightened: whether a step budget runs out never depends on
+what the memo holds.  A computation that forms many products reads the
+budget once and hands it to each; every product still starts with the
+whole budget.
 
 Each built-in family quantizes a Poisson presentation without relations
 by HbarPresentation.from_poisson, [g_a, g_b] = hbar*{g_a, g_b} with hbar
@@ -63,6 +74,24 @@ def _charge(budget: list, steps: int) -> None:
             "rewriting exceeded the step budget; raise "
             "EQUISLICE_MAX_STEPS if the input is this large"
         )
+
+
+def _inversions(word) -> int:
+    count = 0
+    for n, (i, _e) in enumerate(word):
+        for j, _f in word[n + 1:]:
+            if i > j:
+                count += 1
+    return count
+
+
+def _add_state(pending: dict, level: tuple, word: tuple, c) -> None:
+    states = pending.setdefault(level, {})
+    s = states.get(word, 0) + c
+    if s:
+        states[word] = s
+    else:
+        del states[word]
 
 
 def element_add(a: dict, b: dict) -> dict:
@@ -173,37 +202,42 @@ class HbarPresentation:
     def one(self) -> dict:
         return {(0, ()): 1}
 
+    def _hbar_power(self, power) -> int:
+        power = exact_int(power, "an hbar power")
+        if power < 0:
+            raise ValueError("hbar powers must be nonnegative")
+        return power
+
+    def _factor(self, name, exp) -> tuple:
+        """(index, exponent) of the factor name^exp, checked."""
+        if name not in self._index:
+            raise ValueError(f"unknown generator {name}")
+        exp = exact_int(exp, f"the exponent of {name}")
+        if exp < 0 and name not in self.invertible:
+            raise ValueError(f"{name} is not invertible")
+        return self._index[name], exp
+
     def hbar(self, power: int = 1) -> dict:
+        power = self._hbar_power(power)
         if power >= self.order:
             return {}
         return {(power, ()): 1}
 
     def var(self, name: str, exp: int = 1) -> dict:
-        i = self._index[name]
+        i, exp = self._factor(name, exp)
         if exp == 0:
             return self.one()
-        if exp < 0 and name not in self.invertible:
-            raise ValueError(f"{name} is not invertible")
         return {(0, ((i, exp),)): 1}
 
     def from_terms(self, terms) -> dict:
         """Element from (coefficient, hbar power, {name: exponent}) rows."""
         out: dict = {}
         for coeff, hpow, exps in terms:
-            hpow = exact_int(hpow, "an hbar power")
-            if hpow < 0:
-                raise ValueError("hbar powers must be nonnegative")
+            hpow = self._hbar_power(hpow)
             if hpow >= self.order:
                 continue
-            mono = []
-            for name in sorted(exps, key=self._index.__getitem__):
-                e = exact_int(exps[name], f"the exponent of {name}")
-                if e == 0:
-                    continue
-                if e < 0 and name not in self.invertible:
-                    raise ValueError(f"{name} is not invertible")
-                mono.append((self._index[name], e))
-            key = (hpow, tuple(mono))
+            mono = sorted(self._factor(name, e) for name, e in exps.items())
+            key = (hpow, tuple((i, e) for i, e in mono if e))
             s = exact(out.get(key, 0) + Q(coeff))
             if s:
                 out[key] = s
@@ -257,25 +291,39 @@ class HbarPresentation:
 
     def _straighten(self, letters, hpow, coeff, out, budget,
                     strategy: str = "first") -> None:
-        stack = [(tuple(letters), hpow, coeff)]
-        while stack:
-            word, p, c = stack.pop()
-            _charge(budget, 1)
-            spots = range(len(word) - 1)
-            if strategy != "first":
-                spots = reversed(spots)
-            m = next(
-                (m for m in spots if word[m][0] > word[m + 1][0]), None
-            )
-            if m is None:
-                self._collect(word, p, c, out)
-                continue
-            (j, ej), (i, ei) = word[m], word[m + 1]
-            head, tail = word[:m], word[m + 2:]
-            stack.append((head + ((i, ei), (j, ej)) + tail, p, c))
-            for p2, letters2, c2 in self._swap_rows(j, ej, i, ei):
-                if p + p2 < self.order:
-                    stack.append((head + letters2 + tail, p + p2, c * c2))
+        """Add coeff*hbar^hpow times the normal form of a word to out,
+        one step per (word, hbar power) state expanded.
+
+        Pending states are kept by level (hbar power, -inversions) and a
+        level is expanded only once every lower one has been: a swap lands
+        one level up, a correction at a higher hbar power, so no expanded
+        state ever receives another contribution.  The leftmost ("first")
+        or rightmost inverted letter pair is swapped; certify_confluence
+        compares the two."""
+        word = tuple(letters)
+        pending = {(hpow, -_inversions(word)): {word: coeff}}
+        while pending:
+            level = min(pending)
+            states = pending.pop(level)
+            _charge(budget, len(states))
+            p, neg_inv = level
+            for word, c in states.items():
+                if not neg_inv:
+                    self._collect(word, p, c, out)
+                    continue
+                spots = range(len(word) - 1)
+                if strategy != "first":
+                    spots = reversed(spots)
+                m = next(m for m in spots if word[m][0] > word[m + 1][0])
+                (j, ej), (i, ei) = word[m], word[m + 1]
+                head, tail = word[:m], word[m + 2:]
+                _add_state(pending, (p, neg_inv + 1),
+                           head + ((i, ei), (j, ej)) + tail, c)
+                for p2, letters2, c2 in self._swap_rows(j, ej, i, ei):
+                    if p + p2 < self.order:
+                        w2 = head + letters2 + tail
+                        _add_state(pending, (p + p2, -_inversions(w2)), w2,
+                                   c * c2)
 
     def _swap_rows(self, j: int, ej: int, i: int, ei: int) -> tuple:
         # [g_j^ej, g_i^ei] for j > i, the correction when they swap, as
@@ -322,12 +370,12 @@ class HbarPresentation:
         budget, as one flat tuple (steps, key, coeff, key, coeff, ...)
         with unit input coefficient.
 
-        steps is what the letter-by-letter straighten spends on the pair.
-        When no crossing letter pair (a letter of m1 above one of m2) has
-        a rule, that is one step per crossing plus the final collect, and
-        the form is the merged monomial.  Otherwise the pair is looked up
-        in the memo under (m1, m2, p), and straightened and stored there
-        on a miss.  The memo also maps each (hbar power, monomial) key it
+        steps is what straightening the pair spends, one per expanded
+        state.  When no crossing letter pair (a letter of m1 above one of
+        m2) has a rule, each state has one successor, so that is one step
+        per crossing plus the final collect, and the form is the merged
+        monomial.  Otherwise the pair is looked up in the memo under (m1,
+        m2, p), and straightened and stored there on a miss.  The memo also maps each (hbar power, monomial) key it
         stores to itself, so that equal keys share one tuple; term-pair
         keys are triples and never collide with them."""
         steps = 1
@@ -363,16 +411,18 @@ class HbarPresentation:
         entry = memo[(m1, m2, p)] = tuple(entry)
         return entry
 
-    def multiply(self, a: dict, b: dict, memo=None) -> dict:
+    def multiply(self, a: dict, b: dict, memo=None, limit=None) -> dict:
         """The normal form of a*b.
 
         memo, when given, is a dict shared by the calls of one computation
         on this presentation: the term pairs of every call are looked up
         and stored there (see _term_product).  A term pair costs the steps
-        it cost when it was first straightened, so whether the budget
-        runs out depends on the call alone, not on what the memo holds."""
+        its merged straightening cost when it was first straightened, so
+        whether the budget runs out depends on the call alone, not on what
+        the memo holds.  limit is the product's step budget, max_steps()
+        when None; a computation that forms many products reads it once."""
         out: dict = {}
-        state = [max_steps()]
+        state = [max_steps() if limit is None else limit]
         memo = {} if memo is None else memo
         for (p1, m1), c1 in a.items():
             for (p2, m2), c2 in b.items():
@@ -390,24 +440,19 @@ class HbarPresentation:
                         out.pop(key, None)
         return out
 
-    def commutator(self, a: dict, b: dict, memo=None) -> dict:
+    def commutator(self, a: dict, b: dict, memo=None, limit=None) -> dict:
+        if limit is None:
+            limit = max_steps()
         return element_add(
-            self.multiply(a, b, memo=memo),
-            element_scale(self.multiply(b, a, memo=memo), -1),
+            self.multiply(a, b, memo=memo, limit=limit),
+            element_scale(self.multiply(b, a, memo=memo, limit=limit), -1),
         )
 
     def normal_form(self, word) -> dict:
         """Unique ordered expansion of a word of (name, exponent) pairs."""
-        letters = []
-        for name, exp in word:
-            if name not in self._index:
-                raise ValueError(f"unknown generator {name}")
-            if exp < 0 and name not in self.invertible:
-                raise ValueError(f"{name} is not invertible")
-            letters.extend(self._letters(((self._index[name], exp),)))
+        letters = self._letters([self._factor(name, e) for name, e in word])
         out: dict = {}
-        state = [max_steps()]
-        self._straighten(tuple(letters), 0, 1, out, state)
+        self._straighten(letters, 0, 1, out, [max_steps()])
         return out
 
     def hbar_coefficient(self, element: dict, power: int) -> dict:
@@ -430,13 +475,13 @@ class HbarPresentation:
         ]
         failures = []
         checked = 0
+        limit = max_steps()
         for triple in iter_product(alphabet, repeat=3):
             checked += 1
             results = []
             for strategy in ("first", "last"):
                 out: dict = {}
-                state = [max_steps()]
-                self._straighten(triple, 0, 1, out, state, strategy)
+                self._straighten(triple, 0, 1, out, [limit], strategy)
                 results.append(out)
             if results[0] != results[1]:
                 failures.append({
@@ -578,8 +623,9 @@ def centrality_check(a: HbarPresentation, element: dict) -> dict:
     """Commutators of one element with every generator, rendered."""
     residues = {}
     ok = True
+    limit = max_steps()
     for name in a.names:
-        r = a.commutator(a.var(name), element)
+        r = a.commutator(a.var(name), element, limit=limit)
         if r:
             ok = False
         residues[name] = a.render(r)
@@ -610,10 +656,11 @@ def quantization_axiom_check(a: HbarPresentation,
     if failures:
         return {"ok": False, "checked": 0, "failures": failures}
     checked = 0
+    limit = max_steps()
     for ai in range(len(a.names)):
         for bi in range(ai + 1, len(a.names)):
             na, nb = a.names[ai], a.names[bi]
-            comm = a.commutator(a.var(na), a.var(nb))
+            comm = a.commutator(a.var(na), a.var(nb), limit=limit)
             checked += 1
             if a.hbar_coefficient(comm, 0):
                 failures.append({
@@ -750,9 +797,9 @@ def _slice_monomials(a: HbarPresentation, weight: int, hmax: int,
 
 
 def _vanishes_as_derivation(a: HbarPresentation, lifts, element,
-                            truncation: int, memo: dict) -> bool:
+                            truncation: int, memo: dict, limit: int) -> bool:
     for lift in lifts:
-        comm = a.commutator(lift, element, memo=memo)
+        comm = a.commutator(lift, element, memo=memo, limit=limit)
         if any(hpow <= truncation for (hpow, _m) in comm):
             return False
     return True
@@ -781,8 +828,10 @@ def quantized_slice(a: HbarPresentation, t_lift, z_lifts, truncation: int,
         a.var(z) if isinstance(z, str) else z for z in z_lifts
     ]
     hbar = a.hbar()
-    # one memo of term-pair normal forms for every product of this call
+    # one memo of term-pair normal forms and one read of the step budget
+    # for every product of this call
     memo: dict = {}
+    limit = max_steps()
 
     def residue_visible(elem):
         return {
@@ -791,7 +840,7 @@ def quantized_slice(a: HbarPresentation, t_lift, z_lifts, truncation: int,
 
     problems = []
     for idx, z in enumerate(z_elems):
-        r = residue_visible(a.commutator(t_elem, z, memo=memo))
+        r = residue_visible(a.commutator(t_elem, z, memo=memo, limit=limit))
         if r:
             problems.append(f"[t, z{idx + 1}] = {a.render(r)}")
     for idx in range(len(z_elems)):
@@ -799,7 +848,8 @@ def quantized_slice(a: HbarPresentation, t_lift, z_lifts, truncation: int,
             expect = hbar if (idx % 2 == 0 and jdx == idx + 1) else {}
             r = residue_visible(
                 element_add(
-                    a.commutator(z_elems[idx], z_elems[jdx], memo=memo),
+                    a.commutator(z_elems[idx], z_elems[jdx], memo=memo,
+                                 limit=limit),
                     element_scale(expect, -1),
                 )
             )
@@ -825,7 +875,8 @@ def quantized_slice(a: HbarPresentation, t_lift, z_lifts, truncation: int,
             cand = {(hpow, mono): 1}
             col = {}
             for li, lift in enumerate(lifts):
-                for (p, m), c in a.commutator(lift, cand, memo=memo).items():
+                for (p, m), c in a.commutator(lift, cand, memo=memo,
+                                              limit=limit).items():
                     if p <= truncation:
                         col[(li, p, m)] = c
             relation = span.add(col)
@@ -841,9 +892,9 @@ def quantized_slice(a: HbarPresentation, t_lift, z_lifts, truncation: int,
             for v1 in vs1:
                 for v2 in vs2:
                     pairs_checked += 1
-                    prod = a.multiply(v1, v2, memo=memo)
+                    prod = a.multiply(v1, v2, memo=memo, limit=limit)
                     if not _vanishes_as_derivation(
-                        a, lifts, prod, truncation, memo
+                        a, lifts, prod, truncation, memo, limit
                     ):
                         closure_failures.append({
                             "weights": [w1, w2],
@@ -855,7 +906,7 @@ def quantized_slice(a: HbarPresentation, t_lift, z_lifts, truncation: int,
         "failures": closure_failures,
     }
 
-    candidates = _generator_candidates(a, basis, truncation, memo)
+    candidates = _generator_candidates(a, basis, truncation, memo, limit)
     return QuantSliceResult(
         a, truncation, tuple(weight_window), degree_cap, basis, candidates,
         closure,
@@ -885,7 +936,7 @@ def _is_laurent_seed(a: HbarPresentation, elem: dict) -> bool:
     )
 
 
-def _generator_candidates(a, basis, truncation, memo):
+def _generator_candidates(a, basis, truncation, memo, limit):
     """Basis elements not spanned by products of earlier ones.
 
     The pure Laurent kernel vectors (monomials in the invertible
@@ -933,7 +984,8 @@ def _generator_candidates(a, basis, truncation, memo):
                     if w not in keys or (i, j) in multiplied:
                         continue
                     multiplied.add((i, j))
-                    if absorb(w, a.multiply(e1, e2, memo=memo)):
+                    if absorb(w, a.multiply(e1, e2, memo=memo,
+                                            limit=limit)):
                         grew = True
 
     for w, vs in basis.items():
@@ -969,9 +1021,12 @@ def exp_ad_conjugate(a: HbarPresentation, w: dict, element: dict) -> dict:
     out = dict(element)
     term = element
     m = 1
+    limit = max_steps()
     while True:
         term = element_scale(
-            a.multiply(a.hbar(), a.commutator(w, term)), quo(1, m)
+            a.multiply(a.hbar(), a.commutator(w, term, limit=limit),
+                       limit=limit),
+            quo(1, m),
         )
         if not term:
             return out

@@ -8,9 +8,10 @@ substitution that raises every variable, mapped or not, to its power
 and multiplies the powers; the Fraction-typed form of a scalar, with the
 comparison that holds int-first results to the same computation on
 Fraction inputs; the Galois conjugate of a group presentation over a
-cyclotomic field; and the hbar families with their rule tables written
-by hand, the enveloping algebra checking its structure constants with a
-loop of its own over every ordered generator triple."""
+cyclotomic field; the hbar families with their rule tables written by
+hand, the enveloping algebra checking its structure constants with a
+loop of its own over every ordered generator triple; and hbar rewriting
+letter by letter, every rewrite path of a word followed on its own."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -27,7 +28,7 @@ from equislice.hypertoric import (
     cotangent_presentation,
 )
 from equislice.intmat import IntMatrix
-from equislice.quantize import HbarPresentation
+from equislice.quantize import HbarPresentation, _charge
 from equislice.scalars import CycloNumber, Q
 from equislice.series import TruncatedElement, _add_into, _trusted, sum_of_products
 
@@ -540,3 +541,28 @@ def _reference_sl2_constants() -> dict:
         ("e", "h"): {"e": -2},
         ("f", "h"): {"f": 2},
     }
+
+
+def _reference_straighten(a: HbarPresentation, letters, hpow, coeff, out,
+                          budget, strategy: str = "first") -> None:
+    """Add coeff*hbar^hpow times the normal form of a word to out, one
+    stack entry per rewrite path: no two entries with the same word and
+    hbar power are merged, and each entry popped costs one step.  The
+    leftmost ("first") or rightmost inverted letter pair swaps first."""
+    stack = [(tuple(letters), hpow, coeff)]
+    while stack:
+        word, p, c = stack.pop()
+        _charge(budget, 1)
+        spots = range(len(word) - 1)
+        if strategy != "first":
+            spots = reversed(spots)
+        m = next((m for m in spots if word[m][0] > word[m + 1][0]), None)
+        if m is None:
+            a._collect(word, p, c, out)
+            continue
+        (j, ej), (i, ei) = word[m], word[m + 1]
+        head, tail = word[:m], word[m + 2:]
+        stack.append((head + ((i, ei), (j, ej)) + tail, p, c))
+        for p2, letters2, c2 in a._swap_rows(j, ej, i, ei):
+            if p + p2 < a.order:
+                stack.append((head + letters2 + tail, p + p2, c * c2))

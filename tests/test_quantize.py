@@ -1,5 +1,6 @@
 """Rewriting normal forms, confluence, and quantized slice kernels."""
 
+import itertools
 import json
 import random
 from collections import Counter
@@ -7,10 +8,10 @@ from functools import partial
 
 import pytest
 
-from equislice import fixtures
+from equislice import fixtures, quantize
 from equislice.fixtures import sl2_presentation
 from equislice.linalg import Echelon, in_span
-from equislice.poisson import PoissonPresentation, standard_presentation
+from equislice.poisson import PoissonPresentation, max_steps, standard_presentation
 from equislice.quantize import (
     ConicRelationError,
     HbarPresentation,
@@ -35,6 +36,7 @@ from reference import (
     _reference_differential_family,
     _reference_enveloping_family,
     _reference_sl2_constants,
+    _reference_straighten,
     _reference_weyl_family,
 )
 
@@ -98,6 +100,31 @@ def test_inversion_requires_invertible_generator():
         a.normal_form([("u", -1)])
 
 
+def test_element_constructors_check_their_input():
+    a = differential_family(1, 2, order=3)
+    for bad in (1.5, 2.0, True, Q(1, 2), "1"):
+        with pytest.raises(ValueError, match="exact integer"):
+            a.hbar(bad)
+        with pytest.raises(ValueError, match="exact integer"):
+            a.var("t", bad)
+        with pytest.raises(ValueError, match="exact integer"):
+            a.normal_form([("t", bad)])
+    with pytest.raises(ValueError, match="nonnegative"):
+        a.hbar(-1)
+    for unknown in ("nope", "hbar"):
+        with pytest.raises(ValueError, match="unknown generator"):
+            a.var(unknown)
+        with pytest.raises(ValueError, match="unknown generator"):
+            a.normal_form([("t", 1), (unknown, 1)])
+        with pytest.raises(ValueError, match="unknown generator"):
+            a.from_terms([(Q(1), 0, {unknown: 1})])
+    assert a.hbar(Q(1)) == a.hbar(1) == {(1, ()): 1}
+    assert a.hbar(0) == a.one() and a.hbar(3) == {}
+    assert a.var("t", Q(-2)) == a.var("t", -2) == {(0, ((0, -2),)): 1}
+    assert a.var("u", 0) == a.one()
+    assert a.normal_form([("t", Q(2)), ("u", 0)]) == a.var("t", 2)
+
+
 # -- normal forms -----------------------------------------------------------
 
 
@@ -153,22 +180,88 @@ def test_step_budget_exhaustion_raises(monkeypatch):
         a.normal_form([("u", 3), ("t", 3)])
 
 
+def test_localized_sl2_at_cap_six_fits_the_default_budget(monkeypatch):
+    """Letter-by-letter straightening spends about 2.9 million steps here
+    and exhausts the default budget; merged straightening finishes, and
+    the shifted Casimir C f^-2 still generates the weight-zero piece:
+    its square and cube, of degree 4 and 6, lie in the span."""
+    monkeypatch.delenv("EQUISLICE_MAX_STEPS", raising=False)
+    a = sl2_enveloping(order=4, localized=True)
+    res = quantized_slice(
+        a, "f", [], truncation=3, weight_window=(0, 0), degree_cap=6
+    )
+    assert res.closure["ok"]
+    shifted = a.multiply(sl2_casimir_element(a), a.var("f", -2))
+    assert res.generator_candidates == [(0, shifted)]
+    span = Echelon()
+    for v in res.basis[0]:
+        assert span.insert(v)
+    power = shifted
+    for _ in range(2):
+        power = a.multiply(power, shifted)
+        assert span.contains({k: c for k, c in power.items() if k[0] < 3})
+
+
+def test_a_computation_reads_the_step_budget_once(monkeypatch):
+    a = sl2_enveloping(order=4, localized=True)
+    # warm the presentation: the push-down rows of inverse letters, built
+    # on first use, are products of their own
+    quantized_slice(a, "f", [], truncation=3, weight_window=(0, 0), degree_cap=2)
+    casimir = sl2_casimir_element(a)
+    reads, products = [], []
+    read, multiply = quantize.max_steps, HbarPresentation.multiply
+
+    def counting_read():
+        reads.append(1)
+        return read()
+
+    def counting_multiply(self, x, y, **kwargs):
+        products.append(1)
+        return multiply(self, x, y, **kwargs)
+
+    monkeypatch.setattr(quantize, "max_steps", counting_read)
+    monkeypatch.setattr(HbarPresentation, "multiply", counting_multiply)
+    for compute in (
+        lambda: quantized_slice(a, "f", [], truncation=3,
+                                weight_window=(0, 0), degree_cap=2),
+        lambda: exp_ad_conjugate(a, a.var("h"), a.var("e")),
+        lambda: centrality_check(a, casimir),
+        lambda: a.commutator(a.var("e"), a.var("f")),
+    ):
+        reads.clear()
+        products.clear()
+        compute()
+        assert len(reads) == 1 and len(products) > 1
+
+
 # -- the term-pair memo of multiply -------------------------------------------
 
 
-def straightened_product(a, x, y, budget):
-    """x*y pushed letter by letter through _straighten, one term pair at a
-    time with no memo and no shortcut, and the steps that took."""
+def straightened_product(a, x, y, straighten):
+    """x*y pushed through straighten (HbarPresentation._straighten or the
+    letter-by-letter reference) one term pair at a time, with no memo and
+    no shortcut, and the steps that took."""
     out: dict = {}
+    budget = 10 ** 9
     state = [budget]
     for (p1, m1), c1 in x.items():
         for (p2, m2), c2 in y.items():
             if p1 + p2 < a.order:
-                a._straighten(
-                    a._letters(m1) + a._letters(m2), p1 + p2, c1 * c2, out,
+                straighten(
+                    a, a._letters(m1) + a._letters(m2), p1 + p2, c1 * c2, out,
                     state,
                 )
     return out, budget - state[0]
+
+
+def merged_and_reference_product(a, x, y):
+    """x*y by the reference, and the steps merged straightening spends on
+    it, never more than the reference's."""
+    want, reference_steps = straightened_product(a, x, y, _reference_straighten)
+    got, steps = straightened_product(a, x, y, HbarPresentation._straighten)
+    assert got == want
+    assert steps <= reference_steps
+    return want, steps
 
 
 SO3 = {("x", "y"): {"z": 1}, ("y", "z"): {"x": 1}, ("x", "z"): {"y": -1}}
@@ -218,7 +311,7 @@ def test_memo_multiply_matches_letter_by_letter_straightening(name, monkeypatch)
     shared: dict = {}
     for _ in range(12):
         x, y = random_element(a, rng, pool), random_element(a, rng, pool)
-        want, steps = straightened_product(a, x, y, 10 ** 9)
+        want, steps = merged_and_reference_product(a, x, y)
         # the smallest budget that does not raise is the same, on a fresh
         # memo and on one shared with every earlier product
         for memo in ({}, shared):
@@ -236,7 +329,7 @@ def test_cached_term_pairs_cost_their_first_steps(monkeypatch):
     a = sl2_enveloping(order=4, localized=True)
     casimir = sl2_casimir_element(a)
     shifted = a.multiply(casimir, a.var("f", -2))
-    want, steps = straightened_product(a, shifted, shifted, 10 ** 9)
+    want, steps = merged_and_reference_product(a, shifted, shifted)
     for budget in (steps - 1, steps):
         statuses = []
         warm: dict = {}
@@ -250,6 +343,92 @@ def test_cached_term_pairs_cost_their_first_steps(monkeypatch):
                 statuses.append("exhausted")
         expect = True if budget >= steps else "exhausted"
         assert statuses == [expect, expect], budget
+
+
+STRAIGHTEN_ALGEBRAS = {
+    **MEMO_ALGEBRAS,
+    "differential(1,0)": lambda: differential_family(1, 0, order=3),
+    "differential(3,2)": lambda: differential_family(3, 2, order=3),
+    "weyl(1,0)": lambda: weyl_family(1, 0, order=4),
+    "sl2 order 4": lambda: sl2_enveloping(order=4),
+    "localized sl2 order 5": lambda: sl2_enveloping(order=5, localized=True),
+    "not confluent": non_jacobi_rules,
+}
+
+
+def seeded_words(a, rng, count):
+    """Words of two to six factors with exponents up to three, inverse
+    letters included where a generator is invertible."""
+    words = []
+    for _ in range(count):
+        word = []
+        for _ in range(rng.randint(2, 6)):
+            i = rng.randrange(len(a.names))
+            exps = [1, 2, 3] + ([-1, -2] if a.names[i] in a.invertible else [])
+            word.append((i, rng.choice(exps)))
+        words.append(a._letters(word))
+    return words
+
+
+def confluence_triples(a):
+    alphabet = [(i, 1) for i in range(len(a.names))] + [
+        (i, -1) for i in range(len(a.names)) if a.names[i] in a.invertible
+    ]
+    return [tuple(t) for t in itertools.product(alphabet, repeat=3)]
+
+
+@pytest.mark.parametrize("name", sorted(STRAIGHTEN_ALGEBRAS))
+def test_merged_straightening_matches_the_reference(name):
+    """Normal forms of merged straightening equal the letter-by-letter
+    reference's in both swap orders, on seeded words and on every letter
+    triple certify_confluence reduces, and never cost more steps."""
+    a = STRAIGHTEN_ALGEBRAS[name]()
+    rng = random.Random(f"straighten {name}")
+    words = seeded_words(a, rng, 25) + confluence_triples(a)
+    saved = 0
+    for word in words:
+        hpow = rng.choice([0, 0, a.order - 1])
+        coeff = Q(rng.choice([1, -2, 3]), rng.choice([1, 2]))
+        for strategy in ("first", "last"):
+            forms, steps = [], []
+            for straighten in (HbarPresentation._straighten, _reference_straighten):
+                out, state = {}, [10 ** 9]
+                straighten(a, word, hpow, coeff, out, state, strategy)
+                forms.append(out)
+                steps.append(10 ** 9 - state[0])
+            assert forms[0] == forms[1], (word, strategy)
+            assert steps[0] <= steps[1], (word, strategy)
+            saved += steps[1] - steps[0]
+    assert saved > 0
+    assert a.certify_confluence()["ok"] == (name != "not confluent")
+
+
+SHARED_STATES = {
+    # z2 z1 z2 z1 reaches hbar*z1 z2 by three rewrite paths: the reference
+    # expands it on each, merged straightening once (four words at hbar^0,
+    # two at hbar^1, one at hbar^2)
+    "weyl(1,0)": (partial(weyl_family, 1, 0, order=3),
+                  [("z2", 1), ("z1", 1), ("z2", 1), ("z1", 1)],
+                  "1*z1^2*z2^2 + -3*hbar*z1*z2 + 1*hbar^2", [7, 9]),
+    # h e f reaches hbar*e f twice, with coefficients 2 and -2 ([h, ef] = 0):
+    # merged straightening drops the state, the reference expands it twice
+    "sl2": (partial(sl2_enveloping, order=4), [("h", 1), ("e", 1), ("f", 1)],
+            "1*e*f*h", [3, 5]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_STATES))
+def test_merged_straightening_expands_each_state_once(name):
+    build, word, form, want_steps = SHARED_STATES[name]
+    a = build()
+    letters = a._letters([(a.names.index(g), e) for g, e in word])
+    steps = []
+    for straighten in (HbarPresentation._straighten, _reference_straighten):
+        out, state = {}, [100]
+        straighten(a, letters, 0, 1, out, state)
+        assert a.render(out) == form
+        steps.append(100 - state[0])
+    assert steps == want_steps
 
 
 def test_weight_bookkeeping():
@@ -500,7 +679,7 @@ def test_generator_search_multiplies_each_pool_pair_once(monkeypatch):
         return multiply(self, x, y, **kwargs)
 
     monkeypatch.setattr(HbarPresentation, "multiply", counting)
-    again = _generator_candidates(a, res.basis, res.truncation, {})
+    again = _generator_candidates(a, res.basis, res.truncation, {}, max_steps())
     assert again == res.generator_candidates
     assert operands and max(operands.values()) == 1
 
