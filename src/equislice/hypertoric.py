@@ -21,12 +21,12 @@ symbolic certification of a chart are independent computations.
 from __future__ import annotations
 
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 
 from .intmat import IntMatrix, det
-from .linalg import Span
+from .linalg import Span, relations
 from .poisson import PoissonPresentation
-from .scalars import InternalError, exact_int
+from .scalars import InternalError, exact, exact_int
 from .series import GradedContext, TruncatedElement
 
 
@@ -136,17 +136,39 @@ class DecompositionReport:
 
 def check_unimodular(b) -> tuple[bool, dict | None]:
     """Whether every nonzero maximal minor of the weight matrix is 1 or
-    -1; on failure the witness names the first offending row set, in
-    combinations order, and its minor.
+    -1.  On failure the witness names the first offending row set in
+    combinations order, one-based, and its minor: the verdict and the
+    witness are those of the scan over all C(n, m) maximal minors.  A
+    matrix with no nonzero maximal minor is refused as unfaithful; the
+    rank is computed only to word that refusal.
 
-    The minors also decide faithfulness, which holds when some minor is
-    nonzero, so the rank is computed only to word a refusal."""
+    A matrix with few minors is decided by that scan.  Otherwise the
+    first nonzero minor in combinations order is the one on the greedy
+    row basis B, and it is the witness when it is not 1 or -1.  When it
+    is, the maximal minor on a row set S is det B times a square minor
+    of the tableau T = A B^-1 on the rows S - B and the columns B - S,
+    so A is unimodular exactly when the non-basis rows of T form a
+    totally unimodular matrix.  The scan then runs only to name the
+    witness of a matrix the tableau has found not unimodular."""
     matrix = b.matrix if isinstance(b, TorusActionMatrix) else IntMatrix(b)
     rows = matrix.rows
     if not rows:
         raise _unfaithful(matrix)
+    n, m = len(rows), matrix.ncols
+    # the scan forms one m x m determinant per maximal minor, the tableau
+    # one n x m elimination and then its nonzero square minors; measured,
+    # the scan is the cheaper while there are at most n * m minors
+    if comb(n, m) > n * m:
+        basis, span = _greedy_basis(rows, m)
+        if len(basis) < m:
+            raise _unfaithful(matrix)
+        minor = det([rows[i] for i in basis])
+        if minor not in (-1, 1):
+            return False, {"rows": [i + 1 for i in basis], "minor": minor}
+        if _totally_unimodular(_tableau(rows, basis, span)):
+            return True, None
     faithful = False
-    for sel in combinations(range(len(rows)), matrix.ncols):
+    for sel in combinations(range(n), m):
         minor = det([rows[i] for i in sel])
         if minor not in (-1, 0, 1):
             return False, {"rows": [i + 1 for i in sel], "minor": minor}
@@ -154,6 +176,67 @@ def check_unimodular(b) -> tuple[bool, dict | None]:
     if not faithful:
         raise _unfaithful(matrix)
     return True, None
+
+
+def _greedy_basis(rows, m: int) -> tuple[list[int], Span]:
+    """The indices of the first rows, in order, independent of the rows
+    before them, at most m, and the Span of the rows added (vector k is
+    row k): when the rows have rank m, the lexicographically first basis,
+    so the first independent m-subset in combinations order."""
+    span, basis = Span(), []
+    for i, row in enumerate(rows):
+        if len(basis) == m:
+            break
+        if span.add(dict(enumerate(row))) is None:
+            basis.append(i)
+    return basis, span
+
+
+def _tableau(rows, basis, span: Span) -> list[list[int]]:
+    """The non-basis rows of T = A B^-1: row r holds the coordinates of
+    row r of A over the basis rows, read off the Span that chose them
+    (integral when det B is 1 or -1)."""
+    inside = set(basis)
+    out = []
+    for i, row in enumerate(rows):
+        if i not in inside:
+            coordinates, _ = span.express(dict(enumerate(row)))
+            out.append([exact(coordinates.get(j, 0)) for j in basis])
+    return out
+
+
+def _totally_unimodular(tableau) -> bool:
+    """Whether every square minor of an integer matrix is 0, 1 or -1.
+
+    The minors are built by Laplace expansion along their last row, one
+    size at a time.  A level lists, for each row set (increasing, named
+    by its last row), its nonzero minors keyed by column bitmask; a row
+    set with no nonzero minor has none when extended, so it is dropped.
+    The walk stops at the first minor outside {0, 1, -1}."""
+    entries = [[(1 << c, x) for c, x in enumerate(row) if x] for row in tableau]
+    level, size = [(-1, {0: 1})], 0
+    while level:
+        size += 1
+        grown = []
+        for last, minors in level:
+            for r in range(last + 1, len(tableau)):
+                out: dict = {}
+                for mask, minor in minors.items():
+                    for bit, x in entries[r]:
+                        if not mask & bit:
+                            # the column's place among the new minor's columns
+                            # gives the cofactor sign (-1)^(size + place)
+                            term = x * minor
+                            if (size + (mask & (bit - 1)).bit_count()) % 2 == 0:
+                                term = -term
+                            out[mask | bit] = out.get(mask | bit, 0) + term
+                out = {key: v for key, v in out.items() if v}
+                if any(v not in (1, -1) for v in out.values()):
+                    return False
+                if out:
+                    grown.append((r, out))
+        level = grown
+    return True
 
 
 def moment_map(b, order: int = 4) -> list[TruncatedElement]:
@@ -228,17 +311,16 @@ def _fixed_coordinates(b: TorusActionMatrix, lattice: IntMatrix) -> tuple:
     )
 
 
-def _is_cyclic(b: TorusActionMatrix, fixed) -> bool:
-    """Whether every fixed weight row lies in the span of the other
-    fixed rows, so the fixed coordinates form a cyclic flat (a union of
-    circuits of the row matroid).  This is the primal form of the
-    coloop-free flats of the Gale dual, and only these flats carry
-    leaves."""
-    rows = [b.row(i) for i in fixed]
-    full = IntMatrix(rows).rank()
-    return all(
-        IntMatrix(rows[:k] + rows[k + 1 :]).rank() == full for k in range(len(rows))
-    )
+def _fixed_rank(b: TorusActionMatrix, fixed) -> tuple[int, bool]:
+    """The rank of the fixed weight rows and whether they form a cyclic
+    flat (a union of circuits of the row matroid), from one elimination:
+    the linear relations among the rows.  A row is a coloop exactly when
+    it lies outside the support of every relation.  Cyclic flats are the
+    primal form of the coloop-free flats of the Gale dual, and only
+    these flats carry leaves."""
+    found = relations([dict(enumerate(b.row(i))) for i in fixed])
+    supported = set().union(*found)
+    return len(fixed) - len(found), len(supported) == len(fixed)
 
 
 def _covers(b: TorusActionMatrix, flat: tuple, lattice: IntMatrix) -> list:
@@ -275,7 +357,8 @@ def enumerate_leaves(b) -> list[LeafDescriptor]:
     _covers), so it meets every flat once and computes one kernel
     lattice, one Smith form, per flat.  Each lattice fixes exactly its
     own flat, so the recorded subtorus is maximal for its leaf; only
-    the cyclic flats carry leaves."""
+    the cyclic flats carry leaves, those from which no fixed coordinate
+    can be dropped to leave another flat."""
     b = b if isinstance(b, TorusActionMatrix) else TorusActionMatrix(b)
     ok, witness = check_unimodular(b)
     if not ok:
@@ -295,7 +378,9 @@ def enumerate_leaves(b) -> list[LeafDescriptor]:
         # in two) would not be closed, and its lattice would fix that row
         if _fixed_coordinates(b, lat) != fixed:
             raise InternalError(f"the flat fixing {sorted(fixed)} is not closed")
-        if not _is_cyclic(b, fixed):
+        # a fixed coordinate is a coloop exactly when dropping it leaves a
+        # flat, and the walk has met every flat
+        if any(fixed[:k] + fixed[k + 1:] in lattices for k in range(len(fixed))):
             continue
         flat = [i + 1 for i in range(b.n) if i not in fixed]
         leaves.append(LeafDescriptor(flat, lat, b.m, b.n))
@@ -310,15 +395,30 @@ def slice_matrix(b, flat) -> IntMatrix:
     flat = tuple(sorted(flat))
     if any(i < 1 or i > b.n for i in flat):
         raise ValueError("flat indices must lie in 1..n")
-    fixed = tuple(i for i in range(b.n) if i + 1 not in flat)
-    lattice = _stabilizer_lattice(b, fixed)
-    if _fixed_coordinates(b, lattice) != fixed or not _is_cyclic(b, fixed):
-        raise ValueError(f"{list(flat)} is not the flat of a leaf")
-    rows = [
-        [sum(c * w for c, w in zip(vec, b.row(i - 1))) for vec in lattice.rows]
-        for i in flat
-    ]
-    return IntMatrix(rows)
+    fixed = tuple(i for i in range(1, b.n + 1) if i not in flat)
+    return _leaf_slice(b, flat, fixed, _stabilizer_lattice(b, [i - 1 for i in fixed]))
+
+
+def _leaf_slice(b: TorusActionMatrix, flat, fixed, lattice: IntMatrix) -> IntMatrix:
+    """The slice matrix of a leaf read off its subtorus lattice: the
+    pairings of the lattice rows with the weight rows of the flat.
+
+    The flat and the fixed coordinates (one-based) must split 1..n, and
+    the lattice must be a lattice of cocharacters that fixes exactly the
+    fixed coordinates, with rank m minus the rank of their rows, which
+    must be cyclic; otherwise the flat is not the flat of a leaf."""
+    zero_based = tuple(i - 1 for i in fixed)
+    if (
+        sorted(flat + fixed) == list(range(1, b.n + 1))
+        and lattice.ncols in (0, b.m)
+        and _fixed_coordinates(b, lattice) == zero_based
+    ):
+        rank, cyclic = _fixed_rank(b, zero_based)
+        if cyclic and lattice.nrows == b.m - rank:
+            return IntMatrix(
+                [[sum(c * w for c, w in zip(vec, b.row(i - 1))) for vec in lattice.rows] for i in flat]
+            )
+    raise ValueError(f"{list(flat)} is not the flat of a leaf")
 
 
 # -- charts -------------------------------------------------------------------
@@ -347,11 +447,16 @@ def _designation(leaf, nonvanishing) -> tuple[dict, set]:
 def decompose_at(b, leaf, nonvanishing=None) -> DecompositionReport:
     """The equivariant product chart of a leaf at a base point.
 
-    The sign data says which of the two conjugate coordinates is nonzero
-    at the point; the inverted set g is the lexicographically first set of
-    usable coordinates on which the quotient torus acts faithfully.  The
-    dressing exponents are the unique integers making each remaining
-    coordinate invariant, and unimodularity makes them integral."""
+    The leaf comes from enumerate_leaves of the same matrix: the slice
+    matrix is read off its subtorus lattice, which is not recomputed.  A
+    leaf whose lattice does not fix exactly its fixed coordinates, or
+    whose fixed rows are not cyclic, is refused as not the flat of a
+    leaf.  The sign data says which of the two conjugate coordinates is
+    nonzero at the point; the inverted set g is the lexicographically
+    first set of usable coordinates on which the quotient torus acts
+    faithfully, the greedy basis of their signed rows.  The dressing
+    exponents are the unique integers making each remaining coordinate
+    invariant, and unimodularity makes them integral."""
     b = b if isinstance(b, TorusActionMatrix) else TorusActionMatrix(b)
     designated, usable = _designation(leaf, nonvanishing)
     lattice = leaf.subtorus_lattice
@@ -361,25 +466,23 @@ def decompose_at(b, leaf, nonvanishing=None) -> DecompositionReport:
         sign = 1 if designated.get(i, "x") == "x" else -1
         return tuple(sign * w for w in b.row(i - 1))
 
-    g = None
-    for cand in combinations(sorted(usable), quotient_dim):
-        if quotient_dim == 0 or IntMatrix([signed_row(i) for i in cand]).rank() == quotient_dim:
-            g = cand
-            break
-    if g is None:
+    slice_mat = _leaf_slice(b, leaf.flat, leaf.fixed, lattice)
+    usable = sorted(usable)
+    basis, span = _greedy_basis([signed_row(i) for i in usable], quotient_dim)
+    g = [usable[k] for k in basis]
+    if len(g) < quotient_dim:
         raise ValueError(
             "no invertible coordinate set exists for the given sign data; "
             "the base point does not lie on a free orbit"
         )
     remaining = [i for i in leaf.fixed if i not in g]
-    span = Span(dict(enumerate(signed_row(j))) for j in g)
     r_rows = []
     weights = {}
     for i in remaining:
         sol, residual = span.express({t: -w for t, w in enumerate(b.row(i - 1))})
         if residual or any(x.denominator != 1 for x in sol.values()):
             raise ValueError(f"no integral dressing exponents for coordinate {i}")
-        row = [int(sol.get(k, 0)) for k in range(len(g))]
+        row = [int(sol.get(k, 0)) for k in basis]
         r_rows.append(row)
         weights[f"x{i}"] = 1 + sum(row)
         weights[f"y{i}"] = 1 - sum(row)
@@ -389,7 +492,7 @@ def decompose_at(b, leaf, nonvanishing=None) -> DecompositionReport:
         designated={i: designated.get(i, "x") for i in leaf.fixed},
         r=IntMatrix(r_rows),
         weights=weights,
-        slice_mat=slice_matrix(b, leaf.flat),
+        slice_mat=slice_mat,
         hyperplanes=[f"{designated[j]}{j}" for j in g],
     )
     if any(report.weights[f"x{i}"] + report.weights[f"y{i}"] != 2 for i in remaining):

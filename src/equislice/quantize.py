@@ -145,6 +145,9 @@ class HbarPresentation:
         self._index = {g: i for i, g in enumerate(self.names)}
         self.commutators: dict[tuple[int, int], dict] = {}
         for (a, b), terms in commutators.items():
+            for name in (a, b):
+                if name not in self._index:
+                    raise ValueError(f"unknown generator {name}")
             i, j = self._index[a], self._index[b]
             if i >= j:
                 raise ValueError(

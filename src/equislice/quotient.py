@@ -25,6 +25,7 @@ conjugate.
 from __future__ import annotations
 
 from array import array
+from itertools import combinations
 
 from .linalg import Echelon, Span, rank, relations
 from .scalars import CycloField, CycloNumber, InternalError, as_scalar, quo
@@ -462,21 +463,38 @@ class SRAData:
         self.omega_s = {s: self._compressed_form(s) for s in self.reflections}
 
     def _compressed_form(self, s: int) -> Matrix:
-        group = self.group
-        field, dim = group.field, group.dim
-        kernel = group.fixed_space(s)
-        moved = _reduced_basis(field, _transpose(group._moved_rows(s)))
-        basis = list(kernel) + list(moved)
-        if len(basis) != dim or rank([list(v) for v in basis]) != dim:
+        """The pairing of a reflection in closed form.  With m1, m2 the
+        first pair of columns of s - 1 that pair to c = omega(m1, m2) != 0,
+        omega_s(x, y) = (omega(x, m1) omega(y, m2) - omega(x, m2) omega(y, m1)) / c.
+        This is omega on the projections of x and y onto the moved plane
+        along the fixed space, since a form-preserving s has its fixed
+        space omega-orthogonal to its moved plane."""
+        omega = self.group.omega
+        columns = _transpose(self.group._moved_rows(s))
+        for m1, m2 in combinations(columns, 2):
+            c = _pairing(omega, m1, m2)
+            if c:
+                break
+        else:
             raise InternalError("a reflection must split the space into fixed plus moved")
-        # row j: the image of e_j under the projection onto the moved
-        # plane along the fixed space
-        moved_t = _transpose(moved)
-        proj_t = [
-            _mat_vec(moved_t, c[len(kernel):])
-            for c in _coordinates(basis, _identity_matrix(field, dim))
-        ]
-        out = _mat_mul(_mat_mul(proj_t, group.omega), _transpose(proj_t))
+        # entry i of omega m is omega(e_i, m); v1 is omega(., m1) / c
+        u2 = _mat_vec(omega, m2)
+        inv = quo(1, c)
+        v1 = tuple(x * inv if x else x for x in _mat_vec(omega, m1))
+        zero = _zero(omega)
+
+        def entry(i, j):
+            # v1[i] u2[j] - u2[i] v1[j], forming only products of two
+            # nonzero entries
+            total = zero
+            if v1[i] and u2[j]:
+                total += v1[i] * u2[j]
+            if u2[i] and v1[j]:
+                total -= u2[i] * v1[j]
+            return total
+
+        dim = len(omega)
+        out = tuple(tuple(entry(i, j) for j in range(dim)) for i in range(dim))
         if _transpose(out) != tuple(tuple(-x for x in row) for row in out):
             raise InternalError("a compressed symplectic form must stay skew")
         return out

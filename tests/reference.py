@@ -1,7 +1,10 @@
 """References shared by the tests: an independent dense textbook
 Gauss-Jordan over Fraction and cyclotomic scalars, for the tests that
 check the elimination engine and its callers; the brute-force walk of
-hypertoric leaves over every coordinate subset; the Poisson bracket as
+hypertoric leaves over every coordinate subset, with unimodularity
+from every maximal minor and cyclicity from one rank per dropped row;
+the hypertoric chart with its leaf re-derived from the flat and its
+inverted set found by ranking every candidate; the Poisson bracket as
 a walk over the whole table and the Jacobi check one generator triple
 at a time; the bracket-by-bracket certification of a hypertoric chart;
 substitution that raises every variable, mapped or not, to its power
@@ -10,24 +13,30 @@ comparison that holds int-first results to the same computation on
 Fraction inputs; the Galois conjugate of a group presentation over a
 cyclotomic field; the hbar families with their rule tables written by
 hand, the enveloping algebra checking its structure constants with a
-loop of its own over every ordered generator triple; and hbar rewriting
-letter by letter, every rewrite path of a word followed on its own."""
+loop of its own over every ordered generator triple; hbar rewriting
+letter by letter, every rewrite path of a word followed on its own; and
+the compressed form of a symplectic reflection as a projection onto its
+moved plane along its fixed space."""
 
 from fractions import Fraction
 from itertools import combinations
 from itertools import product as iter_product
 
 from equislice.hypertoric import (
+    DecompositionReport,
     LeafDescriptor,
     TorusActionMatrix,
+    _designation,
     _fixed_coordinates,
-    _is_cyclic,
     _stabilizer_lattice,
-    check_unimodular,
+    _unfaithful,
     cotangent_context,
     cotangent_presentation,
+    slice_matrix,
 )
-from equislice.intmat import IntMatrix
+from equislice.intmat import IntMatrix, det
+from equislice.linalg import Span
+from equislice.quotient import _coordinates, _mat_mul, _mat_vec, _reduced_basis, _transpose
 from equislice.quantize import HbarPresentation, _charge
 from equislice.scalars import CycloNumber, Q
 from equislice.series import TruncatedElement, _add_into, _trusted, sum_of_products
@@ -103,11 +112,41 @@ def _reference_solve(rows, b):
     return x
 
 
+def _reference_check_unimodular(b):
+    """Unimodularity by the scan over every maximal minor, one Bareiss
+    determinant each, in combinations order: the first minor outside
+    {0, 1, -1} is the witness, and a matrix with no nonzero minor is
+    refused as unfaithful."""
+    matrix = b.matrix if isinstance(b, TorusActionMatrix) else IntMatrix(b)
+    rows = matrix.rows
+    if not rows:
+        raise _unfaithful(matrix)
+    faithful = False
+    for sel in combinations(range(len(rows)), matrix.ncols):
+        minor = det([rows[i] for i in sel])
+        if minor not in (-1, 0, 1):
+            return False, {"rows": [i + 1 for i in sel], "minor": minor}
+        faithful = faithful or minor != 0
+    if not faithful:
+        raise _unfaithful(matrix)
+    return True, None
+
+
+def _reference_is_cyclic(b, fixed):
+    """Whether every fixed weight row lies in the span of the other fixed
+    rows, by |fixed| + 1 ranks."""
+    rows = [b.row(i) for i in fixed]
+    full = IntMatrix(rows).rank()
+    return all(
+        IntMatrix(rows[:k] + rows[k + 1 :]).rank() == full for k in range(len(rows))
+    )
+
+
 def _reference_leaves(b):
     """The leaves by brute force: one kernel lattice per coordinate
     subset, 2**n in all, deduplicated by Hermite basis."""
     b = b if isinstance(b, TorusActionMatrix) else TorusActionMatrix(b)
-    ok, witness = check_unimodular(b)
+    ok, witness = _reference_check_unimodular(b)
     if not ok:
         raise ValueError(f"the action is not unimodular: minor {witness['minor']} on rows {witness['rows']}")
     lattices = {}
@@ -121,7 +160,7 @@ def _reference_leaves(b):
         # the kernel over the full fixed locus reproduces the lattice, so
         # each recorded subtorus is the maximal one for its flat
         assert _stabilizer_lattice(b, fixed).rows == lat.rows
-        if not _is_cyclic(b, fixed):
+        if not _reference_is_cyclic(b, fixed):
             continue
         flat = [i + 1 for i in range(b.n) if i not in fixed]
         leaves.append(LeafDescriptor(flat, lat, b.m, b.n))
@@ -152,6 +191,47 @@ def _reference_integer_inverse(v):
             raise ValueError("matrix is not unimodular")
         cols.append([int(x) for x in sol])
     return IntMatrix(cols).transpose()
+
+
+def _reference_decompose_at(b, leaf, nonvanishing=None):
+    """The chart with its leaf re-derived from the flat by slice_matrix
+    (a second Smith form) and the inverted set found by ranking every
+    candidate set of usable coordinates in combinations order."""
+    b = b if isinstance(b, TorusActionMatrix) else TorusActionMatrix(b)
+    designated, usable = _designation(leaf, nonvanishing)
+    quotient_dim = b.m - leaf.subtorus_lattice.nrows
+
+    def signed_row(i):
+        sign = 1 if designated.get(i, "x") == "x" else -1
+        return tuple(sign * w for w in b.row(i - 1))
+
+    g = next(
+        (cand for cand in combinations(sorted(usable), quotient_dim)
+         if quotient_dim == 0 or IntMatrix([signed_row(i) for i in cand]).rank() == quotient_dim),
+        None,
+    )
+    if g is None:
+        raise ValueError("no invertible coordinate set exists for the given sign data")
+    remaining = [i for i in leaf.fixed if i not in g]
+    span = Span(dict(enumerate(signed_row(j))) for j in g)
+    r_rows, weights = [], {}
+    for i in remaining:
+        sol, residual = span.express({t: -w for t, w in enumerate(b.row(i - 1))})
+        if residual or any(x.denominator != 1 for x in sol.values()):
+            raise ValueError(f"no integral dressing exponents for coordinate {i}")
+        row = [int(sol.get(k, 0)) for k in range(len(g))]
+        r_rows.append(row)
+        weights[f"x{i}"] = 1 + sum(row)
+        weights[f"y{i}"] = 1 - sum(row)
+    return DecompositionReport(
+        leaf=leaf,
+        g=g,
+        designated={i: designated.get(i, "x") for i in leaf.fixed},
+        r=IntMatrix(r_rows),
+        weights=weights,
+        slice_mat=slice_matrix(b, leaf.flat),
+        hyperplanes=[f"{designated[j]}{j}" for j in g],
+    )
 
 
 def _reference_chart(report, ctx):
@@ -442,6 +522,22 @@ def _galois_conjugate(omega, generators, k: int):
         return tuple(tuple(_galois(x, k) for x in row) for row in matrix)
 
     return conj(omega), [conj(g) for g in generators]
+
+
+def _reference_compressed_form(group, s: int):
+    """The compressed form of a reflection as a projection: the fixed
+    space plus a reduced basis of the moved plane is a basis of the
+    space, the coordinates of each unit vector in it give the projection
+    onto the moved plane along the fixed space, and the form is the
+    symplectic form pulled back along that projection."""
+    field, dim = group.field, group.dim
+    kernel = group.fixed_space(s)
+    moved = _reduced_basis(field, _transpose(group._moved_rows(s)))
+    basis = list(kernel) + list(moved)
+    identity = tuple(tuple(field.one() if i == j else field.zero() for j in range(dim)) for i in range(dim))
+    moved_t = _transpose(moved)
+    proj_t = [_mat_vec(moved_t, c[len(kernel):]) for c in _coordinates(basis, identity)]
+    return _mat_mul(_mat_mul(proj_t, group.omega), _transpose(proj_t))
 
 
 def _reference_differential_family(n: int, k: int, order: int = 3) -> HbarPresentation:

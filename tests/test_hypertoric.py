@@ -1,10 +1,13 @@
 """Hypertoric cones: unimodularity, leaves, charts, and certification."""
 
 import random
+import re
 from itertools import combinations, permutations
 
 import pytest
 from reference import (
+    _reference_check_unimodular,
+    _reference_decompose_at,
     _reference_det,
     _reference_integer_inverse,
     _reference_leaves,
@@ -12,9 +15,11 @@ from reference import (
     _reference_verify,
 )
 
+from equislice import hypertoric, intmat
 from equislice.hypertoric import (
     LEAST_VERIFY_ORDER,
     DecompositionReport,
+    LeafDescriptor,
     TorusActionMatrix,
     _integer_inverse,
     check_unimodular,
@@ -115,6 +120,97 @@ def test_faithful_inputs_are_never_ranked(monkeypatch):
     with pytest.raises(ValueError, match="has rank 1 but 2 columns"):
         check_unimodular([[1, 1], [2, 2]])
     assert calls == [((1, 1), (2, 2))]
+
+
+def _graph(vertices, edges):
+    """The signed incidence matrix of a multigraph with vertex 0
+    grounded, each edge oriented from its first to its second vertex."""
+    rows = []
+    for a, b in edges:
+        row = [0] * (vertices - 1)
+        if a:
+            row[a - 1] += 1
+        if b:
+            row[b - 1] -= 1
+        rows.append(row)
+    return rows
+
+
+def _seeded_matrices(rng, count):
+    """Seeded integer matrices with 0-4 columns and up to 8 rows: entries
+    in -2..2, or in -1..1 with zero rows and parallel rows of either
+    sign, or the incidence matrix of a random multigraph (unimodular)
+    with, half the time, one entry moved by one."""
+    out = []
+    while len(out) < count:
+        m = rng.randint(0, 4)
+        n = rng.randint(max(m, 1), 8)
+        kind = rng.random()
+        if kind < 0.3:
+            rows = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(n)]
+        elif kind < 0.6:
+            rows = [[rng.randint(-1, 1) for _ in range(m)] for _ in range(n)]
+            for i in range(1, n):
+                roll = rng.random()
+                if roll < 0.15:
+                    rows[i] = [0] * m
+                elif roll < 0.4:
+                    rows[i] = [rng.choice((1, -1)) * x for x in rows[rng.randrange(i)]]
+        else:
+            edges = [tuple(rng.sample(range(m + 1), 2)) for _ in range(n)] if m else []
+            rows = _graph(m + 1, edges) if m else [[] for _ in range(n)]
+            if m and rng.random() < 0.5:
+                rows[rng.randrange(n)][rng.randrange(m)] += rng.choice((-1, 1))
+        out.append(rows)
+    return out
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except ValueError as err:
+        return "refused", str(err)
+
+
+def test_unimodularity_agrees_with_the_scan_over_every_minor(monkeypatch):
+    # the tableau decides matrices with more than n*m maximal minors; the
+    # verdict, the witness rows and the witness minor are the scan's
+    decided = []
+    tableau = hypertoric._totally_unimodular
+
+    def recording(t):
+        decided.append(tableau(t))
+        return decided[-1]
+
+    monkeypatch.setattr(hypertoric, "_totally_unimodular", recording)
+    rng = random.Random(23)
+    cases = _seeded_matrices(rng, 1500) + [
+        _complete_graph(n, copies) for n in (3, 4, 5, 6) for copies in (1, 2)
+    ] + [[[1, 0], [0, 1]], [[2, 1], [1, 1]], [[1, 1], [1, -1]], [[0, 0], [1, 0], [0, 1]]]
+    shapes = set()
+    for rows in cases:
+        assert _outcome(check_unimodular, rows) == _outcome(_reference_check_unimodular, rows)
+        shapes.add((len(rows), len(rows[0])))
+    assert {(n, n) for n in range(1, 5)} <= shapes and any(m == 0 for _, m in shapes)
+    # the tableau accepted many matrices and found an offending minor in
+    # many others, whose witness the scan then named
+    assert decided.count(True) > 100 and decided.count(False) > 50
+
+
+def test_unimodularity_forms_fewer_determinants_than_minors(monkeypatch):
+    # a unimodular 11 x 4 graphic matrix has C(11, 4) = 330 maximal minors
+    calls = []
+    bareiss = intmat._bareiss
+
+    def counting(rows):
+        calls.append(rows)
+        return bareiss(rows)
+
+    monkeypatch.setattr(intmat, "_bareiss", counting)
+    rows = _complete_graph(5) + [_complete_graph(5)[0]]
+    assert (len(rows), len(rows[0])) == (11, 4)
+    assert check_unimodular(rows) == (True, None)
+    assert 0 < len(calls) < 330
 
 
 def test_rank_deficient_input_is_refused():
@@ -232,6 +328,103 @@ def test_leaves_match_the_subset_walk():
     for rows in cases:
         expected = [leaf.as_json() for leaf in _reference_leaves(rows)]
         assert [leaf.as_json() for leaf in enumerate_leaves(rows)] == expected
+
+
+# a triangle with a pendant edge: the pendant edge is a coloop, so 8 of
+# the 10 flats of its matroid are not cyclic
+PENDANT = _graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+
+
+def test_non_cyclic_flats_carry_no_leaves():
+    for rows in (PENDANT, A2, _complete_graph(4)):
+        assert [leaf.as_json() for leaf in enumerate_leaves(rows)] == [
+            leaf.as_json() for leaf in _reference_leaves(rows)
+        ]
+    assert [leaf.flat for leaf in enumerate_leaves(PENDANT)] == [(4,), (1, 2, 3, 4)]
+
+
+def test_leaves_take_no_rank_per_fixed_coordinate(monkeypatch):
+    calls = []
+    rank = IntMatrix.rank
+
+    def counting(self):
+        calls.append(self.rows)
+        return rank(self)
+
+    for rows in (PENDANT, A2, A2xA1, _complete_graph(5), _complete_graph(4, copies=2)):
+        b = TorusActionMatrix(rows)
+        monkeypatch.setattr(IntMatrix, "rank", counting)
+        enumerate_leaves(b)
+        monkeypatch.setattr(IntMatrix, "rank", rank)
+    assert calls == []
+
+
+def _chart_cases():
+    rng = random.Random(31)
+    cases = [A1, A1xA1, TRIPLE, A2, A2xA1, PENDANT, _complete_graph(4), _complete_graph(4, copies=2)]
+    cases += [_seeded_unimodular(rng) for _ in range(40)]
+    return cases
+
+
+def test_charts_agree_with_the_slice_matrix_path():
+    # the chart of every leaf, at the default designation and at seeded
+    # ones, equals the chart that re-derives its leaf from the flat and
+    # ranks every candidate inverted set
+    rng = random.Random(9)
+    charts = refused = 0
+    for rows in _chart_cases():
+        for leaf in enumerate_leaves(rows):
+            designations = [None] + [
+                {i: rng.choice("xy") for i in leaf.fixed if rng.random() < 0.7} for _ in range(3)
+            ]
+            for nonvanishing in designations:
+                try:
+                    expected = _reference_decompose_at(rows, leaf, nonvanishing)
+                except ValueError as err:
+                    with pytest.raises(ValueError, match=str(err)):
+                        decompose_at(rows, leaf, nonvanishing)
+                    refused += 1
+                    continue
+                assert decompose_at(rows, leaf, nonvanishing).as_json() == expected.as_json()
+                charts += 1
+    assert charts > 300 and refused > 10
+
+
+def test_charts_take_no_smith_form(monkeypatch):
+    calls = []
+    smith = IntMatrix.smith_normal_form
+
+    def counting(self):
+        calls.append(self.rows)
+        return smith(self)
+
+    for rows in (A2xA1, PENDANT, _complete_graph(4, copies=2)):
+        leaves = enumerate_leaves(rows)
+        monkeypatch.setattr(IntMatrix, "smith_normal_form", counting)
+        for leaf in leaves:
+            decompose_at(rows, leaf)
+        monkeypatch.setattr(IntMatrix, "smith_normal_form", smith)
+    assert calls == []
+
+
+def test_charts_refuse_leaves_that_are_not_leaves_of_the_matrix():
+    # a non-cyclic flat of A_2: its lattice fixes exactly row 1, which is
+    # a coloop of the fixed rows
+    coloop = LeafDescriptor((2, 3), IntMatrix([[0, 1]]), 2, 3)
+    with pytest.raises(ValueError, match=r"\[2, 3\] is not the flat of a leaf"):
+        decompose_at(A2, coloop)
+    # leaves of other matrices: of the same size but fixing other rows,
+    # with another number of torus factors, and with another number of
+    # coordinates
+    other = [[1, 0], [0, 1], [1, 1], [0, 1]]
+    for rows, leaf in (
+        (other, next(leaf for leaf in enumerate_leaves(A1xA1) if leaf.flat == (1, 2))),
+        (TRIPLE, enumerate_leaves(A2)[-1]),
+        (A2xA1, enumerate_leaves(A1xA1)[0]),
+        (A1xA1, enumerate_leaves(A2xA1)[-1]),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"{list(leaf.flat)} is not the flat of a leaf")):
+            decompose_at(rows, leaf)
 
 
 @pytest.mark.parametrize("n, flats, leaves", [(4, 15, 6), (5, 52, 17), (6, 203, 53)])

@@ -85,6 +85,15 @@ def test_corrections_must_be_weight_homogeneous():
         )
 
 
+def test_commutator_keys_name_known_generators():
+    # on either side of the key, as inside a correction
+    for key in (("x", "q"), ("q", "y")):
+        with pytest.raises(ValueError, match="^unknown generator q$"):
+            HbarPresentation(("x", "y"), (1, 1), 1, {key: [(1, 1, {})]})
+    with pytest.raises(ValueError, match="^unknown generator q$"):
+        HbarPresentation(("x", "y"), (1, 1), 1, {("x", "y"): [(1, 1, {"q": 1})]})
+
+
 def test_commutator_keys_follow_declared_order():
     with pytest.raises(ValueError, match="declared order"):
         HbarPresentation(

@@ -10,12 +10,13 @@ from math import gcd
 import pytest
 from reference import (
     _galois_conjugate,
+    _reference_compressed_form,
     _reference_kernel,
     _reference_rref,
     _reference_solve,
 )
 
-from equislice import quotient
+from equislice import linalg, quotient
 from equislice.fixtures import (
     DOUBLE_PLANE_FORM,
     PLANE_FORM,
@@ -37,7 +38,7 @@ from equislice.quotient import (
     sra_relation,
     symplectic_reflections,
 )
-from equislice.scalars import CycloField, CycloNumber
+from equislice.scalars import CycloField, CycloNumber, InternalError
 
 BLOCK_GENERATORS = (
     ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
@@ -562,6 +563,70 @@ def test_compressed_forms_are_skew_and_kill_the_fixed_space():
                     not sum(m[i][j] * w[j] for j in range(group.dim))
                     for i in range(group.dim)
                 )
+
+
+def _embedded(x, field):
+    """A scalar of a subfield Q(zeta_n) of Q(zeta_N) written in
+    Q(zeta_N): zeta_n -> zeta_N^(N/n)."""
+    step = field.order // x.field.order
+    return sum((c * field.zeta(i * step) for i, c in enumerate(x.coeffs) if c), start=field.zero())
+
+
+def _over_fields(group):
+    """The group closed over its own field and over each of Q, Q(i) and
+    Q(zeta_8) that contains it, from the same generating matrices."""
+    out = [group]
+    for field in FIELDS:
+        if field is not group.field and field.order % group.field.order == 0:
+            gens = [
+                tuple(tuple(_embedded(x, field) for x in row) for row in group.element(i))
+                for i in group.generators
+            ]
+            omega = tuple(tuple(_embedded(x, field) for x in row) for row in group.omega)
+            out.append(close_group(gens, omega, field=field, cap=group.order))
+    return out
+
+
+def test_compressed_forms_agree_with_the_projection(all_groups):
+    # the closed form equals the projection onto the moved plane along
+    # the fixed space, over every fixture group and every field among Q,
+    # Q(i) and Q(zeta_8) that holds it
+    groups = [g for group in all_groups for g in _over_fields(group)]
+    assert len(groups) == 22
+    assert {g.field.order for g in groups} >= {1, 4, 8}
+    for group in groups:
+        sra = symplectic_reflections(group)
+        for s in sra.reflections:
+            assert sra.omega_s[s] == _reference_compressed_form(group, s)
+            assert quotient._matrix_json(sra.omega_s[s]) == quotient._matrix_json(
+                _reference_compressed_form(group, s))
+
+
+def test_reflection_data_builds_no_span(monkeypatch, all_groups):
+    # with the fixed spaces in hand, the pairings solve nothing
+    built = []
+    span = linalg.Span.__init__
+
+    def counting(self, vectors=()):
+        built.append(self)
+        span(self, vectors)
+
+    reflections = 0
+    for group in all_groups:
+        for i in range(group.order):
+            group.fixed_space(i)
+        monkeypatch.setattr(linalg.Span, "__init__", counting)
+        reflections += len(symplectic_reflections(group).reflections)
+        monkeypatch.setattr(linalg.Span, "__init__", span)
+    assert reflections > 50 and built == []
+
+
+def test_a_reflection_whose_moved_columns_never_pair_is_an_internal_error(monkeypatch):
+    group = pairwise_sign_action()
+    zero = group.field.zero()
+    monkeypatch.setattr(quotient, "_pairing", lambda omega, x, y: zero)
+    with pytest.raises(InternalError, match="must split the space"):
+        symplectic_reflections(group)
 
 
 # -- leaf slice data -----------------------------------------------------------
