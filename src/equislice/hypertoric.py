@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb, gcd
+from operator import mul
 
 from .intmat import IntMatrix, det
 from .linalg import Span, relations
@@ -299,16 +300,17 @@ def _stabilizer_lattice(b: TorusActionMatrix, support) -> IntMatrix:
     return IntMatrix(rows or [(0,) * b.m]).kernel_basis()
 
 
-def _fixed_coordinates(b: TorusActionMatrix, lattice: IntMatrix) -> tuple:
-    """Zero-based coordinates on which the subtorus with the given Lie
-    lattice acts trivially."""
-    return tuple(
-        i
-        for i in range(b.n)
-        if all(
-            sum(c * w for c, w in zip(vec, b.row(i))) == 0 for vec in lattice.rows
-        )
-    )
+def _pairings(b: TorusActionMatrix, lattice: IntMatrix) -> list[tuple]:
+    """The pairings of the weight rows with a lattice of cocharacters:
+    row i holds the pairing of weight row i with each lattice row, so a
+    zero row is a coordinate on which the subtorus acts trivially."""
+    vecs = lattice.rows
+    return [tuple(sum(map(mul, vec, row)) for vec in vecs) for row in b.matrix.rows]
+
+
+def _fixed_coordinates(pairings) -> tuple:
+    """The zero-based coordinates whose rows of a pairing table are zero."""
+    return tuple(i for i, p in enumerate(pairings) if not any(p))
 
 
 def _fixed_rank(b: TorusActionMatrix, fixed) -> tuple[int, bool]:
@@ -323,22 +325,21 @@ def _fixed_rank(b: TorusActionMatrix, fixed) -> tuple[int, bool]:
     return len(fixed) - len(found), len(supported) == len(fixed)
 
 
-def _covers(b: TorusActionMatrix, flat: tuple, lattice: IntMatrix) -> list:
-    """The flats of the row matroid that cover a flat, given the Hermite
-    basis of the flat's stabilizer lattice.
+def _covers(flat: tuple, pairings) -> list:
+    """The flats of the row matroid that cover a flat, given the pairing
+    table of the flat's stabilizer lattice (see _pairings).
 
-    Each row j outside the flat pairs with the lattice to a nonzero
-    integer vector (nonzero because the flat is closed).  Row k lies in
-    the span of the flat and row j exactly when their pairings are
-    parallel, so each cover is the flat plus one class of parallel
-    pairings, grouped by primitive form: divided by the gcd, first
-    nonzero entry positive."""
+    The flat must be closed, its rows exactly the zero rows of the table,
+    so each row j outside it pairs with the lattice to a nonzero integer
+    vector.  Row k lies in the span of the flat and row j exactly when
+    their pairings are parallel, so each cover is the flat plus one class
+    of parallel pairings, grouped by primitive form: divided by the gcd,
+    first nonzero entry positive."""
     classes: dict = {}
     inside = set(flat)
-    for j in range(b.n):
+    for j, p in enumerate(pairings):
         if j in inside:
             continue
-        p = [sum(c * w for c, w in zip(vec, b.row(j))) for vec in lattice.rows]
         g = gcd(*p)
         if next(x for x in p if x) < 0:
             g = -g
@@ -355,29 +356,31 @@ def enumerate_leaves(b) -> list[LeafDescriptor]:
     matroid, and the subtorus is the stabilizer of its flat.  The walk
     starts at the least flat, the zero rows, and climbs by covers (see
     _covers), so it meets every flat once and computes one kernel
-    lattice, one Smith form, per flat.  Each lattice fixes exactly its
-    own flat, so the recorded subtorus is maximal for its leaf; only
-    the cyclic flats carry leaves, those from which no fixed coordinate
-    can be dropped to leave another flat."""
+    lattice, one Smith form, and one pairing table (see _pairings) per
+    flat.  The table of a flat is checked to fix exactly that flat
+    before its covers are read off it, so the recorded subtorus is
+    maximal for its leaf; only the cyclic flats carry leaves, those from
+    which no fixed coordinate can be dropped to leave another flat."""
     b = b if isinstance(b, TorusActionMatrix) else TorusActionMatrix(b)
     ok, witness = check_unimodular(b)
     if not ok:
         raise ValueError(f"the action is not unimodular: minor {witness['minor']} on rows {witness['rows']}")
-    lattice = _stabilizer_lattice(b, ())
-    lattices = {_fixed_coordinates(b, lattice): lattice}
-    todo = list(lattices)
+    least = tuple(i for i in range(b.n) if not any(b.row(i)))
+    lattices = {least: _stabilizer_lattice(b, least)}
+    todo = [least]
     while todo:
         flat = todo.pop()
-        for cover in _covers(b, flat, lattices[flat]):
+        pairings = _pairings(b, lattices[flat])
+        # a cover that missed a row of its span (a parallel class split
+        # in two) would not be closed: its lattice would fix that row too
+        if _fixed_coordinates(pairings) != flat:
+            raise InternalError(f"the flat fixing {list(flat)} is not closed")
+        for cover in _covers(flat, pairings):
             if cover not in lattices:
                 lattices[cover] = _stabilizer_lattice(b, cover)
                 todo.append(cover)
     leaves = []
     for fixed, lat in lattices.items():
-        # a cover that missed a row of its span (a parallel class split
-        # in two) would not be closed, and its lattice would fix that row
-        if _fixed_coordinates(b, lat) != fixed:
-            raise InternalError(f"the flat fixing {sorted(fixed)} is not closed")
         # a fixed coordinate is a coloop exactly when dropping it leaves a
         # flat, and the walk has met every flat
         if any(fixed[:k] + fixed[k + 1:] in lattices for k in range(len(fixed))):
@@ -400,24 +403,21 @@ def slice_matrix(b, flat) -> IntMatrix:
 
 
 def _leaf_slice(b: TorusActionMatrix, flat, fixed, lattice: IntMatrix) -> IntMatrix:
-    """The slice matrix of a leaf read off its subtorus lattice: the
-    pairings of the lattice rows with the weight rows of the flat.
+    """The slice matrix of a leaf read off its subtorus lattice: the rows
+    of the flat in the lattice's pairing table (see _pairings), whose
+    zero rows are the coordinates the lattice fixes.
 
     The flat and the fixed coordinates (one-based) must split 1..n, and
     the lattice must be a lattice of cocharacters that fixes exactly the
     fixed coordinates, with rank m minus the rank of their rows, which
     must be cyclic; otherwise the flat is not the flat of a leaf."""
     zero_based = tuple(i - 1 for i in fixed)
-    if (
-        sorted(flat + fixed) == list(range(1, b.n + 1))
-        and lattice.ncols in (0, b.m)
-        and _fixed_coordinates(b, lattice) == zero_based
-    ):
-        rank, cyclic = _fixed_rank(b, zero_based)
-        if cyclic and lattice.nrows == b.m - rank:
-            return IntMatrix(
-                [[sum(c * w for c, w in zip(vec, b.row(i - 1))) for vec in lattice.rows] for i in flat]
-            )
+    if sorted(flat + fixed) == list(range(1, b.n + 1)) and lattice.ncols in (0, b.m):
+        pairings = _pairings(b, lattice)
+        if _fixed_coordinates(pairings) == zero_based:
+            rank, cyclic = _fixed_rank(b, zero_based)
+            if cyclic and lattice.nrows == b.m - rank:
+                return IntMatrix([pairings[i - 1] for i in flat])
     raise ValueError(f"{list(flat)} is not the flat of a leaf")
 
 
@@ -635,11 +635,8 @@ def _verify_elimination(b, report, ctx) -> list[dict]:
     except ValueError as err:
         return [{"check": "elimination", "detail": str(err)}]
 
-    def pairings(vec):
-        return [sum(c * w for c, w in zip(vec, row)) for row in b.matrix.rows]
-
-    for vec in lattice.rows:
-        comp = _quadratic(ctx, pairings(vec))
+    for p in zip(*_pairings(b, lattice)):
+        comp = _quadratic(ctx, p)
         outside = [nm for nm in ctx.variables if comp.involves(nm) and int(nm[1:]) not in report.leaf.flat]
         if outside:
             failures.append(
@@ -647,7 +644,7 @@ def _verify_elimination(b, report, ctx) -> list[dict]:
             )
     if not g:
         return failures
-    comp_pairings = [pairings(vec) for vec in comp_rows.rows]
+    comp_pairings = list(zip(*_pairings(b, comp_rows)))
     pairing = IntMatrix([[p[j - 1] for j in g] for p in comp_pairings])
     pairing_det = pairing.det()
     if pairing_det not in (-1, 1):

@@ -119,7 +119,8 @@ class HbarPresentation:
     coefficient, where a monomial lists (generator index, exponent)
     pairs with strictly increasing indices.  The declared generator
     order is the monomial order, with invertible generators required to
-    come first so that every correction is a step down."""
+    come first so that every correction is a step down; the invertible
+    indices are thus range(len(invertible))."""
 
     def __init__(self, names, weights, k: int, commutators: dict,
                  invertible=(), order: int = 3):
@@ -283,7 +284,7 @@ class HbarPresentation:
                     mono.pop()
             else:
                 mono.append((i, e))
-        if any(e < 0 and self.names[i] not in self.invertible for i, e in mono):
+        if any(e < 0 and i >= len(self.invertible) for i, e in mono):
             raise InternalError("negative exponents require invertible generators")
         key = (hpow, tuple(mono))
         s = out.get(key, 0) + coeff
@@ -473,8 +474,7 @@ class HbarPresentation:
         on three-letter words; if leftmost-first and rightmost-first
         reduction agree on each, normal forms are unique."""
         alphabet = [(i, 1) for i in range(len(self.names))] + [
-            (i, -1) for i in range(len(self.names))
-            if self.names[i] in self.invertible
+            (i, -1) for i in range(len(self.invertible))
         ]
         failures = []
         checked = 0
@@ -768,7 +768,7 @@ class QuantSliceResult:
 
 def _slice_monomials(a: HbarPresentation, weight: int, hmax: int,
                      degree_cap: int) -> list:
-    inv = [i for i in range(len(a.names)) if a.names[i] in a.invertible]
+    inv = range(len(a.invertible))
     if len(inv) > 1:
         raise ValueError(
             "slice enumeration supports at most one invertible generator"
@@ -917,7 +917,7 @@ def quantized_slice(a: HbarPresentation, t_lift, z_lifts, truncation: int,
 
 
 def _element_degree(a: HbarPresentation, elem: dict) -> int:
-    inv = {i for i in range(len(a.names)) if a.names[i] in a.invertible}
+    inv = range(len(a.invertible))
     return max(
         sum(abs(e) for i, e in mono if i not in inv)
         for (_p, mono) in elem
@@ -925,7 +925,7 @@ def _element_degree(a: HbarPresentation, elem: dict) -> int:
 
 
 def _element_unit_depth(a: HbarPresentation, elem: dict) -> int:
-    inv = {i for i in range(len(a.names)) if a.names[i] in a.invertible}
+    inv = range(len(a.invertible))
     return max(
         (abs(e) for (_p, mono) in elem for i, e in mono if i in inv),
         default=0,
@@ -933,7 +933,7 @@ def _element_unit_depth(a: HbarPresentation, elem: dict) -> int:
 
 
 def _is_laurent_seed(a: HbarPresentation, elem: dict) -> bool:
-    inv = {i for i in range(len(a.names)) if a.names[i] in a.invertible}
+    inv = range(len(a.invertible))
     return all(
         all(i in inv for i, _e in mono) for (_p, mono) in elem
     )

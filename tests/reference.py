@@ -27,7 +27,6 @@ from equislice.hypertoric import (
     LeafDescriptor,
     TorusActionMatrix,
     _designation,
-    _fixed_coordinates,
     _stabilizer_lattice,
     _unfaithful,
     cotangent_context,
@@ -144,7 +143,8 @@ def _reference_is_cyclic(b, fixed):
 
 def _reference_leaves(b):
     """The leaves by brute force: one kernel lattice per coordinate
-    subset, 2**n in all, deduplicated by Hermite basis."""
+    subset, 2**n in all, deduplicated by Hermite basis, each lattice's
+    fixed coordinates found by pairing it with every weight row."""
     b = b if isinstance(b, TorusActionMatrix) else TorusActionMatrix(b)
     ok, witness = _reference_check_unimodular(b)
     if not ok:
@@ -156,7 +156,11 @@ def _reference_leaves(b):
             lattices[lat.rows] = lat
     leaves = []
     for lat in lattices.values():
-        fixed = _fixed_coordinates(b, lat)
+        fixed = tuple(
+            i
+            for i in range(b.n)
+            if all(sum(c * w for c, w in zip(vec, b.row(i))) == 0 for vec in lat.rows)
+        )
         # the kernel over the full fixed locus reproduces the lattice, so
         # each recorded subtorus is the maximal one for its flat
         assert _stabilizer_lattice(b, fixed).rows == lat.rows

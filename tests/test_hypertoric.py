@@ -30,6 +30,7 @@ from equislice.hypertoric import (
     verify_decomposition,
 )
 from equislice.intmat import IntMatrix
+from equislice.scalars import InternalError
 from equislice.series import TruncatedElement
 
 A1 = [[1], [1]]
@@ -430,17 +431,47 @@ def test_charts_refuse_leaves_that_are_not_leaves_of_the_matrix():
 @pytest.mark.parametrize("n, flats, leaves", [(4, 15, 6), (5, 52, 17), (6, 203, 53)])
 def test_one_smith_form_per_flat(monkeypatch, n, flats, leaves):
     # the flats of the graphic matroid of K_n are the partitions of its
-    # n vertices, a Bell number of them
+    # n vertices, a Bell number of them; each is paired with the weight
+    # rows once, the same table serving its closure check and its covers
     calls = []
     smith = IntMatrix.smith_normal_form
+    pairings = hypertoric._pairings
+    tables = []
 
     def counting(self):
         calls.append(self.rows)
         return smith(self)
 
+    def counting_pairings(b, lattice):
+        tables.append(lattice.rows)
+        return pairings(b, lattice)
+
     monkeypatch.setattr(IntMatrix, "smith_normal_form", counting)
+    monkeypatch.setattr(hypertoric, "_pairings", counting_pairings)
     assert len(enumerate_leaves(_complete_graph(n))) == leaves
     assert len(calls) == flats
+    assert len(tables) == flats
+    assert len(set(tables)) == flats
+
+
+def test_a_cover_that_is_not_closed_is_refused(monkeypatch):
+    # drop one row of a parallel pair from the first cover the walk reads:
+    # the lattice of what is left still fixes the dropped row, so that
+    # cover is not a flat and the walk must say so, not fail inside _covers
+    covers = hypertoric._covers
+    tampered = []
+
+    def dropping(*args):
+        found = covers(*args)
+        if not tampered:
+            tampered.append(found[0][:-1])
+            found[0] = tampered[0]
+        return found
+
+    monkeypatch.setattr(hypertoric, "_covers", dropping)
+    with pytest.raises(InternalError, match=r"the flat fixing \[0\] is not closed"):
+        enumerate_leaves(_complete_graph(4, copies=2))
+    assert tampered == [(0,)]
 
 
 def test_nonunimodular_enumeration_is_refused():
