@@ -374,7 +374,7 @@ def enumerate_leaves(b) -> list[LeafDescriptor]:
         # a cover that missed a row of its span (a parallel class split
         # in two) would not be closed: its lattice would fix that row too
         if _fixed_coordinates(pairings) != flat:
-            raise InternalError(f"the flat fixing {list(flat)} is not closed")
+            raise InternalError(f"the flat fixing {[i + 1 for i in flat]} is not closed")
         for cover in _covers(flat, pairings):
             if cover not in lattices:
                 lattices[cover] = _stabilizer_lattice(b, cover)

@@ -14,9 +14,10 @@ Fraction inputs; the Galois conjugate of a group presentation over a
 cyclotomic field; the hbar families with their rule tables written by
 hand, the enveloping algebra checking its structure constants with a
 loop of its own over every ordered generator triple; hbar rewriting
-letter by letter, every rewrite path of a word followed on its own; and
-the compressed form of a symplectic reflection as a projection onto its
-moved plane along its fixed space."""
+letter by letter, every rewrite path of a word followed on its own; the
+closure of a quantized slice checked product by product on every ordered
+basis pair; and the compressed form of a symplectic reflection as a
+projection onto its moved plane along its fixed space."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -666,3 +667,26 @@ def _reference_straighten(a: HbarPresentation, letters, hpow, coeff, out,
         for p2, letters2, c2 in a._swap_rows(j, ej, i, ei):
             if p + p2 < a.order:
                 stack.append((head + letters2 + tail, p + p2, c * c2))
+
+
+def reference_closure(a: HbarPresentation, lifts, basis: dict, truncation: int) -> dict:
+    """Closure of a quantized slice basis, checked pair by pair: every
+    ordered pair of basis elements is multiplied and the product commuted
+    with every lift, a failure being a commutator term at hbar power at
+    most truncation.  The {"ok", "pairs", "failures"} report, failures
+    naming the pair's weights and the product."""
+    failures = []
+    pairs = 0
+    for w1, vs1 in sorted(basis.items()):
+        for w2, vs2 in sorted(basis.items()):
+            for v1 in vs1:
+                for v2 in vs2:
+                    pairs += 1
+                    prod = a.multiply(v1, v2)
+                    if any(
+                        hpow <= truncation
+                        for lift in lifts
+                        for (hpow, _m) in a.commutator(lift, prod)
+                    ):
+                        failures.append({"weights": [w1, w2], "product": a.render(prod)})
+    return {"ok": not failures, "pairs": pairs, "failures": failures}

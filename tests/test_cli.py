@@ -6,9 +6,11 @@ import sys
 
 import pytest
 
+from equislice import cli
 from equislice.cli import JobSpec, load_poisson, main, render_report, run
 from equislice.darboux import extract_slice
 from equislice.poisson import standard_presentation
+from test_quantize import non_jacobi_rules
 
 CYCLIC_TABLE = {
     "variables": ["x", "y", "z"],
@@ -105,6 +107,22 @@ def test_quantize_slice_and_bad_lifts():
     status, report = invoke("quantize slice", bad)
     assert status == 1
     assert "conic relations" in report["error"]
+
+
+def test_quantize_slice_on_a_non_confluent_algebra_exits_one(monkeypatch):
+    # no built-in family fails confluence, so the test registers one
+    # (built to order 3, the document's default order)
+    monkeypatch.setitem(
+        cli.QUANTUM_FAMILIES, "non-confluent", (lambda order: non_jacobi_rules(), {})
+    )
+    doc = {
+        "presentation": {"family": "non-confluent"}, "t_lift": "x",
+        "truncation": 2, "window": [0, 3], "degree_cap": 3,
+    }
+    status, report = invoke("quantize slice", doc)
+    assert status == 1 and not report["closure"]["ok"]
+    failures = json.loads(render_report(report, True))["closure"]["failures"]
+    assert [["z", 1], ["y", 1], ["x", 1]] in [f["word"] for f in failures]
 
 
 def test_darboux_slice_takes_pairs_as_variable_names():

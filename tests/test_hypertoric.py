@@ -469,7 +469,7 @@ def test_a_cover_that_is_not_closed_is_refused(monkeypatch):
         return found
 
     monkeypatch.setattr(hypertoric, "_covers", dropping)
-    with pytest.raises(InternalError, match=r"the flat fixing \[0\] is not closed"):
+    with pytest.raises(InternalError, match=r"the flat fixing \[1\] is not closed"):
         enumerate_leaves(_complete_graph(4, copies=2))
     assert tampered == [(0,)]
 

@@ -38,6 +38,7 @@ from reference import (
     _reference_sl2_constants,
     _reference_straighten,
     _reference_weyl_family,
+    reference_closure,
 )
 
 
@@ -1037,6 +1038,117 @@ def test_quantized_slice_layers_are_the_classical_centralizer(name, monkeypatch)
             symbols = [{exps(m): c for m, c in v.items()} for v in layers.get(j, [])]
             assert spanned(symbols).items() == centralizer.items(), (w, j)
     assert nonzero
+
+
+# -- slice closure from one confluence certificate ----------------------------
+
+
+def twisted_t(a):
+    """t conjugated by exp(hbar ad(u z1)), as in
+    test_conjugated_lifts_give_the_conjugated_kernel."""
+    return exp_ad_conjugate(a, a.multiply(a.var("u"), a.var("z1")), a.var("t"))
+
+
+def localized_sl2(order):
+    return partial(sl2_enveloping, order=order, localized=True)
+
+
+def differential(n, k, order=3):
+    return partial(differential_family, n, k, order=order)
+
+
+# every (family, lifts, truncation, window, degree cap) of a quantized slice
+# in these tests, the CLI tests and criterion 9: (build, t_lift (a name or a
+# function of the algebra), z_lifts, truncation, window, degree_cap)
+CLOSURE_CASES = {
+    "localized sl2 order 4, f, cap 6": (localized_sl2(4), "f", [], 3, (0, 0), 6),
+    "localized sl2 order 4, f, cap 4": (localized_sl2(4), "f", [], 3, (0, 0), 4),
+    "localized sl2 order 4, f, cap 2": (localized_sl2(4), "f", [], 3, (0, 0), 2),
+    "localized sl2 order 3, f, cap 2": (localized_sl2(3), "f", [], 2, (0, 0), 2),
+    "differential(2,2), t, -2..2 cap 2": (differential(2, 2), "t", [], 2, (-2, 2), 2),
+    "differential(2,2), t, 0..1 cap 2": (differential(2, 2), "t", [], 2, (0, 1), 2),
+    "differential(2,2), t, 0..1 cap 1": (differential(2, 2), "t", [], 2, (0, 1), 1),
+    "differential(3,2), t, -2..2 cap 1": (differential(3, 2), "t", [], 2, (-2, 2), 1),
+    "differential(2,1) order 4, t z1 z2":
+        (differential(2, 1, order=4), "t", ["z1", "z2"], 2, (-1, 1), 2),
+    "differential(2,1) order 4, t": (differential(2, 1, order=4), "t", [], 2, (-1, 1), 3),
+    "differential(2,1) order 4, twisted t":
+        (differential(2, 1, order=4), twisted_t, [], 2, (-1, 1), 3),
+    "differential(2,1), t, -1..1 cap 1": (differential(2, 1), "t", [], 2, (-1, 1), 1),
+    "differential(2,1), t z1 z2, 0..0 cap 1":
+        (differential(2, 1), "t", ["z1", "z2"], 2, (0, 0), 1),
+    **{
+        f"classical limit {name}": (build, t_lift, z_lifts, 2, (0, 4), 2)
+        for name, (build, t_lift, z_lifts) in CLASSICAL_LIMIT_CASES.items()
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_CASES))
+def test_slice_closure_from_confluence_matches_the_pairwise_reference(name):
+    build, t_lift, z_lifts, truncation, window, cap = CLOSURE_CASES[name]
+    a = build()
+    if callable(t_lift):
+        t_lift = t_lift(a)
+    res = quantized_slice(a, t_lift, z_lifts, truncation, window, degree_cap=cap)
+    lifts = [a.var(lift) if isinstance(lift, str) else lift for lift in [t_lift, *z_lifts]]
+    assert res.closure["ok"]
+    assert res.closure == reference_closure(a, lifts, res.basis, truncation)
+
+
+@pytest.mark.parametrize("lift", ["x", "y", "z"])
+def test_a_non_confluent_algebra_fails_slice_closure(lift):
+    a = non_jacobi_rules()
+    res = quantized_slice(a, lift, [], truncation=2, weight_window=(0, 3), degree_cap=3)
+    assert not res.closure["ok"]
+    words = [tuple(f["word"]) for f in res.closure["failures"]]
+    assert (("z", 1), ("y", 1), ("x", 1)) in words
+    # the pairwise check sees the missing associativity only through y
+    reference = reference_closure(a, [a.var(lift)], res.basis, 2)
+    assert reference["ok"] == (lift != "y")
+    assert res.closure["pairs"] == reference["pairs"]
+
+
+def test_slice_closure_multiplies_no_basis_pair(monkeypatch):
+    """Closure is one confluence certificate, not a product per basis
+    pair.  The generator search multiplies pool pairs, which are basis
+    elements, by design (see
+    test_generator_search_multiplies_each_pool_pair_once), so its
+    products are left out of the count."""
+    a = differential_family(3, 2, order=3)
+    operands, certificates, searching = [], [], []
+    multiply = HbarPresentation.multiply
+    certify = HbarPresentation.certify_confluence
+    search = quantize._generator_candidates
+
+    def counting_multiply(self, x, y, **kwargs):
+        if not searching:
+            operands.append((x, y))
+        return multiply(self, x, y, **kwargs)
+
+    def counting_certify(self, *args, **kwargs):
+        certificates.append(1)
+        return certify(self, *args, **kwargs)
+
+    def flagged_search(*args):
+        searching.append(1)
+        try:
+            return search(*args)
+        finally:
+            searching.pop()
+
+    monkeypatch.setattr(HbarPresentation, "multiply", counting_multiply)
+    monkeypatch.setattr(HbarPresentation, "certify_confluence", counting_certify)
+    monkeypatch.setattr(quantize, "_generator_candidates", flagged_search)
+    res = quantized_slice(a, "t", [], truncation=2, weight_window=(-2, 2), degree_cap=1)
+    basis = [v for vs in res.basis.values() for v in vs]
+
+    def in_basis(x):
+        return any(x is v for v in basis)
+
+    assert operands and res.closure["pairs"] == len(basis) ** 2
+    assert not any(in_basis(x) and in_basis(y) for x, y in operands)
+    assert len(certificates) == 1
 
 
 # -- serialization ------------------------------------------------------------
