@@ -375,71 +375,10 @@ class PoissonPresentation:
         return self.ctx.order - drop
 
     def weight_monomials(self, weight: int, degree_cap=None) -> list[tuple[int, ...]]:
-        """Exponent tuples of all standard monomials of the given weight.
-
-        Filtration variables are bounded by the truncation order.  Other
-        non-invertible variables must have positive weight or a degree_cap
-        must bound their total degree.  At most one invertible variable is
-        supported; its exponent is solved from the weight equation."""
-        ctx = self.ctx
-        inv = [i for i, v in enumerate(ctx.variables) if v in ctx.invertible]
-        if len(inv) > 1:
-            raise ValueError("monomial enumeration supports at most one invertible variable")
-        free = [i for i in range(len(ctx.variables)) if i not in inv]
-        for i in free:
-            if (
-                ctx.variables[i] not in ctx.filtration
-                and ctx.weights[i] <= 0
-                and degree_cap is None
-            ):
-                raise ValueError(
-                    f"variable {ctx.variables[i]!r} makes weight slices infinite; "
-                    "pass a degree cap"
-                )
-        results = []
-        exps = [0] * len(ctx.variables)
-
-        def recurse(pos, wt, jorder_used, degree_used):
-            if pos == len(free):
-                if inv:
-                    i = inv[0]
-                    wi = ctx.weights[i]
-                    need = weight - wt
-                    if wi == 0:
-                        if need == 0:
-                            raise ValueError(
-                                "weight-zero invertible variable makes slices infinite"
-                            )
-                        return
-                    if need % wi:
-                        return
-                    exps[i] = need // wi
-                    results.append(tuple(exps))
-                    exps[i] = 0
-                elif wt == weight:
-                    results.append(tuple(exps))
-                return
-            i = free[pos]
-            w = ctx.weights[i]
-            bounds = []
-            if ctx.variables[i] in ctx.filtration:
-                bounds.append(ctx.order - 1 - jorder_used)
-            if degree_cap is not None:
-                bounds.append(degree_cap - degree_used)
-            if not inv and w > 0:
-                bounds.append((weight - wt) // w if weight >= wt else -1)
-            if not bounds:
-                raise ValueError(
-                    f"variable {ctx.variables[i]!r} is unbounded in this weight slice"
-                )
-            cap = min(bounds)
-            for e in range(cap + 1):
-                exps[i] = e
-                in_j = e if ctx.variables[i] in ctx.filtration else 0
-                recurse(pos + 1, wt + e * w, jorder_used + in_j, degree_used + e)
-            exps[i] = 0
-
-        recurse(0, 0, 0, 0)
+        """Exponent tuples of all standard monomials of the given weight,
+        sorted: the context's weight_monomials walk less the monomials
+        that the relations reduce."""
+        results = self.ctx.weight_monomials(weight, degree_cap)
         if self.relations:
             results = [
                 e

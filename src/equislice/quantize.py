@@ -11,7 +11,9 @@ rules whose left sides are two letters.
 
 Inverse letters of invertible generators rewrite through the push-down
 identity [a, b^-1] = -b^-1 [a,b] b^-1, expanded to the truncation
-order; the corrections' hbar factors make the expansion finite.
+order; the corrections' hbar factors make the expansion finite.  A
+pushed-down row is kept for the presentation's life, and its products
+are charged to the budget of the straightening that first needs it.
 
 A word is straightened with equal states merged: pending (word, hbar
 power) states collect their coefficients and are expanded in order of
@@ -28,8 +30,8 @@ straightened once and its normal form kept in a memo that the caller
 scopes to one computation (quantized_slice shares one across its whole
 call).  The rules are fixed and confluent, so a pair's normal form never
 changes, and a cached pair costs the rewrite steps it cost when it was
-first straightened: whether a step budget runs out never depends on
-what the memo holds.  A computation that forms many products reads the
+first straightened, less any push-down row that straightening built:
+whether a step budget runs out never depends on what the memo holds.  A computation that forms many products reads the
 budget once and hands it to each; every product still starts with the
 whole budget.
 
@@ -122,24 +124,20 @@ class HbarPresentation:
     pairs with strictly increasing indices.  The declared generator
     order is the monomial order, with invertible generators required to
     come first so that every correction is a step down; the invertible
-    indices are thus range(len(invertible))."""
+    indices are thus range(len(invertible)).  The names, weights and
+    invertible generators are those of ctx, the GradedContext that checks
+    them and walks the monomials of a weight."""
 
     def __init__(self, names, weights, k: int, commutators: dict,
                  invertible=(), order: int = 3):
-        self.names = tuple(names)
-        self.weights = tuple(exact_int(w, "a weight") for w in weights)
-        if len(self.weights) != len(self.names):
-            raise ValueError("one weight per generator is required")
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("generator names must be distinct")
+        self.ctx = GradedContext(names, weights, invertible=invertible)
+        self.names = self.ctx.variables
+        self.weights = self.ctx.weights
+        self.invertible = self.ctx.invertible
         self.k = exact_int(k, "k")
         self.order = exact_int(order, "the hbar truncation order")
         if self.order < 1:
             raise ValueError("the hbar truncation order must be positive")
-        self.invertible = frozenset(invertible)
-        unknown = self.invertible - set(self.names)
-        if unknown:
-            raise ValueError(f"unknown invertible generators: {sorted(unknown)}")
         n_inv = len(self.invertible)
         if set(self.names[:n_inv]) != self.invertible:
             raise ValueError(
@@ -296,9 +294,10 @@ class HbarPresentation:
             out.pop(key, None)
 
     def _straighten(self, letters, hpow, coeff, out, budget,
-                    strategy: str = "first") -> None:
+                    strategy: str = "first") -> int:
         """Add coeff*hbar^hpow times the normal form of a word to out,
-        one step per (word, hbar power) state expanded.
+        one step per (word, hbar power) state expanded; the steps, not
+        counting the products that build a push-down row, are returned.
 
         Pending states are kept by level (hbar power, -inversions) and a
         level is expanded only once every lower one has been: a swap lands
@@ -308,10 +307,12 @@ class HbarPresentation:
         compares the two."""
         word = tuple(letters)
         pending = {(hpow, -_inversions(word)): {word: coeff}}
+        steps = 0
         while pending:
             level = min(pending)
             states = pending.pop(level)
             _charge(budget, len(states))
+            steps += len(states)
             p, neg_inv = level
             for word, c in states.items():
                 if not neg_inv:
@@ -325,26 +326,28 @@ class HbarPresentation:
                 head, tail = word[:m], word[m + 2:]
                 _add_state(pending, (p, neg_inv + 1),
                            head + ((i, ei), (j, ej)) + tail, c)
-                for p2, letters2, c2 in self._swap_rows(j, ej, i, ei):
+                for p2, letters2, c2 in self._swap_rows(j, ej, i, ei, budget):
                     if p + p2 < self.order:
                         w2 = head + letters2 + tail
                         _add_state(pending, (p + p2, -_inversions(w2)), w2,
                                    c * c2)
+        return steps
 
-    def _swap_rows(self, j: int, ej: int, i: int, ei: int) -> tuple:
+    def _swap_rows(self, j: int, ej: int, i: int, ei: int, budget) -> tuple:
         # [g_j^ej, g_i^ei] for j > i, the correction when they swap, as
-        # (hbar power, letters, coefficient) rows
+        # (hbar power, letters, coefficient) rows; building a row charges
+        # the budget of the straightening that first needs it
         key = (i, ei, j, ej)
         rows = self._corr_cache.get(key)
         if rows is None:
             rows = tuple(
                 (p, self._letters(mono), -c)
-                for (p, mono), c in self._pair_commutator(i, ei, j, ej).items()
+                for (p, mono), c in self._pair_commutator(i, ei, j, ej, budget).items()
             )
             self._corr_cache[key] = rows
         return rows
 
-    def _pair_commutator(self, i: int, ei: int, j: int, ej: int) -> dict:
+    def _pair_commutator(self, i: int, ei: int, j: int, ej: int, budget) -> dict:
         # [g_i^ei, g_j^ej] for i < j, pushed down through inverse letters
         out = self.commutators.get((i, j), {})
         if not out or (ei > 0 and ej > 0):
@@ -357,16 +360,12 @@ class HbarPresentation:
             )
         self._corr_building.add(key)
         try:
-            if ei < 0:
-                ai = self.var(self.names[i], -1)
-                out = element_scale(
-                    self.multiply(self.multiply(ai, out), ai), -1
-                )
-            if ej < 0:
-                bj = self.var(self.names[j], -1)
-                out = element_scale(
-                    self.multiply(self.multiply(bj, out), bj), -1
-                )
+            for g, e in ((i, ei), (j, ej)):
+                if e < 0:
+                    inverse = self.var(self.names[g], -1)
+                    out = element_scale(self._product(
+                        self._product(inverse, out, budget, {}), inverse,
+                        budget, {}), -1)
         finally:
             self._corr_building.discard(key)
         return out
@@ -404,13 +403,12 @@ class HbarPresentation:
             _charge(budget, entry[0])
             return entry
         # straightened against the caller's budget, so that a runaway pair
-        # still stops where the budget runs out
-        before = budget[0]
+        # still stops where the budget runs out; a push-down row it builds
+        # is paid once, so a memo hit costs the pair's own steps
         form: dict = {}
-        self._straighten(
+        entry = [self._straighten(
             self._letters(m1) + self._letters(m2), p, 1, form, budget
-        )
-        entry = [before - budget[0]]
+        )]
         for key, c in form.items():
             entry.append(memo.setdefault(key, key))
             entry.append(exact(c))
@@ -423,20 +421,23 @@ class HbarPresentation:
         memo, when given, is a dict shared by the calls of one computation
         on this presentation: the term pairs of every call are looked up
         and stored there (see _term_product).  A term pair costs the steps
-        its merged straightening cost when it was first straightened, so
-        whether the budget runs out depends on the call alone, not on what
-        the memo holds.  limit is the product's step budget, max_steps()
+        its merged straightening cost when it was first straightened, less
+        any push-down row built on the way, so whether the budget runs out
+        depends on the call alone, not on what the memo holds.  limit is the product's step budget, max_steps()
         when None; a computation that forms many products reads it once."""
+        return self._product(a, b, [max_steps() if limit is None else limit],
+                             {} if memo is None else memo)
+
+    def _product(self, a: dict, b: dict, budget: list, memo: dict) -> dict:
+        # a*b charged to the budget list, which push-down rows share
         out: dict = {}
-        state = [max_steps() if limit is None else limit]
-        memo = {} if memo is None else memo
         for (p1, m1), c1 in a.items():
             for (p2, m2), c2 in b.items():
                 p = p1 + p2
                 if p >= self.order:
                     continue
                 c = c1 * c2
-                entry = self._term_product(m1, m2, p, state, memo)
+                entry = self._term_product(m1, m2, p, budget, memo)
                 for n in range(1, len(entry), 2):
                     key, v = entry[n], entry[n + 1]
                     s = out.get(key, 0) + (c if v == 1 else c * v)
@@ -770,39 +771,6 @@ class QuantSliceResult:
         return f"QuantSliceResult(dims={dims})"
 
 
-def _slice_monomials(a: HbarPresentation, weight: int, hmax: int,
-                     degree_cap: int) -> list:
-    inv = range(len(a.invertible))
-    if len(inv) > 1:
-        raise ValueError(
-            "slice enumeration supports at most one invertible generator"
-        )
-    if inv and a.weights[inv[0]] == 0:
-        raise ValueError("the invertible generator needs nonzero weight")
-    others = [i for i in range(len(a.names)) if i not in inv]
-    out = []
-    for hpow in range(hmax + 1):
-        for exps in iter_product(range(degree_cap + 1), repeat=len(others)):
-            if sum(exps) > degree_cap:
-                continue
-            base = hpow * a.k + sum(
-                e * a.weights[i] for i, e in zip(others, exps)
-            )
-            mono = [(i, e) for i, e in zip(others, exps) if e]
-            if inv:
-                rem = weight - base
-                wt = a.weights[inv[0]]
-                if rem % wt:
-                    continue
-                e_t = rem // wt
-                if e_t:
-                    mono.insert(0, (inv[0], e_t))
-            elif base != weight:
-                continue
-            out.append((hpow, tuple(sorted(mono))))
-    return out
-
-
 def quantized_slice(a: HbarPresentation, t_lift, z_lifts, truncation: int,
                     weight_window, degree_cap: int = 4) -> QuantSliceResult:
     """Weight-graded basis of the joint centralizer of the lifts.
@@ -821,6 +789,12 @@ def quantized_slice(a: HbarPresentation, t_lift, z_lifts, truncation: int,
             "the presentation must be built to order at least "
             "truncation + 1 for exact kernel conditions"
         )
+    if len(a.invertible) > 1:
+        raise ValueError(
+            "slice enumeration supports at most one invertible generator"
+        )
+    if a.invertible and a.weights[0] == 0:
+        raise ValueError("the invertible generator needs nonzero weight")
     t_elem = a.var(t_lift) if isinstance(t_lift, str) else t_lift
     z_elems = [
         a.var(z) if isinstance(z, str) else z for z in z_lifts
@@ -863,7 +837,12 @@ def quantized_slice(a: HbarPresentation, t_lift, z_lifts, truncation: int,
     lo, hi = weight_window
     basis: dict[int, list] = {}
     for w in range(lo, hi + 1):
-        monos = _slice_monomials(a, w, truncation - 1, degree_cap)
+        # the invertible generator is index 0, so these are sorted monomials
+        monos = [
+            (hpow, tuple((i, e) for i, e in enumerate(exps) if e))
+            for hpow in range(truncation)
+            for exps in a.ctx.weight_monomials(w - hpow * a.k, degree_cap)
+        ]
         if not monos:
             continue
         # the relations of the columns are the kernel basis with a 1 in

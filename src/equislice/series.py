@@ -116,6 +116,71 @@ class GradedContext:
     def weight_of_exps(self, exps) -> int:
         return sum(e * w for e, w in zip(exps, self.weights))
 
+    def weight_monomials(self, weight: int, degree_cap=None) -> list[tuple[int, ...]]:
+        """Exponent tuples of all monomials of the given weight, in walk
+        order: lexicographic in the exponents of the variables that are not
+        invertible.
+
+        Filtration variables are bounded by the truncation order.  Other
+        non-invertible variables must have positive weight or a degree_cap
+        must bound their total degree.  At most one invertible variable is
+        supported; its exponent is solved from the weight equation.  With
+        none, a positive weight bounds its exponent by the weight left over
+        plus what the later negative weights can take back."""
+        names, weights = self.variables, self.weights
+        inv = [i for i, flag in enumerate(self._inv_flags) if flag]
+        if len(inv) > 1:
+            raise ValueError("monomial enumeration supports at most one invertible variable")
+        free = [i for i, flag in enumerate(self._inv_flags) if not flag]
+        for i in free:
+            if names[i] not in self.filtration and weights[i] <= 0 and degree_cap is None:
+                raise ValueError(
+                    f"variable {names[i]!r} makes weight slices infinite; pass a degree cap"
+                )
+        # reach[pos]: the most weight that the free variables from pos on
+        # can take back; with no cap, a negative one is a filtration variable
+        top = self.order - 1 if degree_cap is None else degree_cap
+        reach = [0] * (len(free) + 1)
+        for pos in reversed(range(len(free))):
+            reach[pos] = reach[pos + 1] - min(weights[free[pos]], 0) * top
+        results = []
+        exps = [0] * len(names)
+
+        def recurse(pos, wt, jorder_used, degree_used):
+            if pos == len(free):
+                if not inv:
+                    if wt == weight:
+                        results.append(tuple(exps))
+                    return
+                i, need = inv[0], weight - wt
+                if weights[i] == 0:
+                    if need == 0:
+                        raise ValueError("weight-zero invertible variable makes slices infinite")
+                elif need % weights[i] == 0:
+                    exps[i] = need // weights[i]
+                    results.append(tuple(exps))
+                    exps[i] = 0
+                return
+            i = free[pos]
+            w = weights[i]
+            in_filtration = names[i] in self.filtration
+            bounds = []
+            if in_filtration:
+                bounds.append(self.order - 1 - jorder_used)
+            if degree_cap is not None:
+                bounds.append(degree_cap - degree_used)
+            if not inv and w > 0:
+                bounds.append((weight - wt + reach[pos + 1]) // w)
+            if not bounds:
+                raise ValueError(f"variable {names[i]!r} is unbounded in this weight slice")
+            for e in range(min(bounds) + 1):
+                exps[i] = e
+                recurse(pos + 1, wt + e * w, jorder_used + e * in_filtration, degree_used + e)
+            exps[i] = 0
+
+        recurse(0, 0, 0, 0)
+        return results
+
     def same_variables(self, other: "GradedContext") -> bool:
         return (
             self.variables == other.variables

@@ -16,8 +16,10 @@ hand, the enveloping algebra checking its structure constants with a
 loop of its own over every ordered generator triple; hbar rewriting
 letter by letter, every rewrite path of a word followed on its own; the
 closure of a quantized slice checked product by product on every ordered
-basis pair; and the compressed form of a symplectic reflection as a
-projection onto its moved plane along its fixed space."""
+basis pair; the candidate monomials of a quantized slice's weight, found
+by walking the whole degree box at every hbar power; and the compressed
+form of a symplectic reflection as a projection onto its moved plane
+along its fixed space."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -664,9 +666,47 @@ def _reference_straighten(a: HbarPresentation, letters, hpow, coeff, out,
         (j, ej), (i, ei) = word[m], word[m + 1]
         head, tail = word[:m], word[m + 2:]
         stack.append((head + ((i, ei), (j, ej)) + tail, p, c))
-        for p2, letters2, c2 in a._swap_rows(j, ej, i, ei):
+        for p2, letters2, c2 in a._swap_rows(j, ej, i, ei, budget):
             if p + p2 < a.order:
                 stack.append((head + letters2 + tail, p + p2, c * c2))
+
+
+def reference_slice_monomials(a: HbarPresentation, weight: int, hmax: int,
+                               degree_cap: int) -> list:
+    """The (hbar power, monomial) columns of one weight of a quantized
+    slice, in column order: for each hbar power up to hmax, every exponent
+    tuple of the non-invertible generators in the (degree_cap + 1) box,
+    lexicographically, kept when its total degree is within the cap and the
+    weight equation solves for the invertible generator's exponent."""
+    inv = range(len(a.invertible))
+    if len(inv) > 1:
+        raise ValueError(
+            "slice enumeration supports at most one invertible generator"
+        )
+    if inv and a.weights[inv[0]] == 0:
+        raise ValueError("the invertible generator needs nonzero weight")
+    others = [i for i in range(len(a.names)) if i not in inv]
+    out = []
+    for hpow in range(hmax + 1):
+        for exps in iter_product(range(degree_cap + 1), repeat=len(others)):
+            if sum(exps) > degree_cap:
+                continue
+            base = hpow * a.k + sum(
+                e * a.weights[i] for i, e in zip(others, exps)
+            )
+            mono = [(i, e) for i, e in zip(others, exps) if e]
+            if inv:
+                rem = weight - base
+                wt = a.weights[inv[0]]
+                if rem % wt:
+                    continue
+                e_t = rem // wt
+                if e_t:
+                    mono.insert(0, (inv[0], e_t))
+            elif base != weight:
+                continue
+            out.append((hpow, tuple(sorted(mono))))
+    return out
 
 
 def reference_closure(a: HbarPresentation, lifts, basis: dict, truncation: int) -> dict:

@@ -9,6 +9,7 @@ import pytest
 from equislice import cli
 from equislice.cli import JobSpec, load_poisson, main, render_report, run
 from equislice.darboux import extract_slice
+from equislice.linalg import Echelon
 from equislice.poisson import standard_presentation
 from test_quantize import non_jacobi_rules
 
@@ -226,6 +227,45 @@ def test_poisson_center_covers_the_whole_weight_window():
     assert status == 2 and "empty" in report["error"]
 
 
+# x of weight 1 before y of weight -1, with no invertible variable: x*y is a
+# Casimir of weight zero, which a bound on x from the weight alone would miss
+CASIMIR_AFTER_A_NEGATIVE_WEIGHT = {
+    "variables": ["x", "y", "z"], "weights": [1, -1, 0],
+    "table": {"x,z": "x", "y,z": "-1*y"}, "degree_cap": 2,
+}
+CASIMIR_SWAPPED = dict(CASIMIR_AFTER_A_NEGATIVE_WEIGHT, variables=["y", "x", "z"], weights=[-1, 1, 0])
+
+
+def spans(document, basis, text) -> bool:
+    ctx = load_poisson(document).ctx
+    span = Echelon()
+    for element in basis:
+        span.insert(ctx.parse(element).terms)
+    return span.contains(ctx.parse(text).terms)
+
+
+def test_poisson_center_does_not_depend_on_the_variable_order():
+    dims = []
+    for document in (CASIMIR_AFTER_A_NEGATIVE_WEIGHT, CASIMIR_SWAPPED):
+        status, report = invoke("poisson center", dict(document, weight_window=[-2, 2]))
+        assert status == 0
+        dims.append({w: len(basis) for w, basis in report["basis"].items()})
+        assert spans(document, report["basis"]["0"], "x*y"), document["variables"]
+    assert dims[0] == dims[1]
+
+
+def test_darboux_slice_does_not_depend_on_the_variable_order():
+    dims = []
+    for document in (CASIMIR_AFTER_A_NEGATIVE_WEIGHT, CASIMIR_SWAPPED):
+        for weight in (-1, 0, 1):
+            status, report = invoke("darboux slice", dict(document, t="z", weight=weight))
+            assert status == 0
+            dims.append(len(report["basis"]))
+            if weight == 0:
+                assert spans(document, report["basis"], "x*y"), document["variables"]
+    assert dims[:3] == dims[3:]
+
+
 def test_order_below_one_is_rejected():
     for order in (0, -1):
         status, report = invoke("poisson jacobi", {"builder": "sl2"}, order=order)
@@ -343,6 +383,26 @@ def test_quantize_slice_refuses_an_empty_window():
     }
     status, report = invoke("quantize slice", doc)
     assert status == 2 and "empty" in report["error"]
+
+
+ENVELOPING_SL2 = {
+    "family": "enveloping", "names": ["f", "e", "h"], "weights": [1, 1, 1],
+    "constants": {"f,e": {"h": -1}, "f,h": {"f": 2}, "e,h": {"e": -2}},
+}
+
+
+def test_quantize_slice_refuses_what_the_monomial_walk_cannot_enumerate():
+    slice_doc = {"t_lift": "h", "truncation": 2, "window": [0, 0], "degree_cap": 1}
+    cases = [
+        (dict(ENVELOPING_SL2, invertible=["f", "e"]),
+         "slice enumeration supports at most one invertible generator"),
+        (dict(ENVELOPING_SL2, invertible=["f"], weights=[0, 2, 1],
+              constants={"f,e": {}, "f,h": {}, "e,h": {}}),
+         "the invertible generator needs nonzero weight"),
+    ]
+    for presentation, error in cases:
+        status, report = invoke("quantize slice", dict(slice_doc, presentation=presentation))
+        assert (status, report["error"]) == (2, error)
 
 
 NEGATIVE_CAP_JOBS = {

@@ -3,13 +3,17 @@
 A seeded fuzz mutates the criterion-10 documents and spelled-out
 Poisson, group, quantum and element documents (a dropped key, a value
 of another JSON type, a list wrapped or unwrapped, a renamed
-generator) and runs each mutant through ``cli.run`` in process.  Each
-run must return a JSON report with status 0 to 3: a mutated document
-is never an internal fault (exit 4).  An input refusal must name the
-bad field in words, never with a raw Python message such as
-"unhashable type: 'list'".
+generator, the variables of a spelled-out Poisson document permuted
+with their weights) and runs each mutant through ``cli.run`` in
+process.  Each run must return a JSON report with status 0 to 3: a
+mutated document is never an internal fault (exit 4).  An input
+refusal must name the bad field in words, never with a raw Python
+message such as "unhashable type: 'list'".  A permutation of the
+variables keeps the exit status, the ``poisson hp0`` report and the
+dimension of each weight of ``poisson center``.
 """
 
+import itertools
 import json
 import random
 import re
@@ -31,6 +35,17 @@ SPELLED_OUT = [
     ("poisson jacobi", {
         "variables": ["x", "y", "z"], "weights": [1, 1, 1], "order": 4,
         "table": {"x,y": "x", "y,z": "y", "x,z": "-1*z"}, "relations": [], "degree": 0,
+    }),
+    # x of weight 1 comes before y of weight -1: the weight of x alone
+    # does not bound its exponent in a weight slice
+    ("poisson center", {
+        "variables": ["x", "y", "z"], "weights": [1, -1, 0], "degree_cap": 2,
+        "table": {"x,z": "x", "y,z": "-1*y"}, "weight_window": [-1, 1],
+    }),
+    # likewise x of weight 1 before the filtration variable u of weight -1
+    ("poisson hp0", {
+        "variables": ["x", "y", "u"], "weights": [1, 2, -1], "filtration": ["u"], "order": 3,
+        "table": {"x,u": "1", "y,u": "x"}, "degree_cap": 4,
     }),
     ("quotient reflections", {
         "cyclotomic_order": 4, "omega": [[0, 1], [-1, 0]],
@@ -73,12 +88,17 @@ def _mutant(doc, rng):
     names = [(p, v) for p, v in nodes if isinstance(v, str)]
     names += [(p, k) for p, v in nodes if isinstance(v, dict)
               for k in v if k not in SIZES_WITH_LARGER_DEFAULTS]
-    kinds = ["swap", "wrap"] + ["rename"] * bool(names)
+    kinds = ["swap", "wrap"] + ["rename"] * bool(names) + ["permute"] * _permutable(doc)
     if path and path[-1] not in SIZES_WITH_LARGER_DEFAULTS:
         kinds.append("drop")
     if isinstance(value, list) and value:
         kinds.append("unwrap")
     kind = rng.choice(kinds)
+    if kind == "permute":
+        order = rng.sample(range(len(doc["variables"])), len(doc["variables"]))
+        for key in ("variables", "weights"):
+            doc[key] = [doc[key][i] for i in order]
+        return doc
     if kind == "rename":
         path, value = rng.choice(names)
         if isinstance(_at(doc, path), dict):
@@ -102,6 +122,36 @@ def _mutant(doc, rng):
     return doc
 
 
+def _permutable(doc) -> bool:
+    """Whether doc spells out variables and their weights, two or more."""
+    return (isinstance(doc, dict) and isinstance(doc.get("variables"), list)
+            and isinstance(doc.get("weights"), list)
+            and len(doc["variables"]) == len(doc["weights"]) > 1)
+
+
+def _without_variable_order(doc):
+    """doc with its (variable, weight) pairs sorted and the rest as it is;
+    None when doc has no variables to permute."""
+    if not _permutable(doc):
+        return None
+    rest = {key: value for key, value in doc.items() if key not in ("variables", "weights")}
+    pairs = sorted(json.dumps(pair) for pair in zip(doc["variables"], doc["weights"]))
+    return json.dumps([pairs, rest], sort_keys=True)
+
+
+def _check_variable_order(command, document, mutant):
+    """A mutant that only permutes the variables of document, with their
+    weights, ends with the same status; its hp0 report is the same and its
+    center has the same dimension at each weight."""
+    (status, report), (got, permuted) = (run(JobSpec(command, d, {})) for d in (document, mutant))
+    assert got == status, (command, mutant, permuted)
+    if command == "poisson hp0":
+        assert permuted == report, (mutant, permuted)
+    elif command == "poisson center" and status == 0:
+        dims = [{w: len(basis) for w, basis in r["basis"].items()} for r in (report, permuted)]
+        assert dims[0] == dims[1], (mutant, permuted)
+
+
 def _at(doc, path):
     for step in path:
         doc = doc[step]
@@ -122,15 +172,22 @@ def _check_outcome(command, document):
 def test_mutated_documents_end_in_documented_outcomes():
     rng = random.Random(13)
     statuses = set()
+    permuted = 0
     for command, document in DOCUMENTS:
         assert _check_outcome(command, document) in (0, 1)
+        unordered = _without_variable_order(document)
         for _ in range(100):
             mutant = _mutant(document, rng)
             if rng.random() < 0.3:
                 mutant = _mutant(mutant, rng)
             statuses.add(_check_outcome(command, mutant))
+            if mutant != document and unordered is not None and \
+                    _without_variable_order(mutant) == unordered:
+                _check_variable_order(command, document, mutant)
+                permuted += 1
     # the mutants reach refusals and also documents that still run
     assert {0, 2} <= statuses
+    assert permuted
 
 
 def test_the_mutator_covers_every_mutation():
@@ -143,6 +200,19 @@ def test_the_mutator_covers_every_mutation():
     assert '{"a": 1, "c": "y"}' in mutants  # unwrapped
     assert '{"a": [1, {"b": "x9"}], "c": "y"}' in mutants  # a renamed name
     assert '{"a": [1, {"b9": "x"}], "c": "y"}' in mutants  # a renamed key
+
+
+def test_the_mutator_permutes_variables_with_their_weights():
+    rng = random.Random(1)
+    document = {"variables": ["x", "y", "z"], "weights": [1, -1, 0], "table": {}}
+    mutants = {json.dumps(_mutant(document, rng), sort_keys=True) for _ in range(400)}
+    permuted = {
+        json.dumps(dict(document, variables=[v for v, _w in pairs], weights=[w for _v, w in pairs]),
+                   sort_keys=True)
+        for pairs in itertools.permutations(zip(document["variables"], document["weights"]))
+    }
+    assert permuted <= mutants
+    assert not _permutable({"variables": ["x"], "weights": [1]})
 
 
 SL2 = {"family": "sl2"}

@@ -39,6 +39,7 @@ from reference import (
     _reference_straighten,
     _reference_weyl_family,
     reference_closure,
+    reference_slice_monomials,
 )
 
 
@@ -65,6 +66,21 @@ def test_presentation_integers_must_be_exact():
     algebra = HbarPresentation(("x", "y"), (Q(1), 1), Q(2), rules, order=Q(3))
     assert (algebra.weights, algebra.k, algebra.order) == ((1, 1), 2, 3)
     assert type(algebra.order) is int
+
+
+def test_generators_are_checked_by_their_graded_context():
+    rules = {("x", "y"): [(Q(1), 1, {})]}
+    for names, weights, invertible, error in (
+        (("x", "x"), (1, 1), (), "duplicate variable names"),
+        (("x", "y"), (1,), (), "weights do not match variables"),
+        (("x", "y"), (1, 1), ("q",), r"unknown variables: \['q'\]"),
+    ):
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            HbarPresentation(names, weights, 1, rules, invertible=invertible)
+    a = HbarPresentation(("x", "y"), (1, 2), 1, {}, invertible=("x",))
+    assert isinstance(a.ctx, GradedContext)
+    assert (a.names, a.weights, a.invertible) == (
+        a.ctx.variables, a.ctx.weights, a.ctx.invertible) == (("x", "y"), (1, 2), {"x"})
 
 
 def test_invertible_generators_must_come_first():
@@ -242,6 +258,79 @@ def test_a_computation_reads_the_step_budget_once(monkeypatch):
         products.clear()
         compute()
         assert len(reads) == 1 and len(products) > 1
+
+
+def test_a_fresh_presentation_reads_the_step_budget_once(monkeypatch):
+    """The push-down rows that a fresh presentation builds on first use
+    are products charged to the budget of the straightening that needs
+    them, so they read no budget of their own."""
+    reads = []
+    read = quantize.max_steps
+
+    def counting_read():
+        reads.append(1)
+        return read()
+
+    monkeypatch.setattr(quantize, "max_steps", counting_read)
+    quantized_slice(sl2_enveloping(order=4, localized=True), "f", [], truncation=3,
+                    weight_window=(0, 0), degree_cap=2)
+    assert len(reads) == 1
+
+
+def least_passing_budget(monkeypatch, compute) -> int:
+    """The smallest EQUISLICE_MAX_STEPS under which compute() does not
+    raise RewriteLimitError, by doubling and then bisection."""
+    def passes(budget):
+        monkeypatch.setenv("EQUISLICE_MAX_STEPS", str(budget))
+        try:
+            compute()
+        except RewriteLimitError:
+            return False
+        return True
+
+    failing, passing = -1, 1
+    while not passes(passing):
+        failing, passing = passing, 2 * passing
+    while passing - failing > 1:
+        middle = (failing + passing) // 2
+        if passes(middle):
+            passing = middle
+        else:
+            failing = middle
+    return passing
+
+
+@pytest.mark.parametrize("compute", [
+    lambda a: a.normal_form([("e", 1), ("f", -1)]),
+    lambda a: a.multiply(a.var("e"), a.var("f", -1)),
+    lambda a: a.normal_form([("e", 2), ("f", -2)]),
+], ids=["e f^-1", "multiply e by f^-1", "e^2 f^-2"])
+def test_the_first_computation_pays_for_a_push_down_row(compute, monkeypatch):
+    """Moving e past f^-1 needs the push-down row of the pair, built by
+    products on first use: on a fresh presentation those steps count
+    against the budget of the computation that builds the row, on a warm
+    one the row is read from the cache."""
+    warm = sl2_enveloping(order=4, localized=True)
+    compute(warm)
+    fresh = least_passing_budget(
+        monkeypatch, lambda: compute(sl2_enveloping(order=4, localized=True))
+    )
+    assert fresh > least_passing_budget(monkeypatch, lambda: compute(warm))
+
+
+def test_a_memo_hit_does_not_pay_for_a_push_down_row_again(monkeypatch):
+    """A term pair whose straightening built a push-down row is kept in
+    the memo at its own cost, so a later product over that memo needs no
+    more budget than one over a fresh memo."""
+    a = sl2_enveloping(order=4, localized=True)
+    e, f_inverse = a.var("e"), a.var("f", -1)
+    shared: dict = {}
+    a.multiply(e, f_inverse, memo=shared)
+    budgets = [
+        least_passing_budget(monkeypatch, lambda: a.multiply(e, f_inverse, memo=memo))
+        for memo in (shared, {})
+    ]
+    assert budgets[0] == budgets[1]
 
 
 # -- the term-pair memo of multiply -------------------------------------------
@@ -1002,7 +1091,7 @@ def test_quantized_slice_layers_are_the_classical_centralizer(name, monkeypatch)
       its kernel condition holds mod hbar^(T+1), so layers j = 0..T-1 are
       compared, layer j of weight w with classical weight w - j*k;
     - the degree cap counts the exponents of the non-invertible generators
-      on both sides (_slice_monomials and weight_monomials), at every
+      on both sides (both walk GradedContext.weight_monomials), at every
       hbar power;
     - the classical truncation order exceeds the cap by more than one, so
       no J-truncation cuts a classical monomial or a certified bracket."""
@@ -1094,6 +1183,41 @@ def test_slice_closure_from_confluence_matches_the_pairwise_reference(name):
     lifts = [a.var(lift) if isinstance(lift, str) else lift for lift in [t_lift, *z_lifts]]
     assert res.closure["ok"]
     assert res.closure == reference_closure(a, lifts, res.basis, truncation)
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_CASES))
+def test_slice_columns_are_the_box_walk_in_its_order(name, monkeypatch):
+    """The kernel's columns, one candidate monomial commuted with each lift
+    in turn, are the whole-box walk of the reference, weight by weight and
+    in the same order (a column's index names it in the relations)."""
+    build, t_lift, z_lifts, truncation, window, cap = CLOSURE_CASES[name]
+    a = build()
+    if callable(t_lift):
+        t_lift = t_lift(a)
+    calls = []
+    commutator = HbarPresentation.commutator
+
+    def recording(self, x, y, **kwargs):
+        calls.append(y)
+        return commutator(self, x, y, **kwargs)
+
+    monkeypatch.setattr(HbarPresentation, "commutator", recording)
+    quantized_slice(a, t_lift, z_lifts, truncation, window, degree_cap=cap)
+    lifts = 1 + len(z_lifts)
+    # the conic relations come first: [t, z] for every z, then every z pair
+    kernel = calls[len(z_lifts) + len(z_lifts) * (len(z_lifts) - 1) // 2:]
+    assert kernel and len(kernel) % lifts == 0
+    columns = []
+    for n in range(0, len(kernel), lifts):
+        assert all(y is kernel[n] for y in kernel[n:n + lifts])
+        [(key, c)] = kernel[n].items()
+        assert c == 1
+        columns.append(key)
+    assert columns == [
+        key
+        for w in range(window[0], window[1] + 1)
+        for key in reference_slice_monomials(a, w, truncation - 1, cap)
+    ]
 
 
 @pytest.mark.parametrize("lift", ["x", "y", "z"])

@@ -1,5 +1,6 @@
 """Truncated graded series arithmetic."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -30,6 +31,99 @@ def test_context_integers_must_be_exact():
     ctx = GradedContext(("x", "y"), (Fraction(2), 1), order=Fraction(4))
     assert ctx.weights == (2, 1) and type(ctx.weights[0]) is int
     assert ctx.order == 4 and type(ctx.order) is int
+
+
+# -- the weight-monomial walk -------------------------------------------------
+
+
+def random_walk_context(rng):
+    """Two to four variables with weights of both signs, some of them
+    filtration variables, at most one invertible (of nonzero weight, at
+    any position), a truncation order of 1 to 4 and a degree cap of 0 to
+    3 or none."""
+    names = [f"v{i}" for i in range(rng.randint(2, 4))]
+    weights = [rng.randint(-2, 2) for _ in names]
+    invertible = []
+    if rng.random() < 0.4:
+        i = rng.randrange(len(names))
+        weights[i] = rng.choice([-2, -1, 1, 2])
+        invertible = [names[i]]
+    filtration = [v for v in names if v not in invertible and rng.random() < 0.4]
+    ctx = GradedContext(names, weights, invertible=invertible, filtration=filtration,
+                        order=rng.randint(1, 4))
+    return ctx, rng.choice([0, 1, 2, 3, None, None])
+
+
+def box_walk(ctx, weight, cap):
+    """Every exponent tuple of the given weight, found by filtering a box
+    of the free (non-invertible) exponents taken lexicographically; None
+    when no finite box holds them all."""
+    free = [i for i, v in enumerate(ctx.variables) if v not in ctx.invertible]
+    inv = [i for i, v in enumerate(ctx.variables) if v in ctx.invertible]
+    in_j = [ctx.variables[i] in ctx.filtration for i in free]
+    # a positive weight's exponent is at most the weight plus what the
+    # negative filtration variables can take back
+    room = abs(weight) + sum(
+        -ctx.weights[i] * (ctx.order - 1) for i, j in zip(free, in_j) if j and ctx.weights[i] < 0
+    )
+    box = []
+    for i, j in zip(free, in_j):
+        if j:
+            box.append(range(ctx.order))
+        elif cap is not None:
+            box.append(range(cap + 1))
+        elif ctx.weights[i] > 0 and not inv:
+            box.append(range(room + 1))
+        else:
+            return None
+    out = []
+    for es in itertools.product(*box):
+        if cap is not None and sum(es) > cap:
+            continue
+        if sum(e for e, j in zip(es, in_j) if j) >= ctx.order:
+            continue
+        exps = [0] * len(ctx.variables)
+        for i, e in zip(free, es):
+            exps[i] = e
+        rest = weight - ctx.weight_of_exps(exps)
+        if inv:
+            if rest % ctx.weights[inv[0]]:
+                continue
+            exps[inv[0]] = rest // ctx.weights[inv[0]]
+        elif rest:
+            continue
+        out.append(tuple(exps))
+    return out
+
+
+def test_weight_monomials_is_the_box_walk_and_ignores_the_variable_order():
+    rng = random.Random("weight monomials")
+    walked = 0
+    for _ in range(300):
+        ctx, cap = random_walk_context(rng)
+        weight = rng.randint(-3, 3)
+        want = box_walk(ctx, weight, cap)
+        if want is None:
+            with pytest.raises(ValueError, match="degree cap|unbounded"):
+                ctx.weight_monomials(weight, cap)
+            continue
+        got = ctx.weight_monomials(weight, cap)
+        assert got == want, (ctx, ctx.filtration, ctx.invertible, weight, cap)
+        walked += len(got)
+        # permuting the variables permutes every exponent tuple
+        perm = rng.sample(range(len(ctx.variables)), len(ctx.variables))
+        permuted = GradedContext(
+            [ctx.variables[p] for p in perm], [ctx.weights[p] for p in perm],
+            invertible=ctx.invertible, filtration=ctx.filtration, order=ctx.order,
+        )
+        back = set()
+        for exps in permuted.weight_monomials(weight, cap):
+            original = [0] * len(exps)
+            for k, p in enumerate(perm):
+                original[p] = exps[k]
+            back.add(tuple(original))
+        assert back == set(got)
+    assert walked > 300
 
 
 def test_truncation_drops_high_jorder():
