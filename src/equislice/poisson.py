@@ -425,10 +425,18 @@ class PoissonPresentation:
 
     def hp0_graded(self, degree_cap: int) -> dict[int, int]:
         """Graded dimensions of the functions modulo the span of all
-        brackets, degree by degree up to the cap.  Requires a polynomial
-        presentation (no invertible variables)."""
+        brackets, degree by degree up to the cap, which bounds the weight.
+        Requires a polynomial presentation (no invertible variables) whose
+        variables outside the filtration have positive weight, so that each
+        weight piece is finite."""
         if self.ctx.invertible:
             raise ValueError("hp0 requires a presentation without invertible variables")
+        for name, w in zip(self.ctx.variables, self.ctx.weights):
+            if w <= 0 and name not in self.ctx.filtration:
+                raise ValueError(
+                    f"hp0 needs positive weights: variable {name!r} has weight {w}, "
+                    "so its weight pieces are infinite"
+                )
         degree = self.degree if self.degree is not None else self.homogeneity_degree()
         dims = {}
         mono_cache: dict[int, list] = {}

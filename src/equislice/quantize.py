@@ -31,9 +31,9 @@ scopes to one computation (quantized_slice shares one across its whole
 call).  The rules are fixed and confluent, so a pair's normal form never
 changes, and a cached pair costs the rewrite steps it cost when it was
 first straightened, less any push-down row that straightening built:
-whether a step budget runs out never depends on what the memo holds.  A computation that forms many products reads the
-budget once and hands it to each; every product still starts with the
-whole budget.
+whether a step budget runs out never depends on what the memo holds.  A
+computation that forms many products reads the budget once and hands it
+to each; every product still starts with the whole budget.
 
 Each built-in family quantizes a Poisson presentation without relations
 by HbarPresentation.from_poisson, [g_a, g_b] = hbar*{g_a, g_b} with hbar
@@ -51,6 +51,13 @@ exact linear algebra on a weight window of monomials.  It is closed
 under multiplication by Leibniz, [l, v1 v2] = [l, v1] v2 + v1 [l, v2]
 with hbar central, once multiplication is associative, which the
 confluence certificate gives (Bergman's diamond lemma).
+
+Since every correction carries hbar, the lowest hbar layer of a product
+is the commutative product of its factors' lowest layers, the classical
+limit.  The generator search reads that layer before it multiplies a
+pair, and forms no product that its spans would ignore: one lying wholly
+at hbar^truncation or above, or one reaching a monomial that no basis
+element of its weight holds.
 """
 
 from __future__ import annotations
@@ -78,6 +85,15 @@ def _charge(budget: list, steps: int) -> None:
             "rewriting exceeded the step budget; raise "
             "EQUISLICE_MAX_STEPS if the input is this large"
         )
+
+
+def _merged(m1, m2) -> tuple:
+    # the monomial m1*m2 with its letters commuting: exponents added, zero
+    # exponents dropped
+    exps = dict(m1)
+    for i, e in m2:
+        exps[i] = exps.get(i, 0) + e
+    return tuple(sorted((i, e) for i, e in exps.items() if e))
 
 
 def _inversions(word) -> int:
@@ -380,9 +396,10 @@ class HbarPresentation:
         m2) has a rule, each state has one successor, so that is one step
         per crossing plus the final collect, and the form is the merged
         monomial.  Otherwise the pair is looked up in the memo under (m1,
-        m2, p), and straightened and stored there on a miss.  The memo also maps each (hbar power, monomial) key it
-        stores to itself, so that equal keys share one tuple; term-pair
-        keys are triples and never collide with them."""
+        m2, p), and straightened and stored there on a miss.  The memo
+        also maps each (hbar power, monomial) key it stores to itself, so
+        that equal keys share one tuple; term-pair keys are triples and
+        never collide with them."""
         steps = 1
         for j, ej in m1:
             for i, ei in m2:
@@ -391,11 +408,7 @@ class HbarPresentation:
                         return self._memo_product(m1, m2, p, budget, memo)
                     steps += abs(ej * ei)
         _charge(budget, steps)
-        exps = dict(m1)
-        for i, e in m2:
-            exps[i] = exps.get(i, 0) + e
-        mono = tuple(sorted((i, e) for i, e in exps.items() if e))
-        return (steps, (p, mono), 1)
+        return (steps, (p, _merged(m1, m2)), 1)
 
     def _memo_product(self, m1, m2, p: int, budget, memo: dict) -> tuple:
         entry = memo.get((m1, m2, p))
@@ -423,8 +436,9 @@ class HbarPresentation:
         and stored there (see _term_product).  A term pair costs the steps
         its merged straightening cost when it was first straightened, less
         any push-down row built on the way, so whether the budget runs out
-        depends on the call alone, not on what the memo holds.  limit is the product's step budget, max_steps()
-        when None; a computation that forms many products reads it once."""
+        depends on the call alone, not on what the memo holds.  limit is
+        the product's step budget, max_steps() when None; a computation
+        that forms many products reads it once."""
         return self._product(a, b, [max_steps() if limit is None else limit],
                              {} if memo is None else memo)
 
@@ -910,7 +924,14 @@ def _generator_candidates(a, basis, truncation, memo, limit):
     Spans are compared mod hbar^truncation; products landing outside
     the window or the enumerated monomial sets are ignored, so the
     listing is a within-window certificate, not a global generating
-    claim."""
+    claim.
+
+    Every correction carries hbar, so the lowest layer of a product,
+    at hbar^(p1+p2) for factors whose lowest layers sit at hbar^p1 and
+    hbar^p2, is the commutative product of those layers.  A pool pair
+    is multiplied only when that layer is visible and all its monomials
+    are enumerated; any other product would be ignored, so skipping it
+    leaves the pool, the spans and the candidates as they were."""
     keys: dict[int, set] = {}
     spans: dict[int, Echelon] = {}
     for w, vs in basis.items():
@@ -925,29 +946,51 @@ def _generator_candidates(a, basis, truncation, memo, limit):
             return None
         return visible
 
-    pool: list[tuple[int, dict]] = []
+    # (weight, element, (hbar power, {monomial: coefficient}) of its
+    # lowest layer)
+    pool: list[tuple[int, dict, tuple]] = []
 
     def absorb(w, elem) -> bool:
         vec = vectorize(w, elem)
         if vec is None or not spans[w].insert(vec):
             return False
-        pool.append((w, elem))
+        low = min(p for p, _m in elem)
+        pool.append((w, elem, (low, {
+            m: c for (p, m), c in elem.items() if p == low
+        })))
         return True
 
+    def can_enter(w, layer1, layer2) -> bool:
+        # whether the lowest layer of the product is visible and within
+        # keys[w]; only monomials outside keys[w] are summed, since a
+        # merged monomial can cancel
+        p = layer1[0] + layer2[0]
+        if p >= truncation:
+            return False
+        outside: dict = {}
+        for m1, c1 in layer1[1].items():
+            for m2, c2 in layer2[1].items():
+                m = _merged(m1, m2)
+                if (p, m) not in keys[w]:
+                    outside[m] = outside.get(m, 0) + c1 * c2
+        return not any(outside.values())
+
     # spans only grow, so a product once rejected stays rejected and
-    # each ordered pool pair needs multiplying once
+    # each ordered pool pair needs looking at once
     multiplied: set[tuple[int, int]] = set()
 
     def close_products():
         grew = True
         while grew:
             grew = False
-            for i, (w1, e1) in enumerate(list(pool)):
-                for j, (w2, e2) in enumerate(list(pool)):
+            for i, (w1, e1, layer1) in enumerate(list(pool)):
+                for j, (w2, e2, layer2) in enumerate(list(pool)):
                     w = w1 + w2
                     if w not in keys or (i, j) in multiplied:
                         continue
                     multiplied.add((i, j))
+                    if not can_enter(w, layer1, layer2):
+                        continue
                     if absorb(w, a.multiply(e1, e2, memo=memo,
                                             limit=limit)):
                         grew = True

@@ -17,7 +17,9 @@ loop of its own over every ordered generator triple; hbar rewriting
 letter by letter, every rewrite path of a word followed on its own; the
 closure of a quantized slice checked product by product on every ordered
 basis pair; the candidate monomials of a quantized slice's weight, found
-by walking the whole degree box at every hbar power; and the compressed
+by walking the whole degree box at every hbar power; the generator search
+of a quantized slice multiplying every ordered pool pair in full; and the
+compressed
 form of a symplectic reflection as a projection onto its moved plane
 along its fixed space."""
 
@@ -37,9 +39,15 @@ from equislice.hypertoric import (
     slice_matrix,
 )
 from equislice.intmat import IntMatrix, det
-from equislice.linalg import Span
+from equislice.linalg import Echelon, Span
 from equislice.quotient import _coordinates, _mat_mul, _mat_vec, _reduced_basis, _transpose
-from equislice.quantize import HbarPresentation, _charge
+from equislice.quantize import (
+    HbarPresentation,
+    _charge,
+    _element_degree,
+    _element_unit_depth,
+    _is_laurent_seed,
+)
 from equislice.scalars import CycloNumber, Q
 from equislice.series import TruncatedElement, _add_into, _trusted, sum_of_products
 
@@ -730,3 +738,66 @@ def reference_closure(a: HbarPresentation, lifts, basis: dict, truncation: int) 
                     ):
                         failures.append({"weights": [w1, w2], "product": a.render(prod)})
     return {"ok": not failures, "pairs": pairs, "failures": failures}
+
+
+def reference_generator_candidates(a: HbarPresentation, basis: dict, truncation: int,
+                                   memo: dict, limit: int) -> list:
+    """The generator candidates of a quantized slice basis, every ordered
+    pool pair multiplied in full and its product kept when it lies in the
+    enumerated monomials of its weight and grows that weight's span mod
+    hbar^truncation; the pool, the pair order and the candidate order are
+    those of quantize._generator_candidates."""
+    keys = {w: {key for v in vs for key in v} for w, vs in basis.items()}
+    spans = {w: Echelon() for w in basis}
+    pool = []
+
+    def vectorize(w, elem):
+        visible = {key: c for key, c in elem.items() if key[0] < truncation}
+        if any(key not in keys[w] for key in visible):
+            return None
+        return visible
+
+    def absorb(w, elem) -> bool:
+        vec = vectorize(w, elem)
+        if vec is None or not spans[w].insert(vec):
+            return False
+        pool.append((w, elem))
+        return True
+
+    multiplied = set()
+
+    def close_products():
+        grew = True
+        while grew:
+            grew = False
+            for i, (w1, e1) in enumerate(list(pool)):
+                for j, (w2, e2) in enumerate(list(pool)):
+                    w = w1 + w2
+                    if w not in keys or (i, j) in multiplied:
+                        continue
+                    multiplied.add((i, j))
+                    if absorb(w, a.multiply(e1, e2, memo=memo, limit=limit)):
+                        grew = True
+
+    for w, vs in basis.items():
+        for v in vs:
+            if _is_laurent_seed(a, v):
+                absorb(w, v)
+    close_products()
+    ordered = sorted(
+        (
+            (_element_degree(a, v), _element_unit_depth(a, v), w, pos, v)
+            for w, vs in basis.items()
+            for pos, v in enumerate(vs)
+        ),
+        key=lambda row: row[:4],
+    )
+    candidates = []
+    for _deg, _depth, w, _pos, v in ordered:
+        vec = vectorize(w, v)
+        if vec is not None and spans[w].contains(vec):
+            continue
+        candidates.append((w, v))
+        absorb(w, v)
+        close_products()
+    return candidates

@@ -266,6 +266,19 @@ def test_darboux_slice_does_not_depend_on_the_variable_order():
     assert dims[:3] == dims[3:]
 
 
+def test_hp0_refuses_a_non_positive_weight_by_name():
+    """The document's degree_cap bounds the weight for hp0, so the refusal
+    names the variable whose weight pieces are infinite, not the cap."""
+    for document in (CASIMIR_AFTER_A_NEGATIVE_WEIGHT, CASIMIR_SWAPPED):
+        status, report = invoke("poisson hp0", document)
+        assert (status, report["error"]) == (
+            2, "hp0 needs positive weights: variable 'y' has weight -1, "
+            "so its weight pieces are infinite")
+    zero = dict(CASIMIR_AFTER_A_NEGATIVE_WEIGHT, weights=[1, 1, 0], table={"x,y": "z"})
+    status, report = invoke("poisson hp0", zero)
+    assert status == 2 and "variable 'z' has weight 0" in report["error"]
+
+
 def test_order_below_one_is_rejected():
     for order in (0, -1):
         status, report = invoke("poisson jacobi", {"builder": "sl2"}, order=order)

@@ -39,6 +39,7 @@ from reference import (
     _reference_straighten,
     _reference_weyl_family,
     reference_closure,
+    reference_generator_candidates,
     reference_slice_monomials,
 )
 
@@ -1273,6 +1274,91 @@ def test_slice_closure_multiplies_no_basis_pair(monkeypatch):
     assert operands and res.closure["pairs"] == len(basis) ** 2
     assert not any(in_basis(x) and in_basis(y) for x, y in operands)
     assert len(certificates) == 1
+
+
+# -- the generator search reads a product's lowest hbar layer first -----------
+
+
+def searched(a, t_lift, z_lifts, truncation, window, cap, monkeypatch):
+    """(slice result, generator search products) of one quantized slice,
+    the search rerun on the result's basis with a fresh memo while every
+    product it forms is recorded."""
+    res = quantized_slice(a, t_lift, z_lifts, truncation, window, degree_cap=cap)
+    products = []
+    multiply = HbarPresentation.multiply
+
+    def recording(self, x, y, **kwargs):
+        out = multiply(self, x, y, **kwargs)
+        products.append(out)
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(HbarPresentation, "multiply", recording)
+        again = _generator_candidates(a, res.basis, truncation, {}, max_steps())
+    assert again == res.generator_candidates
+    return res, products
+
+
+def assert_search_matches_the_reference(a, res):
+    ref = reference_generator_candidates(a, res.basis, res.truncation, {}, max_steps())
+    assert res.generator_candidates == ref
+    mirror = quantize.QuantSliceResult(
+        a, res.truncation, res.window, res.degree_cap, res.basis, ref, res.closure
+    )
+    assert json.dumps(res.as_json(), sort_keys=True) == json.dumps(mirror.as_json(), sort_keys=True)
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_CASES))
+def test_generator_search_matches_the_full_product_reference(name, monkeypatch):
+    """Skipping the products whose lowest layer cannot enter a span leaves
+    the candidates, their order and the report as the search that
+    multiplies every pool pair gives them; every product still formed
+    has visible terms, all of them enumerated at its weight."""
+    build, t_lift, z_lifts, truncation, window, cap = CLOSURE_CASES[name]
+    a = build()
+    if callable(t_lift):
+        t_lift = t_lift(a)
+    res, products = searched(a, t_lift, z_lifts, truncation, window, cap, monkeypatch)
+    assert_search_matches_the_reference(a, res)
+    keys = {w: {key for v in vs for key in v} for w, vs in res.basis.items()}
+    for out in products:
+        visible = {key for key in out if key[0] < truncation}
+        assert visible and visible <= keys[a.weight_of(out)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_generator_search_matches_the_reference_under_seeded_gauges(seed):
+    """t conjugated by exp(hbar ad(g)) for a seeded g of the weight of u z1
+    (terms at hbar^0 and hbar^1, Laurent in t, degree at most 2)."""
+    rng = random.Random(seed)
+    a = differential_family(2, 1, order=4)
+    terms = [
+        (hpow, exps)
+        for hpow in (0, 1)
+        for exps in a.ctx.weight_monomials(1 - hpow * a.k, 2)
+    ]
+    gauge = a.from_terms(
+        (Q(rng.randint(-3, 3), rng.randint(1, 3)), hpow, dict(zip(a.names, exps)))
+        for hpow, exps in rng.sample(terms, 3)
+    )
+    twisted = exp_ad_conjugate(a, gauge, a.var("t"))
+    res = quantized_slice(a, twisted, [], truncation=2, weight_window=(-1, 1), degree_cap=2)
+    assert res.closure["ok"] and res.generator_candidates
+    assert_search_matches_the_reference(a, res)
+
+
+def test_generator_search_forms_only_products_that_can_enter_a_span(monkeypatch):
+    """Criterion 9's localized sl2: the search forms 36 products, each
+    with visible terms all enumerated at weight 0; multiplying every pool
+    pair forms 81, 45 of which lie wholly at hbar^3 or reach a monomial
+    that no basis element of weight 0 holds."""
+    a = sl2_enveloping(order=4, localized=True)
+    res, products = searched(a, "f", [], 3, (0, 0), 4, monkeypatch)
+    keys = {key for v in res.basis[0] for key in v}
+    assert len(products) == 36
+    for out in products:
+        visible = {key for key in out if key[0] < 3}
+        assert visible and visible <= keys
 
 
 # -- serialization ------------------------------------------------------------
