@@ -6,7 +6,11 @@ leaves are indexed by the parabolic subgroups: the pointwise stabilizers
 of points of the vector space.  Each leaf is the free locus of the fixed
 space of its parabolic, quotiented by the residual action of the
 normalizer, and the transverse slice is the quotient of the symplectic
-complement of the fixed space by the parabolic itself.
+complement of the fixed space by the parabolic itself.  The parabolics
+are read off the intersection lattice of the element fixed spaces, each
+space kept as the reduced basis of its annihilator (the rows of g - 1):
+a meet is a union of rows, and a meet that leaves a space unchanged
+names elements of its stabilizer.
 
 All arithmetic is exact over the cyclotomic field of the input, so every
 reported subspace, projection, and pairing is certified by construction
@@ -35,6 +39,14 @@ Vector = tuple[CycloNumber, ...]
 
 
 def _vector(field: CycloField, entries) -> Vector:
+    """Entries as scalars of the field; an entry of another cyclotomic
+    field is refused, since no embedding between fields is implied."""
+    for x in entries:
+        if type(x) is CycloNumber and x.field is not field:
+            raise ValueError(
+                f"an entry of cyclotomic order {x.field.order} does not lie "
+                f"in the field of cyclotomic order {field.order}"
+            )
     return tuple(as_scalar(x, field) for x in entries)
 
 
@@ -190,7 +202,7 @@ class GroupData:
         self.generators = tuple(self._index[g] for g in gens)
         self._inverse = tuple(row.index(self.identity) for row in self._table)
         self.classes = self._conjugacy_classes()
-        self._fixed: dict[int, tuple[Vector, ...]] = {}
+        self._annihilator: dict[int, tuple[Vector, ...]] = {}
 
     def _conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         seen: set[int] = set()
@@ -233,11 +245,16 @@ class GroupData:
             for r in range(self.dim)
         ]
 
+    def annihilator(self, i: int) -> tuple[Vector, ...]:
+        """Reduced basis of the row space of g - 1 for one element g: the
+        annihilator of its fixed space, empty for the identity."""
+        if i not in self._annihilator:
+            self._annihilator[i] = _reduced_basis(self.field, self._moved_rows(i))
+        return self._annihilator[i]
+
     def fixed_space(self, i: int) -> tuple[Vector, ...]:
         """Reduced basis of the fixed space of one element."""
-        if i not in self._fixed:
-            self._fixed[i] = _kernel(self.field, self._moved_rows(i), self.dim)
-        return self._fixed[i]
+        return _kernel(self.field, self.annihilator(i), self.dim)
 
     def as_json(self) -> dict:
         return {
@@ -261,18 +278,16 @@ def close_group(generators, omega, field: CycloField | None = None,
                 cap: int = 512) -> GroupData:
     """Close a generating set of exact symplectic matrices into a group.
 
-    The field defaults to the common field of any cyclotomic entry, or
-    to the rationals when every entry is an integer or Fraction; the
-    closure and its `cap` are those of `GroupData`."""
+    The field defaults to the field of the first cyclotomic entry, or
+    to the rationals when every entry is an integer or Fraction; an
+    entry of another cyclotomic field is refused.  The closure and its
+    `cap` are those of `GroupData`."""
     if field is None:
-        for g in generators:
-            for row in g:
-                for x in row:
-                    if isinstance(x, CycloNumber):
-                        field = x.field
-                        break
-    if field is None:
-        field = CycloField(1)
+        field = next(
+            (x.field for g in generators for row in g for x in row
+             if isinstance(x, CycloNumber)),
+            CycloField(1),
+        )
     return GroupData(field, omega, generators, cap)
 
 
@@ -299,22 +314,6 @@ def _kernel(field: CycloField, rows, dim: int) -> tuple[Vector, ...]:
         for j in range(dim)
     ]
     return _basis(field, relations(columns), range(dim))
-
-
-def _intersect(field: CycloField, a, b, dim: int) -> tuple[Vector, ...]:
-    """Reduced basis of the intersection of two spans (Zassenhaus).
-
-    The rows (v|v) for v in a and (w|0) for w in b combine to (x+y|x)
-    with x in a and y in b, so the combinations with zero left half are
-    (0|x) for x in both spans; those are exactly the echelon rows that
-    pivot in the right half."""
-    echelon = Echelon()
-    for v in a:
-        echelon.insert({**dict(enumerate(v)), **dict(enumerate(v, dim))})
-    for w in b:
-        echelon.insert(dict(enumerate(w)))
-    meet = (row for p, row in echelon.items() if p >= dim)
-    return _basis(field, meet, range(dim, 2 * dim))
 
 
 def _coordinates(basis, vectors) -> list:
@@ -352,13 +351,9 @@ class ParabolicRecord:
         self.group = group
         self.subgroup = tuple(sorted(subgroup))
         field, dim = group.field, group.dim
-        # ker(g - 1) depends only on the fixed space of g, so one element
-        # per distinct fixed space gives all the rows the kernel needs
-        shared = {group.fixed_space(i): i for i in self.subgroup}
-        fixed = _kernel(
-            field, [r for i in shared.values() for r in group._moved_rows(i)],
-            dim,
-        )
+        # the fixed space is cut out by the subgroup's distinct annihilators
+        rows = dict.fromkeys(group.annihilator(i) for i in self.subgroup)
+        fixed = _kernel(field, [r for a in rows for r in a], dim)
         self.fixed_basis = fixed
         self.perp_basis = _omega_perp(field, group.omega, fixed)
         together = [list(v) for v in fixed + self.perp_basis]
@@ -397,37 +392,39 @@ def parabolic_subgroups(group: GroupData) -> tuple[ParabolicRecord, ...]:
     Every stabilizer of a point is the stabilizer of a generic point of
     some intersection of element fixed spaces, so the intersection
     lattice of the fixed spaces enumerates the parabolics without
-    touching the full subgroup lattice."""
-    field, dim = group.field, group.dim
-    # elements sharing a fixed space, in first-element order
+    touching the full subgroup lattice.
+
+    Each space of the lattice is kept as the reduced basis of its
+    annihilator, so meeting it with an element's fixed space is the
+    reduced basis of the union of their annihilator rows.  The walk
+    starts from the whole space (no rows) and meets each space once with
+    each class of elements sharing an annihilator: a meet that leaves
+    the space unchanged puts the class into the space's stabilizer, and
+    any other meet is a space of the lattice."""
+    field = group.field
+    # elements sharing an annihilator (so a fixed space), in
+    # first-element order
     members: dict[tuple, list[int]] = {}
     for i in range(group.order):
-        members.setdefault(group.fixed_space(i), []).append(i)
-    spaces = dict.fromkeys(members)
-    frontier = list(members)
+        members.setdefault(group.annihilator(i), []).append(i)
+    stabilizers: dict[tuple, list[int]] = {(): []}
+    frontier = [()]
     while frontier:
         nxt = []
         for space in frontier:
-            for gen in members:
-                meet = _intersect(field, space, gen, dim)
-                if meet not in spaces:
-                    spaces[meet] = None
+            for rows, elements in members.items():
+                meet = _reduced_basis(field, space + rows)
+                if meet == space:
+                    stabilizers[space].extend(elements)
+                elif meet not in stabilizers:
+                    stabilizers[meet] = []
                     nxt.append(meet)
         frontier = nxt
-
-    by_subgroup: dict[tuple[int, ...], ParabolicRecord] = {}
-    for basis in spaces:
-        stab = tuple(
-            sorted(
-                i for space, elements in members.items()
-                if _contains(space, basis) for i in elements
-            )
-        )
-        if stab not in by_subgroup:
-            by_subgroup[stab] = ParabolicRecord(group, stab)
+    # distinct spaces of the lattice are the fixed spaces of distinct
+    # subgroups, so each stabilizer is recorded once
     return tuple(
         sorted(
-            by_subgroup.values(),
+            (ParabolicRecord(group, stab) for stab in stabilizers.values()),
             key=lambda r: (-r.leaf_dim, r.subgroup),
         )
     )
@@ -446,7 +443,7 @@ class SRAData:
         self.group = group
         self.reflections = tuple(
             i for i in range(group.order)
-            if group.dim - len(group.fixed_space(i)) == 2
+            if len(group.annihilator(i)) == 2
         )
         inside = set(self.reflections)
         self.classes = tuple(

@@ -11,9 +11,12 @@ substitution that raises every variable, mapped or not, to its power
 and multiplies the powers; the Fraction-typed form of a scalar, with the
 comparison that holds int-first results to the same computation on
 Fraction inputs; the Galois conjugate of a group presentation over a
-cyclotomic field; the hbar families with their rule tables written by
-hand, the enveloping algebra checking its structure constants with a
-loop of its own over every ordered generator triple; hbar rewriting
+cyclotomic field; the Zassenhaus meet of two spans, and the parabolic
+closure built from it, with each lattice space's stabilizer read off by
+a containment test per element fixed space; the hbar families with
+their rule tables written by hand, the enveloping algebra checking its
+structure constants with a loop of its own over every ordered generator
+triple; hbar rewriting
 letter by letter, every rewrite path of a word followed on its own; the
 closure of a quantized slice checked product by product on every ordered
 basis pair; the candidate monomials of a quantized slice's weight, found
@@ -40,7 +43,18 @@ from equislice.hypertoric import (
 )
 from equislice.intmat import IntMatrix, det
 from equislice.linalg import Echelon, Span
-from equislice.quotient import _coordinates, _mat_mul, _mat_vec, _reduced_basis, _transpose
+from equislice.quotient import (
+    _basis,
+    _contains,
+    _coordinates,
+    _kernel,
+    _mat_mul,
+    _mat_vec,
+    _matrix_json,
+    _omega_perp,
+    _reduced_basis,
+    _transpose,
+)
 from equislice.quantize import (
     HbarPresentation,
     _charge,
@@ -537,6 +551,76 @@ def _galois_conjugate(omega, generators, k: int):
         return tuple(tuple(_galois(x, k) for x in row) for row in matrix)
 
     return conj(omega), [conj(g) for g in generators]
+
+
+def _reference_intersect(field, a, b, dim: int):
+    """Reduced basis of the intersection of two spans (Zassenhaus).
+
+    The rows (v|v) for v in a and (w|0) for w in b combine to (x+y|x)
+    with x in a and y in b, so the combinations with zero left half are
+    (0|x) for x in both spans; those are exactly the echelon rows that
+    pivot in the right half."""
+    echelon = Echelon()
+    for v in a:
+        echelon.insert({**dict(enumerate(v)), **dict(enumerate(v, dim))})
+    for w in b:
+        echelon.insert(dict(enumerate(w)))
+    meet = (row for p, row in echelon.items() if p >= dim)
+    return _basis(field, meet, range(dim, 2 * dim))
+
+
+def reference_parabolic_subgroups(group) -> list[dict]:
+    """The parabolics in two passes: the intersection lattice of the
+    element fixed spaces closed under Zassenhaus meets, then each
+    space's stabilizer read off as the elements whose fixed space
+    contains it.  One entry per subgroup, in the order of
+    `parabolic_subgroups`: the subgroup, its fixed space (the lattice
+    space, reduced), its symplectic complement, and the `as_json()` its
+    record must have."""
+    field, dim = group.field, group.dim
+    members: dict[tuple, list[int]] = {}
+    for i in range(group.order):
+        members.setdefault(_kernel(field, group._moved_rows(i), dim), []).append(i)
+    spaces = dict.fromkeys(members)
+    frontier = list(members)
+    while frontier:
+        nxt = []
+        for space in frontier:
+            for fixed in members:
+                meet = _reference_intersect(field, space, fixed, dim)
+                if meet not in spaces:
+                    spaces[meet] = None
+                    nxt.append(meet)
+        frontier = nxt
+    by_subgroup: dict[tuple[int, ...], tuple] = {}
+    for space in spaces:
+        stab = tuple(sorted(
+            i for fixed, elements in members.items()
+            if _contains(fixed, space) for i in elements
+        ))
+        by_subgroup.setdefault(stab, space)
+    out = []
+    for stab, space in sorted(by_subgroup.items(), key=lambda kv: (-len(kv[1]), kv[0])):
+        perp = _omega_perp(field, group.omega, space)
+        normalizer = [
+            h for h in range(group.order)
+            if {group.multiply(group.multiply(h, i), group.inverse(h)) for i in stab} == set(stab)
+        ]
+        out.append({
+            "subgroup": stab,
+            "fixed_basis": space,
+            "perp_basis": perp,
+            "json": {
+                "subgroup": list(stab),
+                "subgroup_order": len(stab),
+                "leaf_dim": len(space),
+                "fixed_basis": _matrix_json(space),
+                "perp_basis": _matrix_json(perp),
+                "normalizer_order": len(normalizer),
+                "residual_order": len(normalizer) // len(stab),
+            },
+        })
+    return out
 
 
 def _reference_compressed_form(group, s: int):

@@ -11,9 +11,11 @@ import pytest
 from reference import (
     _galois_conjugate,
     _reference_compressed_form,
+    _reference_intersect,
     _reference_kernel,
     _reference_rref,
     _reference_solve,
+    reference_parabolic_subgroups,
 )
 
 from equislice import linalg, quotient
@@ -29,7 +31,6 @@ from equislice.quotient import (
     GroupData,
     _contains,
     _coordinates,
-    _intersect,
     _kernel,
     _reduced_basis,
     close_group,
@@ -60,21 +61,44 @@ def _mat_mul(a, b):
     )
 
 
-def _g_m12_generators(m, field):
-    """Generators of G(m,1,2) on C^2 plus its dual: a diagonal m-th root
-    of unity and the coordinate swap."""
-    z, one, zero = field.zeta() ** (field.order // m), field.one(), field.zero()
-    diag = ((z, zero, zero, zero), (zero, one, zero, zero),
-            (zero, zero, z ** (m - 1), zero), (zero, zero, zero, one))
-    swap = ((zero, one, zero, zero), (one, zero, zero, zero),
-            (zero, zero, zero, one), (zero, zero, one, zero))
-    return [diag, swap]
+def _standard_form(n):
+    """The form pairing coordinate i of C^n with coordinate i of its dual."""
+    return tuple(
+        tuple(1 if j == i + n else -1 if i == j + n else 0 for j in range(2 * n))
+        for i in range(2 * n)
+    )
+
+
+def _g_m1n_generators(m, n, field):
+    """Generators of G(m,1,n) on C^n plus its dual: an m-th root of unity
+    on the first coordinate and the swaps of neighbouring coordinates.
+    The root is -1 for m = 2, which every field holds, and a power of
+    the field's zeta otherwise."""
+    one, zero = field.one(), field.zero()
+    z = -one if m == 2 else field.zeta() ** (field.order // m)
+    d = 2 * n
+    scale = {0: z, n: z ** (m - 1)}
+    gens = [tuple(
+        tuple(scale.get(i, one) if i == j else zero for j in range(d))
+        for i in range(d)
+    )]
+    for k in range(n - 1):
+        swap = {k: k + 1, k + 1: k, n + k: n + k + 1, n + k + 1: n + k}
+        gens.append(tuple(
+            tuple(one if swap.get(i, i) == j else zero for j in range(d))
+            for i in range(d)
+        ))
+    return gens
+
+
+def _g_m1n(m, n, field=None):
+    field = field or CycloField(m)
+    return close_group(_g_m1n_generators(m, n, field), _standard_form(n),
+                       field=field, cap=512)
 
 
 def _g_m12(m, field=None):
-    field = field or CycloField(m)
-    return close_group(_g_m12_generators(m, field), G_M12_FORM, field=field,
-                       cap=64)
+    return _g_m1n(m, 2, field)
 
 
 def _binary_dihedral(order):
@@ -84,6 +108,47 @@ def _binary_dihedral(order):
     rotation = ((z, zero), (zero, z ** (2 * n - 1)))
     swap = ((zero, one), (-one, zero))
     return close_group([rotation, swap], PLANE_FORM, field=field, cap=order)
+
+
+def _klein_four_on_three_planes():
+    """Z/2 x Z/2 on three symplectic planes, each element but the
+    identity acting as -1 on two of them: the fixed spaces are the
+    planes, so the origin is a meet that no element's fixed space is."""
+    field = CycloField(1)
+    one, zero = field.one(), field.zero()
+
+    def signs(*planes):
+        diagonal = planes + planes
+        return tuple(
+            tuple(diagonal[i] * one if i == j else zero for j in range(6))
+            for i in range(6)
+        )
+
+    return close_group([signs(-1, -1, 1), signs(1, -1, -1)], _standard_form(3),
+                       field=field)
+
+
+def _sheared(group, rng):
+    """The group conjugated by a seeded symplectic transvection
+    x -> x + c omega(v, x) v, which moves its fixed spaces off the
+    coordinate planes."""
+    field, omega, dim = group.field, group.omega, group.dim
+    v = [rng.choice([0, 1, -1]) * field.zeta(rng.randrange(field.order))
+         for _ in range(dim)]
+    u = [sum((v[i] * omega[i][j] for i in range(dim)), start=field.zero())
+         for j in range(dim)]
+    c = rng.choice([-2, -1, 1, 2])
+
+    def transvection(c):
+        return tuple(
+            tuple(int(r == j) + c * v[r] * u[j] for j in range(dim))
+            for r in range(dim)
+        )
+
+    forward, back = transvection(c), transvection(-c)
+    gens = [quotient._mat_mul(quotient._mat_mul(forward, group.element(i)), back)
+            for i in group.generators]
+    return close_group(gens, omega, field=field, cap=group.order)
 
 
 @pytest.fixture(scope="module")
@@ -198,7 +263,7 @@ def test_closure_forms_each_product_once(monkeypatch):
     """One product per element and generator, plus the two products of
     each generator's form check: |G|*s + 2s matrix products in all."""
     field = CycloField(3)
-    gens = _g_m12_generators(3, field)
+    gens = _g_m1n_generators(3, 2, field)
     calls = []
     product = quotient._mat_mul
 
@@ -264,6 +329,22 @@ def test_groups_agree_over_a_larger_field():
         assert small.as_json()["elements"] == large.as_json()["elements"]
         assert summary(small) == summary(large)
     assert summary(_g_m12(4)) == summary(_g_m12(4, CycloField(8)))
+
+
+def test_close_group_refuses_generators_from_two_cyclotomic_fields():
+    qi, q8 = CycloField(4), CycloField(8)
+    rotation_i = ((qi.zeta(), qi.zero()), (qi.zero(), qi.zeta(3)))
+    rotation_8 = ((q8.zeta(), q8.zero()), (q8.zero(), q8.zeta(7)))
+    # the field is that of the first cyclotomic entry, whichever
+    # generator comes first, and no embedding between fields is implied
+    with pytest.raises(ValueError, match="order 8 does not lie in the field of cyclotomic order 4"):
+        close_group([rotation_i, rotation_8], PLANE_FORM)
+    with pytest.raises(ValueError, match="order 4 does not lie in the field of cyclotomic order 8"):
+        close_group([rotation_8, rotation_i], PLANE_FORM)
+    group = close_group([rotation_i], PLANE_FORM)
+    assert group.field is qi and group.order == 4
+    with pytest.raises(ValueError, match="order 8 does not lie in the field of cyclotomic order 4"):
+        leaf_slice_data(group, _record_by_dim(group, 2), [q8.zeta(), 0])
 
 
 def test_g412_order_reflections_and_parabolics():
@@ -332,6 +413,8 @@ def _rows(basis):
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 @pytest.mark.parametrize("seed", range(5))
 def test_intersect_and_reduced_basis_agree_with_the_reference(field, seed):
+    # the Zassenhaus meet is the reference: the closure meets spans as
+    # row unions of their annihilators
     rng = random.Random(300 + seed)
     for _ in range(12):
         dim = rng.randint(1, 5)
@@ -343,11 +426,11 @@ def test_intersect_and_reduced_basis_agree_with_the_reference(field, seed):
             for row in (_reference_kernel(span) if span else _whole(dim))
         ]
         meet = _reference_kernel(constraints) if constraints else _whole(dim)
-        got = _intersect(
+        got = _reference_intersect(
             field, _reduced_basis(field, a), _reduced_basis(field, b), dim
         )
         assert _rows(got) == _reference_basis(meet)
-        assert _rows(_intersect(field, a, b, dim)) == _rows(got)
+        assert _rows(_reference_intersect(field, a, b, dim)) == _rows(got)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -407,26 +490,92 @@ def test_fixed_spaces_agree_with_the_reference(all_groups):
             )
 
 
-def test_g412_lattice_walk_meets_only_distinct_fixed_spaces(monkeypatch):
+def test_g412_closure_meets_each_space_once_per_class_and_solves_nothing(monkeypatch):
     group = _g_m12(4)
-    distinct = {group.fixed_space(i) for i in range(group.order)}
-    assert len(distinct) == 8
+    classes = {group.annihilator(i) for i in range(group.order)}
+    assert len(classes) == 8
     meets = []
+    reduced = quotient._reduced_basis
 
-    def counted(field, a, b, dim):
-        meets.append(_intersect(field, a, b, dim))
+    def counted(field, vectors):
+        meets.append(reduced(field, vectors))
         return meets[-1]
 
-    monkeypatch.setattr(quotient, "_intersect", counted)
+    def refused(basis, vectors):
+        raise AssertionError("the closure solved for coordinates")
+
+    # the annihilators are cached, so every reduction now is a meet
+    monkeypatch.setattr(quotient, "_reduced_basis", counted)
+    monkeypatch.setattr(quotient, "_coordinates", refused)
     records = parabolic_subgroups(group)
-    lattice = distinct | set(meets)
-    assert len(records) == 8
-    # each lattice space is met with each distinct fixed space at most
-    # once; meeting every element's fixed space made 256 calls
-    assert len(meets) <= len(distinct) * len(lattice) == 64
+    lattice = {()} | set(meets)
+    assert len(records) == len(lattice) == 8
+    # each lattice space is met with each class of elements sharing an
+    # annihilator once, and the stabilizers come from the same meets
+    assert len(meets) <= len(classes) * len(lattice) == 64
 
 
 # -- parabolic subgroups -------------------------------------------------------
+
+
+# (m, field, Galois exponent or None) of the G(m,1,2) in the differential
+# test: every m from 2 to 4 over each of Q, Q(i) and Q(zeta_8) that holds
+# it, with G(3,1,2) over its own field, and a Galois conjugate over each
+# field but Q.  G(2,1,2) over Q(i) adds nothing that G(4,1,2) over Q(i)
+# does not, and the conjugate of G(4,1,2) over Q(zeta_8) would double the
+# slowest case.
+DIFFERENTIAL_CASES = (
+    (2, CycloField(1), None), (2, CycloField(8), 5),
+    (3, CycloField(3), 2),
+    (4, CycloField(4), 3), (4, CycloField(8), None),
+)
+
+
+def _differential_groups():
+    """The DIFFERENTIAL_CASES, each conjugated by a seeded transvection,
+    then each Galois conjugate asked for, G(2,1,3) and the Klein four
+    group on three planes, whose lattice is deeper than one meet."""
+    rng = random.Random(2900)
+    groups = {}
+    for m, field, k in DIFFERENTIAL_CASES:
+        group = _sheared(_g_m12(m, field), rng)
+        name = f"G({m},1,2) over Q(z{field.order})"
+        groups[name] = group
+        if k is not None:
+            omega, conjugate = _galois_conjugate(
+                group.omega, [group.element(i) for i in group.generators], k)
+            groups[f"{name}, z -> z^{k}"] = close_group(
+                conjugate, omega, field=field, cap=group.order)
+    groups["G(2,1,3) over Q"] = _sheared(_g_m1n(2, 3), rng)
+    groups["Klein four on three planes"] = _sheared(_klein_four_on_three_planes(), rng)
+    return groups
+
+
+def test_closure_agrees_with_the_zassenhaus_reference():
+    groups = _differential_groups()
+    assert len(groups) == 10
+    for name, group in groups.items():
+        records = parabolic_subgroups(group)
+        reference = reference_parabolic_subgroups(group)
+        assert [r.subgroup for r in records] == [e["subgroup"] for e in reference], name
+        assert [r.leaf_dim for r in records] == [len(e["fixed_basis"]) for e in reference], name
+        assert [r.fixed_basis for r in records] == [e["fixed_basis"] for e in reference], name
+        assert [r.perp_basis for r in records] == [e["perp_basis"] for e in reference], name
+        assert [r.as_json() for r in records] == [e["json"] for e in reference], name
+
+
+def test_fixed_dimension_is_the_trace_average(all_groups):
+    # dim Fix(P) = (1/|P|) sum of tr(p) over p in P, with no elimination
+    checked = 0
+    for group in all_groups + [_g_m1n(2, 3), _g_m1n(3, 3), _klein_four_on_three_planes()]:
+        for record in parabolic_subgroups(group):
+            trace_sum = sum(
+                (group.element(i)[r][r] for i in record.subgroup for r in range(group.dim)),
+                start=group.field.zero(),
+            )
+            assert trace_sum == record.leaf_dim * len(record.subgroup)
+            checked += 1
+    assert checked == 102
 
 
 def test_parabolic_counts():
@@ -434,6 +583,15 @@ def test_parabolic_counts():
     assert len(parabolic_subgroups(cyclic_plane_action(3))) == 2
     assert len(parabolic_subgroups(pairwise_sign_action())) == 4
     assert len(parabolic_subgroups(binary_dihedral_action())) == 2
+
+
+def test_a_meet_of_fixed_spaces_that_no_element_fixes_is_a_leaf():
+    group = _klein_four_on_three_planes()
+    assert all(len(group.annihilator(i)) < 6 for i in range(group.order))
+    records = parabolic_subgroups(group)
+    assert [(len(r.subgroup), r.leaf_dim) for r in records] == [
+        (1, 6), (2, 2), (2, 2), (2, 2), (4, 0)
+    ]
 
 
 def test_parabolic_records_of_plane_involution():
@@ -603,7 +761,7 @@ def test_compressed_forms_agree_with_the_projection(all_groups):
 
 
 def test_reflection_data_builds_no_span(monkeypatch, all_groups):
-    # with the fixed spaces in hand, the pairings solve nothing
+    # with the annihilators in hand, the pairings solve nothing
     built = []
     span = linalg.Span.__init__
 
@@ -614,7 +772,7 @@ def test_reflection_data_builds_no_span(monkeypatch, all_groups):
     reflections = 0
     for group in all_groups:
         for i in range(group.order):
-            group.fixed_space(i)
+            group.annihilator(i)
         monkeypatch.setattr(linalg.Span, "__init__", counting)
         reflections += len(symplectic_reflections(group).reflections)
         monkeypatch.setattr(linalg.Span, "__init__", span)
@@ -704,6 +862,65 @@ def test_open_leaf_line_order_counts_scalar_rescalings():
     # diag(i, -i) and its powers rescale the first axis by all of <i>
     assert data["line_stabilizer_order"] == 4
     assert data["conic_weight"] == 2
+
+
+def _generating_set(group, subgroup):
+    """Elements of a subgroup, each outside the subgroup generated by
+    those before it, read off the Cayley table."""
+    gens, reached = [], {group.identity}
+    for i in subgroup:
+        if i in reached:
+            continue
+        gens.append(i)
+        frontier = list(reached)
+        while frontier:
+            products = {group.multiply(x, g) for x in frontier for g in gens}
+            frontier = list(products - reached)
+            reached |= products
+    return gens
+
+
+def _slice_group(group, record):
+    """The parabolic restricted to its symplectic complement, with the
+    form restricted there, closed as a group of its own; and the element
+    of `group` that each restricted matrix comes from (the restriction
+    is faithful, since the parabolic fixes the rest)."""
+    perp = record.perp_basis
+    restricted = {i: quotient._restrict(group, i, perp) for i in record.subgroup}
+    origin = {m: i for i, m in restricted.items()}
+    assert len(origin) == len(restricted)
+    gens = [restricted[i] for i in _generating_set(group, record.subgroup)]
+    form = quotient._mat_mul(quotient._mat_mul(perp, group.omega), quotient._transpose(perp))
+    return GroupData(group.field, form, gens, cap=len(origin)), origin
+
+
+def test_slice_parabolics_are_the_parabolics_inside_the_leaf_parabolic():
+    """The parabolics of the slice group of P, mapped back to G, are the
+    parabolics Q of G inside P, and the leaf of Q is that of P plus the
+    slice's own: V = Fix(P) + perp, and a point u + w is fixed by an
+    element of P exactly when w is."""
+    rng = random.Random(2901)
+    groups = [_sheared(_g_m12(m), rng) for m in (2, 3, 4)]
+    groups.append(_sheared(_g_m1n(2, 3), rng))
+    slices = 0
+    for group in groups:
+        records = parabolic_subgroups(group)
+        for record in records:
+            if not record.perp_basis:
+                continue
+            sub, origin = _slice_group(group, record)
+            assert sub.order == len(record.subgroup)
+            got = {
+                tuple(sorted(origin[sub.element(j)] for j in q.subgroup)):
+                    q.leaf_dim + record.leaf_dim
+                for q in parabolic_subgroups(sub)
+            }
+            inside = set(record.subgroup)
+            assert got == {
+                q.subgroup: q.leaf_dim for q in records if set(q.subgroup) <= inside
+            }, (group, record.subgroup)
+            slices += 1
+    assert slices == 5 + 6 + 7 + 23
 
 
 # -- deformation commutators ---------------------------------------------------
@@ -847,8 +1064,8 @@ def _slice_every_leaf_of_g312():
     """Close G(3,1,2) and take leaf_slice_data at one base point of each
     leaf with a nonzero fixed space."""
     field = CycloField(3)
-    group = close_group(_g_m12_generators(3, field), G_M12_FORM, field=field,
-                        cap=64)
+    group = close_group(_g_m1n_generators(3, 2, field), G_M12_FORM,
+                        field=field, cap=64)
     assert group.order == 18
     records = parabolic_subgroups(group)
     slices = 0
