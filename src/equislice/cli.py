@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 from . import fixtures
 from .darboux import StageError, extract_slice, normalize_full, scramble_presentation
@@ -60,11 +59,13 @@ class InputError(ValueError):
     """A document that cannot be turned into a job."""
 
 
-@dataclass
 class JobSpec:
-    command: str
-    document: dict
-    options: dict = field(default_factory=dict)
+    """One job: a command, its document and its options."""
+
+    def __init__(self, command: str, document: dict, options: dict | None = None):
+        self.command = command
+        self.document = document
+        self.options = {} if options is None else options
 
 
 # -- document schemas ---------------------------------------------------------

@@ -24,7 +24,7 @@ from itertools import combinations
 from math import comb, gcd
 from operator import mul
 
-from .intmat import IntMatrix, det
+from .intmat import IntMatrix, _transform_hermite, det
 from .linalg import Span, relations
 from .poisson import PoissonPresentation
 from .scalars import InternalError, exact, exact_int
@@ -295,7 +295,7 @@ def cotangent_presentation(ctx: GradedContext, n: int) -> PoissonPresentation:
 def _stabilizer_lattice(b: TorusActionMatrix, support) -> IntMatrix:
     """Hermite basis of the cocharacters pairing to zero with every base
     character in the support.  An empty support stands for one zero row,
-    whose kernel is every cocharacter, so each lattice is one Smith form."""
+    whose kernel is every cocharacter, so each lattice is one Hermite form."""
     rows = [b.row(i) for i in sorted(support)]
     return IntMatrix(rows or [(0,) * b.m]).kernel_basis()
 
@@ -355,12 +355,12 @@ def enumerate_leaves(b) -> list[LeafDescriptor]:
     The fixed coordinates of a parabolic subtorus are a flat of the row
     matroid, and the subtorus is the stabilizer of its flat.  The walk
     starts at the least flat, the zero rows, and climbs by covers (see
-    _covers), so it meets every flat once and computes one kernel
-    lattice, one Smith form, and one pairing table (see _pairings) per
-    flat.  The table of a flat is checked to fix exactly that flat
-    before its covers are read off it, so the recorded subtorus is
-    maximal for its leaf; only the cyclic flats carry leaves, those from
-    which no fixed coordinate can be dropped to leave another flat."""
+    _covers), so it meets every flat once and computes one Hermite form
+    (its kernel lattice) and one pairing table (see _pairings) per flat.
+    The table of a flat is checked to fix exactly that flat before its
+    covers are read off it, so the recorded subtorus is maximal for its
+    leaf; only the cyclic flats carry leaves, those from which no fixed
+    coordinate can be dropped to leave another flat."""
     b = b if isinstance(b, TorusActionMatrix) else TorusActionMatrix(b)
     ok, witness = check_unimodular(b)
     if not ok:
@@ -522,16 +522,18 @@ def _integer_inverse(v: IntMatrix) -> IntMatrix:
 
 
 def _complement_rows(lattice: IntMatrix, m: int) -> IntMatrix:
-    """A basis of a complementary lattice: the Smith transform exhibits
-    the lattice as the top rows of a unimodular basis, and the bottom
-    rows complete it."""
-    if lattice.nrows == 0:
-        return IntMatrix.identity(m)
-    _, d, v = lattice.smith_normal_form()
-    if any(d.rows[i][i] != 1 for i in range(lattice.nrows)):
+    """A basis of a lattice complementary to a saturated lattice L of
+    cocharacters: with [U L^T | U] the Hermite form of [L^T | I_m] (see
+    intmat._transform_hermite), L is the top rows of (U^-1)^T and the
+    bottom rows complete it to a basis of Z^m."""
+    if lattice.nrows and lattice.ncols != m:
+        raise ValueError(f"the subtorus lattice has width {lattice.ncols}, not {m}")
+    r = lattice.nrows
+    h = _transform_hermite(lattice, m)
+    if r > m or any(h.rows[i][i] != 1 for i in range(r)):
         raise ValueError("the subtorus lattice is not saturated")
-    v_inv = _integer_inverse(v)
-    return IntMatrix(v_inv.rows[lattice.nrows :]) if lattice.nrows < m else IntMatrix([])
+    u = IntMatrix([row[r:] for row in h.rows])
+    return IntMatrix(_integer_inverse(u.transpose()).rows[r:])
 
 
 def chart_coordinates(b, report, ctx: GradedContext) -> dict:
@@ -626,7 +628,9 @@ def _verify_elimination(b, report, ctx) -> list[dict]:
     """Solve the quotient-torus moment equations for the conjugates of
     the inverted coordinates and substitute back.  The moment component
     of a cocharacter vec is the quadratic whose coefficient on x_j * y_j
-    is the pairing of vec with row j."""
+    is the pairing of vec with row j.  An inverted coordinate of the
+    flat fails at once: the subtorus moves it, so its pairing with a
+    complement depends on which complement was chosen."""
     failures = []
     g = report.g
     lattice = report.leaf.subtorus_lattice
@@ -642,7 +646,11 @@ def _verify_elimination(b, report, ctx) -> list[dict]:
             failures.append(
                 {"check": "elimination", "detail": f"a subtorus moment component involves {outside}"}
             )
-    if not g:
+    in_flat = [j for j in g if j in report.leaf.flat]
+    failures += [
+        {"check": "elimination", "detail": f"the inverted coordinate {j} lies in the flat"} for j in in_flat
+    ]
+    if in_flat or not g:
         return failures
     comp_pairings = list(zip(*_pairings(b, comp_rows)))
     pairing = IntMatrix([[p[j - 1] for j in g] for p in comp_pairings])

@@ -1,10 +1,13 @@
 """Exact integer matrix utilities: determinants, ranks and minors by one
-Bareiss elimination, Smith and Hermite normal forms and kernel lattices.
-Rational solves and inverses go through ``linalg.Span``.
+Bareiss elimination, and the Hermite normal form.  One Hermite
+elimination with transform, of the augmented matrix [M^T | I], gives
+both kernel lattices and lattice complements (Cohen, A Course in
+Computational Algebraic Number Theory, section 2.4).  Rational solves
+and inverses go through ``linalg.Span``.
 
 All algorithms are fraction-free or track unimodular transforms, so every
-result is certified by integer identities (for example snf returns U, D, V
-with U * M * V == D and det(U), det(V) in {1, -1}).
+result is certified by integer identities (for example the Hermite form
+of [M^T | I] is [U M^T | U] with det(U) in {1, -1}).
 """
 
 from __future__ import annotations
@@ -133,79 +136,6 @@ class IntMatrix:
 
     # -- normal forms ------------------------------------------------------
 
-    def smith_normal_form(self) -> tuple["IntMatrix", "IntMatrix", "IntMatrix"]:
-        """Returns (U, D, V) with U @ self @ V == D diagonal, U and V
-        unimodular, and each diagonal entry dividing the next."""
-        a = [list(r) for r in self.rows]
-        n, m = self.nrows, self.ncols
-        u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        v = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-        def row_sub(i, j, q):
-            a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-            u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-        def col_sub(i, j, q):
-            for row in a:
-                row[i] -= q * row[j]
-            for row in v:
-                row[i] -= q * row[j]
-
-        def row_swap(i, j):
-            a[i], a[j] = a[j], a[i]
-            u[i], u[j] = u[j], u[i]
-
-        def col_swap(i, j):
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-        for k in range(min(n, m)):
-            while True:
-                # move the smallest nonzero entry of the tail block to (k, k)
-                best = None
-                for i in range(k, n):
-                    for j in range(k, m):
-                        if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                            best = (i, j)
-                if best is None:
-                    break
-                if best != (k, k):
-                    if best[0] != k:
-                        row_swap(k, best[0])
-                    if best[1] != k:
-                        col_swap(k, best[1])
-                dirty = False
-                for i in range(k + 1, n):
-                    if a[i][k]:
-                        row_sub(i, k, a[i][k] // a[k][k])
-                        if a[i][k]:
-                            dirty = True
-                for j in range(k + 1, m):
-                    if a[k][j]:
-                        col_sub(j, k, a[k][j] // a[k][k])
-                        if a[k][j]:
-                            dirty = True
-                if dirty:
-                    continue
-                # enforce divisibility of the remaining block
-                fix = None
-                for i in range(k + 1, n):
-                    for j in range(k + 1, m):
-                        if a[i][j] % a[k][k]:
-                            fix = i
-                            break
-                    if fix is not None:
-                        break
-                if fix is None:
-                    break
-                row_sub(k, fix, -1)
-            if k < n and k < m and a[k][k] < 0:
-                a[k] = [-x for x in a[k]]
-                u[k] = [-x for x in u[k]]
-        return IntMatrix(u), IntMatrix(a), IntMatrix(v)
-
     def hermite_normal_form(self) -> "IntMatrix":
         """Row-style Hermite normal form of the row span: pivots positive,
         entries above each pivot reduced into [0, pivot), zero rows dropped."""
@@ -240,11 +170,22 @@ class IntMatrix:
 
     def kernel_basis(self) -> "IntMatrix":
         """Canonical basis (as rows, in Hermite normal form) of the integer
-        kernel {x : self @ x == 0}."""
-        u, d, v = self.smith_normal_form()
-        rank = sum(1 for i in range(min(d.nrows, d.ncols)) if d.rows[i][i])
-        cols = v.transpose().rows
-        basis = [cols[j] for j in range(rank, self.ncols)]
-        if not basis:
-            return IntMatrix([])
-        return IntMatrix(basis).hermite_normal_form()
+        kernel {x : self @ x == 0}: the rows of _transform_hermite whose
+        left block is zero, read in their right block."""
+        s = self.nrows
+        return IntMatrix(
+            [row[s:] for row in _transform_hermite(self, self.ncols).rows if not any(row[:s])]
+        )
+
+
+def _transform_hermite(mat: IntMatrix, m: int) -> IntMatrix:
+    """The Hermite form [U M^T | U] of [M^T | I_m] for an s x m matrix M
+    (s may be 0), U unimodular and, as the form is unique, fixed by M.
+    Its rows with a zero left block are the Hermite basis of the integer
+    kernel of M.  For s <= m the rows of M extend to a basis of Z^m
+    exactly when the pivots (i, i) of the first s rows are all 1; then
+    U M^T = [I_s; 0], so M is the top s rows of (U^-1)^T, and the bottom
+    m - s rows complete it."""
+    return IntMatrix(
+        [[row[k] for row in mat.rows] + [1 if j == k else 0 for j in range(m)] for k in range(m)]
+    ).hermite_normal_form()

@@ -292,8 +292,10 @@ def close_group(generators, omega, field: CycloField | None = None,
 
 
 def _basis(field: CycloField, rows, keys) -> tuple[Vector, ...]:
-    """Dense vectors of sparse echelon rows, read at the given keys."""
-    return tuple(_vector(field, [row.get(k, 0) for k in keys]) for row in rows)
+    """Dense vectors of sparse echelon rows, read at the given keys, each
+    missing key padded with the one field zero."""
+    zero = field.zero()
+    return tuple(_vector(field, [row.get(k, zero) for k in keys]) for row in rows)
 
 
 def _reduced_basis(field: CycloField, vectors) -> tuple[Vector, ...]:

@@ -3,9 +3,11 @@ Gauss-Jordan over Fraction and cyclotomic scalars, for the tests that
 check the elimination engine and its callers; the brute-force walk of
 hypertoric leaves over every coordinate subset, with unimodularity
 from every maximal minor and cyclicity from one rank per dropped row;
-the hypertoric chart with its leaf re-derived from the flat and its
-inverted set found by ranking every candidate; the Poisson bracket as
-a walk over the whole table and the Jacobi check one generator triple
+the Smith normal form, the kernel lattice read off it, and the lattice
+complement taken from the Hermite form of [L^T | I] and inverted by
+dense solves; the hypertoric chart with its leaf re-derived from the
+flat and its inverted set found by ranking every candidate; the
+Poisson bracket as a walk over the whole table and the Jacobi check one generator triple
 at a time; the bracket-by-bracket certification of a hypertoric chart;
 substitution that raises every variable, mapped or not, to its power
 and multiplies the powers; the Fraction-typed form of a scalar, with the
@@ -123,6 +125,97 @@ def _reference_kernel(rows):
     return basis
 
 
+def _reference_smith_normal_form(mat):
+    """Returns (U, D, V) with U @ mat @ V == D diagonal, U and V
+    unimodular, and each diagonal entry dividing the next: the smallest
+    entry of the tail block moved to the corner, its row and column
+    cleared by division, repeated until the corner divides the block."""
+    a = [list(r) for r in mat.rows]
+    n, m = mat.nrows, mat.ncols
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    v = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+
+    def row_sub(i, j, q):
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    def col_sub(i, j, q):
+        for row in a:
+            row[i] -= q * row[j]
+        for row in v:
+            row[i] -= q * row[j]
+
+    def row_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def col_swap(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    for k in range(min(n, m)):
+        while True:
+            best = None
+            for i in range(k, n):
+                for j in range(k, m):
+                    if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                        best = (i, j)
+            if best is None:
+                break
+            if best[0] != k:
+                row_swap(k, best[0])
+            if best[1] != k:
+                col_swap(k, best[1])
+            dirty = False
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    row_sub(i, k, a[i][k] // a[k][k])
+                    dirty = dirty or bool(a[i][k])
+            for j in range(k + 1, m):
+                if a[k][j]:
+                    col_sub(j, k, a[k][j] // a[k][k])
+                    dirty = dirty or bool(a[k][j])
+            if dirty:
+                continue
+            fix = next(
+                (i for i in range(k + 1, n) for j in range(k + 1, m) if a[i][j] % a[k][k]), None
+            )
+            if fix is None:
+                break
+            row_sub(k, fix, -1)
+        if a[k][k] < 0:
+            a[k] = [-x for x in a[k]]
+            u[k] = [-x for x in u[k]]
+    return IntMatrix(u), IntMatrix(a), IntMatrix(v)
+
+
+def _reference_smith_kernel(mat):
+    """The Hermite basis of the integer kernel read off the Smith form:
+    the columns of V past the rank span the kernel."""
+    _, d, v = _reference_smith_normal_form(mat)
+    rank = sum(1 for i in range(min(d.nrows, d.ncols)) if d.rows[i][i])
+    basis = v.transpose().rows[rank:]
+    return IntMatrix(basis).hermite_normal_form() if basis else IntMatrix([])
+
+
+def _reference_complement(lattice, m):
+    """The complement of hypertoric._complement_rows, from the Hermite
+    form of [L^T | I_m] built here and inverted by dense reference
+    solves."""
+    if lattice.nrows and lattice.ncols != m:
+        raise ValueError(f"the subtorus lattice has width {lattice.ncols}, not {m}")
+    r = lattice.nrows
+    h = IntMatrix(
+        [[row[k] for row in lattice.rows] + [int(j == k) for j in range(m)] for k in range(m)]
+    ).hermite_normal_form()
+    if r > m or any(h.rows[i][i] != 1 for i in range(r)):
+        raise ValueError("the subtorus lattice is not saturated")
+    u = IntMatrix([row[r:] for row in h.rows])
+    return IntMatrix(_reference_integer_inverse(u).transpose().rows[r:])
+
+
 def _reference_solve(rows, b):
     if not rows:
         return []
@@ -224,7 +317,7 @@ def _reference_integer_inverse(v):
 
 def _reference_decompose_at(b, leaf, nonvanishing=None):
     """The chart with its leaf re-derived from the flat by slice_matrix
-    (a second Smith form) and the inverted set found by ranking every
+    (a second kernel lattice) and the inverted set found by ranking every
     candidate set of usable coordinates in combinations order."""
     b = b if isinstance(b, TorusActionMatrix) else TorusActionMatrix(b)
     designated, usable = _designation(leaf, nonvanishing)
@@ -433,20 +526,19 @@ def _reference_elimination(b, report, ctx, mu):
     failures = []
     g = report.g
     lattice = report.leaf.subtorus_lattice
-    if lattice.nrows == 0:
-        comp_rows = IntMatrix.identity(b.m)
-    else:
-        _, d, v = lattice.smith_normal_form()
-        if any(d.rows[i][i] != 1 for i in range(lattice.nrows)):
-            return [{"check": "elimination", "detail": "the subtorus lattice is not saturated"}]
-        v_inv = _reference_integer_inverse(v)
-        comp_rows = IntMatrix(v_inv.rows[lattice.nrows :]) if lattice.nrows < b.m else IntMatrix([])
+    try:
+        comp_rows = _reference_complement(lattice, b.m)
+    except ValueError as err:
+        return [{"check": "elimination", "detail": str(err)}]
     for vec in lattice.rows:
         comp = combine(vec)
         outside = [nm for nm in ctx.variables if comp.involves(nm) and int(nm[1:]) not in report.leaf.flat]
         if outside:
             failures.append({"check": "elimination", "detail": f"a subtorus moment component involves {outside}"})
-    if not g:
+    in_flat = [j for j in g if j in report.leaf.flat]
+    for j in in_flat:
+        failures.append({"check": "elimination", "detail": f"the inverted coordinate {j} lies in the flat"})
+    if in_flat or not g:
         return failures
     pairing = IntMatrix(
         [[sum(c * w for c, w in zip(vec, b.row(j - 1))) for j in g] for vec in comp_rows.rows]

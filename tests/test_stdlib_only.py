@@ -1,6 +1,8 @@
 """The package imports nothing outside the standard library and itself."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -33,3 +35,13 @@ def test_every_import_is_stdlib_or_the_package():
 def test_a_third_party_import_is_caught():
     tree = ast.parse("import numpy.linalg\nfrom sympy import Matrix\nfrom . import series\n")
     assert [root for _line, root in _imported_roots(tree)] == ["numpy", "sympy"]
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    # every cold CLI call pays for what `import equislice` loads, and the
+    # package needs neither module
+    code = "import sys, equislice; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
