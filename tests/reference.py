@@ -20,7 +20,8 @@ their rule tables written by hand, the enveloping algebra checking its
 structure constants with a loop of its own over every ordered generator
 triple; hbar rewriting
 letter by letter, every rewrite path of a word followed on its own; the
-closure of a quantized slice checked product by product on every ordered
+confluence certificate comparing both reduction orders on every letter
+triple; the closure of a quantized slice checked product by product on every ordered
 basis pair; the candidate monomials of a quantized slice's weight, found
 by walking the whole degree box at every hbar power; the generator search
 of a quantized slice multiplying every ordered pool pair in full; and the
@@ -45,6 +46,7 @@ from equislice.hypertoric import (
 )
 from equislice.intmat import IntMatrix, det
 from equislice.linalg import Echelon, Span
+from equislice.poisson import max_steps
 from equislice.quotient import (
     _basis,
     _contains,
@@ -853,6 +855,37 @@ def _reference_straighten(a: HbarPresentation, letters, hpow, coeff, out,
         for p2, letters2, c2 in a._swap_rows(j, ej, i, ei, budget):
             if p + p2 < a.order:
                 stack.append((head + letters2 + tail, p + p2, c * c2))
+
+
+def reference_certify_confluence(a: HbarPresentation, limit=None) -> dict:
+    """Both reduction orders compared on every letter triple, cancellation
+    words and triples with no ambiguity included: the {"ok", "triples",
+    "failures"} report, a failure giving the word and its leftmost-first
+    and rightmost-first forms.  limit is each reduction's step budget,
+    max_steps() when None."""
+    alphabet = [(i, 1) for i in range(len(a.names))] + [
+        (i, -1) for i in range(len(a.invertible))
+    ]
+    failures = []
+    checked = 0
+    if limit is None:
+        limit = max_steps()
+    for triple in iter_product(alphabet, repeat=3):
+        checked += 1
+        results = []
+        for strategy in ("first", "last"):
+            out: dict = {}
+            a._straighten(triple, 0, 1, out, [limit], strategy)
+            results.append(out)
+        if results[0] != results[1]:
+            failures.append({
+                "word": [
+                    (a.names[i], e) for i, e in triple
+                ],
+                "first": a.render(results[0]),
+                "last": a.render(results[1]),
+            })
+    return {"ok": not failures, "triples": checked, "failures": failures}
 
 
 def reference_slice_monomials(a: HbarPresentation, weight: int, hmax: int,

@@ -38,6 +38,7 @@ from reference import (
     _reference_sl2_constants,
     _reference_straighten,
     _reference_weyl_family,
+    reference_certify_confluence,
     reference_closure,
     reference_generator_candidates,
     reference_slice_monomials,
@@ -481,7 +482,7 @@ def confluence_triples(a):
 def test_merged_straightening_matches_the_reference(name):
     """Normal forms of merged straightening equal the letter-by-letter
     reference's in both swap orders, on seeded words and on every letter
-    triple certify_confluence reduces, and never cost more steps."""
+    triple, and never cost more steps."""
     a = STRAIGHTEN_ALGEBRAS[name]()
     rng = random.Random(f"straighten {name}")
     words = seeded_words(a, rng, 25) + confluence_triples(a)
@@ -615,11 +616,14 @@ def test_families_are_confluent_on_all_triples():
 
 
 def test_non_jacobi_rules_fail_confluence():
-    report = non_jacobi_rules().certify_confluence()
+    """One overlap fails, the same one that comparing both reduction
+    orders on every letter triple finds."""
+    a = non_jacobi_rules()
+    report = a.certify_confluence()
     assert not report["ok"]
-    words = [tuple(f["word"]) for f in report["failures"]]
-    assert (("z", 1), ("y", 1), ("x", 1)) in words
-    failure = report["failures"][words.index((("z", 1), ("y", 1), ("x", 1)))]
+    assert report["failures"] == reference_certify_confluence(a)["failures"]
+    assert [f["word"] for f in report["failures"]] == [[("z", 1), ("y", 1), ("x", 1)]]
+    failure = report["failures"][0]
     assert failure["first"] == \
         "1*x*y*z + -1*hbar*x*y + -1*hbar*z^2 + 1*hbar^2*z"
     assert failure["last"] == "1*x*y*z + -1*hbar*x*y + -1*hbar*z^2"
@@ -1359,6 +1363,128 @@ def test_generator_search_forms_only_products_that_can_enter_a_span(monkeypatch)
     for out in products:
         visible = {key for key in out if key[0] < 3}
         assert visible and visible <= keys
+
+
+# -- confluence on the ambiguities -------------------------------------------
+
+
+# every presentation these tests build, the closure cases' by the family part
+# of their names
+CONFLUENCE_FAMILIES = {
+    **STRAIGHTEN_ALGEBRAS,
+    **{f"closure: {name.split(',')[0]}": case[0] for name, case in CLOSURE_CASES.items()},
+}
+
+OSCILLATOR = {("e", "f"): {"c": 1}, ("e", "h"): {"e": -1}, ("f", "h"): {"f": 1}}
+
+# families a scaled structure constant can take off the Jacobi identity
+PERTURBED_FAMILIES = {
+    "sl2": partial(sl2_enveloping, order=3),
+    "localized sl2": localized_sl2(4),
+    "oscillator": partial(enveloping_family, ("e", "f", "h", "c"), OSCILLATOR),
+    "localized oscillator": partial(enveloping_family, ("e", "f", "h", "c"),
+                                    OSCILLATOR, invertible=("e",)),
+}
+
+
+def assert_certificate_matches_the_reference(a) -> dict:
+    """The certificate on the ambiguities has the all-triples reference's
+    verdict and triple count, and its failures are some of the
+    reference's, in the reference's order; the reference is returned."""
+    got, want = a.certify_confluence(), reference_certify_confluence(a)
+    assert got["ok"] == want["ok"]
+    assert got["triples"] == want["triples"]
+    assert got["failures"] == [f for f in want["failures"] if f in got["failures"]]
+    return want
+
+
+@pytest.mark.parametrize("name", sorted(CONFLUENCE_FAMILIES))
+def test_confluence_matches_the_all_triples_reference(name):
+    assert_certificate_matches_the_reference(CONFLUENCE_FAMILIES[name]())
+
+
+def perturbed(build, seed):
+    """build() with one structure constant of its rule table scaled by a
+    seeded factor, before any word is straightened."""
+    rng = random.Random(seed)
+    a = build()
+    key = rng.choice(sorted(a.commutators))
+    rule = dict(a.commutators[key])
+    term = rng.choice(sorted(rule))
+    rule[term] *= rng.choice([2, -1, 3, Q(1, 2)])
+    a.commutators[key] = rule
+    return a
+
+
+@pytest.mark.parametrize("name", sorted(PERTURBED_FAMILIES))
+def test_confluence_matches_the_reference_on_perturbed_rules(name):
+    """Seeded rule tables with one coefficient scaled; the seeds that break
+    the Jacobi identity, seven of twelve, fail both certificates."""
+    broken = []
+    for seed in range(12):
+        if not assert_certificate_matches_the_reference(
+                perturbed(PERTURBED_FAMILIES[name], seed))["ok"]:
+            broken.append(seed)
+    assert broken == [0, 5, 6, 7, 9, 10, 11]
+
+
+def test_cancellation_words_catch_a_corrupted_push_down_row():
+    """A push-down row is built once and then trusted.  Doubling the
+    coefficient of the last row under a key with an inverse letter (two
+    keys on localized sl2, one on differential(2,2)) must fail the
+    certificate; each reduction order swaps y past x^e first in y.x^e.x^-e,
+    so comparing the two on every letter triple misses two of the three."""
+    caught, reference_caught = [], []
+    for build in (localized_sl2(4), differential(2, 2)):
+        a = build()
+        assert a.certify_confluence()["ok"]
+        keys = [key for key, rows in a._corr_cache.items()
+                if rows and min(key[1], key[3]) < 0]
+        for key in keys:
+            rows = a._corr_cache[key]
+            p, letters, c = rows[-1]
+            a._corr_cache[key] = rows[:-1] + ((p, letters, 2 * c),)
+            report = a.certify_confluence()
+            caught.append(not report["ok"])
+            reference_caught.append(not reference_certify_confluence(a)["ok"])
+            a._corr_cache[key] = rows
+    assert caught == [True] * 3
+    assert sum(reference_caught) == 1
+    # the cancellation failure names the word, its form and the monomial y
+    assert report["failures"][0] == {
+        "word": [("u", 1), ("t", 1), ("t", -1)],
+        "first": "1*u + 1*hbar*t^-2",
+        "last": "1*u",
+    }
+
+
+# straightenings of a certificate once the push-down rows are built
+CERTIFICATE_STRAIGHTENINGS = {
+    "differential(3,2)": (differential(3, 2), 70),
+    "differential(2,2)": (differential(2, 2), 20),
+    "localized sl2": (localized_sl2(3), 8),
+    "weyl(2,1)": (partial(weyl_family, 2, 1, order=3), 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_STRAIGHTENINGS))
+def test_confluence_straightens_each_ambiguity_once(name, monkeypatch):
+    """A certificate straightens each overlap in both orders and each
+    cancellation word once: 30 overlaps and 10 cancellation words on
+    differential(3,2), not its 343 letter triples twice."""
+    build, calls = CERTIFICATE_STRAIGHTENINGS[name]
+    a = build()
+    a.certify_confluence()
+    straighten = HbarPresentation._straighten
+    counted = []
+
+    def counting(*args, **kwargs):
+        counted.append(args[1])
+        return straighten(*args, **kwargs)
+
+    monkeypatch.setattr(HbarPresentation, "_straighten", counting)
+    assert a.certify_confluence()["ok"]
+    assert len(counted) == calls
 
 
 # -- serialization ------------------------------------------------------------
