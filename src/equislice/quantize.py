@@ -24,16 +24,9 @@ expanded, each state is rewritten once however many rewrite paths reach
 it, and a state whose contributions cancel is dropped.  One step of the
 budget is one expanded state.
 
-Products are formed term pair by term pair.  A pair none of whose
-crossing letters has a rule is the merged monomial; any other pair is
-straightened once and its normal form kept in a memo that the caller
-scopes to one computation (quantized_slice shares one across its whole
-call).  The rules are fixed and confluent, so a pair's normal form never
-changes, and a cached pair costs the rewrite steps it cost when it was
-first straightened, less any push-down row that straightening built:
-whether a step budget runs out never depends on what the memo holds.  A
-computation that forms many products reads the budget once and hands it
-to each; every product still starts with the whole budget.
+Products go term pair by term pair: the merged monomial when no crossing
+letter pair has a rule, else the straightened pair.  A computation reads
+the budget once, and each of its products starts with all of it.
 
 Each built-in family quantizes a Poisson presentation without relations
 by HbarPresentation.from_poisson, [g_a, g_b] = hbar*{g_a, g_b} with hbar
@@ -310,10 +303,9 @@ class HbarPresentation:
             out.pop(key, None)
 
     def _straighten(self, letters, hpow, coeff, out, budget,
-                    strategy: str = "first") -> int:
+                    strategy: str = "first") -> None:
         """Add coeff*hbar^hpow times the normal form of a word to out,
-        one step per (word, hbar power) state expanded; the steps, not
-        counting the products that build a push-down row, are returned.
+        one step per (word, hbar power) state expanded.
 
         Pending states are kept by level (hbar power, -inversions) and a
         level is expanded only once every lower one has been: a swap lands
@@ -323,12 +315,10 @@ class HbarPresentation:
         compares the two."""
         word = tuple(letters)
         pending = {(hpow, -_inversions(word)): {word: coeff}}
-        steps = 0
         while pending:
             level = min(pending)
             states = pending.pop(level)
             _charge(budget, len(states))
-            steps += len(states)
             p, neg_inv = level
             for word, c in states.items():
                 if not neg_inv:
@@ -347,7 +337,6 @@ class HbarPresentation:
                         w2 = head + letters2 + tail
                         _add_state(pending, (p + p2, -_inversions(w2)), w2,
                                    c * c2)
-        return steps
 
     def _swap_rows(self, j: int, ej: int, i: int, ei: int, budget) -> tuple:
         # [g_j^ej, g_i^ei] for j > i, the correction when they swap, as
@@ -380,69 +369,41 @@ class HbarPresentation:
                 if e < 0:
                     inverse = self.var(self.names[g], -1)
                     out = element_scale(self._product(
-                        self._product(inverse, out, budget, {}), inverse,
-                        budget, {}), -1)
+                        self._product(inverse, out, budget), inverse,
+                        budget), -1)
         finally:
             self._corr_building.discard(key)
         return out
 
-    def _term_product(self, m1, m2, p: int, budget, memo: dict) -> tuple:
-        """The normal form of the term pair hbar^p*m1*m2, charged to the
-        budget, as one flat tuple (steps, key, coeff, key, coeff, ...)
-        with unit input coefficient.
+    def _term_product(self, m1, m2, p: int, budget) -> dict:
+        """The normal form of the term pair hbar^p*m1*m2 with unit
+        coefficient, charged to the budget.
 
-        steps is what straightening the pair spends, one per expanded
-        state.  When no crossing letter pair (a letter of m1 above one of
-        m2) has a rule, each state has one successor, so that is one step
-        per crossing plus the final collect, and the form is the merged
-        monomial.  Otherwise the pair is looked up in the memo under (m1,
-        m2, p), and straightened and stored there on a miss.  The memo
-        also maps each (hbar power, monomial) key it stores to itself, so
-        that equal keys share one tuple; term-pair keys are triples and
-        never collide with them."""
+        When no crossing letter pair (a letter of m1 above one of m2) has
+        a rule, each state has one successor, so straightening would spend
+        one step per crossing plus the final collect and give the merged
+        monomial; that is charged and returned without straightening.  Any
+        other pair is straightened."""
         steps = 1
         for j, ej in m1:
             for i, ei in m2:
                 if i < j:
                     if (i, j) in self.commutators:
-                        return self._memo_product(m1, m2, p, budget, memo)
+                        form: dict = {}
+                        self._straighten(self._letters(m1) + self._letters(m2),
+                                         p, 1, form, budget)
+                        return {key: exact(c) for key, c in form.items()}
                     steps += abs(ej * ei)
         _charge(budget, steps)
-        return (steps, (p, _merged(m1, m2)), 1)
+        return {(p, _merged(m1, m2)): 1}
 
-    def _memo_product(self, m1, m2, p: int, budget, memo: dict) -> tuple:
-        entry = memo.get((m1, m2, p))
-        if entry is not None:
-            _charge(budget, entry[0])
-            return entry
-        # straightened against the caller's budget, so that a runaway pair
-        # still stops where the budget runs out; a push-down row it builds
-        # is paid once, so a memo hit costs the pair's own steps
-        form: dict = {}
-        entry = [self._straighten(
-            self._letters(m1) + self._letters(m2), p, 1, form, budget
-        )]
-        for key, c in form.items():
-            entry.append(memo.setdefault(key, key))
-            entry.append(exact(c))
-        entry = memo[(m1, m2, p)] = tuple(entry)
-        return entry
+    def multiply(self, a: dict, b: dict, limit=None) -> dict:
+        """The normal form of a*b, formed term pair by term pair (see
+        _term_product).  limit is the product's step budget, max_steps()
+        when None; a computation that forms many products reads it once."""
+        return self._product(a, b, [max_steps() if limit is None else limit])
 
-    def multiply(self, a: dict, b: dict, memo=None, limit=None) -> dict:
-        """The normal form of a*b.
-
-        memo, when given, is a dict shared by the calls of one computation
-        on this presentation: the term pairs of every call are looked up
-        and stored there (see _term_product).  A term pair costs the steps
-        its merged straightening cost when it was first straightened, less
-        any push-down row built on the way, so whether the budget runs out
-        depends on the call alone, not on what the memo holds.  limit is
-        the product's step budget, max_steps() when None; a computation
-        that forms many products reads it once."""
-        return self._product(a, b, [max_steps() if limit is None else limit],
-                             {} if memo is None else memo)
-
-    def _product(self, a: dict, b: dict, budget: list, memo: dict) -> dict:
+    def _product(self, a: dict, b: dict, budget: list) -> dict:
         # a*b charged to the budget list, which push-down rows share
         out: dict = {}
         for (p1, m1), c1 in a.items():
@@ -451,9 +412,7 @@ class HbarPresentation:
                 if p >= self.order:
                     continue
                 c = c1 * c2
-                entry = self._term_product(m1, m2, p, budget, memo)
-                for n in range(1, len(entry), 2):
-                    key, v = entry[n], entry[n + 1]
+                for key, v in self._term_product(m1, m2, p, budget).items():
                     s = out.get(key, 0) + (c if v == 1 else c * v)
                     if s:
                         out[key] = s
@@ -461,12 +420,12 @@ class HbarPresentation:
                         out.pop(key, None)
         return out
 
-    def commutator(self, a: dict, b: dict, memo=None, limit=None) -> dict:
+    def commutator(self, a: dict, b: dict, limit=None) -> dict:
         if limit is None:
             limit = max_steps()
         return element_add(
-            self.multiply(a, b, memo=memo, limit=limit),
-            element_scale(self.multiply(b, a, memo=memo, limit=limit), -1),
+            self.multiply(a, b, limit=limit),
+            element_scale(self.multiply(b, a, limit=limit), -1),
         )
 
     def normal_form(self, word) -> dict:
@@ -824,9 +783,7 @@ def quantized_slice(a: HbarPresentation, t_lift, z_lifts, truncation: int,
         a.var(z) if isinstance(z, str) else z for z in z_lifts
     ]
     hbar = a.hbar()
-    # one memo of term-pair normal forms and one read of the step budget
-    # for every product of this call
-    memo: dict = {}
+    # one read of the step budget for every product of this call
     limit = max_steps()
 
     def residue_visible(elem):
@@ -836,7 +793,7 @@ def quantized_slice(a: HbarPresentation, t_lift, z_lifts, truncation: int,
 
     problems = []
     for idx, z in enumerate(z_elems):
-        r = residue_visible(a.commutator(t_elem, z, memo=memo, limit=limit))
+        r = residue_visible(a.commutator(t_elem, z, limit=limit))
         if r:
             problems.append(f"[t, z{idx + 1}] = {a.render(r)}")
     for idx in range(len(z_elems)):
@@ -844,8 +801,7 @@ def quantized_slice(a: HbarPresentation, t_lift, z_lifts, truncation: int,
             expect = hbar if (idx % 2 == 0 and jdx == idx + 1) else {}
             r = residue_visible(
                 element_add(
-                    a.commutator(z_elems[idx], z_elems[jdx], memo=memo,
-                                 limit=limit),
+                    a.commutator(z_elems[idx], z_elems[jdx], limit=limit),
                     element_scale(expect, -1),
                 )
             )
@@ -876,8 +832,7 @@ def quantized_slice(a: HbarPresentation, t_lift, z_lifts, truncation: int,
             cand = {(hpow, mono): 1}
             col = {}
             for li, lift in enumerate(lifts):
-                for (p, m), c in a.commutator(lift, cand, memo=memo,
-                                              limit=limit).items():
+                for (p, m), c in a.commutator(lift, cand, limit=limit).items():
                     if p <= truncation:
                         col[(li, p, m)] = c
             relation = span.add(col)
@@ -894,7 +849,7 @@ def quantized_slice(a: HbarPresentation, t_lift, z_lifts, truncation: int,
         "failures": confluence["failures"],
     }
 
-    candidates = _generator_candidates(a, basis, truncation, memo, limit)
+    candidates = _generator_candidates(a, basis, truncation, limit)
     return QuantSliceResult(
         a, truncation, tuple(weight_window), degree_cap, basis, candidates,
         closure,
@@ -924,7 +879,7 @@ def _is_laurent_seed(a: HbarPresentation, elem: dict) -> bool:
     )
 
 
-def _generator_candidates(a, basis, truncation, memo, limit):
+def _generator_candidates(a, basis, truncation, limit):
     """Basis elements not spanned by products of earlier ones.
 
     The pure Laurent kernel vectors (monomials in the invertible
@@ -986,24 +941,24 @@ def _generator_candidates(a, basis, truncation, memo, limit):
         return not any(outside.values())
 
     # spans only grow, so a product once rejected stays rejected and
-    # each ordered pool pair needs looking at once
-    multiplied: set[tuple[int, int]] = set()
+    # each ordered pool pair needs looking at once: row i has looked at
+    # the columns below done[i]
+    done: list[int] = []
 
     def close_products():
         grew = True
         while grew:
             grew = False
-            for i, (w1, e1, layer1) in enumerate(list(pool)):
-                for j, (w2, e2, layer2) in enumerate(list(pool)):
+            done.extend([0] * (len(pool) - len(done)))
+            for i in range(len(done)):
+                w1, e1, layer1 = pool[i]
+                end = len(pool)
+                for w2, e2, layer2 in pool[done[i]:end]:
                     w = w1 + w2
-                    if w not in keys or (i, j) in multiplied:
-                        continue
-                    multiplied.add((i, j))
-                    if not can_enter(w, layer1, layer2):
-                        continue
-                    if absorb(w, a.multiply(e1, e2, memo=memo,
-                                            limit=limit)):
+                    if (w in keys and can_enter(w, layer1, layer2)
+                            and absorb(w, a.multiply(e1, e2, limit=limit))):
                         grew = True
+                done[i] = end
 
     for w, vs in basis.items():
         for v in vs:

@@ -347,15 +347,17 @@ class ParabolicRecord:
     action of the normalizer, and the slice direction is the symplectic
     complement.  The fixed space and its complement always pair into a
     direct sum with both pieces symplectic; this is re-checked exactly
-    on construction."""
+    on construction.
 
-    def __init__(self, group: GroupData, subgroup):
+    annihilator is a basis of the rows that cut out the subgroup's fixed
+    space, the span of the rows of g - 1 over its elements, as
+    parabolic_subgroups finds it; the fixed space is its kernel."""
+
+    def __init__(self, group: GroupData, annihilator, subgroup):
         self.group = group
         self.subgroup = tuple(sorted(subgroup))
         field, dim = group.field, group.dim
-        # the fixed space is cut out by the subgroup's distinct annihilators
-        rows = dict.fromkeys(group.annihilator(i) for i in self.subgroup)
-        fixed = _kernel(field, [r for a in rows for r in a], dim)
+        fixed = _kernel(field, annihilator, dim)
         self.fixed_basis = fixed
         self.perp_basis = _omega_perp(field, group.omega, fixed)
         together = [list(v) for v in fixed + self.perp_basis]
@@ -426,7 +428,8 @@ def parabolic_subgroups(group: GroupData) -> tuple[ParabolicRecord, ...]:
     # subgroups, so each stabilizer is recorded once
     return tuple(
         sorted(
-            (ParabolicRecord(group, stab) for stab in stabilizers.values()),
+            (ParabolicRecord(group, space, stab)
+             for space, stab in stabilizers.items()),
             key=lambda r: (-r.leaf_dim, r.subgroup),
         )
     )

@@ -950,7 +950,7 @@ def reference_closure(a: HbarPresentation, lifts, basis: dict, truncation: int) 
 
 
 def reference_generator_candidates(a: HbarPresentation, basis: dict, truncation: int,
-                                   memo: dict, limit: int) -> list:
+                                   limit: int) -> list:
     """The generator candidates of a quantized slice basis, every ordered
     pool pair multiplied in full and its product kept when it lies in the
     enumerated monomials of its weight and grows that weight's span mod
@@ -985,7 +985,7 @@ def reference_generator_candidates(a: HbarPresentation, basis: dict, truncation:
                     if w not in keys or (i, j) in multiplied:
                         continue
                     multiplied.add((i, j))
-                    if absorb(w, a.multiply(e1, e2, memo=memo, limit=limit)):
+                    if absorb(w, a.multiply(e1, e2, limit=limit)):
                         grew = True
 
     for w, vs in basis.items():

@@ -507,6 +507,43 @@ def test_slice_matrices_stay_unimodular():
                 assert check_unimodular(sliced.rows)[0]
 
 
+def _connected_graph(rng, vertices, edges):
+    """The incidence matrix of a seeded connected multigraph: a random
+    spanning tree, then random edges up to the count, in shuffled order."""
+    pairs = [(rng.randrange(v), v) for v in range(1, vertices)]
+    while len(pairs) < edges:
+        pairs.append(tuple(rng.sample(range(vertices), 2)))
+    rng.shuffle(pairs)
+    return _graph(vertices, pairs)
+
+
+def test_the_slice_at_a_leaf_has_the_leaves_of_its_flat():
+    """Slices of slices: the cone of slice_matrix(b, F) at the leaf L of
+    the flat F has, with its flats mapped back through F, exactly the
+    leaves of b whose flat lies in F, each of dimension its own less
+    leaf_dim(L)."""
+    rng = random.Random(32)
+    cases = [A2, A2xA1, PENDANT] + [_complete_graph(n) for n in (3, 4, 5)]
+    cases += [_connected_graph(rng, rng.randint(3, 5), rng.randint(6, 9)) for _ in range(12)]
+    cases += [_seeded_unimodular(rng) for _ in range(200)]
+    slices = 0
+    for rows in cases:
+        leaves = enumerate_leaves(rows)
+        for leaf in leaves:
+            if not leaf.flat:
+                continue
+            inner = enumerate_leaves(slice_matrix(rows, leaf.flat).rows)
+            got = sorted(
+                (tuple(leaf.flat[k - 1] for k in sub.flat), sub.leaf_dim + leaf.leaf_dim)
+                for sub in inner
+            )
+            assert got == sorted(
+                (other.flat, other.leaf_dim) for other in leaves if set(other.flat) <= set(leaf.flat)
+            ), (rows, leaf.flat)
+            slices += 1
+    assert slices == 389
+
+
 # -- charts -------------------------------------------------------------------
 
 

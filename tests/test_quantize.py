@@ -320,28 +320,13 @@ def test_the_first_computation_pays_for_a_push_down_row(compute, monkeypatch):
     assert fresh > least_passing_budget(monkeypatch, lambda: compute(warm))
 
 
-def test_a_memo_hit_does_not_pay_for_a_push_down_row_again(monkeypatch):
-    """A term pair whose straightening built a push-down row is kept in
-    the memo at its own cost, so a later product over that memo needs no
-    more budget than one over a fresh memo."""
-    a = sl2_enveloping(order=4, localized=True)
-    e, f_inverse = a.var("e"), a.var("f", -1)
-    shared: dict = {}
-    a.multiply(e, f_inverse, memo=shared)
-    budgets = [
-        least_passing_budget(monkeypatch, lambda: a.multiply(e, f_inverse, memo=memo))
-        for memo in (shared, {})
-    ]
-    assert budgets[0] == budgets[1]
-
-
-# -- the term-pair memo of multiply -------------------------------------------
+# -- products against letter-by-letter straightening ---------------------------
 
 
 def straightened_product(a, x, y, straighten):
     """x*y pushed through straighten (HbarPresentation._straighten or the
-    letter-by-letter reference) one term pair at a time, with no memo and
-    no shortcut, and the steps that took."""
+    letter-by-letter reference) one term pair at a time, with no
+    shortcut, and the steps that took."""
     out: dict = {}
     budget = 10 ** 9
     state = [budget]
@@ -372,7 +357,7 @@ def so3_enveloping(order):
     return enveloping_family(("x", "y", "z"), SO3, order=order)
 
 
-MEMO_ALGEBRAS = {
+PRODUCT_ALGEBRAS = {
     "differential(2,2)": lambda: differential_family(2, 2, order=3),
     "differential(1,3)": lambda: differential_family(1, 3, order=4),
     "weyl(2,1)": lambda: weyl_family(2, 1, order=3),
@@ -404,50 +389,46 @@ def monomial_pool(a, rng):
     return pool
 
 
-@pytest.mark.parametrize("name", sorted(MEMO_ALGEBRAS))
-def test_memo_multiply_matches_letter_by_letter_straightening(name, monkeypatch):
-    a = MEMO_ALGEBRAS[name]()
+@pytest.mark.parametrize("name", sorted(PRODUCT_ALGEBRAS))
+def test_multiply_matches_letter_by_letter_straightening(name, monkeypatch):
+    a = PRODUCT_ALGEBRAS[name]()
     rng = random.Random(f"memo {name}")
     pool = monomial_pool(a, rng)
-    shared: dict = {}
     for _ in range(12):
         x, y = random_element(a, rng, pool), random_element(a, rng, pool)
         want, steps = merged_and_reference_product(a, x, y)
-        # the smallest budget that does not raise is the same, on a fresh
-        # memo and on one shared with every earlier product
-        for memo in ({}, shared):
-            monkeypatch.setenv("EQUISLICE_MAX_STEPS", str(steps))
-            assert a.multiply(x, y, memo=memo) == want
-            if steps:
-                monkeypatch.setenv("EQUISLICE_MAX_STEPS", str(steps - 1))
-                with pytest.raises(RewriteLimitError, match="step budget"):
-                    a.multiply(x, y, memo=memo)
+        # the smallest budget that does not raise is what merged
+        # straightening spends on the product's term pairs
+        monkeypatch.setenv("EQUISLICE_MAX_STEPS", str(steps))
+        assert a.multiply(x, y) == want
+        if steps:
+            monkeypatch.setenv("EQUISLICE_MAX_STEPS", str(steps - 1))
+            with pytest.raises(RewriteLimitError, match="step budget"):
+                a.multiply(x, y)
         monkeypatch.delenv("EQUISLICE_MAX_STEPS")
         assert a.multiply(x, y) == want
 
 
 def test_cached_term_pairs_cost_their_first_steps(monkeypatch):
+    """A product formed again, its push-down rows already built, costs
+    the steps that merged straightening spends on its term pairs."""
     a = sl2_enveloping(order=4, localized=True)
     casimir = sl2_casimir_element(a)
     shifted = a.multiply(casimir, a.var("f", -2))
     want, steps = merged_and_reference_product(a, shifted, shifted)
     for budget in (steps - 1, steps):
-        statuses = []
-        warm: dict = {}
         monkeypatch.delenv("EQUISLICE_MAX_STEPS", raising=False)
-        a.multiply(shifted, shifted, memo=warm)
+        a.multiply(shifted, shifted)
         monkeypatch.setenv("EQUISLICE_MAX_STEPS", str(budget))
-        for memo in ({}, warm):
-            try:
-                statuses.append(a.multiply(shifted, shifted, memo=memo) == want)
-            except RewriteLimitError:
-                statuses.append("exhausted")
-        expect = True if budget >= steps else "exhausted"
-        assert statuses == [expect, expect], budget
+        try:
+            status = a.multiply(shifted, shifted) == want
+        except RewriteLimitError:
+            status = "exhausted"
+        assert status == (True if budget >= steps else "exhausted"), budget
 
 
 STRAIGHTEN_ALGEBRAS = {
-    **MEMO_ALGEBRAS,
+    **PRODUCT_ALGEBRAS,
     "differential(1,0)": lambda: differential_family(1, 0, order=3),
     "differential(3,2)": lambda: differential_family(3, 2, order=3),
     "weyl(1,0)": lambda: weyl_family(1, 0, order=4),
@@ -783,7 +764,7 @@ def test_generator_search_multiplies_each_pool_pair_once(monkeypatch):
         return multiply(self, x, y, **kwargs)
 
     monkeypatch.setattr(HbarPresentation, "multiply", counting)
-    again = _generator_candidates(a, res.basis, res.truncation, {}, max_steps())
+    again = _generator_candidates(a, res.basis, res.truncation, max_steps())
     assert again == res.generator_candidates
     assert operands and max(operands.values()) == 1
 
@@ -1285,8 +1266,8 @@ def test_slice_closure_multiplies_no_basis_pair(monkeypatch):
 
 def searched(a, t_lift, z_lifts, truncation, window, cap, monkeypatch):
     """(slice result, generator search products) of one quantized slice,
-    the search rerun on the result's basis with a fresh memo while every
-    product it forms is recorded."""
+    the search rerun on the result's basis while every product it forms
+    is recorded."""
     res = quantized_slice(a, t_lift, z_lifts, truncation, window, degree_cap=cap)
     products = []
     multiply = HbarPresentation.multiply
@@ -1298,13 +1279,13 @@ def searched(a, t_lift, z_lifts, truncation, window, cap, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(HbarPresentation, "multiply", recording)
-        again = _generator_candidates(a, res.basis, truncation, {}, max_steps())
+        again = _generator_candidates(a, res.basis, truncation, max_steps())
     assert again == res.generator_candidates
     return res, products
 
 
 def assert_search_matches_the_reference(a, res):
-    ref = reference_generator_candidates(a, res.basis, res.truncation, {}, max_steps())
+    ref = reference_generator_candidates(a, res.basis, res.truncation, max_steps())
     assert res.generator_candidates == ref
     mirror = quantize.QuantSliceResult(
         a, res.truncation, res.window, res.degree_cap, res.basis, ref, res.closure
